@@ -11,7 +11,8 @@ Subcommands:
 
 Every run writes a manifest (config echo, version, wall clock) next to its
 artifacts.  Exit codes: 0 pass, 1 acceptance-threshold failure, 2 usage or
-configuration error, 3 runtime blowup (partial artifacts retained).
+configuration error (a dt above the transport limit included), 3 runtime
+blowup (partial artifacts retained).
 
 The output directory resolves relative to $STRIPWAVE_OUTPUT_ROOT when set.
 """
@@ -30,7 +31,6 @@ import numpy as np
 
 from . import __version__
 from .config import (
-    EXPERIMENTS,
     ConfigError,
     ExperimentConfig,
     apply_overrides,
@@ -428,10 +428,7 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     for w in cfg.warnings:
         print(f"warning: {w}")
     start = time.time()
-    try:
-        code, extra = _RUNNERS[cfg.experiment](cfg, outdir)
-    except ConfigError:
-        raise
+    code, extra = _RUNNERS[cfg.experiment](cfg, outdir)
     _write_manifest(outdir, cfg, time.time() - start, code, {"report": extra})
     return code
 

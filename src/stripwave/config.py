@@ -12,6 +12,13 @@ from dataclasses import dataclass, field
 
 EXPERIMENTS = ("wave", "stability0", "linear_eps", "planarity", "convergence")
 
+# allowed values of the integrator's named choices
+INTEGRATOR_CHOICES = {
+    "scheme": ("imex1", "sbdf2"),
+    "transport": ("upwind", "central"),
+    "frame": ("moving", "lab"),
+}
+
 
 class ConfigError(ValueError):
     """Carries the full list of line-numbered problems."""
@@ -141,6 +148,28 @@ def parse_raw(text: str):
     return sections, problems
 
 
+def integrator_problems(iv: dict, prefix: str = "") -> list:
+    """Every rule the time-stepping settings break.
+
+    The one definition of those rules: validate_config applies it to the
+    [integrator] section and evolve.IntegratorConfig to its own fields.
+    """
+    problems = []
+    if iv["dt"] <= 0:
+        problems.append(f"{prefix}dt must be positive, got {iv['dt']}")
+    if iv["t_end"] < 0:
+        problems.append(f"{prefix}t_end must be non-negative, got {iv['t_end']}")
+    if not 0 < iv["cfl_safety"] <= 1:
+        problems.append(f"{prefix}cfl_safety must lie in (0, 1], got {iv['cfl_safety']}")
+    if iv["record_every"] < 1:
+        problems.append(f"{prefix}record_every must be >= 1, got {iv['record_every']}")
+    for key, allowed in INTEGRATOR_CHOICES.items():
+        if iv[key] not in allowed:
+            problems.append(f"{prefix}{key} must be {' or '.join(allowed)}, "
+                            f"got {iv[key]!r}")
+    return problems
+
+
 def validate_config(text: str, experiment: str) -> ExperimentConfig:
     """Strict validation; raises ConfigError listing every problem found."""
     if experiment not in EXPERIMENTS:
@@ -199,18 +228,7 @@ def validate_config(text: str, experiment: str) -> ExperimentConfig:
         problems.append(f"wave.n_minus must be positive, got {wv['n_minus']}")
     if wv["c_plus"] <= 0:
         problems.append(f"wave.c_plus must be positive, got {wv['c_plus']}")
-    if iv["dt"] <= 0:
-        problems.append(f"integrator.dt must be positive, got {iv['dt']}")
-    if iv["t_end"] < 0:
-        problems.append(f"integrator.t_end must be non-negative, got {iv['t_end']}")
-    if iv["scheme"] not in ("imex1", "sbdf2"):
-        problems.append(f"integrator.scheme must be imex1 or sbdf2, "
-                        f"got {iv['scheme']!r}")
-    if iv["transport"] not in ("upwind", "central"):
-        problems.append(f"integrator.transport must be upwind or central, "
-                        f"got {iv['transport']!r}")
-    if iv["frame"] not in ("moving", "lab"):
-        problems.append(f"integrator.frame must be moving or lab, got {iv['frame']!r}")
+    problems.extend(integrator_problems(iv, prefix="integrator."))
     if values["init"]["amplitude"] < 0:
         problems.append(f"init.amplitude must be non-negative, "
                         f"got {values['init']['amplitude']}")

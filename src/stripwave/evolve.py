@@ -17,10 +17,14 @@ Three systems are advanced in the frame z = x - s t:
 
 Splitting: every Laplacian is implicit (per-y-Fourier-mode symmetric
 tridiagonal solves in z); transport, coupling, and nonlinear terms are
-explicit.  phi and the (n, q) deviations are clamped to zero at z = +-L_z.
-psi is clamped only at the inflow end z = +L_z when it carries no
-diffusion: its transport is upwinded toward the outflow at z = -L_z, where
-a Dirichlet pin would inject spurious boundary kinks into the H^3 ledger.
+explicit.  One IMEX core advances all three systems with either scheme,
+first-order IMEX (imex1) or SBDF2 (Ascher, Ruuth & Wetton, SIAM J. Numer.
+Anal. 32, 1995); a system supplies only its explicit tendency, the implicit
+solve of each of its arrays, and its ledger row.  phi and the (n, q)
+deviations are clamped to zero at z = +-L_z.  psi is clamped only at the
+inflow end z = +L_z when it carries no diffusion: its transport is upwinded
+toward the outflow at z = -L_z, where a Dirichlet pin would inject spurious
+boundary kinks into the H^3 ledger.
 
 System C additionally keeps the per-z y-mean and the y-fluctuation of each
 deviation field in separate arrays, with cross products assembled per part.
@@ -33,13 +37,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
+from .config import ConfigError, integrator_problems
 from .energy import EnergyLedger, LedgerRow, ledger_row
-from .grid import Grid, ScalarField, VectorField, ddy_array, ddz_array
+from .grid import ScalarField, VectorField, ddy_array, ddz_array
 from .transforms import ColeHopfState, PerturbationState, perturbation_y_means
 from .waves import WaveProfile
 
@@ -75,20 +80,9 @@ class IntegratorConfig:
     blowup_factor: float = 1e6
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.t_end < 0:
-            raise ValueError(f"t_end must be non-negative, got {self.t_end}")
-        if self.scheme not in ("imex1", "sbdf2"):
-            raise ValueError(f"scheme must be imex1 or sbdf2, got {self.scheme!r}")
-        if not (0 < self.cfl_safety <= 1):
-            raise ValueError(f"cfl_safety must lie in (0, 1], got {self.cfl_safety}")
-        if self.record_every < 1:
-            raise ValueError(f"record_every must be >= 1, got {self.record_every}")
-        if self.transport not in ("upwind", "central"):
-            raise ValueError(f"transport must be upwind or central, got {self.transport!r}")
-        if self.frame not in ("moving", "lab"):
-            raise ValueError(f"frame must be moving or lab, got {self.frame!r}")
+        problems = integrator_problems(asdict(self))
+        if problems:
+            raise ConfigError(problems)
 
 
 @dataclass
@@ -115,9 +109,8 @@ class _ModeDiffusionSolver:
     definite, factored once with banded Cholesky.
     """
 
-    def __init__(self, grid: Grid, coef: float, alpha: float = 1.0):
+    def __init__(self, grid, coef: float, alpha: float = 1.0):
         self.grid = grid
-        self.coef = coef
         n_int = grid.n_z - 2
         inv_dz2 = 1.0 / grid.dz**2
         self.factors = []
@@ -126,28 +119,71 @@ class _ModeDiffusionSolver:
             ab[0, 1:] = -coef * inv_dz2
             ab[1, :] = alpha + coef * (2.0 * inv_dz2 + k**2)
             self.factors.append((cholesky_banded(ab), False))
-        # k = 0 factor reused for y-independent profiles
-        self._k0 = self.factors[0]
 
-    def solve_field(self, rhs: np.ndarray) -> np.ndarray:
-        """rhs (n_z, n_y) physical; returns solution with zero boundary rows."""
-        g = self.grid
-        rh = np.fft.rfft(rhs[1:-1, :], axis=1)
+    def solve_modes(self, rh: np.ndarray) -> np.ndarray:
+        """rh (n_z - 2, n_y // 2 + 1): interior rfft coefficients, solved per mode."""
         out_h = np.empty_like(rh)
         for m, fac in enumerate(self.factors):
             col = rh[:, m]
-            stacked = np.column_stack([col.real, col.imag])
-            sol = cho_solve_banded(fac, stacked)
+            sol = cho_solve_banded(fac, np.column_stack([col.real, col.imag]))
             out_h[:, m] = sol[:, 0] + 1j * sol[:, 1]
+        return out_h
+
+    def solve_field(self, rhs: np.ndarray) -> np.ndarray:
+        """rhs (n_z, n_y) physical; returns solution with zero boundary rows."""
         out = np.zeros_like(rhs)
-        out[1:-1, :] = np.fft.irfft(out_h, n=g.n_y, axis=1)
+        out[1:-1, :] = np.fft.irfft(self.solve_modes(np.fft.rfft(rhs[1:-1, :], axis=1)),
+                                    n=self.grid.n_y, axis=1)
         return out
 
     def solve_mean(self, rhs: np.ndarray) -> np.ndarray:
         """rhs (n_z,) y-independent; same operator at k = 0."""
         out = np.zeros_like(rhs)
-        out[1:-1] = cho_solve_banded(self._k0, rhs[1:-1])
+        out[1:-1] = cho_solve_banded(self.factors[0], rhs[1:-1])
         return out
+
+
+def _inflow_pinned(alpha: float):
+    """Implicit solve of an undiffused field: alpha x = rhs, with the inflow
+    row z = +L_z pinned and the outflow row left free."""
+    def solve(rhs):
+        out = rhs / alpha
+        out[-1, :] = 0.0
+        return out
+    return solve
+
+
+class _ImexCore:
+    """imex1 / SBDF2 steps of a system over its (array, solve) pairs.
+
+    With D the implicit diffusion and f the explicit tendency,
+        imex1:  (1 - dt D) u' = u + dt f(u)
+        SBDF2:  (1.5 - dt D) u' = 2 u - u_old / 2 + dt (2 f(u) - f(u_old)),
+    SBDF2 taking one imex1 step to build its history.
+    """
+
+    def __init__(self, system, dt: float, scheme: str):
+        self.system = system
+        self.dt = dt
+        self.sbdf2 = scheme == "sbdf2"
+        self.solves_1 = system.solves(dt, 1.0)
+        self.solves_15 = system.solves(dt, 1.5) if self.sbdf2 else None
+        self._prev = None  # (arrays, tendencies) of the previous step
+
+    def step(self, u: tuple) -> tuple:
+        dt = self.dt
+        tend = self.system.explicit_tendency(u)
+        if self._prev is None:
+            rhs = [x + dt * f for x, f in zip(u, tend)]
+            solves = self.solves_1
+        else:
+            u_old, tend_old = self._prev
+            rhs = [2.0 * x - 0.5 * xo + dt * (2.0 * f - fo)
+                   for x, xo, f, fo in zip(u, u_old, tend, tend_old)]
+            solves = self.solves_15
+        if self.sbdf2:
+            self._prev = (u, tend)
+        return self.system.settle(tuple(solve(r) for solve, r in zip(solves, rhs)))
 
 
 def _upwind_right(v: np.ndarray, dz: float) -> np.ndarray:
@@ -158,140 +194,113 @@ def _upwind_right(v: np.ndarray, dz: float) -> np.ndarray:
     return out
 
 
-def _clamp_ends(v: np.ndarray) -> np.ndarray:
-    v[0] = 0.0
-    v[-1] = 0.0
-    return v
-
-
-# ---------------------------------------------------------------------------
-# Systems A and B: perturbation (phi, psi) steppers
-# ---------------------------------------------------------------------------
-
-class _PerturbationStepper:
-    """IMEX stepping context for the (phi, psi) systems."""
-
-    def __init__(self, profile: WaveProfile, dt: float, scheme: str,
-                 transport: str, linear: bool, eps: float):
-        self.g = profile.grid
-        self.dt = dt
-        self.scheme = scheme
-        self.transport = transport
-        self.linear = linear
-        self.eps = eps
-        self.s = profile.params.s
-        self.N = profile.N[:, None]
-        self.P = profile.P_z[:, None]
-        self.phi_solver_1 = _ModeDiffusionSolver(self.g, dt, alpha=1.0)
-        self.psi_solver_1 = (_ModeDiffusionSolver(self.g, eps * dt, alpha=1.0)
-                             if eps > 0 else None)
-        if scheme == "sbdf2":
-            self.phi_solver_15 = _ModeDiffusionSolver(self.g, dt, alpha=1.5)
-            self.psi_solver_15 = (_ModeDiffusionSolver(self.g, eps * dt, alpha=1.5)
-                                  if eps > 0 else None)
-        self._prev = None  # (fields, tendencies) for sbdf2
-
-    def _transport_z(self, v):
-        if self.transport == "upwind":
-            return _upwind_right(v, self.g.dz)
-        return ddz_array(v, self.g.dz)
-
-    def explicit_tendency(self, phi1, phi2, psi):
-        g, s = self.g, self.s
-        dz_phi1 = ddz_array(phi1, g.dz)
-        dz_phi2 = ddz_array(phi2, g.dz)
-        dy_phi2 = ddy_array(phi2, g)
-        dz_psi = ddz_array(psi, g.dz)
-        dy_psi = ddy_array(psi, g)
-        u = dz_phi1 + dy_phi2
-
-        a1 = s * dz_phi1 + self.N * dz_psi + self.P * u
-        a2 = s * dz_phi2 + self.N * dy_psi
-        if not self.linear:
-            a1 = a1 + u * dz_psi
-            a2 = a2 + u * dy_psi
-
-        a_psi = s * self._transport_z(psi) + u
-        if self.linear and self.eps > 0:
-            a_psi = a_psi - 2.0 * self.eps * self.P * dz_psi
-        return a1, a2, a_psi
-
-    def step(self, phi1, phi2, psi):
-        dt = self.dt
-        tend = self.explicit_tendency(phi1, phi2, psi)
-        if self.scheme == "imex1" or self._prev is None:
-            rhs1 = phi1 + dt * tend[0]
-            rhs2 = phi2 + dt * tend[1]
-            new1 = self.phi_solver_1.solve_field(rhs1)
-            new2 = self.phi_solver_1.solve_field(rhs2)
-            rhs_psi = psi + dt * tend[2]
-            if self.psi_solver_1 is not None:
-                new_psi = self.psi_solver_1.solve_field(rhs_psi)
-            else:
-                new_psi = rhs_psi
-                new_psi[-1, :] = 0.0
-        else:
-            (p1o, p2o, pso), (t1o, t2o, tso) = self._prev
-            rhs1 = 2.0 * phi1 - 0.5 * p1o + dt * (2.0 * tend[0] - t1o)
-            rhs2 = 2.0 * phi2 - 0.5 * p2o + dt * (2.0 * tend[1] - t2o)
-            new1 = self.phi_solver_15.solve_field(rhs1)
-            new2 = self.phi_solver_15.solve_field(rhs2)
-            rhs_psi = 2.0 * psi - 0.5 * pso + dt * (2.0 * tend[2] - tso)
-            if self.psi_solver_15 is not None:
-                new_psi = self.psi_solver_15.solve_field(rhs_psi)
-            else:
-                new_psi = rhs_psi / 1.5
-                new_psi[-1, :] = 0.0
-        if self.scheme == "sbdf2":
-            self._prev = ((phi1, phi2, psi), tend)
-        return new1, new2, new_psi
-
-
-def _state_arrays(state: PerturbationState):
-    return (state.phi.z.values.copy(), state.phi.y.values.copy(), state.psi.values.copy())
-
-
-def _arrays_state(grid, phi1, phi2, psi, t, eps):
-    return PerturbationState(
-        phi=VectorField(ScalarField(grid, phi1), ScalarField(grid, phi2)),
-        psi=ScalarField(grid, psi), t=t, eps=eps)
-
-
 def _check_finite(arrays, t):
     for a in arrays:
         if not np.all(np.isfinite(a)):
             raise IntegratorBlowup("non-finite field values", t)
 
 
+# ---------------------------------------------------------------------------
+# Systems A and B: perturbation (phi, psi)
+# ---------------------------------------------------------------------------
+
+class _PerturbationSystem:
+    """Systems A (linear=False, eps = 0) and B (linear=True, eps > 0) as
+    arrays (phi1, phi2, psi)."""
+
+    guard = ("M_inst", "energy exceeded {:g} x M0")
+    curl_max = 0.0
+
+    def __init__(self, profile: WaveProfile, transport: str, linear: bool):
+        eps = profile.params.eps
+        if linear and eps <= 0.0:
+            raise ValueError("linear_eps requires a profile with eps > 0")
+        if not linear and eps != 0.0:
+            raise ValueError("nonlinear0 requires an eps = 0 profile")
+        self.profile = profile
+        self.g = profile.grid
+        self.transport = transport
+        self.linear = linear
+        self.eps = eps
+        self.s = profile.params.s
+        self.N = profile.N[:, None]
+        self.P = profile.P_z[:, None]
+
+    def arrays(self, state: PerturbationState) -> tuple:
+        return (state.phi.z.values.copy(), state.phi.y.values.copy(),
+                state.psi.values.copy())
+
+    def state(self, u, t) -> PerturbationState:
+        g = self.g
+        return PerturbationState(
+            phi=VectorField(ScalarField(g, u[0]), ScalarField(g, u[1])),
+            psi=ScalarField(g, u[2]), t=t, eps=self.eps)
+
+    def solves(self, dt, alpha):
+        phi = _ModeDiffusionSolver(self.g, dt, alpha).solve_field
+        psi = (_ModeDiffusionSolver(self.g, self.eps * dt, alpha).solve_field
+               if self.eps > 0 else _inflow_pinned(alpha))
+        return phi, phi, psi
+
+    def explicit_tendency(self, u):
+        g, s = self.g, self.s
+        phi1, phi2, psi = u
+        dz_phi1 = ddz_array(phi1, g.dz)
+        dz_phi2 = ddz_array(phi2, g.dz)
+        dy_phi2 = ddy_array(phi2, g)
+        dz_psi = ddz_array(psi, g.dz)
+        dy_psi = ddy_array(psi, g)
+        div = dz_phi1 + dy_phi2
+
+        a1 = s * dz_phi1 + self.N * dz_psi + self.P * div
+        a2 = s * dz_phi2 + self.N * dy_psi
+        if not self.linear:
+            a1 = a1 + div * dz_psi
+            a2 = a2 + div * dy_psi
+
+        transport = (_upwind_right(psi, g.dz) if self.transport == "upwind"
+                     else ddz_array(psi, g.dz))
+        a_psi = s * transport + div
+        if self.linear:
+            a_psi = a_psi - 2.0 * self.eps * self.P * dz_psi
+        return a1, a2, a_psi
+
+    def settle(self, u):
+        return u
+
+    def row(self, u, t) -> LedgerRow:
+        return ledger_row(self.state(u, t), self.profile, self.eps)
+
+
+def _warn_if_biased(state: PerturbationState) -> None:
+    drift = perturbation_y_means(state)
+    if drift > 1e-12:
+        warnings.warn(f"input y-means reach {drift:.3g}; the linearized system "
+                      "assumes mean-zero data", stacklevel=3)
+
+
+def _step_once(system, state, dt: float, scheme: str = "imex1"):
+    u = _ImexCore(system, dt, scheme).step(system.arrays(state))
+    t = state.t + dt
+    _check_finite(u, t)
+    return system.state(u, t)
+
+
 def step_nonlinear_eps0(state: PerturbationState, profile: WaveProfile,
                         dt: float, scheme: str = "imex1",
                         transport: str = "upwind") -> PerturbationState:
     """One IMEX step of the nonlinear zero-diffusion perturbation system."""
-    if profile.params.eps != 0.0:
-        raise ValueError("nonlinear zero-diffusion stepper needs an eps = 0 profile")
-    stepper = _PerturbationStepper(profile, dt, scheme, transport,
-                                   linear=False, eps=0.0)
-    new = stepper.step(*_state_arrays(state))
-    _check_finite(new, state.t + dt)
-    return _arrays_state(state.grid, *new, state.t + dt, 0.0)
+    return _step_once(_PerturbationSystem(profile, transport, linear=False),
+                      state, dt, scheme)
 
 
 def step_linear_eps(state: PerturbationState, profile: WaveProfile,
                     dt: float, scheme: str = "imex1",
                     transport: str = "upwind") -> PerturbationState:
     """One IMEX step of the linearized system with chemical diffusion."""
-    eps = profile.params.eps
-    if eps <= 0.0:
-        raise ValueError("linear stepper needs a profile with eps > 0")
-    drift = perturbation_y_means(state)
-    if drift > 1e-12:
-        warnings.warn(f"input y-means reach {drift:.3g}; the linearized system "
-                      "assumes mean-zero data", stacklevel=2)
-    stepper = _PerturbationStepper(profile, dt, scheme, transport,
-                                   linear=True, eps=eps)
-    new = stepper.step(*_state_arrays(state))
-    _check_finite(new, state.t + dt)
-    return _arrays_state(state.grid, *new, state.t + dt, eps)
+    system = _PerturbationSystem(profile, transport, linear=True)
+    _warn_if_biased(state)
+    return _step_once(system, state, dt, scheme)
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +341,22 @@ class _NqDeviation:
                 self.b0y[:, None] + self.bfy)
 
 
-class _NqStepper:
-    """IMEX stepping context for the deviation form of the (n, q) system.
+def _split_product(m0_a, fl_a, m0_b, fl_b):
+    """(m0_a + fl_a)(m0_b + fl_b) split into (mean, fluctuation) parts;
+    m0_b = None marks a second factor without y-mean."""
+    cross = fl_a * fl_b
+    cross_mean = _ymean(cross)
+    if m0_b is None:
+        return cross_mean, m0_a[:, None] * fl_b + cross - cross_mean[:, None]
+    mean = m0_a * m0_b + cross_mean
+    fluct = (m0_a[:, None] * fl_b + fl_a * m0_b[:, None]
+             + cross - cross_mean[:, None])
+    return mean, fluct
+
+
+class _NqSystem:
+    """Deviation form of the (n, q) system as arrays
+    (a0, af, b0z, bfz, b0y, bfy).
 
     Products among mean and fluctuating parts are assembled per part so the
     wave is an exact discrete fixed point and rounding stays relative to
@@ -342,40 +365,47 @@ class _NqStepper:
     source (-s N', -s P', 0).
     """
 
-    def __init__(self, profile: WaveProfile, eps: float, dt: float,
-                 frame: str = "moving", curl_projection: bool = False):
+    guard = ("Q", "transverse energy exceeded {:g} x Q0")
+
+    def __init__(self, profile: WaveProfile, eps: float, frame: str = "moving",
+                 curl_projection: bool = False):
         if eps <= 0.0:
             raise ValueError(f"the (n, q) stepper requires eps > 0, got {eps}")
+        self.profile = profile
         self.g = profile.grid
         self.eps = eps
-        self.dt = dt
         self.frame = frame
-        self.curl_projection = curl_projection
         self.s = profile.params.s
         self.N = profile.N
         self.P = profile.P_z
         self.dN = ddz_array(profile.N, self.g.dz)
         self.dP = ddz_array(profile.P_z, self.g.dz)
-        self.a_solver = _ModeDiffusionSolver(self.g, dt, alpha=1.0)
-        self.b_solver = _ModeDiffusionSolver(self.g, eps * dt, alpha=1.0)
+        # factors (k^2 - d_zz) for the Helmholtz projection
+        self.projector = (_ModeDiffusionSolver(self.g, 1.0, alpha=0.0)
+                          if curl_projection else None)
+        self.curl_max = 0.0
+        self._warned = False
 
-    def _split_product(self, m0_a, fl_a, m0_b, fl_b):
-        """(m0_a + fl_a)(m0_b + fl_b) split into (mean, fluctuation) parts."""
-        cross = fl_a * fl_b
-        cross_mean = _ymean(cross)
-        mean = m0_a * m0_b + cross_mean
-        fluct = (m0_a[:, None] * fl_b + fl_a * m0_b[:, None]
-                 + cross - cross_mean[:, None])
-        return mean, fluct
+    def arrays(self, state) -> tuple:
+        return _nq_deviation_from_state(state, self.profile).arrays()
 
-    def explicit_tendency(self, d: _NqDeviation):
+    def state(self, u, t) -> ColeHopfState:
+        return _nq_state(_NqDeviation(*u, t=t), self.profile)
+
+    def solves(self, dt, alpha):
+        a = _ModeDiffusionSolver(self.g, dt, alpha)
+        b = _ModeDiffusionSolver(self.g, self.eps * dt, alpha)
+        return (a.solve_mean, a.solve_field, b.solve_mean, b.solve_field,
+                b.solve_mean, b.solve_field)
+
+    def explicit_tendency(self, u):
         g, s, eps = self.g, self.s, self.eps
         dz = g.dz
-        a0, af, b0z, bfz, b0y, bfy = d.arrays()
+        a0, af, b0z, bfz, b0y, bfy = u
 
         # fluxes G = N b + P a + a b, per component and part
-        ab_z_m, ab_z_f = self._split_product(a0, af, b0z, bfz)
-        ab_y_m, ab_y_f = self._split_product(a0, af, b0y, bfy)
+        ab_z_m, ab_z_f = _split_product(a0, af, b0z, bfz)
+        ab_y_m, ab_y_f = _split_product(a0, af, b0y, bfy)
         Gz_m = self.N * b0z + self.P * a0 + ab_z_m
         Gz_f = self.N[:, None] * bfz + self.P[:, None] * af + ab_z_f
         Gy_m = self.N * b0y + ab_y_m
@@ -389,10 +419,10 @@ class _NqStepper:
         dz_b0y, dz_bfy = ddz_array(b0y, dz), ddz_array(bfy, dz)
         dy_bfz, dy_bfy = ddy_array(bfz, g), ddy_array(bfy, g)
 
-        advz_m, advz_f = self._split_product(b0z, bfz, dz_b0z, dz_bfz)
-        cz_m, cz_f = self._split_product(b0y, bfy, np.zeros_like(b0z), dy_bfz)
-        advy_m, advy_f = self._split_product(b0z, bfz, dz_b0y, dz_bfy)
-        cy_m, cy_f = self._split_product(b0y, bfy, np.zeros_like(b0y), dy_bfy)
+        advz_m, advz_f = _split_product(b0z, bfz, dz_b0z, dz_bfz)
+        cz_m, cz_f = _split_product(b0y, bfy, None, dy_bfz)
+        advy_m, advy_f = _split_product(b0z, bfz, dz_b0y, dz_bfy)
+        cy_m, cy_f = _split_product(b0y, bfy, None, dy_bfy)
 
         tb0z = -2.0 * eps * (self.P * dz_b0z + b0z * self.dP + advz_m + cz_m) \
             + ddz_array(a0, dz)
@@ -415,65 +445,61 @@ class _NqStepper:
             tb0z = tb0z - s * self.dP
         return ta0, taf, tb0z, tbfz, tb0y, tbfy
 
-    def step(self, d: _NqDeviation) -> _NqDeviation:
-        dt = self.dt
-        ta0, taf, tb0z, tbfz, tb0y, tbfy = self.explicit_tendency(d)
-        a0 = self.a_solver.solve_mean(d.a0 + dt * ta0)
-        af = self.a_solver.solve_field(d.af + dt * taf)
-        b0z = self.b_solver.solve_mean(d.b0z + dt * tb0z)
-        bfz = self.b_solver.solve_field(d.bfz + dt * tbfz)
-        b0y = self.b_solver.solve_mean(d.b0y + dt * tb0y)
-        bfy = self.b_solver.solve_field(d.bfy + dt * tbfy)
-        out = _NqDeviation(a0=a0, af=af, b0z=b0z, bfz=bfz, b0y=b0y, bfy=bfy,
-                           t=d.t + dt)
+    def settle(self, u):
         # drain rounding-level y-means out of the fluctuation channel; left
         # in place they freeze at the scale of past fluctuations and their
         # FFT roundoff re-seeds the decaying transverse modes
-        for m0, fl in ((out.a0, out.af), (out.b0z, out.bfz), (out.b0y, out.bfy)):
+        a0, af, b0z, bfz, b0y, bfy = u
+        for m0, fl in ((a0, af), (b0z, bfz), (b0y, bfy)):
             drift = fl.mean(axis=1)
             m0 += drift
             fl -= drift[:, None]
-        if self.curl_projection:
-            self._project(out)
-        return out
+        return u if self.projector is None else self._project(u)
 
-    def curl_max(self, d: _NqDeviation) -> float:
-        g = self.g
-        curl = ddy_array(d.bfz, g) - ddz_array(d.b0y[:, None] + d.bfy, g.dz)
-        return float(np.max(np.abs(curl)))
-
-    def _project(self, d: _NqDeviation) -> None:
+    def _project(self, u):
         """Helmholtz projection of the fluctuating b onto gradients.
 
-        Solves (d_zz - k^2) chi = div b per mode with Dirichlet ends and
-        replaces b by grad chi; the y-mean transverse component b0y has no
-        periodic potential and is dropped entirely.
+        Solves (d_zz - k^2) chi = div b per mode k != 0 with Dirichlet ends
+        and replaces b by grad chi; the y-mean transverse component b0y has
+        no periodic potential and is dropped entirely.
         """
         g = self.g
-        div = ddz_array(d.bfz, g.dz) + ddy_array(d.bfy, g)
+        a0, af, b0z, bfz, b0y, bfy = u
+        div = ddz_array(bfz, g.dz) + ddy_array(bfy, g)
         dh = np.fft.rfft(div[1:-1, :], axis=1)
-        n_int = g.n_z - 2
-        inv_dz2 = 1.0 / g.dz**2
-        chi_h = np.zeros((g.n_z, dh.shape[1]), dtype=complex)
-        for m, k in enumerate(g.wavenumbers_y):
-            ab = np.zeros((2, n_int))
-            ab[0, 1:] = -inv_dz2
-            ab[1, :] = 2.0 * inv_dz2 + k**2
-            if k == 0.0:
-                continue  # fluctuation carries no k = 0 content
-            fac = (cholesky_banded(ab), False)
-            col = dh[:, m]
-            sol = cho_solve_banded(fac, np.column_stack([-col.real, -col.imag]))
-            chi_h[1:-1, m] = -(sol[:, 0] + 1j * sol[:, 1])
-        chi = np.fft.irfft(chi_h, n=g.n_y, axis=1)
-        d.bfz = ddz_array(chi, g.dz)
-        d.bfy = ddy_array(chi, g)
-        d.b0y = np.zeros_like(d.b0y)
+        dh[:, 0] = 0.0  # the fluctuation carries no k = 0 content
+        chi = np.zeros_like(div)
+        chi[1:-1, :] = np.fft.irfft(self.projector.solve_modes(-dh), n=g.n_y, axis=1)
+        return (a0, af, b0z, ddz_array(chi, g.dz), np.zeros_like(b0y),
+                ddy_array(chi, g))
+
+    def row(self, u, t) -> LedgerRow:
+        from .energy import _quad_rows, _sq_integral
+
+        g = self.g
+        a0, af, _, bfz, b0y, bfy = u
+        rows = _quad_rows(g, weighted=False)
+        q_trans = (_sq_integral(ddy_array(af, g), rows)
+                   + _sq_integral(ddy_array(bfz, g), rows)
+                   + _sq_integral(ddy_array(bfy, g), rows))
+        wz = np.full(g.n_z, g.dz)
+        wz[0] = wz[-1] = 0.5 * g.dz
+        mass = float(wz @ a0) * g.lam + 0.0  # fluctuation integrates to zero
+
+        curl = float(np.max(np.abs(ddy_array(bfz, g)
+                                   - ddz_array(b0y[:, None] + bfy, g.dz))))
+        self.curl_max = max(self.curl_max, curl)
+        if curl > 1e-4 and not self._warned:
+            warnings.warn(f"curl drift reached {curl:.3g}; enable curl_projection "
+                          "to re-gauge", stacklevel=3)
+            self._warned = True
+        return LedgerRow(t=t, H3w_phi=0.0, H3_psi=0.0, H2w_grad_psi=0.0,
+                         M_inst=0.0, grad_phi_H3w=0.0, psi4_w=0.0,
+                         Q=q_trans, mass=mass)
 
 
 def _nq_deviation_from_state(state, profile: WaveProfile) -> _NqDeviation:
     """Build the split deviation from a ColeHopfState or PerturbationState."""
-    g = profile.grid
     if isinstance(state, ColeHopfState):
         a = state.n.values - profile.N[:, None]
         bz = state.q.z.values - profile.P_z[:, None]
@@ -509,12 +535,7 @@ def step_nq(state: ColeHopfState, dt: float, eps: float,
     """
     if profile is None:
         raise ValueError("step_nq needs the wave profile for far-field clamps")
-    stepper = _NqStepper(profile, eps, dt, frame=frame)
-    d = stepper.step(_nq_deviation_from_state(state, profile))
-    for arr in d.arrays():
-        if not np.all(np.isfinite(arr)):
-            raise IntegratorBlowup("non-finite field values", d.t)
-    return _nq_state(d, profile)
+    return _step_once(_NqSystem(profile, eps, frame=frame), state, dt)
 
 
 # ---------------------------------------------------------------------------
@@ -522,21 +543,6 @@ def step_nq(state: ColeHopfState, dt: float, eps: float,
 # ---------------------------------------------------------------------------
 
 SYSTEMS = ("nonlinear0", "linear_eps", "nq")
-
-
-def _nq_ledger_row(d: _NqDeviation, g: Grid) -> LedgerRow:
-    from .energy import _quad_rows, _sq_integral
-
-    rows = _quad_rows(g, weighted=False)
-    q_trans = (_sq_integral(ddy_array(d.af, g), rows)
-               + _sq_integral(ddy_array(d.bfz, g), rows)
-               + _sq_integral(ddy_array(d.bfy, g), rows))
-    wz = np.full(g.n_z, g.dz)
-    wz[0] = wz[-1] = 0.5 * g.dz
-    mass = float(wz @ d.a0) * g.lam + 0.0  # fluctuation integrates to zero
-    return LedgerRow(t=d.t, H3w_phi=0.0, H3_psi=0.0, H2w_grad_psi=0.0,
-                     M_inst=0.0, grad_phi_H3w=0.0, psi4_w=0.0,
-                     Q=q_trans, mass=mass)
 
 
 def _steps_for(config: IntegratorConfig) -> int:
@@ -552,9 +558,9 @@ def _validate_cfl(config: IntegratorConfig, profile: WaveProfile):
     v_max = max(abs(profile.params.s), math.sqrt(float(np.max(profile.N))), 1e-12)
     limit = config.cfl_safety * profile.grid.dz / v_max
     if config.dt > limit * (1 + 1e-12):
-        raise ValueError(
+        raise ConfigError([
             f"dt = {config.dt:.4g} violates the transport restriction "
-            f"dt <= cfl_safety * dz / v_max = {limit:.4g}")
+            f"dt <= cfl_safety * dz / v_max = {limit:.4g}"])
 
 
 def run(system: str, init, profile: WaveProfile,
@@ -562,112 +568,52 @@ def run(system: str, init, profile: WaveProfile,
     """Advance one system to t_end, recording the energy ledger.
 
     Records at steps {0, record_every, 2*record_every, ...} and always at
-    the final step; halts early on blowup, returning the partial record
-    with the blowup flag set.
+    the final step; halts early on blowup (non-finite values, or M_inst,
+    for nq the transverse energy Q, above blowup_factor times its initial
+    value), returning the partial record with the blowup flag set.
     """
     if system not in SYSTEMS:
         raise ValueError(f"unknown system {system!r}; expected one of {SYSTEMS}")
     _validate_cfl(config, profile)
-    eps = profile.params.eps
+    if system == "nq":
+        model = _NqSystem(profile, profile.params.eps, frame=config.frame,
+                          curl_projection=config.curl_projection)
+    else:
+        model = _PerturbationSystem(profile, config.transport,
+                                    linear=system == "linear_eps")
+        if system == "linear_eps":
+            _warn_if_biased(init)
+    core = _ImexCore(model, config.dt, config.scheme)
     record = TrajectoryRecord(system=system, config=config)
     n_steps = _steps_for(config)
+    guard, guard_text = model.guard
 
-    if system == "nq":
-        return _run_nq(init, profile, config, record, n_steps)
-
-    if system == "nonlinear0":
-        if eps != 0.0:
-            raise ValueError("nonlinear0 requires an eps = 0 profile")
-        stepper = _PerturbationStepper(profile, config.dt, config.scheme,
-                                       config.transport, linear=False, eps=0.0)
-    else:
-        if eps <= 0.0:
-            raise ValueError("linear_eps requires a profile with eps > 0")
-        if perturbation_y_means(init) > 1e-12:
-            warnings.warn("linear_eps initial data is not y-mean-zero",
-                          stacklevel=2)
-        stepper = _PerturbationStepper(profile, config.dt, config.scheme,
-                                       config.transport, linear=True, eps=eps)
-
-    g = profile.grid
-    phi1, phi2, psi = _state_arrays(init)
-    state_eps = eps if system == "linear_eps" else 0.0
-
-    def record_row(i, arrays):
-        t = i * config.dt
-        st = _arrays_state(g, arrays[0], arrays[1], arrays[2], t, state_eps)
-        row = ledger_row(st, profile, eps if system == "linear_eps" else 0.0)
+    def record_row(u, t):
+        row = model.row(u, t)
         record.ledger.append(row)
         record.times.append(t)
         # snapshot every snapshot_every-th recorded row
         if config.snapshot_every and (len(record.times) - 1) % config.snapshot_every == 0:
-            record.snapshots.append((t, st))
-        return row
+            record.snapshots.append((t, model.state(u, t)))
+        return getattr(row, guard)
 
-    row0 = record_row(0, (phi1, phi2, psi))
-    m0 = row0.M_inst
+    u = model.arrays(init)
+    t = 0.0
+    level0 = record_row(u, t)
     try:
         for i in range(1, n_steps + 1):
-            phi1, phi2, psi = stepper.step(phi1, phi2, psi)
+            u = core.step(u)
             t = i * config.dt
-            _check_finite((phi1, phi2, psi), t)
+            _check_finite(u, t)
             if i % config.record_every == 0 or i == n_steps:
-                row = record_row(i, (phi1, phi2, psi))
-                if m0 > 0 and row.M_inst > config.blowup_factor * m0:
-                    raise IntegratorBlowup(
-                        f"energy exceeded {config.blowup_factor:g} x M0", t)
+                level = record_row(u, t)
+                if level0 > 0 and level > config.blowup_factor * level0:
+                    raise IntegratorBlowup(guard_text.format(config.blowup_factor), t)
     except IntegratorBlowup as exc:
         record.blowup = True
         record.blowup_time = exc.time
-    record.final_state = _arrays_state(g, phi1, phi2, psi,
-                                       record.times[-1] if record.blowup
-                                       else n_steps * config.dt, state_eps)
-    return record
-
-
-def _run_nq(init, profile, config, record, n_steps):
-    if config.scheme != "imex1":
-        raise ValueError("the (n, q) deviation stepper supports imex1 only")
-    g = profile.grid
-    stepper = _NqStepper(profile, profile.params.eps, config.dt,
-                         frame=config.frame,
-                         curl_projection=config.curl_projection)
-    d = _nq_deviation_from_state(init, profile)
-    d.t = 0.0
-    q0 = None
-    warned = False
-
-    def record_row(d):
-        nonlocal warned
-        record.ledger.append(_nq_ledger_row(d, g))
-        record.times.append(d.t)
-        cm = stepper.curl_max(d)
-        record.curl_max = max(record.curl_max, cm)
-        if cm > 1e-4 and not warned:
-            warnings.warn(f"curl drift reached {cm:.3g}; enable curl_projection "
-                          "to re-gauge", stacklevel=2)
-            warned = True
-        if config.snapshot_every and (len(record.times) - 1) % config.snapshot_every == 0:
-            record.snapshots.append((d.t, _nq_state(d, profile)))
-
-    record_row(d)
-    q0 = record.ledger.rows[0]["Q"]
-    try:
-        for i in range(1, n_steps + 1):
-            d = stepper.step(d)
-            d.t = i * config.dt
-            for arr in d.arrays():
-                if not np.all(np.isfinite(arr)):
-                    raise IntegratorBlowup("non-finite field values", d.t)
-            if i % config.record_every == 0 or i == n_steps:
-                record_row(d)
-                if q0 > 0 and record.ledger.rows[-1]["Q"] > config.blowup_factor * q0:
-                    raise IntegratorBlowup(
-                        f"transverse energy exceeded {config.blowup_factor:g} x Q0",
-                        d.t)
-    except IntegratorBlowup as exc:
-        record.blowup = True
-        record.blowup_time = exc.time
-    record.final_state = _nq_state(d, profile)
-    record.final_deviation = d
+    record.final_state = model.state(u, t)
+    record.curl_max = model.curl_max
+    if system == "nq":
+        record.final_deviation = _NqDeviation(*u, t=t)
     return record

@@ -89,6 +89,17 @@ def test_lambda_guards():
     assert any("thin strip" in w for w in cfg.warnings)
 
 
+def test_integrator_rules_all_reported():
+    text = apply_overrides(STABILITY_CFG.format(out="x"),
+                           ["integrator.cfl_safety=1.5", "integrator.record_every=0",
+                            "integrator.scheme=rk4"])
+    with pytest.raises(ConfigError) as err:
+        validate_config(text, "stability0")
+    joined = " ".join(err.value.problems)
+    for key in ("cfl_safety", "record_every", "scheme"):
+        assert f"integrator.{key} must" in joined
+
+
 def test_config_round_trip():
     cfg = validate_config(STABILITY_CFG.format(out="x"), "stability0")
     text = serialize_config(cfg)
@@ -225,3 +236,40 @@ def test_ledger_csv_columns(tmp_path):
     header = (tmp_path / "cols" / "ledger.csv").read_text().splitlines()[0]
     assert header == ("t,H3w_phi,H3_psi,H2w_grad_psi,M_inst,M_sup,"
                       "D_phi,D_psi,D_psi4,Q,mass,C0_running")
+
+
+def test_cli_planarity_sbdf2(tmp_path):
+    cfgfile = tmp_path / "pl.ini"
+    cfgfile.write_text(f"""
+[grid]
+n_z = 256
+lambda = 0.5
+n_y = 8
+
+[wave]
+eps = 0.1
+
+[init]
+amplitude = 1e-4
+seed = 2
+mean_zero_y = true
+
+[integrator]
+dt = 0.01
+t_end = 2
+fit_t_min = 0.5
+fit_t_max = 2
+
+[output]
+directory = {tmp_path / "pl"}
+""")
+    assert main(["planarity", "--config", str(cfgfile),
+                 "--set", "integrator.scheme=sbdf2"]) == 0
+
+
+def test_cli_cfl_violation_exit_code(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("STRIPWAVE_OUTPUT_ROOT", str(tmp_path))
+    assert main(["evolve", "--set", "integrator.dt=5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config errors:")
+    assert "transport restriction" in err and "0.04399" in err

@@ -140,6 +140,21 @@ def test_temporal_self_convergence_second_order(setup_eps0_wide):
     e2 = np.linalg.norm(sols[1] - sols[2])
     assert 3.0 < e1 / e2 < 5.0
 
+    # the (n, q) system; at dt = 0.02..0.005 its ratio (about 2.3) is still
+    # pre-asymptotic
+    p = WaveParams(eps=0.1, n_minus=1.0, c_plus=1.0)
+    g = make_grid(25.0 / p.s, 256, 2.0, 8, p.s)
+    prof = solve_wave_kpp(p, g)
+    pert = make_initial_perturbation(g, 1e-4, seed=0, mean_zero_y=True, eps=p.eps)
+    sols = []
+    for dt in (0.004, 0.002, 0.001):
+        cfg = IntegratorConfig(dt=dt, t_end=0.4, scheme="sbdf2", record_every=10**9)
+        d = run("nq", pert, prof, cfg).final_deviation
+        sols.append(np.concatenate([a.ravel() for a in d.arrays()]))
+    e1 = np.linalg.norm(sols[0] - sols[1])
+    e2 = np.linalg.norm(sols[1] - sols[2])
+    assert 3.0 < e1 / e2 < 5.0
+
 
 def test_amplitude_linearity_slope_two(setup_eps0):
     # the quadratic coupling is the only nonlinearity: traj(a) - 2 traj(a/2)
@@ -377,6 +392,22 @@ def test_curl_projection_keeps_gradient_structure(nq_setup):
         rec = run("nq", pert, prof, cfg)
     assert rec.curl_max < 1e-4
     assert np.max(np.abs(rec.final_deviation.b0y)) == 0.0
+
+
+def test_curl_projection_maps_gradient_to_itself(nq_setup):
+    # one step of dt = 1e-6 barely moves q, so the projection applied after
+    # it must hand a smooth pure gradient back almost unchanged
+    p, g, prof = nq_setup
+    z, y = g.z[:, None], g.y[None, :]
+    f = np.exp(-z**2 / 4) * np.sin(2 * np.pi * y / g.lam)
+    bz, by = ddz_array(f, g.dz), ddy_array(f, g)
+    st = ColeHopfState(
+        n=ScalarField(g, np.repeat(prof.N[:, None], g.n_y, axis=1)),
+        q=VectorField(ScalarField(g, prof.P_z[:, None] + bz), ScalarField(g, by)))
+    cfg = IntegratorConfig(dt=1e-6, t_end=1e-6, curl_projection=True)
+    bz_new, by_new = run("nq", st, prof, cfg).final_deviation.full()[1:]
+    err = max(np.max(np.abs(bz_new - bz)), np.max(np.abs(by_new - by)))
+    assert err < 1e-3 * max(np.max(np.abs(bz)), np.max(np.abs(by)))
 
 
 def test_snapshots_recorded(setup_eps0):
