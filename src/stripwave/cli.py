@@ -9,10 +9,11 @@ Subcommands:
               (eps, lambda) sweep
   convergence grid/time refinement slope table
 
-Every run writes a manifest (config echo, version, wall clock) next to its
-artifacts.  Exit codes: 0 pass, 1 acceptance-threshold failure, 2 usage or
-configuration error (a dt above the transport limit included), 3 runtime
-blowup (partial artifacts retained).
+Every run writes a manifest (config echo, version, wall clock, exit code)
+next to its artifacts, with the error text when it stopped on one.  Exit
+codes: 0 pass, 1 acceptance-threshold failure, 2 usage or configuration
+error (a dt above the transport limit included), 3 runtime blowup (partial
+artifacts retained), 4 the KPP wave solve failed.
 
 The output directory resolves relative to $STRIPWAVE_OUTPUT_ROOT when set.
 """
@@ -41,12 +42,19 @@ from .energy import EnergyError, fit_exponential_decay
 from .evolve import IntegratorConfig, run
 from .grid import Grid, make_grid
 from .transforms import make_initial_perturbation
-from .waves import WaveParams, check_wave_identities, explicit_wave_eps0, solve_wave_kpp
+from .waves import (
+    WaveParams,
+    WaveSolveError,
+    check_wave_identities,
+    explicit_wave_eps0,
+    solve_wave_kpp,
+)
 
 EXIT_PASS = 0
 EXIT_THRESHOLD = 1
 EXIT_CONFIG = 2
 EXIT_BLOWUP = 3
+EXIT_SOLVER = 4
 
 _SUBCOMMAND_TO_EXPERIMENT = {
     "wave": "wave",
@@ -55,7 +63,6 @@ _SUBCOMMAND_TO_EXPERIMENT = {
     "planarity": "planarity",
     "convergence": "convergence",
 }
-
 
 
 def _json_dump(obj, path: Path) -> None:
@@ -422,14 +429,34 @@ _RUNNERS = {
 }
 
 
+def _print_config_errors(problems) -> None:
+    print("config errors:", file=sys.stderr)
+    for p in problems:
+        print(f"  {p}", file=sys.stderr)
+
+
 def run_experiment(cfg: ExperimentConfig) -> int:
-    """Execute a validated configuration; returns the process exit code."""
+    """Execute a validated configuration; returns the process exit code.
+
+    The manifest is written on every path: with the experiment's report, or
+    with the error of a configuration problem found only once the run has
+    started (exit 2) or of a failed wave solve (exit 4).
+    """
     outdir = _out_dir(cfg)
     for w in cfg.warnings:
         print(f"warning: {w}")
     start = time.time()
-    code, extra = _RUNNERS[cfg.experiment](cfg, outdir)
-    _write_manifest(outdir, cfg, time.time() - start, code, {"report": extra})
+    try:
+        code, report = _RUNNERS[cfg.experiment](cfg, outdir)
+        extra = {"report": report}
+    except ConfigError as exc:
+        _print_config_errors(exc.problems)
+        code, extra = EXIT_CONFIG, {"error": str(exc)}
+    except WaveSolveError as exc:
+        msg, *context = exc.args
+        print(f"wave solve failed: {msg}", file=sys.stderr)
+        code, extra = EXIT_SOLVER, {"error": msg, "error_context": context}
+    _write_manifest(outdir, cfg, time.time() - start, code, extra)
     return code
 
 
@@ -463,20 +490,12 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ConfigError as exc:
-        print("config errors:", file=sys.stderr)
-        for p in exc.problems:
-            print(f"  {p}", file=sys.stderr)
+        _print_config_errors(exc.problems)
         return EXIT_CONFIG
 
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("once")
-            return run_experiment(cfg)
-    except ConfigError as exc:
-        print("config errors:", file=sys.stderr)
-        for p in exc.problems:
-            print(f"  {p}", file=sys.stderr)
-        return EXIT_CONFIG
+    with warnings.catch_warnings():
+        warnings.simplefilter("once")
+        return run_experiment(cfg)
 
 
 if __name__ == "__main__":

@@ -148,24 +148,27 @@ def parse_raw(text: str):
     return sections, problems
 
 
-def integrator_problems(iv: dict, prefix: str = "") -> list:
+def integrator_problems(iv: dict, label=str) -> list:
     """Every rule the time-stepping settings break.
 
     The one definition of those rules: validate_config applies it to the
     [integrator] section and evolve.IntegratorConfig to its own fields.
+    label(key) names the offending key at the head of each message.
     """
     problems = []
     if iv["dt"] <= 0:
-        problems.append(f"{prefix}dt must be positive, got {iv['dt']}")
+        problems.append(f"{label('dt')} must be positive, got {iv['dt']}")
     if iv["t_end"] < 0:
-        problems.append(f"{prefix}t_end must be non-negative, got {iv['t_end']}")
+        problems.append(f"{label('t_end')} must be non-negative, got {iv['t_end']}")
     if not 0 < iv["cfl_safety"] <= 1:
-        problems.append(f"{prefix}cfl_safety must lie in (0, 1], got {iv['cfl_safety']}")
+        problems.append(f"{label('cfl_safety')} must lie in (0, 1], "
+                        f"got {iv['cfl_safety']}")
     if iv["record_every"] < 1:
-        problems.append(f"{prefix}record_every must be >= 1, got {iv['record_every']}")
+        problems.append(f"{label('record_every')} must be >= 1, "
+                        f"got {iv['record_every']}")
     for key, allowed in INTEGRATOR_CHOICES.items():
         if iv[key] not in allowed:
-            problems.append(f"{prefix}{key} must be {' or '.join(allowed)}, "
+            problems.append(f"{label(key)} must be {' or '.join(allowed)}, "
                             f"got {iv[key]!r}")
     return problems
 
@@ -199,38 +202,46 @@ def validate_config(text: str, experiment: str) -> ExperimentConfig:
                             f"experiment {experiment!r} (defaults exist but the "
                             "section header must be present)")
 
+    def at(name: str, key: str) -> str:
+        """'name.key', led by 'line N: ' when the key was read from the text."""
+        entry = sections.get(name, {}).get(key)
+        return f"line {entry[1]}: {name}.{key}" if entry else f"{name}.{key}"
+
     warnings_list = []
     gv, wv, iv = values["grid"], values["wave"], values["integrator"]
     if experiment in _SINGLE_VALUED:
-        for label, vals in (("grid.lambda", gv["lambda"]), ("wave.eps", wv["eps"])):
+        for name, key, vals in (("grid", "lambda", gv["lambda"]),
+                                ("wave", "eps", wv["eps"])):
             if len(vals) != 1:
-                problems.append(f"{label} must be a single value for "
+                problems.append(f"{at(name, key)} must be a single value for "
                                 f"experiment {experiment!r}, got {len(vals)}")
     for lam in gv["lambda"]:
         if lam <= 0:
-            problems.append(f"grid.lambda must be positive, got {lam}")
+            problems.append(f"{at('grid', 'lambda')} must be positive, got {lam}")
         elif lam > 2.0:
-            problems.append(f"grid.lambda = {lam} exceeds the hard limit 2")
+            problems.append(f"{at('grid', 'lambda')} = {lam} exceeds the hard limit 2")
         elif lam > 1.0:
             warnings_list.append(f"grid.lambda = {lam} > 1: the stability theory "
                                  "assumes a thin strip")
     if gv["n_y"] % 2 != 0 or gv["n_y"] < 4:
-        problems.append(f"grid.n_y must be even and >= 4 (periodic spectral axis), "
-                        f"got {gv['n_y']}")
+        problems.append(f"{at('grid', 'n_y')} must be even and >= 4 "
+                        f"(periodic spectral axis), got {gv['n_y']}")
     if gv["n_z"] < 16:
-        problems.append(f"grid.n_z must be >= 16, got {gv['n_z']}")
+        problems.append(f"{at('grid', 'n_z')} must be >= 16, got {gv['n_z']}")
     if gv["L_z"] is not None and gv["L_z"] <= 0:
-        problems.append(f"grid.L_z must be positive, got {gv['L_z']}")
+        problems.append(f"{at('grid', 'L_z')} must be positive, got {gv['L_z']}")
     for e in wv["eps"]:
         if e < 0:
-            problems.append(f"wave.eps must be non-negative, got {e}")
-    if wv["n_minus"] <= 0:
-        problems.append(f"wave.n_minus must be positive, got {wv['n_minus']}")
-    if wv["c_plus"] <= 0:
-        problems.append(f"wave.c_plus must be positive, got {wv['c_plus']}")
-    problems.extend(integrator_problems(iv, prefix="integrator."))
+            problems.append(f"{at('wave', 'eps')} must be non-negative, got {e}")
+    for key in ("n_minus", "c_plus", "N0"):
+        if wv[key] is not None and wv[key] <= 0:
+            problems.append(f"{at('wave', key)} must be positive, got {wv[key]}")
+    if not 0 < wv["tol"] <= 1e-4:
+        problems.append(f"{at('wave', 'tol')} must lie in (0, 1e-4], "
+                        f"got {wv['tol']}")
+    problems.extend(integrator_problems(iv, label=lambda key: at("integrator", key)))
     if values["init"]["amplitude"] < 0:
-        problems.append(f"init.amplitude must be non-negative, "
+        problems.append(f"{at('init', 'amplitude')} must be non-negative, "
                         f"got {values['init']['amplitude']}")
     if experiment == "planarity" and not values["init"]["mean_zero_y"]:
         warnings_list.append("planarity works in the y-fluctuation channel; "

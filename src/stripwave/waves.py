@@ -10,9 +10,13 @@ with W(-inf) = W_minus = (1+eps) s^2 / N0 and W(+inf) = 0, W' < 0.
 
 For eps = 0 everything is closed-form.  For eps > 0 the heteroclinic orbit
 is integrated in the (W, W') phase plane, launched from the linearized
-unstable manifold of (W_minus, 0).  Far tails are continued analytically:
-the unstable-manifold linearization on the left, a pure e^{-s z} decay on
-the right.  The companion is P = -C'/C = -(W'/W + s), which satisfies
+unstable manifold of (W_minus, 0).  The linearization has a fast stable
+eigenvalue near -s(1+2eps)/eps, so the ODE is stiff for small eps: an
+explicit scheme pays about 1/eps steps for stability alone.  The orbit is
+therefore integrated with LSODA (Petzold 1983), which switches to BDF once
+stiffness appears, given the analytic 2x2 Jacobian.  Far tails are
+continued analytically: the unstable-manifold linearization on the left, a
+pure e^{-s z} decay on the right.  The companion is P = -C'/C = -(W'/W + s), which satisfies
 
     -s N' - N''          = (N P)'
     -s P' - eps P''      = -2 eps P P' + N'
@@ -26,7 +30,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import LSODA, solve_ivp
 from scipy.optimize import brentq
 
 from .grid import Grid, d2dz2_array, ddz_array
@@ -95,7 +99,8 @@ class WaveProfile:
     """Sampled wave on the grid's z-axis; P_y is identically zero.
 
     left_rate / right_rate are the analytic tail exponents (mu_left and -s);
-    diagnostics carries fitted rates and residual norms for reporting.
+    diagnostics carries fitted rates, residual norms and, for the KPP
+    solve, the solver's name and counts (all plain Python values).
     """
 
     params: WaveParams
@@ -136,6 +141,19 @@ def explicit_wave_eps0(params: WaveParams, grid: Grid) -> WaveProfile:
         left_rate=s, right_rate=-s,
         diagnostics={"construction": "explicit_eps0"},
     )
+
+
+class _Lsoda(LSODA):
+    """LSODA whose Jacobian and LU counts are Python ints.
+
+    scipy reads them from the Fortran work array as np.int32, which
+    json.dumps rejects; every other count solve_ivp reports is an int.
+    """
+
+    def _step_impl(self):
+        ok, msg = super()._step_impl()
+        self.njev, self.nlu = int(self.njev), int(self.nlu)
+        return ok, msg
 
 
 def _smoothstep(x: np.ndarray) -> np.ndarray:
@@ -183,6 +201,11 @@ class _KppOrbit:
             w, v = u
             return (v, (-s * (1.0 + 2.0 * eps) * v - (1.0 + eps) * s**2 * w + N0 * w**2) / eps)
 
+        def jac(_, u):
+            return ((0.0, 1.0),
+                    ((-(1.0 + eps) * s**2 + 2.0 * N0 * u[0]) / eps,
+                     -s * (1.0 + 2.0 * eps) / eps))
+
         floor = 1.0e-16 * wm
 
         def hit_floor(_, u):
@@ -195,7 +218,7 @@ class _KppOrbit:
         # keep relative accuracy for monotone sampling down to the floor
         u0 = (wm - delta, -delta * mu)
         sol = solve_ivp(
-            rhs, (0.0, span), u0, method="DOP853",
+            rhs, (0.0, span), u0, method=_Lsoda, jac=jac,
             rtol=tol, atol=wm * 1e-300, dense_output=True, events=hit_floor)
         if not sol.success:
             raise WaveSolveError(f"phase-plane integration failed: {sol.message}",
@@ -300,9 +323,10 @@ def solve_wave_kpp(params: WaveParams, grid: Grid, tol: float = 1e-10) -> WavePr
     """Construct the eps > 0 profile by phase-plane integration.
 
     The orbit is launched from the linearized unstable manifold of (W-, 0)
-    with offset delta = 1e-8 W- along (1, mu_left), integrated with an
-    adaptive explicit scheme at local tolerance tol, then translated so that
-    N(0) = N(-L_z)/2 (front centering).  Returns N = N0 W, P = -(W'/W + s),
+    with offset delta = 1e-8 W- along (1, mu_left), integrated with LSODA
+    and the analytic Jacobian at relative tolerance tol (stiff-aware: the
+    cost stays bounded as eps -> 0, where an explicit scheme's grows like
+    1/eps), then translated so that N(0) = N(-L_z)/2 (front centering).  Returns N = N0 W, P = -(W'/W + s),
     and C reconstructed from C'/C = -P with C(+inf) normalized to c_plus.
     """
     if params.eps <= 0.0:
@@ -350,6 +374,10 @@ def solve_wave_kpp(params: WaveParams, grid: Grid, tol: float = 1e-10) -> WavePr
             "fitted_right_rate": fit_right,
             "fitted_left_rate": fit_left,
             "front_center_offset": xi_c,
+            "solver": "LSODA",
+            "nfev": int(orbit.sol.nfev),
+            "njev": int(orbit.sol.njev),
+            "nsteps": len(orbit.sol.t) - 1,
         },
     )
 

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import stripwave.cli
 from stripwave.cli import main
 from stripwave.config import (
     ConfigError,
@@ -11,6 +12,7 @@ from stripwave.config import (
     serialize_config,
     validate_config,
 )
+from stripwave.waves import WaveSolveError
 
 WAVE_CFG = """
 [grid]
@@ -55,6 +57,26 @@ def test_empty_config_lists_required_sections():
     joined = " ".join(err.value.problems)
     for sec in ("grid", "wave", "init", "integrator", "output"):
         assert f"[{sec}]" in joined
+
+
+def test_range_problems_report_their_lines():
+    text = WAVE_CFG.replace("n_y = 16", "n_y = 15") + "\n[integrator]\ndt = -1\n"
+    lines = text.splitlines()
+    with pytest.raises(ConfigError) as err:
+        validate_config(text, "wave")
+    problems = err.value.problems
+    assert f"line {lines.index('n_y = 15') + 1}: grid.n_y must be even" in problems[0]
+    assert any(p.startswith(f"line {lines.index('dt = -1') + 1}: integrator.dt must "
+                            "be positive") for p in problems)
+
+
+def test_wave_parameter_rules_checked_before_compute():
+    text = apply_overrides(WAVE_CFG, ["wave.tol=1e-3", "wave.N0=-1"])
+    with pytest.raises(ConfigError) as err:
+        validate_config(text, "wave")
+    joined = " ".join(err.value.problems)
+    assert "wave.tol must lie in (0, 1e-4]" in joined
+    assert "wave.N0 must be positive" in joined
 
 
 def test_odd_n_y_rejected_with_rule():
@@ -273,3 +295,21 @@ def test_cli_cfl_violation_exit_code(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config errors:")
     assert "transport restriction" in err and "0.04399" in err
+    # found once the run has started, so the manifest records it
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["exit_code"] == 2
+    assert "transport restriction" in manifest["error"]
+
+
+def test_wave_solve_failure_exit_code(tmp_path, monkeypatch, capsys):
+    def failing_solve(*args, **kwargs):
+        raise WaveSolveError("phase-plane integration failed: injected", {"eps": 0.1})
+
+    monkeypatch.setattr(stripwave.cli, "solve_wave_kpp", failing_solve)
+    monkeypatch.setenv("STRIPWAVE_OUTPUT_ROOT", str(tmp_path))
+    assert main(["wave", "--set", "wave.eps=0.1"]) == 4
+    assert "wave solve failed: phase-plane" in capsys.readouterr().err
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["exit_code"] == 4
+    assert manifest["error"] == "phase-plane integration failed: injected"
+    assert manifest["error_context"] == [{"eps": 0.1}]

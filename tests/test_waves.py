@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -154,6 +155,30 @@ def test_kpp_matches_explicit_in_small_eps_limit():
     assert np.max(np.abs(prof.N - ref.N)) < 5e-3
 
 
+def test_kpp_gates_hold_at_small_eps():
+    # the fast stable eigenvalue ~ -s(1+2eps)/eps makes this orbit stiff
+    eps = 1e-3
+    p = WaveParams(eps=eps, n_minus=1.0, c_plus=1.0)
+    prof = solve_wave_kpp(p, make_grid(25.0, 1024, 0.5, 16, p.s), tol=1e-8)
+    d = prof.diagnostics
+    assert d["ode_residual_max"] < 1e-4
+    assert abs(d["fitted_right_rate"] + p.s) / p.s < 0.02
+    mu = left_tail_rate(p.s, eps)
+    assert abs(d["fitted_left_rate"] - mu) / mu < 0.02
+    assert np.all(np.diff(prof.N) < 0)
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-3])
+def test_kpp_deviation_from_closed_form_is_first_order_in_eps(eps):
+    # eps = 0 closed form as oracle: max|N_eps - N_0| / eps tends to a
+    # constant, so it must agree across a decade of eps
+    p = WaveParams(eps=eps, n_minus=1.0, c_plus=1.0)
+    g = make_grid(25.0, 1024, 0.5, 16, p.s)
+    prof = solve_wave_kpp(p, g, tol=1e-8)
+    ref = explicit_wave_eps0(WaveParams(eps=0.0, n_minus=1.0, c_plus=1.0), g)
+    assert 0.40 <= np.max(np.abs(prof.N - ref.N)) / eps <= 0.43
+
+
 def test_kpp_identity_residuals_fine_grid(kpp_01):
     p, _ = kpp_01
     g = make_grid(25.0 / p.s, 4096, 0.5, 16, p.s)
@@ -236,3 +261,14 @@ def test_fitted_rates_stored_in_diagnostics(kpp_01):
     _, prof = kpp_01
     assert math.isfinite(prof.diagnostics["fitted_right_rate"])
     assert math.isfinite(prof.diagnostics["fitted_left_rate"])
+
+
+def test_kpp_solver_counts_are_json_ready(kpp_01):
+    # the stiff solver reports some counts as numpy ints; the manifest
+    # writer needs plain Python values
+    _, prof = kpp_01
+    d = prof.diagnostics
+    json.dumps(d)
+    assert d["solver"] == "LSODA"
+    for key in ("nfev", "njev", "nsteps"):
+        assert type(d[key]) is int and d[key] > 0
