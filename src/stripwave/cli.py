@@ -12,8 +12,9 @@ Subcommands:
 Every run writes a manifest (config echo, version, wall clock, exit code)
 next to its artifacts, with the error text when it stopped on one.  Exit
 codes: 0 pass, 1 acceptance-threshold failure, 2 usage or configuration
-error (a dt above the transport limit included), 3 runtime blowup (partial
-artifacts retained), 4 the KPP wave solve failed.
+error (a dt above the transport limit included), 3 runtime blowup, the
+doubled-horizon run included (partial artifacts retained), 4 the KPP wave
+solve failed.
 
 The output directory resolves relative to $STRIPWAVE_OUTPUT_ROOT when set.
 """
@@ -187,6 +188,11 @@ def _experiment_wave(cfg: ExperimentConfig, outdir: Path) -> tuple[int, dict]:
     return (EXIT_PASS if ok else EXIT_THRESHOLD), {"checks": checks}
 
 
+def _blowup(rec, where: str = "") -> tuple[int, dict]:
+    print(f"blowup at t = {rec.blowup_time}{where}")
+    return EXIT_BLOWUP, {"blowup_time": rec.blowup_time}
+
+
 def _experiment_stability0(cfg: ExperimentConfig, outdir: Path) -> tuple[int, dict]:
     eps = cfg.eps_values[0]
     if eps != 0.0:
@@ -199,15 +205,15 @@ def _experiment_stability0(cfg: ExperimentConfig, outdir: Path) -> tuple[int, di
     rec.ledger.to_csv(outdir / "ledger.csv")
     _write_snapshots(rec, outdir)
     if rec.blowup:
-        print(f"blowup at t = {rec.blowup_time}")
-        return EXIT_BLOWUP, {"blowup_time": rec.blowup_time}
-
+        return _blowup(rec)
     rec2 = run("nonlinear0", pert, profile, _integrator(cfg, t_end=2 * t_end))
     rec2.ledger.to_csv(outdir / "ledger_double.csv")
+    if rec2.blowup:
+        return _blowup(rec2, " in the doubled-horizon run")
 
     led, led2 = rec.ledger, rec2.ledger
     m0 = led.M0
-    checks = {"no blowup": not (rec.blowup or rec2.blowup)}
+    checks = {}
     if t_end > 0:  # the decay verdicts need dynamics to judge
         d_total = led.last()["D_phi"] + led.last()["D_psi"]
         d_total2 = led2.last()["D_phi"] + led2.last()["D_psi"]
@@ -248,10 +254,11 @@ def _experiment_linear_eps(cfg: ExperimentConfig, outdir: Path) -> tuple[int, di
     rec.ledger.to_csv(outdir / "ledger.csv")
     _write_snapshots(rec, outdir)
     if rec.blowup:
-        print(f"blowup at t = {rec.blowup_time}")
-        return EXIT_BLOWUP, {"blowup_time": rec.blowup_time}
+        return _blowup(rec)
     rec2 = run("linear_eps", pert, profile, _integrator(cfg, t_end=2 * t_end))
     rec2.ledger.to_csv(outdir / "ledger_double.csv")
+    if rec2.blowup:
+        return _blowup(rec2, " in the doubled-horizon run")
 
     from .transforms import perturbation_y_means
 
@@ -259,7 +266,6 @@ def _experiment_linear_eps(cfg: ExperimentConfig, outdir: Path) -> tuple[int, di
     c0d = rec2.ledger.last()["C0_running"]
     drift = perturbation_y_means(rec.final_state)
     checks = {
-        "no blowup": not (rec.blowup or rec2.blowup),
         "bounded constant: C0 stable under t_end doubling (< 5%)":
             abs(c0d - c0) <= 0.05 * c0,
         "y-mean drift below 1e-12": drift < 1e-12,

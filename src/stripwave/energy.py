@@ -11,26 +11,22 @@ eps int ||grad^4 psi||_{H^0_w}^2 dt.  Norms follow the definition
 
     ||f||_{H^k_w}^2 = sum_{i+j<=k} int |d_z^i d_y^j f|^2 w(z) dz dy
 
-with y-derivatives taken spectrally first, then z central differences
-(the two commute to machine precision).  grad^4 means the five mixed
-fourth-order derivatives, each counted once.
+evaluated by Parseval over the y-modes: one rfft of f along y, z central
+differences applied to the modes (d_z acts on columns and d_y on rows, so
+the two commute), then the trapezoid weights in z contracted with the
+Parseval multiplicity of each bin and k_m^{2j} in y.  As in ddy_array the
+Nyquist bin has zero derivative, so it drops out of every term with
+j >= 1.  grad^4 means the five mixed fourth-order derivatives, each counted
+once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (
-    Grid,
-    ScalarField,
-    VectorField,
-    ddy_array,
-    ddz_array,
-    integrate_array,
-    remove_mean_in_y,
-)
+from .grid import Grid, ScalarField, VectorField, ddz_array, remove_mean_in_y
 
 LEDGER_COLUMNS = (
     "t", "H3w_phi", "H3_psi", "H2w_grad_psi", "M_inst", "M_sup",
@@ -42,31 +38,36 @@ class EnergyError(ValueError):
     pass
 
 
-def _quad_rows(grid: Grid, weighted: bool) -> np.ndarray:
-    wz = np.full(grid.n_z, grid.dz)
-    wz[0] = wz[-1] = 0.5 * grid.dz
-    if weighted:
-        wz = wz * grid.weight
-    return wz * grid.dy
+def _z_chain(values: np.ndarray, grid: Grid, depth: int) -> list:
+    """The rfft y-modes of values and their first `depth` z-derivatives."""
+    chain = [np.fft.rfft(values, axis=1)]
+    for _ in range(depth):
+        chain.append(ddz_array(chain[-1], grid.dz))
+    return chain
 
 
-def _sq_integral(v: np.ndarray, rows: np.ndarray) -> float:
-    return float(rows @ (v * v).sum(axis=1))
+def _norm_sq(chain: list, grid: Grid, pairs, weighted: bool = False) -> float:
+    """Sum over (i, j) in pairs of int w |d_z^i d_y^j f|^2, from f's z-chain."""
+    rows = grid.trapz_weights * grid.weight if weighted else grid.trapz_weights
+    bins = grid.rfft_multiplicity * (grid.dy / grid.n_y)
+    k2 = grid.ddy_wavenumbers**2  # k2**0 = 1 keeps the Nyquist bin for j = 0
+    levels = {i for i, _ in pairs}
+    power = {i: rows @ (chain[i].real**2 + chain[i].imag**2) for i in levels}
+    return float(sum(power[i] @ (bins * k2**j) for i, j in pairs))
 
 
-def _mixed_norm_sq(values: np.ndarray, grid: Grid, k: int, weighted: bool) -> float:
-    rows = _quad_rows(grid, weighted)
-    total = 0.0
-    base = values
-    for j in range(k + 1):
-        cur = base
-        total += _sq_integral(cur, rows)
-        for _ in range(k - j):
-            cur = ddz_array(cur, grid.dz)
-            total += _sq_integral(cur, rows)
-        if j < k:
-            base = ddy_array(base, grid)
-    return total
+def _sobolev_pairs(k: int) -> list:
+    """The terms (i, j), i + j <= k, of ||f||_{H^k}^2."""
+    return [(i, j) for j in range(k + 1) for i in range(k + 1 - j)]
+
+
+def _gradient_pairs(k: int) -> list:
+    """The terms of ||grad f||_{H^k}^2 = ||d_z f||_{H^k}^2 + ||d_y f||_{H^k}^2."""
+    base = _sobolev_pairs(k)
+    return [(i + 1, j) for i, j in base] + [(i, j + 1) for i, j in base]
+
+
+_FOURTH = [(4 - j, j) for j in range(5)]
 
 
 def sobolev_norm(f, k: int, weighted: bool = False) -> float:
@@ -77,50 +78,21 @@ def sobolev_norm(f, k: int, weighted: bool = False) -> float:
     if not (0 <= k <= 4):
         raise EnergyError(f"k must lie in 0..4, got {k}")
     if isinstance(f, VectorField):
-        return (_mixed_norm_sq(f.z.values, f.grid, k, weighted)
-                + _mixed_norm_sq(f.y.values, f.grid, k, weighted))
+        return sobolev_norm(f.z, k, weighted) + sobolev_norm(f.y, k, weighted)
     if isinstance(f, ScalarField):
-        return _mixed_norm_sq(f.values, f.grid, k, weighted)
+        g = f.grid
+        return _norm_sq(_z_chain(f.values, g, k), g, _sobolev_pairs(k), weighted)
     raise EnergyError(f"unsupported field type {type(f)!r}")
-
-
-def _gradient_components(values: np.ndarray, grid: Grid):
-    return ddz_array(values, grid.dz), ddy_array(values, grid)
-
-
-def gradient_sobolev_norm(f, k: int, weighted: bool = False) -> float:
-    """Squared H^k(_w) norm of grad f, all first-derivative components."""
-    if isinstance(f, VectorField):
-        return (gradient_sobolev_norm(f.z, k, weighted)
-                + gradient_sobolev_norm(f.y, k, weighted))
-    gz, gy = _gradient_components(f.values, f.grid)
-    return (_mixed_norm_sq(gz, f.grid, k, weighted)
-            + _mixed_norm_sq(gy, f.grid, k, weighted))
 
 
 def fourth_derivative_norm_sq(f: ScalarField, weighted: bool = True) -> float:
     """Sum over i+j = 4 of the squared weighted L2 norms of d_z^i d_y^j f."""
-    g = f.grid
-    rows = _quad_rows(g, weighted)
-    total = 0.0
-    base = f.values
-    for j in range(5):
-        cur = base
-        for _ in range(4 - j):
-            cur = ddz_array(cur, g.dz)
-        total += _sq_integral(cur, rows)
-        if j < 4:
-            base = ddy_array(base, g)
-    return total
+    return _norm_sq(_z_chain(f.values, f.grid, 4), f.grid, _FOURTH, weighted)
 
 
 def perturbation_measure(state) -> float:
     """M_inst: the combined weighted measure of a PerturbationState."""
-    phi, psi = state.phi, state.psi
-    gz, gy = _gradient_components(psi.values, psi.grid)
-    grad_psi = (_mixed_norm_sq(gz, psi.grid, 2, True)
-                + _mixed_norm_sq(gy, psi.grid, 2, True))
-    return sobolev_norm(phi, 3, weighted=True) + sobolev_norm(psi, 3) + grad_psi
+    return ledger_row(state, None, 0.0).M_inst
 
 
 @dataclass(frozen=True)
@@ -144,25 +116,24 @@ def ledger_row(state, profile, eps: float) -> LedgerRow:
     Q is the transverse energy of the assembled log-gradient variables,
     ||n_y||^2 + ||q_y||^2 = ||(div phi)_y||^2 + ||(grad psi)_y||^2, since the
     wave itself carries no y-dependence.  mass is int(n - N) = int(div phi).
+    Every column comes from one rfft each of phi_z, phi_y and psi: the modes
+    of div phi are D_z phi_z^ + i k phi_y^, and mass is their k = 0 column.
     """
-    from .grid import divergence, integrate
-
     g = state.grid
     if profile is not None and not g.same_as(profile.grid):
         raise EnergyError("state and profile grids differ")
-    phi, psi = state.phi, state.psi
-    h3w_phi = sobolev_norm(phi, 3, weighted=True)
-    h3_psi = sobolev_norm(psi, 3)
-    gz, gy = _gradient_components(psi.values, g)
-    h2w_grad_psi = (_mixed_norm_sq(gz, g, 2, True) + _mixed_norm_sq(gy, g, 2, True))
-    grad_phi = gradient_sobolev_norm(phi, 3, weighted=True)
-    psi4 = eps * fourth_derivative_norm_sq(psi, weighted=True) if eps > 0 else 0.0
+    phi_z = _z_chain(state.phi.z.values, g, 4)
+    phi_y = _z_chain(state.phi.y.values, g, 4)
+    psi = _z_chain(state.psi.values, g, 4 if eps > 0 else 3)
+    h3, grad_h3 = _sobolev_pairs(3), _gradient_pairs(3)
+    h3w_phi = _norm_sq(phi_z, g, h3, True) + _norm_sq(phi_y, g, h3, True)
+    h3_psi = _norm_sq(psi, g, h3)
+    h2w_grad_psi = _norm_sq(psi, g, _gradient_pairs(2), True)
+    grad_phi = _norm_sq(phi_z, g, grad_h3, True) + _norm_sq(phi_y, g, grad_h3, True)
+    psi4 = eps * _norm_sq(psi, g, _FOURTH, True) if eps > 0 else 0.0
 
-    div_phi = divergence(phi)
-    rows = _quad_rows(g, weighted=False)
-    q_trans = (_sq_integral(ddy_array(div_phi.values, g), rows)
-               + _sq_integral(ddy_array(gz, g), rows)
-               + _sq_integral(ddy_array(gy, g), rows))
+    div_phi = phi_z[1] + 1j * g.ddy_wavenumbers * phi_y[0]
+    q_trans = _norm_sq([div_phi], g, [(0, 1)]) + _norm_sq(psi, g, [(1, 1), (0, 2)])
     return LedgerRow(
         t=state.t,
         H3w_phi=h3w_phi,
@@ -172,7 +143,7 @@ def ledger_row(state, profile, eps: float) -> LedgerRow:
         grad_phi_H3w=grad_phi,
         psi4_w=psi4,
         Q=q_trans,
-        mass=integrate(div_phi),
+        mass=float(g.trapz_weights @ div_phi[:, 0].real) * g.dy,
     )
 
 
@@ -237,21 +208,21 @@ class EnergyLedger:
                 fh.write(",".join(f"{r[c]:.17g}" for c in LEDGER_COLUMNS) + "\n")
 
 
+def transverse_norm_sq(grid: Grid, *arrays) -> float:
+    """Sum of the unweighted ||d_y f||^2 over arrays sampled on grid."""
+    return sum(_norm_sq(_z_chain(v, grid, 0), grid, [(0, 1)]) for v in arrays)
+
+
 def transverse_energy(state) -> float:
     """Q = ||n_y||^2 + ||q_y||^2 for a ColeHopfState.
 
-    The per-z y-mean is projected out before differentiating; the spectral
-    derivative is unchanged by this, but the evaluation then stays accurate
-    relative to the fluctuating part even on top of an O(1) background.
+    The per-z y-mean is projected out before the transform; it carries no
+    y-derivative, but the evaluation then stays accurate relative to the
+    fluctuating part even on top of an O(1) background.
     """
     n, q = state.n, state.q
-    g = n.grid
-    rows = _quad_rows(g, weighted=False)
-    total = 0.0
-    for f in (n, q.z, q.y):
-        fluct = remove_mean_in_y(f)
-        total += _sq_integral(ddy_array(fluct.values, g), rows)
-    return total
+    fluct = (remove_mean_in_y(f).values for f in (n, q.z, q.y))
+    return transverse_norm_sq(n.grid, *fluct)
 
 
 def fit_exponential_decay(times, values, window) -> tuple[float, float]:

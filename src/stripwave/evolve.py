@@ -43,7 +43,7 @@ import numpy as np
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from .config import ConfigError, integrator_problems
-from .energy import EnergyLedger, LedgerRow, ledger_row
+from .energy import EnergyLedger, LedgerRow, ledger_row, transverse_norm_sq
 from .grid import ScalarField, VectorField, ddy_array, ddz_array
 from .transforms import ColeHopfState, PerturbationState, perturbation_y_means
 from .waves import WaveProfile
@@ -474,20 +474,13 @@ class _NqSystem:
                 ddy_array(chi, g))
 
     def row(self, u, t) -> LedgerRow:
-        from .energy import _quad_rows, _sq_integral
-
         g = self.g
         a0, af, _, bfz, b0y, bfy = u
-        rows = _quad_rows(g, weighted=False)
-        dy_bfz = ddy_array(bfz, g)  # shared by Q and the curl drift
-        q_trans = (_sq_integral(ddy_array(af, g), rows)
-                   + _sq_integral(dy_bfz, rows)
-                   + _sq_integral(ddy_array(bfy, g), rows))
-        wz = np.full(g.n_z, g.dz)
-        wz[0] = wz[-1] = 0.5 * g.dz
-        mass = float(wz @ a0) * g.lam + 0.0  # fluctuation integrates to zero
+        q_trans = transverse_norm_sq(g, af, bfz, bfy)
+        mass = float(g.trapz_weights @ a0) * g.lam + 0.0  # fluctuation integrates to zero
 
-        curl = float(np.max(np.abs(dy_bfz - ddz_array(b0y[:, None] + bfy, g.dz))))
+        curl = float(np.max(np.abs(ddy_array(bfz, g)
+                                   - ddz_array(b0y[:, None] + bfy, g.dz))))
         self.curl_max = max(self.curl_max, curl)
         if curl > 1e-4 and not self._warned:
             warnings.warn(f"curl drift reached {curl:.3g}; enable curl_projection "

@@ -72,6 +72,29 @@ class Grid:
         """Angular wavenumbers 2*pi*m/lam for the rfft bins m = 0..n_y/2."""
         return 2.0 * np.pi * np.fft.rfftfreq(self.n_y, d=self.dy)
 
+    @property
+    def ddy_wavenumbers(self) -> np.ndarray:
+        """wavenumbers_y with the Nyquist bin zeroed; 1j times this is the
+        symbol of the collocation d/dy (see ddy_array)."""
+        k = self.wavenumbers_y
+        k[-1] = 0.0
+        return k
+
+    @property
+    def rfft_multiplicity(self) -> np.ndarray:
+        """How often each rfft bin occurs in the full spectrum: once for
+        bins 0 and Nyquist, twice (with its conjugate) otherwise."""
+        mult = np.full(self.n_y // 2 + 1, 2.0)
+        mult[0] = mult[-1] = 1.0
+        return mult
+
+    @property
+    def trapz_weights(self) -> np.ndarray:
+        """Trapezoid quadrature weights in z: dz inside, dz/2 at both ends."""
+        wz = np.full(self.n_z, self.dz)
+        wz[0] = wz[-1] = 0.5 * self.dz
+        return wz
+
     def same_as(self, other: "Grid") -> bool:
         return (self.L_z, self.n_z, self.lam, self.n_y, self.s) == (
             other.L_z, other.n_z, other.lam, other.n_y, other.s)
@@ -178,9 +201,7 @@ def ddy_array(v: np.ndarray, grid: Grid) -> np.ndarray:
     zeroing is the exact collocation derivative of that mode.
     """
     vh = np.fft.rfft(v, axis=1)
-    k = grid.wavenumbers_y.copy()
-    k[-1] = 0.0
-    vh *= 1j * k
+    vh *= 1j * grid.ddy_wavenumbers
     return np.fft.irfft(vh, n=grid.n_y, axis=1)
 
 
@@ -217,14 +238,8 @@ def divergence(v: VectorField) -> ScalarField:
 # rectangle rule in y for the full period.
 # ---------------------------------------------------------------------------
 
-def _trapz_weights(grid: Grid) -> np.ndarray:
-    wz = np.full(grid.n_z, grid.dz)
-    wz[0] = wz[-1] = 0.5 * grid.dz
-    return wz
-
-
 def integrate_array(v: np.ndarray, grid: Grid) -> float:
-    return float(_trapz_weights(grid) @ v.sum(axis=1)) * grid.dy
+    return float(grid.trapz_weights @ v.sum(axis=1)) * grid.dy
 
 
 def integrate(f: ScalarField) -> float:
@@ -235,7 +250,7 @@ def integrate(f: ScalarField) -> float:
 def integrate_weighted(f: ScalarField) -> float:
     """Same quadrature with the weight w(z_i) applied per row."""
     g = f.grid
-    return float((_trapz_weights(g) * g.weight) @ f.values.sum(axis=1)) * g.dy
+    return float((g.trapz_weights * g.weight) @ f.values.sum(axis=1)) * g.dy
 
 
 def mean_in_y(f: ScalarField) -> np.ndarray:

@@ -109,9 +109,7 @@ def _partial_integral_y(values: np.ndarray, grid: Grid) -> np.ndarray:
     factors = np.zeros_like(vh)
     factors[:, 1:] = vh[:, 1:] / (1j * k[1:])
     phases = np.exp(1j * np.outer(k, grid.y))  # (n_modes, n_y)
-    weights = np.full(k.size, 2.0)
-    weights[0] = weights[-1] = 1.0
-    osc = (factors * weights) @ (phases - 1.0) / grid.n_y
+    osc = (factors * grid.rfft_multiplicity) @ (phases - 1.0) / grid.n_y
     mean = vh[:, :1].real / grid.n_y
     return osc.real + mean * grid.y[None, :]
 

@@ -223,7 +223,7 @@ class _KppOrbit:
         if not sol.success:
             raise WaveSolveError(f"phase-plane integration failed: {sol.message}",
                                  {"eps": eps, "s": s, "tol": tol})
-        wvals = sol.sol(sol.t)[0]
+        wvals = sol.y[0]
         if np.any(wvals < -floor) or np.any(wvals > wm * (1.0 + 1e-6)):
             raise WaveSolveError(
                 "orbit left [0, W-]; integrator failure",

@@ -313,3 +313,34 @@ def test_wave_solve_failure_exit_code(tmp_path, monkeypatch, capsys):
     assert manifest["exit_code"] == 4
     assert manifest["error"] == "phase-plane integration failed: injected"
     assert manifest["error_context"] == [{"eps": 0.1}]
+
+
+@pytest.mark.parametrize("command, overrides", [
+    ("evolve", []),
+    ("linear", ["wave.eps=0.1", "init.mean_zero_y=true"]),
+])
+def test_doubled_horizon_blowup_exit_code(tmp_path, monkeypatch, capsys, command,
+                                          overrides):
+    real_run = stripwave.cli.run
+    records = []
+
+    def second_run_blows_up(*args, **kwargs):
+        rec = real_run(*args, **kwargs)
+        records.append(rec)
+        if len(records) == 2:
+            rec.blowup, rec.blowup_time = True, 1.5
+        return rec
+
+    monkeypatch.setattr(stripwave.cli, "run", second_run_blows_up)
+    cfgfile = tmp_path / "cfg.ini"
+    cfgfile.write_text(STABILITY_CFG.format(out=tmp_path / "run"))
+    args = [command, "--config", str(cfgfile)]
+    for o in overrides:
+        args += ["--set", o]
+    assert main(args) == 3
+    assert len(records) == 2
+    assert "blowup at t = 1.5 in the doubled-horizon run" in capsys.readouterr().out
+    assert (tmp_path / "run" / "ledger_double.csv").exists()
+    manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    assert manifest["exit_code"] == 3
+    assert manifest["report"]["blowup_time"] == 1.5

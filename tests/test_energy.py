@@ -17,7 +17,12 @@ from stripwave.grid import (
     ScalarField,
     VectorField,
     ddy,
+    ddz,
+    ddz_array,
+    divergence,
     field_from_function,
+    integrate,
+    integrate_weighted,
     make_grid,
     zero_field,
 )
@@ -225,3 +230,76 @@ def test_mixed_derivative_order_commutes():
     a = ddz_array(ddy_array(v, g), g.dz)
     b = ddy_array(ddz_array(v, g.dz), g)
     assert np.max(np.abs(a - b)) < 1e-12 * max(1.0, np.max(np.abs(a)))
+
+
+# ---------------------------------------------------------------------------
+# Physical-space oracle: derivative chains from grid's public operators
+# ---------------------------------------------------------------------------
+
+def _oracle_terms(f, pairs, weighted):
+    total = 0.0
+    for i, j in pairs:
+        d = f
+        for _ in range(j):
+            d = ddy(d)
+        for _ in range(i):
+            d = ddz(d)
+        total += integrate_weighted(d * d) if weighted else integrate(d * d)
+    return total
+
+
+def _oracle_h(f, k, weighted=False):
+    return _oracle_terms(f, [(i, j) for i in range(k + 1) for j in range(k + 1 - i)],
+                         weighted)
+
+
+def _oracle_grad_h(f, k, weighted=False):
+    return _oracle_h(ddz(f), k, weighted) + _oracle_h(ddy(f), k, weighted)
+
+
+def _oracle_row(state, eps):
+    phi, psi = state.phi, state.psi
+    h3w_phi = _oracle_h(phi.z, 3, True) + _oracle_h(phi.y, 3, True)
+    h3_psi = _oracle_h(psi, 3)
+    h2w_grad_psi = _oracle_grad_h(psi, 2, True)
+    div = divergence(phi)
+    q = sum(integrate(ddy(f) * ddy(f)) for f in (div, ddz(psi), ddy(psi)))
+    return LedgerRow(
+        t=state.t, H3w_phi=h3w_phi, H3_psi=h3_psi, H2w_grad_psi=h2w_grad_psi,
+        M_inst=h3w_phi + h3_psi + h2w_grad_psi,
+        grad_phi_H3w=_oracle_grad_h(phi.z, 3, True) + _oracle_grad_h(phi.y, 3, True),
+        psi4_w=eps * _oracle_terms(psi, [(4 - j, j) for j in range(5)], True),
+        Q=q, mass=integrate(div))
+
+
+@pytest.mark.parametrize("mean_zero_y", [False, True])
+@pytest.mark.parametrize("eps", [0.0, 0.05])
+def test_ledger_row_matches_physical_space_oracle(mean_zero_y, eps):
+    g = make_grid(12.0, 256, 0.5, 16, 1.3)
+    state = make_initial_perturbation(g, 1e-2, seed=7, mean_zero_y=mean_zero_y, eps=eps)
+    row, ref = ledger_row(state, None, eps), _oracle_row(state, eps)
+    for name in LedgerRow.__dataclass_fields__:
+        got, want = getattr(row, name), getattr(ref, name)
+        if name == "mass":  # rounding-level: judge against the integrand's scale
+            scale = integrate(ScalarField(g, np.abs(divergence(state.phi).values)))
+            assert abs(got - want) <= 1e-13 * scale
+        else:
+            assert got == pytest.approx(want, rel=1e-13, abs=0.0), name
+    assert (row.psi4_w > 0.0) == (eps > 0.0)
+    assert perturbation_measure(state) == pytest.approx(ref.M_inst, rel=1e-13)
+    assert sobolev_norm(state.psi, 4, weighted=True) == pytest.approx(
+        _oracle_h(state.psi, 4, True), rel=1e-13)
+    assert fourth_derivative_norm_sq(state.psi, weighted=False) == pytest.approx(
+        _oracle_terms(state.psi, [(4 - j, j) for j in range(5)], False), rel=1e-13)
+
+
+def test_nyquist_mode_has_no_y_derivative():
+    # cos(pi n_y y / lam) alternates on the nodes; its collocation d/dy is zero,
+    # so its H^1 norm holds only the z-terms
+    g = small_grid()
+    prof = np.exp(-(g.z**2)) * (1.0 + 0.3 * g.z)
+    f = ScalarField(g, np.outer(prof, np.cos(np.pi * g.n_y * g.y / g.lam)))
+    wz = np.full(g.n_z, g.dz)
+    wz[0] = wz[-1] = g.dz / 2
+    expected = g.lam * float(wz @ (prof**2 + ddz_array(prof, g.dz) ** 2))
+    assert sobolev_norm(f, 1) == pytest.approx(expected, rel=1e-13)
