@@ -14,7 +14,7 @@ next to its artifacts, with the error text when it stopped on one.  Exit
 codes: 0 pass, 1 acceptance-threshold failure, 2 usage or configuration
 error (a dt above the transport limit included), 3 runtime blowup, the
 doubled-horizon run included (partial artifacts retained), 4 the KPP wave
-solve failed.
+solve failed, 5 an unexpected internal error (traceback on stderr).
 
 The output directory resolves relative to $STRIPWAVE_OUTPUT_ROOT when set.
 """
@@ -26,6 +26,7 @@ import json
 import os
 import sys
 import time
+import traceback
 import warnings
 from pathlib import Path
 
@@ -56,6 +57,7 @@ EXIT_THRESHOLD = 1
 EXIT_CONFIG = 2
 EXIT_BLOWUP = 3
 EXIT_SOLVER = 4
+EXIT_INTERNAL = 5
 
 _SUBCOMMAND_TO_EXPERIMENT = {
     "wave": "wave",
@@ -194,9 +196,6 @@ def _blowup(rec, where: str = "") -> tuple[int, dict]:
 
 
 def _experiment_stability0(cfg: ExperimentConfig, outdir: Path) -> tuple[int, dict]:
-    eps = cfg.eps_values[0]
-    if eps != 0.0:
-        raise ConfigError([f"stability0 requires wave.eps = 0, got {eps}"])
     profile = _build_profile(cfg, 0.0, cfg.lambda_values[0])
     pert = make_initial_perturbation(profile.grid, cfg.init["amplitude"],
                                      cfg.init["seed"], cfg.init["mean_zero_y"])
@@ -244,8 +243,6 @@ def _experiment_stability0(cfg: ExperimentConfig, outdir: Path) -> tuple[int, di
 
 def _experiment_linear_eps(cfg: ExperimentConfig, outdir: Path) -> tuple[int, dict]:
     eps = cfg.eps_values[0]
-    if eps <= 0.0:
-        raise ConfigError([f"linear_eps requires wave.eps > 0, got {eps}"])
     profile = _build_profile(cfg, eps, cfg.lambda_values[0])
     pert = make_initial_perturbation(profile.grid, cfg.init["amplitude"],
                                      cfg.init["seed"], mean_zero_y=True, eps=eps)
@@ -295,8 +292,6 @@ def _experiment_planarity(cfg: ExperimentConfig, outdir: Path) -> tuple[int, dic
     results = []
     iv = cfg.integrator
     for eps in cfg.eps_values:
-        if eps <= 0.0:
-            raise ConfigError([f"planarity requires wave.eps > 0, got {eps}"])
         for lam in cfg.lambda_values:
             profile = _build_profile(cfg, eps, lam)
             pert = make_initial_perturbation(
@@ -445,8 +440,8 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     """Execute a validated configuration; returns the process exit code.
 
     The manifest is written on every path: with the experiment's report, or
-    with the error of a configuration problem found only once the run has
-    started (exit 2) or of a failed wave solve (exit 4).
+    with the error of a dt above the transport limit (exit 2), of a failed
+    wave solve (exit 4) or of any other exception, a crash (exit 5).
     """
     outdir = _out_dir(cfg)
     for w in cfg.warnings:
@@ -462,6 +457,9 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         msg, *context = exc.args
         print(f"wave solve failed: {msg}", file=sys.stderr)
         code, extra = EXIT_SOLVER, {"error": msg, "error_context": context}
+    except Exception as exc:  # a crash, kept apart from a threshold verdict
+        traceback.print_exc()
+        code, extra = EXIT_INTERNAL, {"error": f"{type(exc).__name__}: {exc}"}
     _write_manifest(outdir, cfg, time.time() - start, code, extra)
     return code
 

@@ -4,13 +4,14 @@ Format: flat `key = value` pairs under [section] headers.  Unknown sections
 or keys are rejected, every problem is reported with its line number, and a
 parsed configuration serializes back to canonical text that re-parses to an
 identical configuration (diff-friendly for experiment sweeps).
+
+Every input rule is stated once, in _RULES; check_rules applies it to a
+config before any compute and to each library constructor's arguments.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-EXPERIMENTS = ("wave", "stability0", "linear_eps", "planarity", "convergence")
 
 # allowed values of the integrator's named choices
 INTEGRATOR_CHOICES = {
@@ -79,16 +80,41 @@ _SCHEMA = {
     },
 }
 
-_REQUIRED_SECTIONS = {
-    "wave": ("grid", "wave"),
-    "stability0": ("grid", "wave", "init", "integrator", "output"),
-    "linear_eps": ("grid", "wave", "init", "integrator", "output"),
-    "planarity": ("grid", "wave", "init", "integrator", "output"),
-    "convergence": ("grid",),
+_POSITIVE = (lambda v: v > 0, "must be positive")
+_NON_NEGATIVE = (lambda v: v >= 0, "must be non-negative")
+
+# (section, key) -> (ok, requirement), the one definition of each input rule:
+# a value v breaks it when ok(v) is false ("<key> <requirement>, got v")
+_RULES = {
+    ("grid", "L_z"): _POSITIVE,
+    ("grid", "n_z"): (lambda v: v >= 16, "must be >= 16"),
+    ("grid", "lambda"): _POSITIVE,
+    ("grid", "n_y"): (lambda v: v >= 4 and v % 2 == 0,
+                      "must be even and >= 4 (periodic spectral axis)"),
+    ("wave", "eps"): _NON_NEGATIVE,
+    **{("wave", key): _POSITIVE for key in ("n_minus", "c_plus", "N0")},
+    ("wave", "tol"): (lambda v: 0 < v <= 1e-4, "must lie in (0, 1e-4]"),
+    ("init", "amplitude"): _NON_NEGATIVE,
+    ("init", "seed"): _NON_NEGATIVE,
+    ("integrator", "dt"): _POSITIVE,
+    ("integrator", "t_end"): _NON_NEGATIVE,
+    ("integrator", "cfl_safety"): (lambda v: 0 < v <= 1, "must lie in (0, 1]"),
+    ("integrator", "record_every"): (lambda v: v >= 1, "must be >= 1"),
+    **{("integrator", key): (allowed.__contains__, f"must be {' or '.join(allowed)}")
+       for key, allowed in INTEGRATOR_CHOICES.items()},
+    ("output", "snapshot_every"): _NON_NEGATIVE,
 }
 
-# experiments that treat eps/lambda as single values, not sweep lists
-_SINGLE_VALUED = ("wave", "stability0", "linear_eps", "convergence")
+# experiment -> (required sections, whether eps and lambda may be sweep
+# lists, a rule every eps value must also keep)
+_RUN = ("grid", "wave", "init", "integrator", "output")
+EXPERIMENTS = {
+    "wave": (("grid", "wave"), False, None),
+    "stability0": (_RUN, False, (lambda e: e == 0, "must be 0")),
+    "linear_eps": (_RUN, False, _POSITIVE),
+    "planarity": (_RUN, True, _POSITIVE),
+    "convergence": (("grid",), False, None),
+}
 
 
 @dataclass(frozen=True)
@@ -148,28 +174,22 @@ def parse_raw(text: str):
     return sections, problems
 
 
-def integrator_problems(iv: dict, label=str) -> list:
-    """Every rule the time-stepping settings break.
-
-    The one definition of those rules: validate_config applies it to the
-    [integrator] section and evolve.IntegratorConfig to its own fields.
-    label(key) names the offending key at the head of each message.
-    """
+def check_rules(section: str, values: dict, label=str, error=None,
+                rules=_RULES) -> list:
+    """Every rule of rules that values (key -> value) break; a tuple (a sweep
+    list) is checked per element, None (a derived value) is skipped.  label(key)
+    names each offender; error, when given, is raised with the problems."""
     problems = []
-    if iv["dt"] <= 0:
-        problems.append(f"{label('dt')} must be positive, got {iv['dt']}")
-    if iv["t_end"] < 0:
-        problems.append(f"{label('t_end')} must be non-negative, got {iv['t_end']}")
-    if not 0 < iv["cfl_safety"] <= 1:
-        problems.append(f"{label('cfl_safety')} must lie in (0, 1], "
-                        f"got {iv['cfl_safety']}")
-    if iv["record_every"] < 1:
-        problems.append(f"{label('record_every')} must be >= 1, "
-                        f"got {iv['record_every']}")
-    for key, allowed in INTEGRATOR_CHOICES.items():
-        if iv[key] not in allowed:
-            problems.append(f"{label(key)} must be {' or '.join(allowed)}, "
-                            f"got {iv[key]!r}")
+    for key, value in values.items():
+        if (section, key) in rules:
+            ok, requirement = rules[section, key]
+            problems.extend(
+                f"{label(key)} {requirement}, "
+                f"got {repr(v) if isinstance(v, str) else v}"
+                for v in (value if isinstance(value, tuple) else (value,))
+                if v is not None and not ok(v))
+    if error and problems:
+        raise error("; ".join(problems))
     return problems
 
 
@@ -196,7 +216,8 @@ def validate_config(text: str, experiment: str) -> ExperimentConfig:
             out.setdefault(key, default)
         values[name] = out
 
-    for name in _REQUIRED_SECTIONS.get(experiment, ()):
+    required, sweep, eps_rule = EXPERIMENTS[experiment]
+    for name in required:
         if name not in sections:
             problems.append(f"missing required section [{name}] for "
                             f"experiment {experiment!r} (defaults exist but the "
@@ -208,41 +229,29 @@ def validate_config(text: str, experiment: str) -> ExperimentConfig:
         return f"line {entry[1]}: {name}.{key}" if entry else f"{name}.{key}"
 
     warnings_list = []
-    gv, wv, iv = values["grid"], values["wave"], values["integrator"]
-    if experiment in _SINGLE_VALUED:
+    gv, wv = values["grid"], values["wave"]
+    if not sweep:
         for name, key, vals in (("grid", "lambda", gv["lambda"]),
                                 ("wave", "eps", wv["eps"])):
             if len(vals) != 1:
                 problems.append(f"{at(name, key)} must be a single value for "
                                 f"experiment {experiment!r}, got {len(vals)}")
+    rules = _RULES if eps_rule is None else {  # eps_rule implies eps >= 0
+        **_RULES, ("wave", "eps"): (eps_rule[0], f"{eps_rule[1]} for experiment "
+                                                 f"{experiment!r}")}
+    for name, vals in values.items():
+        problems.extend(check_rules(name, vals, lambda key, name=name: at(name, key),
+                                    rules=rules))
+    fit = values["integrator"]
+    if not fit["fit_t_min"] < fit["fit_t_max"]:
+        problems.append(f"{at('integrator', 'fit_t_min')} must be below fit_t_max "
+                        f"= {fit['fit_t_max']}, got {fit['fit_t_min']}")
     for lam in gv["lambda"]:
-        if lam <= 0:
-            problems.append(f"{at('grid', 'lambda')} must be positive, got {lam}")
-        elif lam > 2.0:
+        if lam > 2.0:
             problems.append(f"{at('grid', 'lambda')} = {lam} exceeds the hard limit 2")
         elif lam > 1.0:
             warnings_list.append(f"grid.lambda = {lam} > 1: the stability theory "
                                  "assumes a thin strip")
-    if gv["n_y"] % 2 != 0 or gv["n_y"] < 4:
-        problems.append(f"{at('grid', 'n_y')} must be even and >= 4 "
-                        f"(periodic spectral axis), got {gv['n_y']}")
-    if gv["n_z"] < 16:
-        problems.append(f"{at('grid', 'n_z')} must be >= 16, got {gv['n_z']}")
-    if gv["L_z"] is not None and gv["L_z"] <= 0:
-        problems.append(f"{at('grid', 'L_z')} must be positive, got {gv['L_z']}")
-    for e in wv["eps"]:
-        if e < 0:
-            problems.append(f"{at('wave', 'eps')} must be non-negative, got {e}")
-    for key in ("n_minus", "c_plus", "N0"):
-        if wv[key] is not None and wv[key] <= 0:
-            problems.append(f"{at('wave', key)} must be positive, got {wv[key]}")
-    if not 0 < wv["tol"] <= 1e-4:
-        problems.append(f"{at('wave', 'tol')} must lie in (0, 1e-4], "
-                        f"got {wv['tol']}")
-    problems.extend(integrator_problems(iv, label=lambda key: at("integrator", key)))
-    if values["init"]["amplitude"] < 0:
-        problems.append(f"{at('init', 'amplitude')} must be non-negative, "
-                        f"got {values['init']['amplitude']}")
     if experiment == "planarity" and not values["init"]["mean_zero_y"]:
         warnings_list.append("planarity works in the y-fluctuation channel; "
                              "init.mean_zero_y = true is recommended")

@@ -42,7 +42,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
-from .config import ConfigError, integrator_problems
+from .config import ConfigError, check_rules
 from .energy import EnergyLedger, LedgerRow, ledger_row, transverse_norm_sq
 from .grid import ScalarField, VectorField, ddy_array, ddz_array
 from .transforms import ColeHopfState, PerturbationState, perturbation_y_means
@@ -80,7 +80,8 @@ class IntegratorConfig:
     blowup_factor: float = 1e6
 
     def __post_init__(self):
-        problems = integrator_problems(asdict(self))
+        problems = (check_rules("integrator", asdict(self))
+                    + check_rules("output", {"snapshot_every": self.snapshot_every}))
         if problems:
             raise ConfigError(problems)
 

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import check_rules
+
 
 class GridError(ValueError):
     """Invalid grid construction arguments."""
@@ -45,14 +47,8 @@ class Grid:
     weight: np.ndarray = field(repr=False, compare=False, default=None)
 
     def __post_init__(self):
-        if self.L_z <= 0:
-            raise GridError(f"L_z must be positive, got {self.L_z}")
-        if self.n_z < 16:
-            raise GridError(f"n_z must be >= 16, got {self.n_z}")
-        if self.lam <= 0:
-            raise GridError(f"lam must be positive, got {self.lam}")
-        if self.n_y < 4 or self.n_y % 2 != 0:
-            raise GridError(f"n_y must be even and >= 4, got {self.n_y}")
+        check_rules("grid", {"L_z": self.L_z, "n_z": self.n_z, "lambda": self.lam,
+                             "n_y": self.n_y}, error=GridError)
         z = np.linspace(-self.L_z, self.L_z, self.n_z)
         y = np.arange(self.n_y) * (self.lam / self.n_y)
         object.__setattr__(self, "z", _frozen(z))

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import check_rules
 from .grid import (
     Grid,
     ScalarField,
@@ -203,8 +204,7 @@ def make_initial_perturbation(
     """
     from .energy import perturbation_measure
 
-    if amplitude < 0:
-        raise TransformError(f"amplitude must be non-negative, got {amplitude}")
+    check_rules("init", {"amplitude": amplitude, "seed": seed}, error=TransformError)
     rng = np.random.default_rng(seed)
     zw = 4.0  # bump half-width; well inside the strip and well resolved
     centers = rng.uniform(-2.0, 2.0, size=3)

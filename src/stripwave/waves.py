@@ -33,6 +33,7 @@ import numpy as np
 from scipy.integrate import LSODA, solve_ivp
 from scipy.optimize import brentq
 
+from .config import check_rules
 from .grid import Grid, d2dz2_array, ddz_array
 
 
@@ -46,10 +47,7 @@ class WaveSolveError(RuntimeError):
 
 def wave_speed(n_minus: float, eps: float) -> float:
     """Speed fixed by the left cell-density state: sqrt(n_minus / (1 + eps))."""
-    if n_minus <= 0:
-        raise WaveError(f"n_minus must be positive, got {n_minus}")
-    if eps < 0:
-        raise WaveError(f"eps must be non-negative, got {eps}")
+    check_rules("wave", {"n_minus": n_minus, "eps": eps}, error=WaveError)
     return math.sqrt(n_minus / (1.0 + eps))
 
 
@@ -80,14 +78,11 @@ class WaveParams:
     s: float = field(init=False)
 
     def __post_init__(self):
-        if self.c_plus <= 0:
-            raise WaveError(f"c_plus must be positive, got {self.c_plus}")
+        check_rules("wave", {"c_plus": self.c_plus, "N0": self.N0}, error=WaveError)
         s = wave_speed(self.n_minus, self.eps)
         object.__setattr__(self, "s", s)
         if self.N0 is None:
             object.__setattr__(self, "N0", s**2 / self.c_plus)
-        elif self.N0 <= 0:
-            raise WaveError(f"N0 must be positive, got {self.N0}")
 
     @property
     def w_minus(self) -> float:
@@ -331,10 +326,7 @@ def solve_wave_kpp(params: WaveParams, grid: Grid, tol: float = 1e-10) -> WavePr
     """
     if params.eps <= 0.0:
         raise WaveError(f"KPP solver requires eps > 0, got {params.eps}")
-    if not (0.0 < tol <= 1e-4):
-        raise WaveError(f"tol must lie in (0, 1e-4], got {tol}")
-    if abs(params.s - wave_speed(params.n_minus, params.eps)) > 1e-12 * params.s:
-        raise WaveError("inconsistent wave speed")
+    check_rules("wave", {"tol": tol}, error=WaveError)
 
     s = params.s
     # generous span: manifold escape ~ ln(1/offset)/mu plus the grid width

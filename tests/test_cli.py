@@ -12,7 +12,9 @@ from stripwave.config import (
     serialize_config,
     validate_config,
 )
-from stripwave.waves import WaveSolveError
+from stripwave.grid import GridError, make_grid
+from stripwave.transforms import TransformError, make_initial_perturbation
+from stripwave.waves import WaveError, WaveParams, WaveSolveError, solve_wave_kpp
 
 WAVE_CFG = """
 [grid]
@@ -344,3 +346,75 @@ def test_doubled_horizon_blowup_exit_code(tmp_path, monkeypatch, capsys, command
     manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
     assert manifest["exit_code"] == 3
     assert manifest["report"]["blowup_time"] == 1.5
+
+
+@pytest.mark.parametrize("command, overrides, message", [
+    ("planarity", ["wave.eps=0.1,0"],
+     "wave.eps must be positive for experiment 'planarity', got 0.0"),
+    ("evolve", ["init.seed=-1"], "init.seed must be non-negative, got -1"),
+    ("planarity", ["wave.eps=0.1", "integrator.fit_t_min=5", "integrator.fit_t_max=2"],
+     "integrator.fit_t_min must be below fit_t_max = 2.0, got 5.0"),
+    ("evolve", ["output.snapshot_every=-1"],
+     "output.snapshot_every must be non-negative, got -1"),
+])
+def test_bad_inputs_rejected_before_compute(tmp_path, monkeypatch, capsys, command,
+                                            overrides, message):
+    monkeypatch.setenv("STRIPWAVE_OUTPUT_ROOT", str(tmp_path))
+    args = [command, "--set", "grid.n_z=64", "--set", "grid.n_y=4",
+            "--set", "output.directory=run"]
+    for o in overrides:
+        args += ["--set", o]
+    assert main(args) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()  # exited before the output directory
+
+
+def test_crash_exit_code(tmp_path, monkeypatch, capsys):
+    def crash(*args, **kwargs):
+        raise RuntimeError("injected")
+
+    monkeypatch.setattr(stripwave.cli, "run", crash)
+    monkeypatch.setenv("STRIPWAVE_OUTPUT_ROOT", str(tmp_path))
+    assert main(["evolve", "--set", "grid.n_z=64", "--set", "grid.n_y=4"]) == 5
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "RuntimeError: injected" in err
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["exit_code"] == 5
+    assert manifest["error"] == "RuntimeError: injected"
+
+
+def _kpp_with_tol(tol):
+    p = WaveParams(eps=0.1, n_minus=1.0, c_plus=1.0)
+    return solve_wave_kpp(p, make_grid(10.0, 64, 0.5, 4, p.s), tol=tol)
+
+
+@pytest.mark.parametrize("section, key, bad, construct, error", [
+    ("grid", "n_y", 15, lambda v: make_grid(10.0, 64, 0.5, v, 1.0), GridError),
+    ("grid", "n_z", 8, lambda v: make_grid(10.0, v, 0.5, 4, 1.0), GridError),
+    ("grid", "L_z", -1.0, lambda v: make_grid(v, 64, 0.5, 4, 1.0), GridError),
+    ("grid", "lambda", 0.0, lambda v: make_grid(10.0, 64, v, 4, 1.0), GridError),
+    ("wave", "eps", -0.1, lambda v: WaveParams(eps=v, n_minus=1.0, c_plus=1.0),
+     WaveError),
+    ("wave", "n_minus", 0.0, lambda v: WaveParams(eps=0.0, n_minus=v, c_plus=1.0),
+     WaveError),
+    ("wave", "c_plus", 0.0, lambda v: WaveParams(eps=0.0, n_minus=1.0, c_plus=v),
+     WaveError),
+    ("wave", "N0", -1.0, lambda v: WaveParams(eps=0.0, n_minus=1.0, c_plus=1.0, N0=v),
+     WaveError),
+    ("wave", "tol", 1e-3, _kpp_with_tol, WaveError),
+    ("init", "amplitude", -1.0,
+     lambda v: make_initial_perturbation(make_grid(10.0, 64, 0.5, 4, 1.0), v, 0),
+     TransformError),
+    ("init", "seed", -1,
+     lambda v: make_initial_perturbation(make_grid(10.0, 64, 0.5, 4, 1.0), 1e-4, v),
+     TransformError),
+])
+def test_config_and_constructor_rules_agree(section, key, bad, construct, error):
+    text = apply_overrides(WAVE_CFG, [f"{section}.{key}={bad}"])
+    with pytest.raises(ConfigError) as cfg_err:
+        validate_config(text, "wave")
+    problem = next(p for p in cfg_err.value.problems if f"{section}.{key} must" in p)
+    with pytest.raises(error) as ctor_err:
+        construct(bad)
+    # the same rule: the same requirement and the same offending value
+    assert f"{key} must {problem.split(' must ', 1)[1]}" in str(ctor_err.value)
