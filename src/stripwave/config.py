@@ -246,6 +246,10 @@ def validate_config(text: str, experiment: str) -> ExperimentConfig:
     if not fit["fit_t_min"] < fit["fit_t_max"]:
         problems.append(f"{at('integrator', 'fit_t_min')} must be below fit_t_max "
                         f"= {fit['fit_t_max']}, got {fit['fit_t_min']}")
+    if experiment == "planarity" and not fit["fit_t_min"] < fit["t_end"]:
+        problems.append(f"{at('integrator', 'fit_t_min')} must be below t_end "
+                        f"= {fit['t_end']} for experiment 'planarity', "
+                        f"got {fit['fit_t_min']}")
     for lam in gv["lambda"]:
         if lam > 2.0:
             problems.append(f"{at('grid', 'lambda')} = {lam} exceeds the hard limit 2")

@@ -11,13 +11,13 @@ eps int ||grad^4 psi||_{H^0_w}^2 dt.  Norms follow the definition
 
     ||f||_{H^k_w}^2 = sum_{i+j<=k} int |d_z^i d_y^j f|^2 w(z) dz dy
 
-evaluated by Parseval over the y-modes: one rfft of f along y, z central
-differences applied to the modes (d_z acts on columns and d_y on rows, so
-the two commute), then the trapezoid weights in z contracted with the
-Parseval multiplicity of each bin and k_m^{2j} in y.  As in ddy_array the
-Nyquist bin has zero derivative, so it drops out of every term with
-j >= 1.  grad^4 means the five mixed fourth-order derivatives, each counted
-once.
+evaluated by Parseval over the y-modes: one rfft of f along y (grid.y_modes,
+whose k = 0 column is the y-mean), z central differences applied to the
+modes (d_z acts on columns and d_y on rows, so the two commute), then the
+trapezoid weights in z contracted with the Parseval multiplicity of each bin
+and k_m^{2j} in y.  As in ddy_array the Nyquist bin has zero derivative, so
+it drops out of every term with j >= 1.  grad^4 means the five mixed
+fourth-order derivatives, each counted once.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, ScalarField, VectorField, ddz_array, remove_mean_in_y
+from .grid import Grid, ScalarField, VectorField, ddz_array, remove_mean_in_y, y_modes
 
 LEDGER_COLUMNS = (
     "t", "H3w_phi", "H3_psi", "H2w_grad_psi", "M_inst", "M_sup",
@@ -39,8 +39,8 @@ class EnergyError(ValueError):
 
 
 def _z_chain(values: np.ndarray, grid: Grid, depth: int) -> list:
-    """The rfft y-modes of values and their first `depth` z-derivatives."""
-    chain = [np.fft.rfft(values, axis=1)]
+    """The y-modes of values and their first `depth` z-derivatives."""
+    chain = [y_modes(values)]
     for _ in range(depth):
         chain.append(ddz_array(chain[-1], grid.dz))
     return chain
@@ -49,7 +49,7 @@ def _z_chain(values: np.ndarray, grid: Grid, depth: int) -> list:
 def _norm_sq(chain: list, grid: Grid, pairs, weighted: bool = False) -> float:
     """Sum over (i, j) in pairs of int w |d_z^i d_y^j f|^2, from f's z-chain."""
     rows = grid.trapz_weights * grid.weight if weighted else grid.trapz_weights
-    bins = grid.rfft_multiplicity * (grid.dy / grid.n_y)
+    bins = grid.rfft_multiplicity * grid.lam
     k2 = grid.ddy_wavenumbers**2  # k2**0 = 1 keeps the Nyquist bin for j = 0
     levels = {i for i, _ in pairs}
     power = {i: rows @ (chain[i].real**2 + chain[i].imag**2) for i in levels}
@@ -143,7 +143,7 @@ def ledger_row(state, profile, eps: float) -> LedgerRow:
         grad_phi_H3w=grad_phi,
         psi4_w=psi4,
         Q=q_trans,
-        mass=float(g.trapz_weights @ div_phi[:, 0].real) * g.dy,
+        mass=float(g.trapz_weights @ div_phi[:, 0].real) * g.lam,
     )
 
 
@@ -208,9 +208,9 @@ class EnergyLedger:
                 fh.write(",".join(f"{r[c]:.17g}" for c in LEDGER_COLUMNS) + "\n")
 
 
-def transverse_norm_sq(grid: Grid, *arrays) -> float:
-    """Sum of the unweighted ||d_y f||^2 over arrays sampled on grid."""
-    return sum(_norm_sq(_z_chain(v, grid, 0), grid, [(0, 1)]) for v in arrays)
+def transverse_norm_sq(grid: Grid, *modes) -> float:
+    """Sum of the unweighted ||d_y f||^2 over fields given by their y-modes."""
+    return sum(_norm_sq([vh], grid, [(0, 1)]) for vh in modes)
 
 
 def transverse_energy(state) -> float:
@@ -221,7 +221,7 @@ def transverse_energy(state) -> float:
     fluctuating part even on top of an O(1) background.
     """
     n, q = state.n, state.q
-    fluct = (remove_mean_in_y(f).values for f in (n, q.z, q.y))
+    fluct = (y_modes(remove_mean_in_y(f).values) for f in (n, q.z, q.y))
     return transverse_norm_sq(n.grid, *fluct)
 
 
@@ -260,5 +260,4 @@ def empirical_C0(ledger: EnergyLedger) -> float:
         raise EnergyError("empty ledger")
     if ledger.M0 <= 0.0:
         raise EnergyError("M0 must be positive to normalize the constant")
-    last = ledger.last()
-    return (last["M_sup"] + last["D_phi"] + last["D_psi"] + last["D_psi4"]) / ledger.M0
+    return ledger.last()["C0_running"]

@@ -15,22 +15,31 @@ Three systems are advanced in the frame z = x - s t:
        b_t - s b_z - eps lap b = -2 eps [(P.grad) b + (b.grad) P + (b.grad) b]
                                  + grad a
 
-Splitting: every Laplacian is implicit (per-y-Fourier-mode symmetric
-tridiagonal solves in z); transport, coupling, and nonlinear terms are
-explicit.  One IMEX core advances all three systems with either scheme,
-first-order IMEX (imex1) or SBDF2 (Ascher, Ruuth & Wetton, SIAM J. Numer.
-Anal. 32, 1995); a system supplies only its explicit tendency, the implicit
-solve of each of its arrays, and its ledger row.  phi and the (n, q)
-deviations are clamped to zero at z = +-L_z.  psi is clamped only at the
-inflow end z = +L_z when it carries no diffusion: its transport is upwinded
-toward the outflow at z = -L_z, where a Dirichlet pin would inject spurious
-boundary kinks into the H^3 ledger.
+Every linear term has z-only coefficients, so it acts on one transverse
+mode at a time.  The stepper therefore holds each field as its rfft y-modes
+(grid.y_modes), z-major with shape (n_z, n_y/2 + 1): d/dy is a
+multiplication by i k, z differences act on the columns, and a field's
+k = 0 column is its per-z y-mean.  Within a step only the quadratic terms
+visit the y-nodes (_products).
 
-System C additionally keeps the per-z y-mean and the y-fluctuation of each
-deviation field in separate arrays, with cross products assembled per part.
-Rounding noise then stays proportional to each part's own magnitude, which
-lets the transverse energy decay through hundreds of e-foldings instead of
-flooring at unit roundoff of the O(1) background.
+Splitting: every Laplacian is implicit; transport, coupling, and nonlinear
+terms are explicit.  The per-mode diffusion matrices are symmetric
+tridiagonal in z; stacked along one diagonal they form a single banded
+system, factored once and solved for all modes of a field in one call.  One
+IMEX core advances all three systems with either scheme, first-order IMEX
+(imex1) or SBDF2 (Ascher, Ruuth & Wetton, SIAM J. Numer. Anal. 32, 1995); a
+system supplies only its explicit tendency, the implicit solve of each of
+its arrays, and its ledger row.  phi and the (n, q) deviations are clamped
+to zero at z = +-L_z.  psi is clamped only at the inflow end z = +L_z when
+it carries no diffusion: its transport is upwinded toward the outflow at
+z = -L_z, where a Dirichlet pin would inject spurious boundary kinks into
+the H^3 ledger.
+
+In system C the y-mean column and the fluctuation modes never mix through a
+linear term, and _products multiplies the two parts separately.  Rounding
+noise then stays proportional to each part's own magnitude, which lets the
+transverse energy decay through hundreds of e-foldings instead of flooring
+at unit roundoff of the O(1) background.
 """
 
 from __future__ import annotations
@@ -44,7 +53,7 @@ from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from .config import ConfigError, check_rules
 from .energy import EnergyLedger, LedgerRow, ledger_row, transverse_norm_sq
-from .grid import ScalarField, VectorField, ddy_array, ddz_array
+from .grid import ScalarField, VectorField, ddz_array, y_modes, y_values
 from .transforms import ColeHopfState, PerturbationState, perturbation_y_means
 from .waves import WaveProfile
 
@@ -103,44 +112,33 @@ class TrajectoryRecord:
 
 
 class _ModeDiffusionSolver:
-    """Pre-factored solves of (alpha I - coef (d_zz - k^2)) x = b per y-mode.
+    """Solves (alpha I - coef (d_zz - k^2)) x = b for every y-mode at once.
 
     Interior rows carry the 3-point stencil; boundary rows are Dirichlet
-    pins (x = 0 at z = +-L_z).  The matrices are symmetric positive
-    definite, factored once with banded Cholesky.
+    pins (x = 0 at z = +-L_z).  Each mode's matrix is symmetric positive
+    definite and tridiagonal; the modes are stacked one block after another
+    along a single diagonal with exactly zero coupling between blocks, so
+    one banded Cholesky factors them all and the solve of every block is
+    bitwise that of its own matrix.
     """
 
     def __init__(self, grid, coef: float, alpha: float = 1.0):
-        self.grid = grid
-        n_int = grid.n_z - 2
+        self.n_int = grid.n_z - 2
         inv_dz2 = 1.0 / grid.dz**2
-        self.factors = []
-        for k in grid.wavenumbers_y:
-            ab = np.zeros((2, n_int))
-            ab[0, 1:] = -coef * inv_dz2
-            ab[1, :] = alpha + coef * (2.0 * inv_dz2 + k**2)
-            self.factors.append((cholesky_banded(ab), False))
+        ab = np.empty((2, grid.n_y // 2 + 1, self.n_int))
+        ab[0] = -coef * inv_dz2
+        ab[0, :, 0] = 0.0  # no coupling to the previous block
+        ab[1] = alpha + coef * (2.0 * inv_dz2 + grid.wavenumbers_y[:, None]**2)
+        self.factor = (cholesky_banded(ab.reshape(2, -1)), False)
 
-    def solve_modes(self, rh: np.ndarray) -> np.ndarray:
-        """rh (n_z - 2, n_y // 2 + 1): interior rfft coefficients, solved per mode."""
-        out_h = np.empty_like(rh)
-        for m, fac in enumerate(self.factors):
-            col = rh[:, m]
-            sol = cho_solve_banded(fac, np.column_stack([col.real, col.imag]))
-            out_h[:, m] = sol[:, 0] + 1j * sol[:, 1]
-        return out_h
-
-    def solve_field(self, rhs: np.ndarray) -> np.ndarray:
-        """rhs (n_z, n_y) physical; returns solution with zero boundary rows."""
+    def __call__(self, rhs: np.ndarray) -> np.ndarray:
+        """rhs (n_z, n_y // 2 + 1) y-modes; returns the solution with zero
+        boundary rows.  Real and imaginary parts are two right-hand sides."""
+        interior = rhs[1:-1].T.ravel()  # mode-major: one block per mode
+        sol = cho_solve_banded(self.factor, np.array([interior.real, interior.imag]).T,
+                               check_finite=False)
         out = np.zeros_like(rhs)
-        out[1:-1, :] = np.fft.irfft(self.solve_modes(np.fft.rfft(rhs[1:-1, :], axis=1)),
-                                    n=self.grid.n_y, axis=1)
-        return out
-
-    def solve_mean(self, rhs: np.ndarray) -> np.ndarray:
-        """rhs (n_z,) y-independent; same operator at k = 0."""
-        out = np.zeros_like(rhs)
-        out[1:-1] = cho_solve_banded(self.factors[0], rhs[1:-1])
+        out[1:-1] = (sol[:, 0] + 1j * sol[:, 1]).reshape(-1, self.n_int).T
         return out
 
 
@@ -195,20 +193,50 @@ def _upwind_right(v: np.ndarray, dz: float) -> np.ndarray:
     return out
 
 
-def _check_finite(arrays, t):
-    for a in arrays:
+def _fluctuation(f: np.ndarray) -> np.ndarray:
+    fl = f.copy()
+    fl[:, 0] = 0.0
+    return fl
+
+
+def _products(grid, factors, terms) -> list:
+    """y-modes of sum(factors[i] * factors[j] for (i, j) in term), per term.
+
+    Each factor splits into its k = 0 column m (the y-mean) and its
+    fluctuation f, transformed to the y-nodes alone.  f_i f_j + m_i f_j +
+    f_i m_j is formed there and transformed back, while m_i m_j goes
+    straight into column 0, so rounding stays relative to each part.
+    """
+    means = [f[:, :1].real for f in factors]
+    phys = [y_values(_fluctuation(f), grid) for f in factors]
+    out = []
+    for term in terms:
+        p = y_modes(sum(phys[i] * phys[j] + means[i] * phys[j] + phys[i] * means[j]
+                        for i, j in term))
+        p[:, 0] += sum(means[i][:, 0] * means[j][:, 0] for i, j in term)
+        out.append(p)
+    return out
+
+
+def _check_finite(system, u, t):
+    for name, a in zip(system.names, u):
         if not np.all(np.isfinite(a)):
-            raise IntegratorBlowup("non-finite field values", t)
+            raise IntegratorBlowup(f"non-finite values in {name}", t)
 
 
 # ---------------------------------------------------------------------------
 # Systems A and B: perturbation (phi, psi)
 # ---------------------------------------------------------------------------
 
+def _perturbation_modes(state: PerturbationState) -> tuple:
+    return tuple(y_modes(f.values) for f in (state.phi.z, state.phi.y, state.psi))
+
+
 class _PerturbationSystem:
     """Systems A (linear=False, eps = 0) and B (linear=True, eps > 0) as
-    arrays (phi1, phi2, psi)."""
+    the y-modes of (phi_z, phi_y, psi)."""
 
+    names = ("phi_z", "phi_y", "psi")
     guard = ("M_inst", "energy exceeded {:g} x M0")
     curl_max = 0.0
 
@@ -220,6 +248,7 @@ class _PerturbationSystem:
             raise ValueError("nonlinear0 requires an eps = 0 profile")
         self.profile = profile
         self.g = profile.grid
+        self.ik = 1j * self.g.ddy_wavenumbers
         self.transport = transport
         self.linear = linear
         self.eps = eps
@@ -228,39 +257,38 @@ class _PerturbationSystem:
         self.P = profile.P_z[:, None]
 
     def arrays(self, state: PerturbationState) -> tuple:
-        return (state.phi.z.values.copy(), state.phi.y.values.copy(),
-                state.psi.values.copy())
+        return _perturbation_modes(state)
 
     def state(self, u, t) -> PerturbationState:
         g = self.g
-        return PerturbationState(
-            phi=VectorField(ScalarField(g, u[0]), ScalarField(g, u[1])),
-            psi=ScalarField(g, u[2]), t=t, eps=self.eps)
+        phi_z, phi_y, psi = (ScalarField(g, y_values(x, g)) for x in u)
+        return PerturbationState(phi=VectorField(phi_z, phi_y), psi=psi, t=t,
+                                 eps=self.eps)
 
     def solves(self, dt, alpha):
-        phi = _ModeDiffusionSolver(self.g, dt, alpha).solve_field
-        psi = (_ModeDiffusionSolver(self.g, self.eps * dt, alpha).solve_field
+        phi = _ModeDiffusionSolver(self.g, dt, alpha)
+        psi = (_ModeDiffusionSolver(self.g, self.eps * dt, alpha)
                if self.eps > 0 else _inflow_pinned(alpha))
         return phi, phi, psi
 
     def explicit_tendency(self, u):
-        g, s = self.g, self.s
+        dz, s = self.g.dz, self.s
         phi1, phi2, psi = u
-        dz_phi1 = ddz_array(phi1, g.dz)
-        dz_phi2 = ddz_array(phi2, g.dz)
-        dy_phi2 = ddy_array(phi2, g)
-        dz_psi = ddz_array(psi, g.dz)
-        dy_psi = ddy_array(psi, g)
-        div = dz_phi1 + dy_phi2
+        dz_phi1 = ddz_array(phi1, dz)
+        dz_phi2 = ddz_array(phi2, dz)
+        dz_psi = ddz_array(psi, dz)
+        dy_psi = self.ik * psi
+        div = dz_phi1 + self.ik * phi2
 
         a1 = s * dz_phi1 + self.N * dz_psi + self.P * div
         a2 = s * dz_phi2 + self.N * dy_psi
         if not self.linear:
-            a1 = a1 + div * dz_psi
-            a2 = a2 + div * dy_psi
+            quad = _products(self.g, (div, dz_psi, dy_psi), ([(0, 1)], [(0, 2)]))
+            a1 = a1 + quad[0]
+            a2 = a2 + quad[1]
 
-        transport = (_upwind_right(psi, g.dz) if self.transport == "upwind"
-                     else ddz_array(psi, g.dz))
+        transport = (_upwind_right(psi, dz) if self.transport == "upwind"
+                     else ddz_array(psi, dz))
         a_psi = s * transport + div
         if self.linear:
             a_psi = a_psi - 2.0 * self.eps * self.P * dz_psi
@@ -281,9 +309,11 @@ def _warn_if_biased(state: PerturbationState) -> None:
 
 
 def _step_once(system, state, dt: float, scheme: str = "imex1"):
-    u = _ImexCore(system, dt, scheme).step(system.arrays(state))
+    u = system.arrays(state)
+    _check_finite(system, u, state.t)
+    u = _ImexCore(system, dt, scheme).step(u)
     t = state.t + dt
-    _check_finite(u, t)
+    _check_finite(system, u, t)
     return system.state(u, t)
 
 
@@ -305,16 +335,8 @@ def step_linear_eps(state: PerturbationState, profile: WaveProfile,
 
 
 # ---------------------------------------------------------------------------
-# System C: (n, q) deviations with mean/fluctuation split
+# System C: (n, q) deviations
 # ---------------------------------------------------------------------------
-
-def _ymean(v):
-    return v.mean(axis=1)
-
-
-def _fluct(v):
-    return v - v.mean(axis=1, keepdims=True)
-
 
 @dataclass
 class _NqDeviation:
@@ -332,9 +354,10 @@ class _NqDeviation:
         return (self.a0, self.af, self.b0z, self.bfz, self.b0y, self.bfy)
 
     @classmethod
-    def from_full(cls, a, bz, by, t):
-        return cls(a0=_ymean(a), af=_fluct(a), b0z=_ymean(bz), bfz=_fluct(bz),
-                   b0y=_ymean(by), bfy=_fluct(by), t=t)
+    def from_modes(cls, u, grid, t):
+        (a0, af), (b0z, bfz), (b0y, bfy) = (
+            (x[:, 0].real.copy(), y_values(_fluctuation(x), grid)) for x in u)
+        return cls(a0=a0, af=af, b0z=b0z, bfz=bfz, b0y=b0y, bfy=bfy, t=t)
 
     def full(self):
         return (self.a0[:, None] + self.af,
@@ -342,30 +365,18 @@ class _NqDeviation:
                 self.b0y[:, None] + self.bfy)
 
 
-def _split_product(m0_a, fl_a, m0_b, fl_b):
-    """(m0_a + fl_a)(m0_b + fl_b) split into (mean, fluctuation) parts;
-    m0_b = None marks a second factor without y-mean."""
-    cross = fl_a * fl_b
-    cross_mean = _ymean(cross)
-    if m0_b is None:
-        return cross_mean, m0_a[:, None] * fl_b + cross - cross_mean[:, None]
-    mean = m0_a * m0_b + cross_mean
-    fluct = (m0_a[:, None] * fl_b + fl_a * m0_b[:, None]
-             + cross - cross_mean[:, None])
-    return mean, fluct
-
-
 class _NqSystem:
-    """Deviation form of the (n, q) system as arrays
-    (a0, af, b0z, bfz, b0y, bfy).
+    """Deviation form of the (n, q) system as the y-modes of (a, b_z, b_y).
 
-    Products among mean and fluctuating parts are assembled per part so the
-    wave is an exact discrete fixed point and rounding stays relative to
-    each component.  In the lab frame the transport terms drop and the wave
-    slides out from under the sampled profile, which appears as the exact
-    source (-s N', -s P', 0).
+    The k = 0 column of each array is the deviation's y-mean, the other
+    columns its fluctuation; _products keeps the two apart so the wave is
+    an exact discrete fixed point and rounding stays relative to each part.
+    In the lab frame the transport terms drop and the wave slides out from
+    under the sampled profile, which appears as the exact source
+    (-s N', -s P', 0) in the y-mean column.
     """
 
+    names = ("a", "b_z", "b_y")
     guard = ("Q", "transverse energy exceeded {:g} x Q0")
 
     def __init__(self, profile: WaveProfile, eps: float, frame: str = "moving",
@@ -374,11 +385,12 @@ class _NqSystem:
             raise ValueError(f"the (n, q) stepper requires eps > 0, got {eps}")
         self.profile = profile
         self.g = profile.grid
+        self.ik = 1j * self.g.ddy_wavenumbers
         self.eps = eps
         self.frame = frame
         self.s = profile.params.s
-        self.N = profile.N
-        self.P = profile.P_z
+        self.N = profile.N[:, None]
+        self.P = profile.P_z[:, None]
         self.dN = ddz_array(profile.N, self.g.dz)
         self.dP = ddz_array(profile.P_z, self.g.dz)
         # factors (k^2 - d_zz) for the Helmholtz projection
@@ -388,100 +400,83 @@ class _NqSystem:
         self._warned = False
 
     def arrays(self, state) -> tuple:
-        return _nq_deviation_from_state(state, self.profile).arrays()
+        """The deviation's y-modes from a ColeHopfState or PerturbationState."""
+        if isinstance(state, ColeHopfState):
+            return (y_modes(state.n.values - self.N), y_modes(state.q.z.values - self.P),
+                    y_modes(state.q.y.values))
+        if isinstance(state, PerturbationState):
+            phi_z, phi_y, psi = _perturbation_modes(state)
+            dz = self.g.dz
+            return (ddz_array(phi_z, dz) + self.ik * phi_y, ddz_array(psi, dz),
+                    self.ik * psi)
+        raise TypeError(f"cannot build (n, q) deviation from {type(state)!r}")
 
     def state(self, u, t) -> ColeHopfState:
-        return _nq_state(_NqDeviation(*u, t=t), self.profile)
+        g = self.g
+        a, bz, by = (y_values(x, g) for x in u)
+        return ColeHopfState(n=ScalarField(g, self.N + a),
+                             q=VectorField(ScalarField(g, self.P + bz),
+                                           ScalarField(g, by)),
+                             t=t)
 
     def solves(self, dt, alpha):
         a = _ModeDiffusionSolver(self.g, dt, alpha)
         b = _ModeDiffusionSolver(self.g, self.eps * dt, alpha)
-        return (a.solve_mean, a.solve_field, b.solve_mean, b.solve_field,
-                b.solve_mean, b.solve_field)
+        return a, b, b
 
     def explicit_tendency(self, u):
-        g, s, eps = self.g, self.s, self.eps
-        dz = g.dz
-        a0, af, b0z, bfz, b0y, bfy = u
+        dz, s, eps, ik = self.g.dz, self.s, self.eps, self.ik
+        a, bz, by = u
+        dz_a, dz_bz, dz_by = ddz_array(a, dz), ddz_array(bz, dz), ddz_array(by, dz)
 
-        # fluxes G = N b + P a + a b, per component and part
-        ab_z_m, ab_z_f = _split_product(a0, af, b0z, bfz)
-        ab_y_m, ab_y_f = _split_product(a0, af, b0y, bfy)
-        Gz_m = self.N * b0z + self.P * a0 + ab_z_m
-        Gz_f = self.N[:, None] * bfz + self.P[:, None] * af + ab_z_f
-        Gy_m = self.N * b0y + ab_y_m
-        Gy_f = self.N[:, None] * bfy + ab_y_f
+        # a b, (b.grad) b_z and (b.grad) b_y
+        ab_z, ab_y, adv_z, adv_y = _products(
+            self.g, (a, bz, by, dz_bz, ik * bz, dz_by, ik * by),
+            ([(0, 1)], [(0, 2)], [(1, 3), (2, 4)], [(1, 5), (2, 6)]))
 
-        ta0 = ddz_array(Gz_m, dz)
-        taf = ddz_array(Gz_f, dz) + ddy_array(Gy_f, g)
-
+        # fluxes G = N b + P a + a b
+        gz = self.N * bz + self.P * a + ab_z
+        gy = self.N * by + ab_y
+        ta = ddz_array(gz, dz) + ik * gy
         # b advection: (P.grad) b + (b.grad) P + (b.grad) b, times -2 eps
-        dz_b0z, dz_bfz = ddz_array(b0z, dz), ddz_array(bfz, dz)
-        dz_b0y, dz_bfy = ddz_array(b0y, dz), ddz_array(bfy, dz)
-        dy_bfz, dy_bfy = ddy_array(bfz, g), ddy_array(bfy, g)
-
-        advz_m, advz_f = _split_product(b0z, bfz, dz_b0z, dz_bfz)
-        cz_m, cz_f = _split_product(b0y, bfy, None, dy_bfz)
-        advy_m, advy_f = _split_product(b0z, bfz, dz_b0y, dz_bfy)
-        cy_m, cy_f = _split_product(b0y, bfy, None, dy_bfy)
-
-        tb0z = -2.0 * eps * (self.P * dz_b0z + b0z * self.dP + advz_m + cz_m) \
-            + ddz_array(a0, dz)
-        tbfz = -2.0 * eps * (self.P[:, None] * dz_bfz + bfz * self.dP[:, None]
-                             + advz_f + cz_f) + ddz_array(af, dz)
-        tb0y = -2.0 * eps * (self.P * dz_b0y + advy_m + cy_m)
-        tbfy = -2.0 * eps * (self.P[:, None] * dz_bfy + advy_f + cy_f) \
-            + ddy_array(af, g)
+        tbz = -2.0 * eps * (self.P * dz_bz + bz * self.dP[:, None] + adv_z) + dz_a
+        tby = -2.0 * eps * (self.P * dz_by + adv_y) + ik * a
 
         if self.frame == "moving":
-            ta0 = ta0 + s * ddz_array(a0, dz)
-            taf = taf + s * ddz_array(af, dz)
-            tb0z = tb0z + s * dz_b0z
-            tbfz = tbfz + s * dz_bfz
-            tb0y = tb0y + s * dz_b0y
-            tbfy = tbfy + s * dz_bfy
+            ta = ta + s * dz_a
+            tbz = tbz + s * dz_bz
+            tby = tby + s * dz_by
         else:
             # static profile in the lab frame: the wave translates beneath it
-            ta0 = ta0 - s * self.dN
-            tb0z = tb0z - s * self.dP
-        return ta0, taf, tb0z, tbfz, tb0y, tbfy
+            ta[:, 0] -= s * self.dN
+            tbz[:, 0] -= s * self.dP
+        return ta, tbz, tby
 
     def settle(self, u):
-        # drain rounding-level y-means out of the fluctuation channel; left
-        # in place they freeze at the scale of past fluctuations and their
-        # FFT roundoff re-seeds the decaying transverse modes
-        a0, af, b0z, bfz, b0y, bfy = u
-        for m0, fl in ((a0, af), (b0z, bfz), (b0y, bfy)):
-            drift = fl.mean(axis=1)
-            m0 += drift
-            fl -= drift[:, None]
         return u if self.projector is None else self._project(u)
 
     def _project(self, u):
         """Helmholtz projection of the fluctuating b onto gradients.
 
         Solves (d_zz - k^2) chi = div b per mode k != 0 with Dirichlet ends
-        and replaces b by grad chi; the y-mean transverse component b0y has
-        no periodic potential and is dropped entirely.
+        and replaces the fluctuation of b by grad chi; the y-mean transverse
+        component has no periodic potential and is dropped entirely.
         """
-        g = self.g
-        a0, af, b0z, bfz, b0y, bfy = u
-        div = ddz_array(bfz, g.dz) + ddy_array(bfy, g)
-        dh = np.fft.rfft(div[1:-1, :], axis=1)
-        dh[:, 0] = 0.0  # the fluctuation carries no k = 0 content
-        chi = np.zeros_like(div)
-        chi[1:-1, :] = np.fft.irfft(self.projector.solve_modes(-dh), n=g.n_y, axis=1)
-        return (a0, af, b0z, ddz_array(chi, g.dz), np.zeros_like(b0y),
-                ddy_array(chi, g))
+        a, bz, by = u
+        div = ddz_array(bz, self.g.dz) + self.ik * by
+        div[:, 0] = 0.0
+        chi = self.projector(-div)
+        bz_new = ddz_array(chi, self.g.dz)
+        bz_new[:, 0] = bz[:, 0]
+        return a, bz_new, self.ik * chi
 
     def row(self, u, t) -> LedgerRow:
         g = self.g
-        a0, af, _, bfz, b0y, bfy = u
-        q_trans = transverse_norm_sq(g, af, bfz, bfy)
-        mass = float(g.trapz_weights @ a0) * g.lam + 0.0  # fluctuation integrates to zero
+        a, bz, by = u
+        q_trans = transverse_norm_sq(g, a, bz, by)
+        mass = float(g.trapz_weights @ a[:, 0].real) * g.lam + 0.0
 
-        curl = float(np.max(np.abs(ddy_array(bfz, g)
-                                   - ddz_array(b0y[:, None] + bfy, g.dz))))
+        curl = float(np.max(np.abs(y_values(self.ik * bz - ddz_array(by, g.dz), g))))
         self.curl_max = max(self.curl_max, curl)
         if curl > 1e-4 and not self._warned:
             warnings.warn(f"curl drift reached {curl:.3g}; enable curl_projection "
@@ -490,33 +485,6 @@ class _NqSystem:
         return LedgerRow(t=t, H3w_phi=0.0, H3_psi=0.0, H2w_grad_psi=0.0,
                          M_inst=0.0, grad_phi_H3w=0.0, psi4_w=0.0,
                          Q=q_trans, mass=mass)
-
-
-def _nq_deviation_from_state(state, profile: WaveProfile) -> _NqDeviation:
-    """Build the split deviation from a ColeHopfState or PerturbationState."""
-    if isinstance(state, ColeHopfState):
-        a = state.n.values - profile.N[:, None]
-        bz = state.q.z.values - profile.P_z[:, None]
-        by = state.q.y.values.copy()
-        return _NqDeviation.from_full(a, bz, by, state.t)
-    if isinstance(state, PerturbationState):
-        from .grid import divergence, gradient
-
-        a = divergence(state.phi).values
-        grad_psi = gradient(state.psi)
-        return _NqDeviation.from_full(a, grad_psi.z.values, grad_psi.y.values,
-                                      state.t)
-    raise TypeError(f"cannot build (n, q) deviation from {type(state)!r}")
-
-
-def _nq_state(d: _NqDeviation, profile: WaveProfile) -> ColeHopfState:
-    g = profile.grid
-    a, bz, by = d.full()
-    return ColeHopfState(
-        n=ScalarField(g, profile.N[:, None] + a),
-        q=VectorField(ScalarField(g, profile.P_z[:, None] + bz),
-                      ScalarField(g, by)),
-        t=d.t)
 
 
 def step_nq(state: ColeHopfState, dt: float, eps: float,
@@ -565,6 +533,7 @@ def run(system: str, init, profile: WaveProfile,
     the final step; halts early on blowup (non-finite values, or M_inst,
     for nq the transverse energy Q, above blowup_factor times its initial
     value), returning the partial record with the blowup flag set.
+    Non-finite initial data raise IntegratorBlowup before any step.
     """
     if system not in SYSTEMS:
         raise ValueError(f"unknown system {system!r}; expected one of {SYSTEMS}")
@@ -593,12 +562,13 @@ def run(system: str, init, profile: WaveProfile,
 
     u = model.arrays(init)
     t = 0.0
+    _check_finite(model, u, t)
     level0 = record_row(u, t)
     try:
         for i in range(1, n_steps + 1):
             u = core.step(u)
             t = i * config.dt
-            _check_finite(u, t)
+            _check_finite(model, u, t)
             if i % config.record_every == 0 or i == n_steps:
                 level = record_row(u, t)
                 if level0 > 0 and level > config.blowup_factor * level0:
@@ -609,5 +579,5 @@ def run(system: str, init, profile: WaveProfile,
     record.final_state = model.state(u, t)
     record.curl_max = model.curl_max
     if system == "nq":
-        record.final_deviation = _NqDeviation(*u, t=t)
+        record.final_deviation = _NqDeviation.from_modes(u, profile.grid, t)
     return record

@@ -115,11 +115,6 @@ class ScalarField:
                 f"field shape {v.shape} does not match grid ({self.grid.n_z}, {self.grid.n_y})")
         object.__setattr__(self, "values", _frozen(v))
 
-    def check_finite(self) -> "ScalarField":
-        if not np.all(np.isfinite(self.values)):
-            raise FloatingPointError("field contains non-finite entries")
-        return self
-
     def __add__(self, other):
         return ScalarField(self.grid, self.values + _vals(other))
 
@@ -174,6 +169,9 @@ def zero_field(grid: Grid) -> ScalarField:
 # ---------------------------------------------------------------------------
 
 def ddz_array(v: np.ndarray, dz: float) -> np.ndarray:
+    if np.iscomplexobj(v):  # y-modes: difference both parts in real arithmetic
+        parts = np.ascontiguousarray(v).reshape(len(v), -1).view(v.real.dtype)
+        return ddz_array(parts, dz).view(v.dtype).reshape(v.shape)
     out = np.empty_like(v)
     out[1:-1] = (v[2:] - v[:-2]) / (2.0 * dz)
     out[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * dz)
@@ -187,6 +185,21 @@ def d2dz2_array(v: np.ndarray, dz: float) -> np.ndarray:
     out[0] = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / dz**2
     out[-1] = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / dz**2
     return out
+
+
+# ---------------------------------------------------------------------------
+# y: periodic, transformed by rfft and differentiated spectrally.
+# ---------------------------------------------------------------------------
+
+def y_modes(v: np.ndarray) -> np.ndarray:
+    """rfft y-modes along the last axis, scaled so that the k = 0 column is
+    the y-mean; z stays the leading axis."""
+    return np.fft.rfft(v, axis=-1, norm="forward")
+
+
+def y_values(vh: np.ndarray, grid: Grid) -> np.ndarray:
+    """Inverse of y_modes: samples on the y-nodes."""
+    return np.fft.irfft(vh, n=grid.n_y, axis=-1, norm="forward")
 
 
 def ddy_array(v: np.ndarray, grid: Grid) -> np.ndarray:

@@ -356,6 +356,9 @@ def test_doubled_horizon_blowup_exit_code(tmp_path, monkeypatch, capsys, command
      "integrator.fit_t_min must be below fit_t_max = 2.0, got 5.0"),
     ("evolve", ["output.snapshot_every=-1"],
      "output.snapshot_every must be non-negative, got -1"),
+    ("planarity", ["wave.eps=0.1", "integrator.t_end=0.5"],
+     "integrator.fit_t_min must be below t_end = 0.5 for experiment 'planarity', "
+     "got 1.0"),
 ])
 def test_bad_inputs_rejected_before_compute(tmp_path, monkeypatch, capsys, command,
                                             overrides, message):

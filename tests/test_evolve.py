@@ -6,6 +6,7 @@ import pytest
 from stripwave.energy import perturbation_measure
 from stripwave.evolve import (
     IntegratorBlowup,
+    _ModeDiffusionSolver,
     IntegratorConfig,
     TrajectoryRecord,
     run,
@@ -419,3 +420,54 @@ def test_snapshots_recorded(setup_eps0):
     t0, s0 = rec.snapshots[0]
     assert t0 == 0.0
     assert isinstance(s0, PerturbationState)
+
+
+@pytest.mark.parametrize("coef, alpha", [(0.05, 1.0), (0.02, 1.5), (1.0, 0.0)])
+def test_stacked_diffusion_solve_matches_dense_oracle(coef, alpha):
+    # every y-mode block, k = 0 and Nyquist included, against a dense solve
+    # of alpha I - coef (D_zz - k^2) with Dirichlet end rows; (1, 0) is the
+    # operator of the curl projection
+    g = make_grid(5.0, 48, 0.5, 8, 1.0)
+    rng = np.random.default_rng(11)
+    n_k = g.n_y // 2 + 1
+    rhs = rng.standard_normal((g.n_z, n_k)) + 1j * rng.standard_normal((g.n_z, n_k))
+    x = _ModeDiffusionSolver(g, coef, alpha)(rhs)
+    eye = np.eye(g.n_z)
+    d_zz = (np.eye(g.n_z, k=1) - 2.0 * eye + np.eye(g.n_z, k=-1)) / g.dz**2
+    for m, k in enumerate(g.wavenumbers_y):
+        a = alpha * eye - coef * (d_zz - k**2 * eye)
+        a[[0, -1]] = eye[[0, -1]]
+        b = rhs[:, m].copy()
+        b[[0, -1]] = 0.0
+        exact = np.linalg.solve(a, b)
+        assert np.max(np.abs(x[:, m] - exact)) <= 1e-12 * np.max(np.abs(exact))
+
+
+def test_blowup_names_its_field(setup_eps0, nq_setup):
+    _, g, prof = setup_eps0
+    pert = make_initial_perturbation(g, 1e-4, seed=0)
+
+    def with_psi_at(value):
+        psi = pert.psi.values.copy()
+        psi[g.n_z // 2, 3] = value
+        return PerturbationState(phi=pert.phi, psi=ScalarField(g, psi))
+
+    with pytest.raises(IntegratorBlowup, match="non-finite values in psi at t = 0"):
+        step_nonlinear_eps0(with_psi_at(np.nan), prof, 0.05)
+
+    p, gq, profq = nq_setup
+    by = np.zeros((gq.n_z, gq.n_y))
+    by[gq.n_z // 2, 5] = np.inf
+    st = wave_state(gq, profq)
+    st = ColeHopfState(n=st.n, q=VectorField(st.q.z, ScalarField(gq, by)))
+    with pytest.raises(IntegratorBlowup, match="non-finite values in b_y at t = 0"):
+        step_nq(st, 0.01, p.eps, profile=profq)
+
+    # values that overflow inside a step reach the diffusion solve as inf/NaN
+    # and must end as a named blowup, not as an error of the banded solver
+    st = with_psi_at(1e100)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(IntegratorBlowup, match="non-finite values in phi_z"):
+            for _ in range(20):
+                st = step_nonlinear_eps0(st, prof, 0.05)

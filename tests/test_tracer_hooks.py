@@ -1,14 +1,21 @@
 """The benchmark tracer wraps names that the program looks up at call time
-(`benchmarks/traced.py`).  A refactor that renames one of them would leave
-the traced run without its per-layer metrics, so every target must resolve.
+(`benchmarks/traced.py`).  A refactor that renames one of them, or stops
+calling it, would leave the traced run without its per-layer metrics, so
+every target must resolve and the stepper must go through the counted names.
 """
 
 import importlib.util
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy.fft  # noqa: F401  (a counter target)
+import pytest
 import stripwave.cli  # noqa: F401  (imports every module the tracer patches)
+from stripwave.evolve import IntegratorConfig, run
+from stripwave.grid import make_grid
+from stripwave.transforms import make_initial_perturbation
+from stripwave.waves import WaveParams, explicit_wave_eps0, solve_wave_kpp
 
 TRACED = Path(__file__).resolve().parents[1] / "benchmarks" / "traced.py"
 
@@ -29,3 +36,32 @@ def test_tracer_hook_names_resolve(monkeypatch):
         tracer.patch(target, lambda fn: fn)  # resolve only: rebinds the same object
     assert tracer.missing == []
     assert len(targets) == len(traced.SPANS) + len(traced.COUNTERS) + 1 > 10
+
+
+@pytest.mark.parametrize("system, eps", [("nonlinear0", 0.0), ("linear_eps", 0.05),
+                                         ("nq", 0.1)])
+def test_stepper_calls_the_traced_names(monkeypatch, system, eps):
+    traced = _load_traced(monkeypatch)
+    tracer = traced.Tracer()
+
+    def wrap(target, wrapper):
+        module_name, attr = target
+        owner = sys.modules[module_name]
+        monkeypatch.setattr(owner, attr, wrapper(getattr(owner, attr)))
+
+    for key, target in traced.COUNTERS.items():
+        wrap(target, lambda fn, key=key: tracer.counter(key, fn))
+    wrap(traced.SPANS["energy.ledger_row"],
+         lambda fn: tracer.span("energy.ledger_row", fn))
+
+    params = WaveParams(eps=eps, n_minus=1.0, c_plus=1.0)
+    grid = make_grid(25.0 / params.s, 128, 0.5, 8, params.s)
+    profile = solve_wave_kpp(params, grid) if eps > 0 else explicit_wave_eps0(params, grid)
+    init = make_initial_perturbation(grid, 1e-4, seed=0, mean_zero_y=eps > 0, eps=eps)
+    run(system, init, profile, IntegratorConfig(dt=0.01, t_end=0.03))
+
+    counts = sum(tracer.counts.values(), Counter())
+    assert counts["factorizations"] >= 1
+    assert counts["solves"] >= 1
+    if system == "nonlinear0":
+        assert tracer.spans["energy.ledger_row"]["calls"] >= 1
