@@ -113,14 +113,14 @@ def _build_profile(cfg: ExperimentConfig, eps: float, lam: float):
     return solve_wave_kpp(params, grid, tol=cfg.wave["tol"])
 
 
-def _integrator(cfg: ExperimentConfig, t_end=None, record_every=None) -> IntegratorConfig:
+def _integrator(cfg: ExperimentConfig, t_end=None) -> IntegratorConfig:
     iv = cfg.integrator
     return IntegratorConfig(
         dt=iv["dt"],
         t_end=iv["t_end"] if t_end is None else t_end,
         scheme=iv["scheme"],
         cfl_safety=iv["cfl_safety"],
-        record_every=iv["record_every"] if record_every is None else record_every,
+        record_every=iv["record_every"],
         transport=iv["transport"],
         frame=iv["frame"],
         curl_projection=iv["curl_projection"],
@@ -190,9 +190,31 @@ def _experiment_wave(cfg: ExperimentConfig, outdir: Path) -> tuple[int, dict]:
     return (EXIT_PASS if ok else EXIT_THRESHOLD), {"checks": checks}
 
 
-def _blowup(rec, where: str = "") -> tuple[int, dict]:
-    print(f"blowup at t = {rec.blowup_time}{where}")
-    return EXIT_BLOWUP, {"blowup_time": rec.blowup_time}
+class _Blowup(Exception):
+    """A run blew up; args[0] is the experiment's report (exit 3)."""
+
+
+def _blowup(rec, where: str = "", **report) -> None:
+    """Print the blowup of `rec` and end the experiment on it."""
+    reason = f": {rec.blowup_reason}" if rec.blowup_reason else ""
+    print(f"blowup at t = {rec.blowup_time}{where}{reason}")
+    raise _Blowup({"blowup_time": rec.blowup_time,
+                   "blowup_reason": rec.blowup_reason, **report})
+
+
+def _run_doubled(cfg: ExperimentConfig, system: str, pert, profile, outdir: Path):
+    """Run to t_end, then again to 2 t_end; writes ledger.csv, the snapshots
+    and ledger_double.csv, and ends the experiment on the first blowup."""
+    rec = run(system, pert, profile, _integrator(cfg))
+    rec.ledger.to_csv(outdir / "ledger.csv")
+    _write_snapshots(rec, outdir)
+    if rec.blowup:
+        _blowup(rec)
+    rec2 = run(system, pert, profile, _integrator(cfg, t_end=2 * cfg.integrator["t_end"]))
+    rec2.ledger.to_csv(outdir / "ledger_double.csv")
+    if rec2.blowup:
+        _blowup(rec2, " in the doubled-horizon run")
+    return rec, rec2
 
 
 def _experiment_stability0(cfg: ExperimentConfig, outdir: Path) -> tuple[int, dict]:
@@ -200,15 +222,7 @@ def _experiment_stability0(cfg: ExperimentConfig, outdir: Path) -> tuple[int, di
     pert = make_initial_perturbation(profile.grid, cfg.init["amplitude"],
                                      cfg.init["seed"], cfg.init["mean_zero_y"])
     t_end = cfg.integrator["t_end"]
-    rec = run("nonlinear0", pert, profile, _integrator(cfg))
-    rec.ledger.to_csv(outdir / "ledger.csv")
-    _write_snapshots(rec, outdir)
-    if rec.blowup:
-        return _blowup(rec)
-    rec2 = run("nonlinear0", pert, profile, _integrator(cfg, t_end=2 * t_end))
-    rec2.ledger.to_csv(outdir / "ledger_double.csv")
-    if rec2.blowup:
-        return _blowup(rec2, " in the doubled-horizon run")
+    rec, rec2 = _run_doubled(cfg, "nonlinear0", pert, profile, outdir)
 
     led, led2 = rec.ledger, rec2.ledger
     m0 = led.M0
@@ -246,16 +260,7 @@ def _experiment_linear_eps(cfg: ExperimentConfig, outdir: Path) -> tuple[int, di
     profile = _build_profile(cfg, eps, cfg.lambda_values[0])
     pert = make_initial_perturbation(profile.grid, cfg.init["amplitude"],
                                      cfg.init["seed"], mean_zero_y=True, eps=eps)
-    t_end = cfg.integrator["t_end"]
-    rec = run("linear_eps", pert, profile, _integrator(cfg))
-    rec.ledger.to_csv(outdir / "ledger.csv")
-    _write_snapshots(rec, outdir)
-    if rec.blowup:
-        return _blowup(rec)
-    rec2 = run("linear_eps", pert, profile, _integrator(cfg, t_end=2 * t_end))
-    rec2.ledger.to_csv(outdir / "ledger_double.csv")
-    if rec2.blowup:
-        return _blowup(rec2, " in the doubled-horizon run")
+    rec, rec2 = _run_doubled(cfg, "linear_eps", pert, profile, outdir)
 
     from .transforms import perturbation_y_means
 
@@ -306,8 +311,7 @@ def _experiment_planarity(cfg: ExperimentConfig, outdir: Path) -> tuple[int, dic
                 for ti, qi in zip(t, q):
                     fh.write(f"{ti:.17g},{qi:.17g}\n")
             if rec.blowup:
-                print(f"blowup at t = {rec.blowup_time} for {tag}")
-                return EXIT_BLOWUP, {"blowup_time": rec.blowup_time, "pair": tag}
+                _blowup(rec, f" for {tag}", pair=tag)
             window = _positive_window(t, q, iv["fit_t_min"], iv["fit_t_max"])
             try:
                 c, r2 = fit_exponential_decay(t, q, window)
@@ -439,9 +443,10 @@ def _print_config_errors(problems) -> None:
 def run_experiment(cfg: ExperimentConfig) -> int:
     """Execute a validated configuration; returns the process exit code.
 
-    The manifest is written on every path: with the experiment's report, or
-    with the error of a dt above the transport limit (exit 2), of a failed
-    wave solve (exit 4) or of any other exception, a crash (exit 5).
+    The manifest is written on every path: with the experiment's report, a
+    blowup's included (exit 3), or with the error of a dt above the transport
+    limit (exit 2), of a failed wave solve (exit 4) or of any other
+    exception, a crash (exit 5).
     """
     outdir = _out_dir(cfg)
     for w in cfg.warnings:
@@ -450,6 +455,8 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     try:
         code, report = _RUNNERS[cfg.experiment](cfg, outdir)
         extra = {"report": report}
+    except _Blowup as exc:
+        code, extra = EXIT_BLOWUP, {"report": exc.args[0]}
     except ConfigError as exc:
         _print_config_errors(exc.problems)
         code, extra = EXIT_CONFIG, {"error": str(exc)}

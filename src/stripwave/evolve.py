@@ -59,10 +59,14 @@ from .waves import WaveProfile
 
 
 class IntegratorBlowup(RuntimeError):
-    """Raised when a run produces non-finite values or runaway energy."""
+    """Raised when a run produces non-finite values or runaway energy.
+
+    `reason` is the message without the time, as `run` records it.
+    """
 
     def __init__(self, message, time):
         super().__init__(f"{message} at t = {time:.6g}")
+        self.reason = message
         self.time = time
 
 
@@ -108,6 +112,7 @@ class TrajectoryRecord:
     final_deviation: object = None
     blowup: bool = False
     blowup_time: float | None = None
+    blowup_reason: str | None = None
     curl_max: float = 0.0
 
 
@@ -576,6 +581,7 @@ def run(system: str, init, profile: WaveProfile,
     except IntegratorBlowup as exc:
         record.blowup = True
         record.blowup_time = exc.time
+        record.blowup_reason = exc.reason
     record.final_state = model.state(u, t)
     record.curl_max = model.curl_max
     if system == "nq":

@@ -9,14 +9,16 @@ KPP/Fisher-type equation for W:
 with W(-inf) = W_minus = (1+eps) s^2 / N0 and W(+inf) = 0, W' < 0.
 
 For eps = 0 everything is closed-form.  For eps > 0 the heteroclinic orbit
-is integrated in the (W, W') phase plane, launched from the linearized
-unstable manifold of (W_minus, 0).  The linearization has a fast stable
-eigenvalue near -s(1+2eps)/eps, so the ODE is stiff for small eps: an
-explicit scheme pays about 1/eps steps for stability alone.  The orbit is
-therefore integrated with LSODA (Petzold 1983), which switches to BDF once
-stiffness appears, given the analytic 2x2 Jacobian.  Far tails are
-continued analytically: the unstable-manifold linearization on the left, a
-pure e^{-s z} decay on the right.  The companion is P = -C'/C = -(W'/W + s), which satisfies
+is integrated in the (W, W') phase plane, launched at delta = 1e-6 W_minus
+on the second-order expansion of the unstable manifold of (W_minus, 0),
+W = W_minus - delta e^{mu z} + c2 delta^2 e^{2 mu z}.  The linearization
+has a fast stable eigenvalue near -s(1+2eps)/eps, so the ODE is stiff for
+small eps: an explicit scheme pays about 1/eps steps for stability alone.
+The orbit is therefore integrated with LSODA (Petzold 1983), which switches
+to BDF once stiffness appears, given the analytic 2x2 Jacobian.  Far tails
+are continued analytically: the same manifold expansion on the left, a pure
+e^{-s z} decay on the right.  The companion is P = -C'/C = -(W'/W + s),
+which satisfies
 
     -s N' - N''          = (N P)'
     -s P' - eps P''      = -2 eps P P' + N'
@@ -151,46 +153,27 @@ class _Lsoda(LSODA):
         return ok, msg
 
 
-def _smoothstep(x: np.ndarray) -> np.ndarray:
-    """C^2 quintic ramp on [0, 1]."""
-    x = np.clip(x, 0.0, 1.0)
-    return x**3 * (10.0 - 15.0 * x + 6.0 * x**2)
-
-
-def _smoothstep_d1(x):
-    inside = (x > 0.0) & (x < 1.0)
-    out = np.zeros_like(x)
-    xi = x[inside]
-    out[inside] = 30.0 * xi**2 - 60.0 * xi**3 + 30.0 * xi**4
-    return out
-
-
-def _smoothstep_d2(x):
-    inside = (x > 0.0) & (x < 1.0)
-    out = np.zeros_like(x)
-    xi = x[inside]
-    out[inside] = 60.0 * xi - 180.0 * xi**2 + 120.0 * xi**3
-    return out
-
-
 class _KppOrbit:
     """Heteroclinic orbit of the W phase plane with analytic tail continuation.
 
     Coordinates: xi measured from the manifold launch point.  Regions:
-      xi <= lo   : W = W- - delta e^{mu xi}        (unstable manifold)
-      lo..hi     : C^2 blend of manifold and dense ODE solution
-      hi..xi_end : dense ODE solution
+      xi < 2h    : W = W- - delta e^{mu xi} + c2 delta^2 e^{2 mu xi}
+                   (second-order unstable manifold, also the launch point)
+      2h..xi_end : dense ODE solution
       xi > xi_end: W = W_end e^{-s (xi - xi_end)}  (slow stable direction)
+    h is the step of the finite-difference W'' in `_dense`; from 2h on its
+    stencil lies inside the integration span.
     """
 
-    LAUNCH_OFFSET = 1.0e-8   # delta / W-
-    SWITCH_LEVEL = 1.0e-5    # manifold-to-dense handover at (W- - W)/W- = this
+    LAUNCH_OFFSET = 1.0e-6   # delta / W-
 
     def __init__(self, params: WaveParams, tol: float, span: float):
         eps, s, N0 = params.eps, params.s, params.N0
         wm = params.w_minus
         mu = left_tail_rate(s, eps)
         delta = self.LAUNCH_OFFSET * wm
+        # delta^2 e^{2 mu xi} term of W- - W; tends to 1/W- (closed form) as eps -> 0
+        c2 = N0 / (4.0 * eps * mu**2 + 2.0 * s * (1.0 + 2.0 * eps) * mu - (1.0 + eps) * s**2)
 
         def rhs(_, u):
             w, v = u
@@ -209,11 +192,16 @@ class _KppOrbit:
         hit_floor.terminal = True
         hit_floor.direction = -1.0
 
+        self.params = params
+        self.mu = mu
+        self.delta = delta
+        self.c2 = c2
+        self.wm = wm
         # near-zero atol: the right tail decays through ~16 decades and must
         # keep relative accuracy for monotone sampling down to the floor
-        u0 = (wm - delta, -delta * mu)
+        w0, v0, _ = self._tail_left(0.0)
         sol = solve_ivp(
-            rhs, (0.0, span), u0, method=_Lsoda, jac=jac,
+            rhs, (0.0, span), (w0, v0), method=_Lsoda, jac=jac,
             rtol=tol, atol=wm * 1e-300, dense_output=True, events=hit_floor)
         if not sol.success:
             raise WaveSolveError(f"phase-plane integration failed: {sol.message}",
@@ -224,32 +212,28 @@ class _KppOrbit:
                 "orbit left [0, W-]; integrator failure",
                 {"w_min": float(wvals.min()), "w_max": float(wvals.max()), "w_minus": wm})
 
-        self.params = params
-        self.mu = mu
-        self.delta = delta
-        self.wm = wm
         self.sol = sol
         self.xi_end = float(sol.t[-1])
-        self.w_end, self.v_end = (float(x) for x in sol.sol(self.xi_end))
-        # blend window around the handover level, half-width 2/mu
-        self.xi_switch = math.log(self.SWITCH_LEVEL / self.LAUNCH_OFFSET) / mu
-        self.h_blend = 2.0 / mu
+        self.w_end = float(sol.sol(self.xi_end)[0])
+        self.h = min(1e-2, self.xi_end / 50.0)
 
     # -- branch evaluators (W, W', W'') -------------------------------------
 
     def _tail_left(self, xi):
-        e = self.delta * np.exp(self.mu * np.minimum(xi, self.xi_switch + 2 * self.h_blend))
-        return self.wm - e, -self.mu * e, -self.mu**2 * e
+        mu = self.mu
+        e = self.delta * np.exp(mu * xi)
+        e2 = self.c2 * e**2
+        return self.wm - e + e2, mu * (2.0 * e2 - e), mu**2 * (4.0 * e2 - e)
 
     def _dense(self, xi):
-        xi = np.clip(xi, 0.0, self.xi_end)
         w, v = self.sol.sol(xi)
-        # second derivative from a 4th-order difference of the dense W'
-        h = min(1e-2, self.xi_end / 50.0)
+        # second derivative from a 4th-order difference of the dense W'.  The
+        # stencil is clipped to [0, xi_end], which spoils W'' within 2h of
+        # either end (at xi = 0 it comes out halved): evaluate calls this only
+        # from 2h on, and near xi_end W'' is ~1e-16 W-, below any gate
+        h = self.h
         pts = [np.clip(xi + k * h, 0.0, self.xi_end) for k in (-2, -1, 1, 2)]
         vm2, vm1, vp1, vp2 = (self.sol.sol(p)[1] for p in pts)
-        # non-uniform offsets at the clipped ends degrade gracefully; interior
-        # nodes always sit well inside the integration span in practice
         wpp = (vm2 - 8.0 * vm1 + 8.0 * vp1 - vp2) / (12.0 * h)
         return w, v, wpp
 
@@ -259,37 +243,18 @@ class _KppOrbit:
         return e, -s * e, s**2 * e
 
     def evaluate(self, xi: np.ndarray):
-        """Piecewise (W, W', W'') with a C^2 blend at the manifold handover."""
+        """Piecewise (W, W', W''): manifold, dense orbit, right tail."""
         xi = np.asarray(xi, dtype=float)
         W = np.empty_like(xi)
         Wp = np.empty_like(xi)
         Wpp = np.empty_like(xi)
-
-        lo = self.xi_switch - self.h_blend
-        hi = self.xi_switch + self.h_blend
-
-        m_tail = xi <= lo
-        m_blend = (xi > lo) & (xi < hi)
-        m_dense = (xi >= hi) & (xi <= self.xi_end)
+        m_left = xi < 2.0 * self.h
         m_right = xi > self.xi_end
-
-        if np.any(m_tail):
-            W[m_tail], Wp[m_tail], Wpp[m_tail] = self._tail_left(xi[m_tail])
-        if np.any(m_dense):
-            W[m_dense], Wp[m_dense], Wpp[m_dense] = self._dense(xi[m_dense])
-        if np.any(m_right):
-            W[m_right], Wp[m_right], Wpp[m_right] = self._tail_right(xi[m_right])
-        if np.any(m_blend):
-            xb = xi[m_blend]
-            t = (xb - lo) / (hi - lo)
-            th, thp, thpp = _smoothstep(t), _smoothstep_d1(t) / (hi - lo), \
-                _smoothstep_d2(t) / (hi - lo) ** 2
-            wa, va, ppa = self._tail_left(xb)
-            wb, vb, ppb = self._dense(xb)
-            W[m_blend] = (1 - th) * wa + th * wb
-            Wp[m_blend] = (1 - th) * va + th * vb + thp * (wb - wa)
-            Wpp[m_blend] = ((1 - th) * ppa + th * ppb
-                            + 2.0 * thp * (vb - va) + thpp * (wb - wa))
+        m_dense = ~(m_left | m_right)
+        for mask, branch in ((m_left, self._tail_left), (m_dense, self._dense),
+                             (m_right, self._tail_right)):
+            if np.any(mask):
+                W[mask], Wp[mask], Wpp[mask] = branch(xi[mask])
         return W, Wp, Wpp
 
     def front_center(self) -> float:
@@ -317,8 +282,8 @@ def _fit_log_slope(z: np.ndarray, vals: np.ndarray) -> float:
 def solve_wave_kpp(params: WaveParams, grid: Grid, tol: float = 1e-10) -> WaveProfile:
     """Construct the eps > 0 profile by phase-plane integration.
 
-    The orbit is launched from the linearized unstable manifold of (W-, 0)
-    with offset delta = 1e-8 W- along (1, mu_left), integrated with LSODA
+    The orbit is launched on the second-order unstable manifold of (W-, 0)
+    at offset delta = 1e-6 W- (launch error O(delta^3)), integrated with LSODA
     and the analytic Jacobian at relative tolerance tol (stiff-aware: the
     cost stays bounded as eps -> 0, where an explicit scheme's grows like
     1/eps), then translated so that N(0) = N(-L_z)/2 (front centering).  Returns N = N0 W, P = -(W'/W + s),

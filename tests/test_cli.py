@@ -348,6 +348,28 @@ def test_doubled_horizon_blowup_exit_code(tmp_path, monkeypatch, capsys, command
     assert manifest["report"]["blowup_time"] == 1.5
 
 
+def test_blowup_reason_reaches_stdout_and_manifest(tmp_path, monkeypatch, capsys):
+    real_run = stripwave.cli.run
+
+    def guard_trips(*args, **kwargs):
+        rec = real_run(*args, **kwargs)
+        rec.blowup, rec.blowup_time = True, 0.5
+        rec.blowup_reason = "transverse energy exceeded 1e+06 x Q0"
+        return rec
+
+    monkeypatch.setattr(stripwave.cli, "run", guard_trips)
+    monkeypatch.setenv("STRIPWAVE_OUTPUT_ROOT", str(tmp_path))
+    args = ["planarity"]
+    for o in ("grid.n_z=128", "grid.n_y=4", "wave.eps=0.1", "integrator.t_end=2"):
+        args += ["--set", o]
+    assert main(args) == 3
+    assert ("blowup at t = 0.5 for eps0.1_lam0.5: transverse energy exceeded "
+            "1e+06 x Q0") in capsys.readouterr().out
+    report = json.loads((tmp_path / "out" / "manifest.json").read_text())["report"]
+    assert report == {"blowup_time": 0.5, "pair": "eps0.1_lam0.5",
+                      "blowup_reason": "transverse energy exceeded 1e+06 x Q0"}
+
+
 @pytest.mark.parametrize("command, overrides, message", [
     ("planarity", ["wave.eps=0.1,0"],
      "wave.eps must be positive for experiment 'planarity', got 0.0"),

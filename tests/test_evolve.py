@@ -378,6 +378,29 @@ def test_blowup_detection_partial_record(setup_eps0):
     assert len(rec.ledger.rows) >= 1
 
 
+def test_blowup_record_keeps_its_reason(setup_eps0):
+    _, g, prof = setup_eps0
+    pert = make_initial_perturbation(g, 1e-4, seed=0)
+    rec = run("nonlinear0", pert, prof,
+              IntegratorConfig(dt=0.05, t_end=1.0, blowup_factor=1e-12))
+    assert rec.blowup_reason == "energy exceeded 1e-12 x M0"
+
+    # a 1e100 spike in psi overflows inside the first steps; the energy
+    # guard is out of reach, so the record names the first non-finite field
+    psi = pert.psi.values.copy()
+    psi[g.n_z // 2, 3] = 1e100
+    spiked = PerturbationState(phi=pert.phi, psi=ScalarField(g, psi))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        rec = run("nonlinear0", spiked, prof,
+                  IntegratorConfig(dt=0.05, t_end=1.0, blowup_factor=1e300))
+    assert rec.blowup and rec.blowup_time == pytest.approx(0.2)
+    assert rec.blowup_reason == "non-finite values in phi_z"
+
+    rec = run("nonlinear0", pert, prof, IntegratorConfig(dt=0.05, t_end=0.1))
+    assert not rec.blowup and rec.blowup_reason is None
+
+
 def test_unknown_system_rejected(setup_eps0):
     _, g, prof = setup_eps0
     with pytest.raises(ValueError, match="unknown system"):

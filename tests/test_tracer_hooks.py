@@ -65,3 +65,18 @@ def test_stepper_calls_the_traced_names(monkeypatch, system, eps):
     assert counts["solves"] >= 1
     if system == "nonlinear0":
         assert tracer.spans["energy.ledger_row"]["calls"] >= 1
+
+
+def test_kpp_solve_calls_the_traced_name(monkeypatch):
+    traced = _load_traced(monkeypatch)
+    tracer = traced.Tracer()
+    module_name, attr = traced.KPP_SOLVER
+    owner = sys.modules[module_name]
+    monkeypatch.setattr(owner, attr, tracer.kpp_solver(getattr(owner, attr)))
+
+    params = WaveParams(eps=0.1, n_minus=1.0, c_plus=1.0)
+    profile = solve_wave_kpp(params, make_grid(25.0 / params.s, 128, 0.5, 8, params.s))
+
+    assert tracer.kpp["calls"] == 1
+    assert tracer.kpp["steps"] == profile.diagnostics["nsteps"]
+    assert tracer.kpp["nfev"] > 0 and tracer.kpp["njev"] > 0

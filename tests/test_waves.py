@@ -9,6 +9,7 @@ from stripwave.waves import (
     WaveError,
     WaveParams,
     WaveSolveError,
+    _KppOrbit,
     check_wave_identities,
     explicit_wave_eps0,
     left_tail_rate,
@@ -166,6 +167,47 @@ def test_kpp_gates_hold_at_small_eps():
     mu = left_tail_rate(p.s, eps)
     assert abs(d["fitted_left_rate"] - mu) / mu < 0.02
     assert np.all(np.diff(prof.N) < 0)
+
+
+def test_kpp_gates_hold_at_small_eps_default_tol():
+    # the same gates at the default tol 1e-10
+    eps = 1e-3
+    p = WaveParams(eps=eps, n_minus=1.0, c_plus=1.0)
+    prof = solve_wave_kpp(p, make_grid(25.0, 1024, 0.5, 16, p.s))
+    d = prof.diagnostics
+    assert d["tol"] == 1e-10
+    assert d["ode_residual_max"] < 1e-4
+    assert abs(d["fitted_right_rate"] + p.s) / p.s < 0.02
+    mu = left_tail_rate(p.s, eps)
+    assert abs(d["fitted_left_rate"] - mu) / mu < 0.02
+    assert np.all(np.diff(prof.N) < 0)
+
+
+def _orbit(eps):
+    p = WaveParams(eps=eps, n_minus=1.0, c_plus=1.0)
+    return p, _KppOrbit(p, 1e-10, span=200.0 / p.s)
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.01, 1e-3])
+def test_kpp_orbit_residual_across_every_branch(eps):
+    # one fine sweep through the manifold, the launch, the handover at 2h,
+    # the dense orbit and the right tail: no branch or seam may exceed the
+    # benchmark's 2e-9 residual gate
+    _, orbit = _orbit(eps)
+    xi = np.arange(-5.0, orbit.xi_end + 5.0, 1e-4)
+    assert xi[0] < 0.0 < 2.0 * orbit.h < orbit.xi_end < xi[-1]
+    assert np.max(np.abs(orbit.ode_residual(xi))) < 2e-9
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.01, 1e-3])
+def test_kpp_manifold_branch_is_second_order(eps):
+    # the left branch alone, where evaluate uses it; without the c2 delta^2
+    # term its defect is N0 delta^2 ~ 1e-12
+    p, orbit = _orbit(eps)
+    xi = np.arange(-5.0, 2.0 * orbit.h, 1e-4)
+    W, Wp, Wpp = orbit._tail_left(xi)
+    res = eps * Wpp + p.s * (1 + 2 * eps) * Wp + (1 + eps) * p.s**2 * W - p.N0 * W**2
+    assert np.max(np.abs(res)) < 1e-14
 
 
 @pytest.mark.parametrize("eps", [1e-2, 1e-3])
