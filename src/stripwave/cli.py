@@ -3,18 +3,21 @@
 Subcommands:
 
   wave        construct a profile and report its identity residuals
-  evolve      nonlinear zero-diffusion stability run (+ doubled horizon)
-  linear      linearized run with chemical diffusion, mean-zero data
+  evolve      nonlinear zero-diffusion stability run to t_end and, in the
+              same time loop, on to the doubled horizon 2 t_end
+  linear      linearized run with chemical diffusion, mean-zero data,
+              doubled the same way
   planarity   transverse-energy decay of the (n, q) system over an
               (eps, lambda) sweep
   convergence grid/time refinement slope table
 
-Every run writes a manifest (config echo, version, wall clock, exit code)
-next to its artifacts, with the error text when it stopped on one.  Exit
-codes: 0 pass, 1 acceptance-threshold failure, 2 usage or configuration
-error (a dt above the transport limit included), 3 runtime blowup, the
-doubled-horizon run included (partial artifacts retained), 4 the KPP wave
-solve failed, 5 an unexpected internal error (traceback on stderr).
+Every run writes a manifest (config echo, version, wall clock, exit code,
+and the steps and ledger rows of each time loop under `counters`) next to
+its artifacts, with the error text when it stopped on one.  Exit codes:
+0 pass, 1 acceptance-threshold failure, 2 usage or configuration error (a
+dt above the transport limit included), 3 runtime blowup, one past t_end on
+the way to the doubled horizon included (partial artifacts retained), 4 the
+KPP wave solve failed, 5 an unexpected internal error (traceback on stderr).
 
 The output directory resolves relative to $STRIPWAVE_OUTPUT_ROOT when set.
 """
@@ -85,13 +88,14 @@ def _out_dir(cfg: ExperimentConfig) -> Path:
 
 
 def _write_manifest(outdir: Path, cfg: ExperimentConfig, wall: float,
-                    exit_code: int, extra: dict) -> None:
+                    exit_code: int, counters: list, extra: dict) -> None:
     manifest = {
         "experiment": cfg.experiment,
         "version": __version__,
         "wall_clock_s": wall,
         "exit_code": exit_code,
         "config": serialize_config(cfg),
+        "counters": counters,
         **extra,
     }
     _json_dump(manifest, outdir / "manifest.json")
@@ -143,7 +147,8 @@ def _print_report(title: str, checks: dict) -> bool:
 # Experiments
 # ---------------------------------------------------------------------------
 
-def _experiment_wave(cfg: ExperimentConfig, outdir: Path) -> tuple[int, dict]:
+def _experiment_wave(cfg: ExperimentConfig, outdir: Path,
+                     counters: list) -> tuple[int, dict]:
     eps = cfg.eps_values[0]
     lam = cfg.lambda_values[0]
     profile = _build_profile(cfg, eps, lam)
@@ -202,27 +207,40 @@ def _blowup(rec, where: str = "", **report) -> None:
                    "blowup_reason": rec.blowup_reason, **report})
 
 
-def _run_doubled(cfg: ExperimentConfig, system: str, pert, profile, outdir: Path):
-    """Run to t_end, then again to 2 t_end; writes ledger.csv, the snapshots
-    and ledger_double.csv, and ends the experiment on the first blowup."""
-    rec = run(system, pert, profile, _integrator(cfg))
+def _counted(counters: list, rec, **labels):
+    """Note the steps and ledger rows of one `run` call for the manifest."""
+    counters.append({"system": rec.system, "dt": rec.config.dt,
+                     "t_end": rec.config.t_end, "steps": rec.steps, "rows": rec.rows,
+                     **labels})
+    return rec
+
+
+def _run_doubled(cfg: ExperimentConfig, system: str, pert, profile, outdir: Path,
+                 counters: list):
+    """One time loop to 2 t_end whose head record stops at t_end; writes
+    ledger.csv and the snapshots from the head, then ledger_double.csv, and
+    ends the experiment on the first blowup, the head's before the rest."""
+    t_end = cfg.integrator["t_end"]
+    rec2 = _counted(counters, run(system, pert, profile,
+                                  _integrator(cfg, t_end=2 * t_end), head=t_end))
+    rec = rec2.head
     rec.ledger.to_csv(outdir / "ledger.csv")
     _write_snapshots(rec, outdir)
     if rec.blowup:
         _blowup(rec)
-    rec2 = run(system, pert, profile, _integrator(cfg, t_end=2 * cfg.integrator["t_end"]))
     rec2.ledger.to_csv(outdir / "ledger_double.csv")
     if rec2.blowup:
         _blowup(rec2, " in the doubled-horizon run")
     return rec, rec2
 
 
-def _experiment_stability0(cfg: ExperimentConfig, outdir: Path) -> tuple[int, dict]:
+def _experiment_stability0(cfg: ExperimentConfig, outdir: Path,
+                           counters: list) -> tuple[int, dict]:
     profile = _build_profile(cfg, 0.0, cfg.lambda_values[0])
     pert = make_initial_perturbation(profile.grid, cfg.init["amplitude"],
                                      cfg.init["seed"], cfg.init["mean_zero_y"])
     t_end = cfg.integrator["t_end"]
-    rec, rec2 = _run_doubled(cfg, "nonlinear0", pert, profile, outdir)
+    rec, rec2 = _run_doubled(cfg, "nonlinear0", pert, profile, outdir, counters)
 
     led, led2 = rec.ledger, rec2.ledger
     m0 = led.M0
@@ -255,12 +273,13 @@ def _experiment_stability0(cfg: ExperimentConfig, outdir: Path) -> tuple[int, di
     return (EXIT_PASS if ok else EXIT_THRESHOLD), summary
 
 
-def _experiment_linear_eps(cfg: ExperimentConfig, outdir: Path) -> tuple[int, dict]:
+def _experiment_linear_eps(cfg: ExperimentConfig, outdir: Path,
+                           counters: list) -> tuple[int, dict]:
     eps = cfg.eps_values[0]
     profile = _build_profile(cfg, eps, cfg.lambda_values[0])
     pert = make_initial_perturbation(profile.grid, cfg.init["amplitude"],
                                      cfg.init["seed"], mean_zero_y=True, eps=eps)
-    rec, rec2 = _run_doubled(cfg, "linear_eps", pert, profile, outdir)
+    rec, rec2 = _run_doubled(cfg, "linear_eps", pert, profile, outdir, counters)
 
     from .transforms import perturbation_y_means
 
@@ -293,7 +312,8 @@ def _positive_window(times, values, lo, hi):
     return lo, float(min(hi, times[ok][-1]))
 
 
-def _experiment_planarity(cfg: ExperimentConfig, outdir: Path) -> tuple[int, dict]:
+def _experiment_planarity(cfg: ExperimentConfig, outdir: Path,
+                          counters: list) -> tuple[int, dict]:
     results = []
     iv = cfg.integrator
     for eps in cfg.eps_values:
@@ -302,8 +322,8 @@ def _experiment_planarity(cfg: ExperimentConfig, outdir: Path) -> tuple[int, dic
             pert = make_initial_perturbation(
                 profile.grid, cfg.init["amplitude"], cfg.init["seed"],
                 mean_zero_y=True, eps=eps)
-            rec = run("nq", pert, profile, _integrator(cfg))
             tag = f"eps{eps:g}_lam{lam:g}"
+            rec = _counted(counters, run("nq", pert, profile, _integrator(cfg)), pair=tag)
             t = np.asarray(rec.times)
             q = rec.ledger.column("Q")
             with open(outdir / f"q_decay_{tag}.csv", "w", encoding="utf-8") as fh:
@@ -348,7 +368,8 @@ def _experiment_planarity(cfg: ExperimentConfig, outdir: Path) -> tuple[int, dic
     return (EXIT_PASS if ok else EXIT_THRESHOLD), summary
 
 
-def _experiment_convergence(cfg: ExperimentConfig, outdir: Path) -> tuple[int, dict]:
+def _experiment_convergence(cfg: ExperimentConfig, outdir: Path,
+                            counters: list) -> tuple[int, dict]:
     from .grid import field_from_function, laplacian
     from .transforms import PhysicalState, cole_hopf_forward, cole_hopf_inverse
 
@@ -393,7 +414,7 @@ def _experiment_convergence(cfg: ExperimentConfig, outdir: Path) -> tuple[int, d
     def final(dt, scheme, transport):
         c = IntegratorConfig(dt=dt, t_end=0.4, scheme=scheme,
                              record_every=10**9, transport=transport)
-        f = run("nonlinear0", pert, prof, c).final_state
+        f = _counted(counters, run("nonlinear0", pert, prof, c)).final_state
         return np.concatenate([f.phi.z.values.ravel(), f.phi.y.values.ravel(),
                                f.psi.values.ravel()])
 
@@ -452,8 +473,9 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     for w in cfg.warnings:
         print(f"warning: {w}")
     start = time.time()
+    counters = []  # steps and ledger rows of each `run` call
     try:
-        code, report = _RUNNERS[cfg.experiment](cfg, outdir)
+        code, report = _RUNNERS[cfg.experiment](cfg, outdir, counters)
         extra = {"report": report}
     except _Blowup as exc:
         code, extra = EXIT_BLOWUP, {"report": exc.args[0]}
@@ -467,7 +489,7 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     except Exception as exc:  # a crash, kept apart from a threshold verdict
         traceback.print_exc()
         code, extra = EXIT_INTERNAL, {"error": f"{type(exc).__name__}: {exc}"}
-    _write_manifest(outdir, cfg, time.time() - start, code, extra)
+    _write_manifest(outdir, cfg, time.time() - start, code, counters, extra)
     return code
 
 

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import cho_solve_banded, cholesky_banded
@@ -101,7 +101,13 @@ class IntegratorConfig:
 
 @dataclass
 class TrajectoryRecord:
-    """Recorded times, energy ledger, and optional snapshots of one run."""
+    """Recorded times, energy ledger, and optional snapshots of one run.
+
+    `head` is the record to an earlier horizon that `run(..., head=T)`
+    fills in the same time loop, equal to the record of a separate run to
+    T.  `steps` and `rows` count the steps the loop had taken and the
+    ledger rows it had computed when this record closed.
+    """
 
     system: str
     config: IntegratorConfig
@@ -114,6 +120,9 @@ class TrajectoryRecord:
     blowup_time: float | None = None
     blowup_reason: str | None = None
     curl_max: float = 0.0
+    head: TrajectoryRecord | None = None
+    steps: int = 0
+    rows: int = 0
 
 
 class _ModeDiffusionSolver:
@@ -243,7 +252,7 @@ class _PerturbationSystem:
 
     names = ("phi_z", "phi_y", "psi")
     guard = ("M_inst", "energy exceeded {:g} x M0")
-    curl_max = 0.0
+    curl = 0.0
 
     def __init__(self, profile: WaveProfile, transport: str, linear: bool):
         eps = profile.params.eps
@@ -401,7 +410,7 @@ class _NqSystem:
         # factors (k^2 - d_zz) for the Helmholtz projection
         self.projector = (_ModeDiffusionSolver(self.g, 1.0, alpha=0.0)
                           if curl_projection else None)
-        self.curl_max = 0.0
+        self.curl = 0.0  # of the last ledger row
         self._warned = False
 
     def arrays(self, state) -> tuple:
@@ -482,7 +491,7 @@ class _NqSystem:
         mass = float(g.trapz_weights @ a[:, 0].real) * g.lam + 0.0
 
         curl = float(np.max(np.abs(y_values(self.ik * bz - ddz_array(by, g.dz), g))))
-        self.curl_max = max(self.curl_max, curl)
+        self.curl = curl
         if curl > 1e-4 and not self._warned:
             warnings.warn(f"curl drift reached {curl:.3g}; enable curl_projection "
                           "to re-gauge", stacklevel=3)
@@ -530,8 +539,8 @@ def _validate_cfl(config: IntegratorConfig, profile: WaveProfile):
             f"dt <= cfl_safety * dz / v_max = {limit:.4g}"])
 
 
-def run(system: str, init, profile: WaveProfile,
-        config: IntegratorConfig) -> TrajectoryRecord:
+def run(system: str, init, profile: WaveProfile, config: IntegratorConfig,
+        head: float | None = None) -> TrajectoryRecord:
     """Advance one system to t_end, recording the energy ledger.
 
     Records at steps {0, record_every, 2*record_every, ...} and always at
@@ -539,9 +548,18 @@ def run(system: str, init, profile: WaveProfile,
     for nq the transverse energy Q, above blowup_factor times its initial
     value), returning the partial record with the blowup flag set.
     Non-finite initial data raise IntegratorBlowup before any step.
+
+    With head = T (0 <= T <= t_end) the same loop also fills `record.head`,
+    bitwise the record of a separate run to T: every ledger row is computed
+    once and appended to each record that asks for it, the head's final
+    row included when T lies off the record_every grid.  Each record's
+    blowup guard reads only its own rows, so a blowup at t <= T marks
+    both records and one after T only the returned one.
     """
     if system not in SYSTEMS:
         raise ValueError(f"unknown system {system!r}; expected one of {SYSTEMS}")
+    if head is not None and not 0.0 <= head <= config.t_end:
+        raise ValueError(f"head = {head} must lie in [0, t_end = {config.t_end}]")
     _validate_cfl(config, profile)
     if system == "nq":
         model = _NqSystem(profile, profile.params.eps, frame=config.frame,
@@ -553,37 +571,61 @@ def run(system: str, init, profile: WaveProfile,
             _warn_if_biased(init)
     core = _ImexCore(model, config.dt, config.scheme)
     record = TrajectoryRecord(system=system, config=config)
-    n_steps = _steps_for(config)
+    # (record, last step) of every record that close() has not yet finished
+    open_records = [(record, _steps_for(config))]
+    if head is not None:
+        record.head = TrajectoryRecord(system=system, config=replace(config, t_end=head))
+        open_records.append((record.head, _steps_for(record.head.config)))
     guard, guard_text = model.guard
+    rows = 0
 
-    def record_row(u, t):
+    def record_row(due):
+        nonlocal rows
         row = model.row(u, t)
-        record.ledger.append(row)
-        record.times.append(t)
-        # snapshot every snapshot_every-th recorded row
-        if config.snapshot_every and (len(record.times) - 1) % config.snapshot_every == 0:
-            record.snapshots.append((t, model.state(u, t)))
+        rows += 1
+        snapshot = None
+        for rec in due:
+            rec.ledger.append(row)
+            rec.times.append(t)
+            rec.curl_max = max(rec.curl_max, model.curl)
+            # snapshot every snapshot_every-th recorded row
+            if config.snapshot_every and (len(rec.times) - 1) % config.snapshot_every == 0:
+                snapshot = snapshot or (t, model.state(u, t))
+                rec.snapshots.append(snapshot)
         return getattr(row, guard)
+
+    def close(rec, reason=None):
+        if reason is not None:
+            rec.blowup, rec.blowup_time, rec.blowup_reason = True, t, reason
+        rec.final_state = model.state(u, t)
+        if system == "nq":
+            rec.final_deviation = _NqDeviation.from_modes(u, profile.grid, t)
+        rec.steps, rec.rows = i, rows
 
     u = model.arrays(init)
     t = 0.0
     _check_finite(model, u, t)
-    level0 = record_row(u, t)
     try:
-        for i in range(1, n_steps + 1):
-            u = core.step(u)
-            t = i * config.dt
-            _check_finite(model, u, t)
-            if i % config.record_every == 0 or i == n_steps:
-                level = record_row(u, t)
-                if level0 > 0 and level > config.blowup_factor * level0:
-                    raise IntegratorBlowup(guard_text.format(config.blowup_factor), t)
+        for i in range(max(n for _, n in open_records) + 1):
+            if i:
+                u = core.step(u)
+                t = i * config.dt
+                _check_finite(model, u, t)
+            due = [rec for rec, n in open_records if i % config.record_every == 0 or i == n]
+            if due:
+                level = record_row(due)
+                if i == 0:
+                    level0 = level
+                elif level0 > 0 and level > config.blowup_factor * level0:
+                    for rec in due:
+                        close(rec, guard_text.format(config.blowup_factor))
+            for rec, n in open_records:
+                if i == n and rec.final_state is None:
+                    close(rec)
+            open_records = [(rec, n) for rec, n in open_records if rec.final_state is None]
+            if not open_records:
+                break
     except IntegratorBlowup as exc:
-        record.blowup = True
-        record.blowup_time = exc.time
-        record.blowup_reason = exc.reason
-    record.final_state = model.state(u, t)
-    record.curl_max = model.curl_max
-    if system == "nq":
-        record.final_deviation = _NqDeviation.from_modes(u, profile.grid, t)
+        for rec, _ in open_records:
+            close(rec, exc.reason)
     return record

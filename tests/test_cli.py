@@ -317,35 +317,92 @@ def test_wave_solve_failure_exit_code(tmp_path, monkeypatch, capsys):
     assert manifest["error_context"] == [{"eps": 0.1}]
 
 
-@pytest.mark.parametrize("command, overrides", [
-    ("evolve", []),
-    ("linear", ["wave.eps=0.1", "init.mean_zero_y=true"]),
-])
-def test_doubled_horizon_blowup_exit_code(tmp_path, monkeypatch, capsys, command,
-                                          overrides):
+def _run_blowing_up_at(monkeypatch, blowup_time):
+    """Patch the CLI's one `run` call so that every record it returns whose
+    horizon reaches blowup_time is marked as blown up there."""
     real_run = stripwave.cli.run
     records = []
 
-    def second_run_blows_up(*args, **kwargs):
+    def blows_up(*args, **kwargs):
         rec = real_run(*args, **kwargs)
         records.append(rec)
-        if len(records) == 2:
-            rec.blowup, rec.blowup_time = True, 1.5
+        for r in (rec, rec.head):
+            if r.config.t_end >= blowup_time:
+                r.blowup, r.blowup_time = True, blowup_time
         return rec
 
-    monkeypatch.setattr(stripwave.cli, "run", second_run_blows_up)
+    monkeypatch.setattr(stripwave.cli, "run", blows_up)
+    return records
+
+
+def _doubled_args(tmp_path, command, overrides):
     cfgfile = tmp_path / "cfg.ini"
     cfgfile.write_text(STABILITY_CFG.format(out=tmp_path / "run"))
     args = [command, "--config", str(cfgfile)]
     for o in overrides:
         args += ["--set", o]
-    assert main(args) == 3
-    assert len(records) == 2
+    return args
+
+
+DOUBLED_COMMANDS = [
+    ("evolve", []),
+    ("linear", ["wave.eps=0.1", "init.mean_zero_y=true"]),
+]
+
+
+@pytest.mark.parametrize("command, overrides", DOUBLED_COMMANDS)
+def test_doubled_horizon_blowup_exit_code(tmp_path, monkeypatch, capsys, command,
+                                          overrides):
+    # t = 1.5 lies past t_end = 1: only the doubled-horizon record blows up
+    records = _run_blowing_up_at(monkeypatch, 1.5)
+    assert main(_doubled_args(tmp_path, command, overrides)) == 3
+    assert len(records) == 1 and not records[0].head.blowup
     assert "blowup at t = 1.5 in the doubled-horizon run" in capsys.readouterr().out
     assert (tmp_path / "run" / "ledger_double.csv").exists()
     manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
     assert manifest["exit_code"] == 3
     assert manifest["report"]["blowup_time"] == 1.5
+
+
+@pytest.mark.parametrize("command, overrides", DOUBLED_COMMANDS)
+def test_blowup_before_t_end_skips_the_doubled_ledger(tmp_path, monkeypatch, capsys,
+                                                       command, overrides):
+    _run_blowing_up_at(monkeypatch, 0.5)
+    assert main(_doubled_args(tmp_path, command, overrides)) == 3
+    out = capsys.readouterr().out
+    assert "blowup at t = 0.5" in out and "doubled-horizon" not in out
+    assert (tmp_path / "run" / "ledger.csv").exists()
+    assert not (tmp_path / "run" / "ledger_double.csv").exists()
+    manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    assert manifest["exit_code"] == 3
+    assert manifest["report"]["blowup_time"] == 0.5
+
+
+def test_manifest_counts_steps_and_rows_per_run_call(tmp_path, monkeypatch):
+    cfgfile = tmp_path / "stab.ini"
+    cfgfile.write_text(STABILITY_CFG.format(out=tmp_path / "ev"))
+    assert main(["evolve", "--config", str(cfgfile)]) == 0
+    manifest = json.loads((tmp_path / "ev" / "manifest.json").read_text())
+    # one loop to 2 t_end = 2: 40 steps, rows at every 4th step from 0
+    assert manifest["counters"] == [{"system": "nonlinear0", "dt": 0.05, "t_end": 2.0,
+                                     "steps": 40, "rows": 11}]
+    assert manifest["config"] == serialize_config(
+        validate_config(cfgfile.read_text(), "stability0"))
+
+    monkeypatch.setenv("STRIPWAVE_OUTPUT_ROOT", str(tmp_path))
+    args = ["planarity"]
+    for o in ("grid.n_z=128", "grid.n_y=4", "wave.eps=0.1", "grid.lambda=0.5,0.25",
+              "integrator.t_end=2", "output.directory=pl"):
+        args += ["--set", o]
+    assert main(args) == 0
+    counters = json.loads((tmp_path / "pl" / "manifest.json").read_text())["counters"]
+    assert [c["pair"] for c in counters] == ["eps0.1_lam0.5", "eps0.1_lam0.25"]
+    for c in counters:
+        q_rows = (tmp_path / "pl" / f"q_decay_{c['pair']}.csv").read_text().splitlines()
+        assert (c["system"], c["steps"], c["rows"]) == ("nq", 100, len(q_rows) - 1)
+
+    assert main(["wave", "--set", "grid.n_z=128", "--set", "output.directory=w"]) == 0
+    assert json.loads((tmp_path / "w" / "manifest.json").read_text())["counters"] == []
 
 
 def test_blowup_reason_reaches_stdout_and_manifest(tmp_path, monkeypatch, capsys):

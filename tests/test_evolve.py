@@ -494,3 +494,133 @@ def test_blowup_names_its_field(setup_eps0, nq_setup):
         with pytest.raises(IntegratorBlowup, match="non-finite values in phi_z"):
             for _ in range(20):
                 st = step_nonlinear_eps0(st, prof, 0.05)
+
+
+# ---------------------------------------------------------------------------
+# One loop, two horizons: run(cfg(2T), head=T) against two separate runs
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def small_strips():
+    strips = {}
+    for system, p in (("nonlinear0", WaveParams(eps=0.0, n_minus=0.25, c_plus=1.0)),
+                      ("linear_eps", WaveParams(eps=0.05, n_minus=1.0, c_plus=1.0))):
+        g = make_grid(25.0 / p.s, 128, 0.5, 8, p.s)
+        prof = explicit_wave_eps0(p, g) if p.eps == 0 else solve_wave_kpp(p, g)
+        pert = make_initial_perturbation(g, 1e-4, seed=0, mean_zero_y=p.eps > 0, eps=p.eps)
+        strips[system] = prof, pert
+    return strips
+
+
+def _values(state):
+    if isinstance(state, ColeHopfState):
+        return np.concatenate([f.values.ravel() for f in (state.n, state.q.z, state.q.y)])
+    return _flat(state)
+
+
+def _assert_same_record(a, b, tmp_path):
+    a.ledger.to_csv(tmp_path / "a.csv")
+    b.ledger.to_csv(tmp_path / "b.csv")
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    assert a.config == b.config
+    assert a.times == b.times
+    assert [t for t, _ in a.snapshots] == [t for t, _ in b.snapshots]
+    states = zip([s for _, s in a.snapshots] + [a.final_state],
+                 [s for _, s in b.snapshots] + [b.final_state])
+    for sa, sb in states:
+        assert sa.t == sb.t
+        assert np.array_equal(_values(sa), _values(sb), equal_nan=True)
+    assert (a.blowup, a.blowup_time, a.blowup_reason, a.curl_max, a.steps) == (
+        b.blowup, b.blowup_time, b.blowup_reason, b.curl_max, b.steps)
+
+
+def _head_and_separate(system, strip, t_head, **kwargs):
+    prof, pert = strip
+    cfg = IntegratorConfig(t_end=2 * t_head, **kwargs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        rec = run(system, pert, prof, cfg, head=t_head)
+        alone = run(system, pert, prof, IntegratorConfig(t_end=t_head, **kwargs))
+        full = run(system, pert, prof, cfg)
+    return rec, alone, full
+
+
+# T / dt: on the record_every = 4 grid (8), off it (10), not an integer (5.5,
+# so that the head rounds up to 6 steps) and zero
+@pytest.mark.parametrize("t_head", [0.08, 0.1, 0.055, 0.0])
+@pytest.mark.parametrize("scheme, transport", [("imex1", "upwind"), ("sbdf2", "central")])
+@pytest.mark.parametrize("system", ["nonlinear0", "linear_eps"])
+def test_head_record_is_bitwise_a_separate_run(small_strips, tmp_path, system, scheme,
+                                               transport, t_head):
+    rec, alone, full = _head_and_separate(
+        system, small_strips[system], t_head, dt=0.01, scheme=scheme,
+        transport=transport, record_every=4, snapshot_every=2)
+    _assert_same_record(rec.head, alone, tmp_path)
+    _assert_same_record(rec, full, tmp_path)
+    assert rec.times[-1] == pytest.approx(2 * t_head)
+    # every row is computed once: the head adds only its own off-grid last row
+    assert rec.head.rows == alone.rows
+    assert rec.rows == full.rows + (rec.head.steps % 4 != 0)
+
+
+def test_head_record_matches_separate_runs_through_guard_trips(small_strips, tmp_path):
+    strip = small_strips["nonlinear0"]
+    dt = 0.05
+    probe, _, _ = _head_and_separate("nonlinear0", strip, 0.1, dt=dt)
+    m = probe.ledger.column("M_inst") / probe.ledger.M0
+    # the imex1 ledger dips at step 1 and peaks again at step 2 before it
+    # decays, so a blowup_factor below 1 can place a trip on either side of T
+    assert m[1] < m[3] < m[2] and m[4] < m[3]
+    cases = [
+        # (T, record_every, blowup_factor, head blowup time, full blowup time)
+        (0.1, 1, 0.5 * m[1], dt, dt),                     # trip before T
+        (0.05, 2, 0.5 * (m[1] + m[2]), None, 2 * dt),     # trip after T
+        (0.1, 3, 0.5 * (m[2] + m[3]), 2 * dt, None),      # head's off-grid row only
+        (0.1, 3, 0.5 * (m[3] + m[4]), 2 * dt, 3 * dt),    # both, at different rows
+    ]
+    for t_head, every, factor, head_time, full_time in cases:
+        rec, alone, full = _head_and_separate("nonlinear0", strip, t_head, dt=dt,
+                                              record_every=every, blowup_factor=factor)
+        _assert_same_record(rec.head, alone, tmp_path)
+        _assert_same_record(rec, full, tmp_path)
+        assert rec.head.blowup_time == pytest.approx(head_time)
+        assert rec.blowup_time == pytest.approx(full_time)
+
+
+def test_head_record_matches_separate_runs_through_non_finite_values(small_strips,
+                                                                    tmp_path):
+    prof, pert = small_strips["nonlinear0"]
+    g = prof.grid
+    psi = pert.psi.values.copy()
+    psi[g.n_z // 2, 3] = 1e100
+    spiked = PerturbationState(phi=pert.phi, psi=ScalarField(g, psi))
+    rec, alone, full = _head_and_separate("nonlinear0", (prof, spiked), 1.0, dt=0.05,
+                                          blowup_factor=1e300)
+    assert rec.head.blowup and rec.blowup_time == rec.head.blowup_time < 1.0
+    _assert_same_record(rec.head, alone, tmp_path)
+    _assert_same_record(rec, full, tmp_path)
+
+
+def test_nq_head_record_keeps_its_own_curl_drift(tmp_path):
+    p = WaveParams(eps=0.1, n_minus=1.0, c_plus=1.0)
+    g = make_grid(25.0 / p.s, 128, 0.5, 8, p.s)
+    prof = solve_wave_kpp(p, g)
+    pert = make_initial_perturbation(g, 1e-4, seed=0, mean_zero_y=True, eps=p.eps)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rec, alone, full = _head_and_separate("nq", (prof, pert), 0.03, dt=0.01,
+                                              record_every=4)
+    # the curl drift peaks at step 3, the head's own off-grid last row,
+    # which the rows of the full run (steps 0, 4, 6) never see
+    assert alone.curl_max > full.curl_max > 0.0
+    _assert_same_record(rec.head, alone, tmp_path)
+    _assert_same_record(rec, full, tmp_path)
+    assert np.array_equal(np.concatenate(rec.head.final_deviation.full()),
+                          np.concatenate(alone.final_deviation.full()))
+
+
+def test_head_outside_the_horizon_rejected(small_strips):
+    prof, pert = small_strips["nonlinear0"]
+    for head in (-0.1, 0.2):
+        with pytest.raises(ValueError, match="head"):
+            run("nonlinear0", pert, prof, IntegratorConfig(dt=0.05, t_end=0.1), head=head)

@@ -80,3 +80,39 @@ def test_kpp_solve_calls_the_traced_name(monkeypatch):
     assert tracer.kpp["calls"] == 1
     assert tracer.kpp["steps"] == profile.diagnostics["nsteps"]
     assert tracer.kpp["nfev"] > 0 and tracer.kpp["njev"] > 0
+
+
+@pytest.mark.parametrize("command, overrides, calls, horizons", [
+    ("evolve", [], 1, 2),
+    ("linear", ["wave.eps=0.1"], 1, 2),
+    ("planarity", ["wave.eps=0.1", "grid.lambda=0.5,0.25"], 2, 1),
+])
+def test_cli_run_calls_and_traced_steps(tmp_path, monkeypatch, command, overrides,
+                                        calls, horizons):
+    # `evolve` and `linear` reach t_end and its doubling in one `run` call,
+    # so the `evolve.run` span is one call and the observed steps are 2n;
+    # `planarity` makes one call per (eps, lambda) pair
+    traced = _load_traced(monkeypatch)
+    tracer = traced.Tracer()
+    records = []
+    module_name, attr = traced.SPANS["evolve.run"]
+    owner = sys.modules[module_name]
+    real_run = getattr(owner, attr)
+
+    def kept_run(*args, **kwargs):
+        records.append(real_run(*args, **kwargs))
+        return records[-1]
+
+    monkeypatch.setattr(owner, attr,
+                        tracer.span("evolve.run", tracer.observe_run(kept_run)))
+    monkeypatch.setenv("STRIPWAVE_OUTPUT_ROOT", str(tmp_path))
+    t_end, dt = 2.0, 0.02
+    args = [command]
+    for o in ("grid.n_z=128", "grid.n_y=4", f"integrator.t_end={t_end}",
+              f"integrator.dt={dt}", *overrides):
+        args += ["--set", o]
+    assert stripwave.cli.main(args) == 0
+
+    assert tracer.spans["evolve.run"]["calls"] == len(records) == calls
+    assert all(rec.times[-1] == pytest.approx(horizons * t_end) for rec in records)
+    assert tracer.steps == calls * round(horizons * t_end / dt)
