@@ -17,9 +17,6 @@ from .evolve import (  # noqa: F401
     IntegratorConfig,
     TrajectoryRecord,
     run,
-    step_linear_eps,
-    step_nonlinear_eps0,
-    step_nq,
 )
 from .grid import (  # noqa: F401
     Grid,

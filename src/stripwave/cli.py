@@ -515,11 +515,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     experiment = _SUBCOMMAND_TO_EXPERIMENT[args.command]
     try:
-        text = (Path(args.config).read_text() if args.config
+        text = (Path(args.config).read_text(encoding="utf-8") if args.config
                 else _default_config_text())
         text = apply_overrides(text, args.set)
         cfg = validate_config(text, experiment)
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ConfigError as exc:

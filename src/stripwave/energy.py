@@ -11,13 +11,18 @@ eps int ||grad^4 psi||_{H^0_w}^2 dt.  Norms follow the definition
 
     ||f||_{H^k_w}^2 = sum_{i+j<=k} int |d_z^i d_y^j f|^2 w(z) dz dy
 
-evaluated by Parseval over the y-modes: one rfft of f along y (grid.y_modes,
-whose k = 0 column is the y-mean), z central differences applied to the
-modes (d_z acts on columns and d_y on rows, so the two commute), then the
-trapezoid weights in z contracted with the Parseval multiplicity of each bin
-and k_m^{2j} in y.  As in ddy_array the Nyquist bin has zero derivative, so
-it drops out of every term with j >= 1.  grad^4 means the five mixed
-fourth-order derivatives, each counted once.
+evaluated by Parseval over the y-modes of f (grid.y_modes, whose k = 0
+column is the y-mean): z central differences applied to the modes (d_z acts
+on columns and d_y on rows, so the two commute), then the trapezoid weights
+in z contracted with the Parseval multiplicity of each bin and k_m^{2j} in
+y.  As in ddy_array the Nyquist bin has zero derivative, so it drops out of
+every term with j >= 1.  grad^4 means the five mixed fourth-order
+derivatives, each counted once.
+
+The engine works on modes throughout.  ledger_row takes the y-modes the
+stepper holds, so a row makes no transform; sobolev_norm,
+fourth_derivative_norm_sq and perturbation_measure take fields and
+transform them once at the boundary.
 """
 
 from __future__ import annotations
@@ -38,9 +43,9 @@ class EnergyError(ValueError):
     pass
 
 
-def _z_chain(values: np.ndarray, grid: Grid, depth: int) -> list:
-    """The y-modes of values and their first `depth` z-derivatives."""
-    chain = [y_modes(values)]
+def _z_chain(modes: np.ndarray, grid: Grid, depth: int) -> list:
+    """y-modes and their first `depth` z-derivatives."""
+    chain = [modes]
     for _ in range(depth):
         chain.append(ddz_array(chain[-1], grid.dz))
     return chain
@@ -80,19 +85,19 @@ def sobolev_norm(f, k: int, weighted: bool = False) -> float:
     if isinstance(f, VectorField):
         return sobolev_norm(f.z, k, weighted) + sobolev_norm(f.y, k, weighted)
     if isinstance(f, ScalarField):
-        g = f.grid
-        return _norm_sq(_z_chain(f.values, g, k), g, _sobolev_pairs(k), weighted)
+        chain = _z_chain(y_modes(f.values), f.grid, k)
+        return _norm_sq(chain, f.grid, _sobolev_pairs(k), weighted)
     raise EnergyError(f"unsupported field type {type(f)!r}")
 
 
 def fourth_derivative_norm_sq(f: ScalarField, weighted: bool = True) -> float:
     """Sum over i+j = 4 of the squared weighted L2 norms of d_z^i d_y^j f."""
-    return _norm_sq(_z_chain(f.values, f.grid, 4), f.grid, _FOURTH, weighted)
+    return _norm_sq(_z_chain(y_modes(f.values), f.grid, 4), f.grid, _FOURTH, weighted)
 
 
 def perturbation_measure(state) -> float:
     """M_inst: the combined weighted measure of a PerturbationState."""
-    return ledger_row(state, None, 0.0).M_inst
+    return ledger_row(state.grid, state.y_modes(), state.t, 0.0).M_inst
 
 
 @dataclass(frozen=True)
@@ -110,21 +115,20 @@ class LedgerRow:
     mass: float
 
 
-def ledger_row(state, profile, eps: float) -> LedgerRow:
-    """Evaluate every ledger quantity for a perturbation state.
+def ledger_row(g: Grid, modes, t: float, eps: float) -> LedgerRow:
+    """Evaluate every ledger quantity at time t of the perturbation on grid
+    g whose y-modes (phi_z, phi_y, psi) are `modes`, as the stepper holds
+    them (PerturbationState.y_modes gives them for a state).
 
     Q is the transverse energy of the assembled log-gradient variables,
     ||n_y||^2 + ||q_y||^2 = ||(div phi)_y||^2 + ||(grad psi)_y||^2, since the
     wave itself carries no y-dependence.  mass is int(n - N) = int(div phi).
-    Every column comes from one rfft each of phi_z, phi_y and psi: the modes
-    of div phi are D_z phi_z^ + i k phi_y^, and mass is their k = 0 column.
+    No column needs a transform: the modes of div phi are D_z phi_z^ + i k
+    phi_y^, and mass is their k = 0 column.
     """
-    g = state.grid
-    if profile is not None and not g.same_as(profile.grid):
-        raise EnergyError("state and profile grids differ")
-    phi_z = _z_chain(state.phi.z.values, g, 4)
-    phi_y = _z_chain(state.phi.y.values, g, 4)
-    psi = _z_chain(state.psi.values, g, 4 if eps > 0 else 3)
+    phi_z = _z_chain(modes[0], g, 4)
+    phi_y = _z_chain(modes[1], g, 4)
+    psi = _z_chain(modes[2], g, 4 if eps > 0 else 3)
     h3, grad_h3 = _sobolev_pairs(3), _gradient_pairs(3)
     h3w_phi = _norm_sq(phi_z, g, h3, True) + _norm_sq(phi_y, g, h3, True)
     h3_psi = _norm_sq(psi, g, h3)
@@ -135,7 +139,7 @@ def ledger_row(state, profile, eps: float) -> LedgerRow:
     div_phi = phi_z[1] + 1j * g.ddy_wavenumbers * phi_y[0]
     q_trans = _norm_sq([div_phi], g, [(0, 1)]) + _norm_sq(psi, g, [(1, 1), (0, 2)])
     return LedgerRow(
-        t=state.t,
+        t=t,
         H3w_phi=h3w_phi,
         H3_psi=h3_psi,
         H2w_grad_psi=h2w_grad_psi,

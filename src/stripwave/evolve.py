@@ -103,6 +103,11 @@ class IntegratorConfig:
 class TrajectoryRecord:
     """Recorded times, energy ledger, and optional snapshots of one run.
 
+    `final_state` is the state at the last step in physical space.  For nq,
+    `final_deviation` is the tuple (a, b_z, b_y) of y-modes that the loop
+    held (grid.y_modes: z-major, k = 0 column = the y-mean), the deviation
+    (n - N, q - P) from the wave; grid.y_values gives its y-node values.
+
     `head` is the record to an earlier horizon that `run(..., head=T)`
     fills in the same time loop, equal to the record of a separate run to
     T.  `steps` and `rows` count the steps the loop had taken and the
@@ -242,10 +247,6 @@ def _check_finite(system, u, t):
 # Systems A and B: perturbation (phi, psi)
 # ---------------------------------------------------------------------------
 
-def _perturbation_modes(state: PerturbationState) -> tuple:
-    return tuple(y_modes(f.values) for f in (state.phi.z, state.phi.y, state.psi))
-
-
 class _PerturbationSystem:
     """Systems A (linear=False, eps = 0) and B (linear=True, eps > 0) as
     the y-modes of (phi_z, phi_y, psi)."""
@@ -255,23 +256,17 @@ class _PerturbationSystem:
     curl = 0.0
 
     def __init__(self, profile: WaveProfile, transport: str, linear: bool):
-        eps = profile.params.eps
-        if linear and eps <= 0.0:
-            raise ValueError("linear_eps requires a profile with eps > 0")
-        if not linear and eps != 0.0:
-            raise ValueError("nonlinear0 requires an eps = 0 profile")
-        self.profile = profile
         self.g = profile.grid
         self.ik = 1j * self.g.ddy_wavenumbers
         self.transport = transport
         self.linear = linear
-        self.eps = eps
+        self.eps = profile.params.eps
         self.s = profile.params.s
         self.N = profile.N[:, None]
         self.P = profile.P_z[:, None]
 
     def arrays(self, state: PerturbationState) -> tuple:
-        return _perturbation_modes(state)
+        return state.y_modes()
 
     def state(self, u, t) -> PerturbationState:
         g = self.g
@@ -312,72 +307,12 @@ class _PerturbationSystem:
         return u
 
     def row(self, u, t) -> LedgerRow:
-        return ledger_row(self.state(u, t), self.profile, self.eps)
-
-
-def _warn_if_biased(state: PerturbationState) -> None:
-    drift = perturbation_y_means(state)
-    if drift > 1e-12:
-        warnings.warn(f"input y-means reach {drift:.3g}; the linearized system "
-                      "assumes mean-zero data", stacklevel=3)
-
-
-def _step_once(system, state, dt: float, scheme: str = "imex1"):
-    u = system.arrays(state)
-    _check_finite(system, u, state.t)
-    u = _ImexCore(system, dt, scheme).step(u)
-    t = state.t + dt
-    _check_finite(system, u, t)
-    return system.state(u, t)
-
-
-def step_nonlinear_eps0(state: PerturbationState, profile: WaveProfile,
-                        dt: float, scheme: str = "imex1",
-                        transport: str = "upwind") -> PerturbationState:
-    """One IMEX step of the nonlinear zero-diffusion perturbation system."""
-    return _step_once(_PerturbationSystem(profile, transport, linear=False),
-                      state, dt, scheme)
-
-
-def step_linear_eps(state: PerturbationState, profile: WaveProfile,
-                    dt: float, scheme: str = "imex1",
-                    transport: str = "upwind") -> PerturbationState:
-    """One IMEX step of the linearized system with chemical diffusion."""
-    system = _PerturbationSystem(profile, transport, linear=True)
-    _warn_if_biased(state)
-    return _step_once(system, state, dt, scheme)
+        return ledger_row(self.g, u, t, self.eps)
 
 
 # ---------------------------------------------------------------------------
 # System C: (n, q) deviations
 # ---------------------------------------------------------------------------
-
-@dataclass
-class _NqDeviation:
-    """Deviation (a, b) = (n - N, q - P) split into y-mean and fluctuation."""
-
-    a0: np.ndarray    # (n_z,)
-    af: np.ndarray    # (n_z, n_y)
-    b0z: np.ndarray
-    bfz: np.ndarray
-    b0y: np.ndarray
-    bfy: np.ndarray
-    t: float
-
-    def arrays(self):
-        return (self.a0, self.af, self.b0z, self.bfz, self.b0y, self.bfy)
-
-    @classmethod
-    def from_modes(cls, u, grid, t):
-        (a0, af), (b0z, bfz), (b0y, bfy) = (
-            (x[:, 0].real.copy(), y_values(_fluctuation(x), grid)) for x in u)
-        return cls(a0=a0, af=af, b0z=b0z, bfz=bfz, b0y=b0y, bfy=bfy, t=t)
-
-    def full(self):
-        return (self.a0[:, None] + self.af,
-                self.b0z[:, None] + self.bfz,
-                self.b0y[:, None] + self.bfy)
-
 
 class _NqSystem:
     """Deviation form of the (n, q) system as the y-modes of (a, b_z, b_y).
@@ -393,14 +328,10 @@ class _NqSystem:
     names = ("a", "b_z", "b_y")
     guard = ("Q", "transverse energy exceeded {:g} x Q0")
 
-    def __init__(self, profile: WaveProfile, eps: float, frame: str = "moving",
-                 curl_projection: bool = False):
-        if eps <= 0.0:
-            raise ValueError(f"the (n, q) stepper requires eps > 0, got {eps}")
-        self.profile = profile
+    def __init__(self, profile: WaveProfile, frame: str, curl_projection: bool):
         self.g = profile.grid
         self.ik = 1j * self.g.ddy_wavenumbers
-        self.eps = eps
+        self.eps = profile.params.eps
         self.frame = frame
         self.s = profile.params.s
         self.N = profile.N[:, None]
@@ -419,7 +350,7 @@ class _NqSystem:
             return (y_modes(state.n.values - self.N), y_modes(state.q.z.values - self.P),
                     y_modes(state.q.y.values))
         if isinstance(state, PerturbationState):
-            phi_z, phi_y, psi = _perturbation_modes(state)
+            phi_z, phi_y, psi = state.y_modes()
             dz = self.g.dz
             return (ddz_array(phi_z, dz) + self.ik * phi_y, ddz_array(psi, dz),
                     self.ik * psi)
@@ -501,19 +432,6 @@ class _NqSystem:
                          Q=q_trans, mass=mass)
 
 
-def step_nq(state: ColeHopfState, dt: float, eps: float,
-            profile: WaveProfile = None, frame: str = "moving") -> ColeHopfState:
-    """One IMEX step of the (n, q) system.
-
-    The wave profile supplies the far-field clamp values (the deviation from
-    the wave is pinned to zero at z = +-L_z) and the exact-perturbation flux
-    form; it must be provided.
-    """
-    if profile is None:
-        raise ValueError("step_nq needs the wave profile for far-field clamps")
-    return _step_once(_NqSystem(profile, eps, frame=frame), state, dt)
-
-
 # ---------------------------------------------------------------------------
 # Run loop
 # ---------------------------------------------------------------------------
@@ -547,7 +465,10 @@ def run(system: str, init, profile: WaveProfile, config: IntegratorConfig,
     the final step; halts early on blowup (non-finite values, or M_inst,
     for nq the transverse energy Q, above blowup_factor times its initial
     value), returning the partial record with the blowup flag set.
-    Non-finite initial data raise IntegratorBlowup before any step.
+    Non-finite initial data raise IntegratorBlowup, and a profile whose
+    eps does not suit the system (nonlinear0 needs eps = 0, linear_eps and
+    nq eps > 0) a ValueError, before any step.  One step is a run with
+    t_end = dt.
 
     With head = T (0 <= T <= t_end) the same loop also fills `record.head`,
     bitwise the record of a separate run to T: every ledger row is computed
@@ -558,17 +479,23 @@ def run(system: str, init, profile: WaveProfile, config: IntegratorConfig,
     """
     if system not in SYSTEMS:
         raise ValueError(f"unknown system {system!r}; expected one of {SYSTEMS}")
+    eps = profile.params.eps
+    if (eps == 0.0) != (system == "nonlinear0"):
+        need = "eps = 0" if system == "nonlinear0" else "eps > 0"
+        raise ValueError(f"{system} requires a profile with {need}, got eps = {eps:g}")
     if head is not None and not 0.0 <= head <= config.t_end:
         raise ValueError(f"head = {head} must lie in [0, t_end = {config.t_end}]")
     _validate_cfl(config, profile)
     if system == "nq":
-        model = _NqSystem(profile, profile.params.eps, frame=config.frame,
-                          curl_projection=config.curl_projection)
+        model = _NqSystem(profile, config.frame, config.curl_projection)
     else:
         model = _PerturbationSystem(profile, config.transport,
                                     linear=system == "linear_eps")
-        if system == "linear_eps":
-            _warn_if_biased(init)
+    if system == "linear_eps":
+        drift = perturbation_y_means(init)
+        if drift > 1e-12:
+            warnings.warn(f"input y-means reach {drift:.3g}; the linearized system "
+                          "assumes mean-zero data", stacklevel=2)
     core = _ImexCore(model, config.dt, config.scheme)
     record = TrajectoryRecord(system=system, config=config)
     # (record, last step) of every record that close() has not yet finished
@@ -599,7 +526,7 @@ def run(system: str, init, profile: WaveProfile, config: IntegratorConfig,
             rec.blowup, rec.blowup_time, rec.blowup_reason = True, t, reason
         rec.final_state = model.state(u, t)
         if system == "nq":
-            rec.final_deviation = _NqDeviation.from_modes(u, profile.grid, t)
+            rec.final_deviation = u
         rec.steps, rec.rows = i, rows
 
     u = model.arrays(init)

@@ -27,6 +27,7 @@ from .grid import (
     divergence,
     mean_in_y,
     remove_mean_in_y,
+    y_modes,
 )
 from .waves import WaveProfile
 
@@ -70,6 +71,10 @@ class PerturbationState:
     @property
     def grid(self) -> Grid:
         return self.psi.grid
+
+    def y_modes(self) -> tuple:
+        """The y-modes (grid.y_modes) of phi_z, phi_y and psi."""
+        return tuple(y_modes(f.values) for f in (self.phi.z, self.phi.y, self.psi))
 
     def scaled(self, a: float) -> "PerturbationState":
         return PerturbationState(

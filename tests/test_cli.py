@@ -157,8 +157,14 @@ def test_cli_config_error_exit_code(tmp_path):
     assert main(["wave", "--config", str(bad)]) == 2
 
 
-def test_cli_missing_config_file():
-    assert main(["wave", "--config", "/nonexistent/path.ini"]) == 2
+def test_cli_missing_config_file(tmp_path, capsys):
+    # a missing path, a directory and a file that is not UTF-8 are config
+    # errors (exit 2), not crashes
+    latin1 = tmp_path / "latin1.ini"
+    latin1.write_bytes("[wave]\n# \u00e9\n".encode("latin-1"))
+    for path in ("/nonexistent/path.ini", tmp_path, latin1):
+        assert main(["wave", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
 
 
 def test_cli_wave_experiment(tmp_path, capsys):

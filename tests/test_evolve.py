@@ -10,9 +10,6 @@ from stripwave.evolve import (
     IntegratorConfig,
     TrajectoryRecord,
     run,
-    step_linear_eps,
-    step_nonlinear_eps0,
-    step_nq,
 )
 from stripwave.grid import (
     ScalarField,
@@ -22,6 +19,7 @@ from stripwave.grid import (
     divergence,
     gradient,
     make_grid,
+    y_values,
     zero_field,
 )
 from stripwave.transforms import (
@@ -61,6 +59,15 @@ def zero_state(g, eps=0.0):
         phi=VectorField(zero_field(g), zero_field(g)), psi=zero_field(g), eps=eps)
 
 
+def one_step(system, state, prof, dt):
+    return run(system, state, prof, IntegratorConfig(dt=dt, t_end=dt)).final_state
+
+
+def deviation_values(rec):
+    """The y-node values of an nq record's (a, b_z, b_y) deviation modes."""
+    return [y_values(x, rec.final_state.n.grid) for x in rec.final_deviation]
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         IntegratorConfig(dt=0.0, t_end=1.0)
@@ -83,29 +90,36 @@ def test_cfl_rejected(setup_eps0):
 
 def test_zero_state_is_fixed_point(setup_eps0):
     _, g, prof = setup_eps0
-    st = step_nonlinear_eps0(zero_state(g), prof, 0.05)
+    st = one_step("nonlinear0", zero_state(g), prof, 0.05)
     assert st.phi.max_abs() == 0.0
     assert st.psi.max_abs() == 0.0
 
 
 def test_zero_state_fixed_point_linear(setup_linear):
     _, g, prof = setup_linear
-    st = step_linear_eps(zero_state(g, eps=0.05), prof, 0.02)
+    st = one_step("linear_eps", zero_state(g, eps=0.05), prof, 0.02)
     assert st.phi.max_abs() == 0.0
     assert st.psi.max_abs() == 0.0
 
 
-def test_stepper_profile_eps_guards(setup_eps0, setup_linear):
-    _, g0, prof0 = setup_eps0
-    _, gl, profl = setup_linear
-    with pytest.raises(ValueError):
-        step_nonlinear_eps0(zero_state(gl), profl, 0.02)
-    with pytest.raises(ValueError):
-        step_linear_eps(zero_state(g0), prof0, 0.02)
-    with pytest.raises(ValueError, match="profile"):
-        step_nq(ColeHopfState(n=zero_field(g0),
-                              q=VectorField(zero_field(g0), zero_field(g0))),
-                0.01, 0.1)
+@pytest.mark.parametrize("system, setup, requirement", [
+    ("nonlinear0", "setup_linear", "eps = 0"),
+    ("linear_eps", "setup_eps0", "eps > 0"),
+    ("nq", "setup_eps0", "eps > 0"),
+], ids=["nonlinear0", "linear_eps", "nq"])
+def test_run_rejects_profile_eps_mismatch(request, monkeypatch, system, setup,
+                                          requirement):
+    # rejected before any step: nothing is factored or solved
+    import stripwave.evolve as evolve
+
+    def no_compute(*args, **kwargs):
+        raise AssertionError("a banded factorization or solve ran")
+
+    monkeypatch.setattr(evolve, "cholesky_banded", no_compute)
+    monkeypatch.setattr(evolve, "cho_solve_banded", no_compute)
+    _, g, prof = request.getfixturevalue(setup)
+    with pytest.raises(ValueError, match=f"^{system} requires a profile with {requirement}"):
+        run(system, zero_state(g), prof, IntegratorConfig(dt=0.01, t_end=0.01))
 
 
 def _flat(state):
@@ -150,8 +164,8 @@ def test_temporal_self_convergence_second_order(setup_eps0_wide):
     sols = []
     for dt in (0.004, 0.002, 0.001):
         cfg = IntegratorConfig(dt=dt, t_end=0.4, scheme="sbdf2", record_every=10**9)
-        d = run("nq", pert, prof, cfg).final_deviation
-        sols.append(np.concatenate([a.ravel() for a in d.arrays()]))
+        d = deviation_values(run("nq", pert, prof, cfg))
+        sols.append(np.concatenate([x.ravel() for x in d]))
     e1 = np.linalg.norm(sols[0] - sols[1])
     e2 = np.linalg.norm(sols[1] - sols[2])
     assert 3.0 < e1 / e2 < 5.0
@@ -215,7 +229,7 @@ def test_linear_warns_on_biased_data(setup_linear):
     _, g, prof = setup_linear
     pert = make_initial_perturbation(g, 1e-4, seed=2, mean_zero_y=False, eps=0.05)
     with pytest.warns(UserWarning, match="mean"):
-        step_linear_eps(pert, prof, 0.02)
+        one_step("linear_eps", pert, prof, 0.02)
 
 
 def test_linear_superposition(setup_linear):
@@ -228,7 +242,7 @@ def test_linear_superposition(setup_linear):
             ScalarField(g, ca * a.phi.z.values + cb * b.phi.z.values),
             ScalarField(g, ca * a.phi.y.values + cb * b.phi.y.values)),
         psi=ScalarField(g, ca * a.psi.values + cb * b.psi.values), eps=0.05)
-    sa, sb, sc = (step_linear_eps(s, prof, 0.02) for s in (a, b, comb))
+    sa, sb, sc = (one_step("linear_eps", s, prof, 0.02) for s in (a, b, comb))
     err = max(
         np.max(np.abs(sc.phi.z.values - ca * sa.phi.z.values - cb * sb.phi.z.values)),
         np.max(np.abs(sc.phi.y.values - ca * sa.phi.y.values - cb * sb.phi.y.values)),
@@ -269,20 +283,10 @@ def test_wave_is_stationary_in_moving_frame(nq_setup):
     p, g, prof = nq_setup
     cfg = IntegratorConfig(dt=0.01, t_end=1.0, record_every=50)
     rec = run("nq", wave_state(g, prof), prof, cfg)
-    d = rec.final_deviation
-    drift = max(np.max(np.abs(arr)) for arr in d.arrays())
+    drift = max(np.max(np.abs(x)) for x in deviation_values(rec))
     bound = 10 * (g.dz**2 + cfg.dt)
     assert drift <= bound
     assert drift < 1e-12
-
-
-def test_nq_requires_positive_eps(nq_setup):
-    p, g, prof = nq_setup
-    prof0 = explicit_wave_eps0(WaveParams(eps=0.0, n_minus=1.0, c_plus=1.0),
-                               make_grid(25.0, 512, 0.5, 16, 1.0))
-    st = wave_state(prof0.grid, prof0)
-    with pytest.raises(ValueError, match="eps > 0"):
-        step_nq(st, 0.01, 0.0, profile=prof0)
 
 
 def test_nq_mass_conservation(nq_setup):
@@ -300,7 +304,7 @@ def test_nq_lab_frame_translates_wave(nq_setup):
     p, g, prof = nq_setup
     cfg = IntegratorConfig(dt=0.005, t_end=0.5, record_every=100, frame="lab")
     rec = run("nq", wave_state(g, prof), prof, cfg)
-    a = rec.final_deviation.a0
+    a = rec.final_deviation[0][:, 0].real  # the y-mean column
     shifted = np.interp(g.z - p.s * 0.5, g.z, prof.N,
                         left=prof.N[0], right=prof.N[-1])
     exact = shifted - prof.N
@@ -325,10 +329,10 @@ def test_cross_solver_consistency(nq_setup):
         f = r1.final_state
         a1 = divergence(f.phi).values
         gp = gradient(f.psi)
-        d2 = r2.final_deviation
-        err = max(np.max(np.abs(a1 - (d2.a0[:, None] + d2.af))),
-                  np.max(np.abs(gp.z.values - (d2.b0z[:, None] + d2.bfz))),
-                  np.max(np.abs(gp.y.values - (d2.b0y[:, None] + d2.bfy))))
+        a2, bz2, by2 = deviation_values(r2)
+        err = max(np.max(np.abs(a1 - a2)),
+                  np.max(np.abs(gp.z.values - bz2)),
+                  np.max(np.abs(gp.y.values - by2)))
         scale = max(np.max(np.abs(a1)), np.max(np.abs(gp.z.values)))
         return err, scale
 
@@ -386,7 +390,9 @@ def test_blowup_record_keeps_its_reason(setup_eps0):
     assert rec.blowup_reason == "energy exceeded 1e-12 x M0"
 
     # a 1e100 spike in psi overflows inside the first steps; the energy
-    # guard is out of reach, so the record names the first non-finite field
+    # guard is out of reach, so the record names the first non-finite field.
+    # The overflow reaches the diffusion solve as inf/NaN and must end as
+    # this named blowup, not as an error of the banded solver
     psi = pert.psi.values.copy()
     psi[g.n_z // 2, 3] = 1e100
     spiked = PerturbationState(phi=pert.phi, psi=ScalarField(g, psi))
@@ -415,7 +421,7 @@ def test_curl_projection_keeps_gradient_structure(nq_setup):
         warnings.simplefilter("ignore")
         rec = run("nq", pert, prof, cfg)
     assert rec.curl_max < 1e-4
-    assert np.max(np.abs(rec.final_deviation.b0y)) == 0.0
+    assert np.max(np.abs(rec.final_deviation[2][:, 0])) == 0.0  # the y-mean of b_y
 
 
 def test_curl_projection_maps_gradient_to_itself(nq_setup):
@@ -429,7 +435,7 @@ def test_curl_projection_maps_gradient_to_itself(nq_setup):
         n=ScalarField(g, np.repeat(prof.N[:, None], g.n_y, axis=1)),
         q=VectorField(ScalarField(g, prof.P_z[:, None] + bz), ScalarField(g, by)))
     cfg = IntegratorConfig(dt=1e-6, t_end=1e-6, curl_projection=True)
-    bz_new, by_new = run("nq", st, prof, cfg).final_deviation.full()[1:]
+    bz_new, by_new = deviation_values(run("nq", st, prof, cfg))[1:]
     err = max(np.max(np.abs(bz_new - bz)), np.max(np.abs(by_new - by)))
     assert err < 1e-3 * max(np.max(np.abs(bz)), np.max(np.abs(by)))
 
@@ -476,7 +482,7 @@ def test_blowup_names_its_field(setup_eps0, nq_setup):
         return PerturbationState(phi=pert.phi, psi=ScalarField(g, psi))
 
     with pytest.raises(IntegratorBlowup, match="non-finite values in psi at t = 0"):
-        step_nonlinear_eps0(with_psi_at(np.nan), prof, 0.05)
+        one_step("nonlinear0", with_psi_at(np.nan), prof, 0.05)
 
     p, gq, profq = nq_setup
     by = np.zeros((gq.n_z, gq.n_y))
@@ -484,16 +490,7 @@ def test_blowup_names_its_field(setup_eps0, nq_setup):
     st = wave_state(gq, profq)
     st = ColeHopfState(n=st.n, q=VectorField(st.q.z, ScalarField(gq, by)))
     with pytest.raises(IntegratorBlowup, match="non-finite values in b_y at t = 0"):
-        step_nq(st, 0.01, p.eps, profile=profq)
-
-    # values that overflow inside a step reach the diffusion solve as inf/NaN
-    # and must end as a named blowup, not as an error of the banded solver
-    st = with_psi_at(1e100)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        with pytest.raises(IntegratorBlowup, match="non-finite values in phi_z"):
-            for _ in range(20):
-                st = step_nonlinear_eps0(st, prof, 0.05)
+        one_step("nq", st, profq, 0.01)
 
 
 # ---------------------------------------------------------------------------
@@ -615,8 +612,8 @@ def test_nq_head_record_keeps_its_own_curl_drift(tmp_path):
     assert alone.curl_max > full.curl_max > 0.0
     _assert_same_record(rec.head, alone, tmp_path)
     _assert_same_record(rec, full, tmp_path)
-    assert np.array_equal(np.concatenate(rec.head.final_deviation.full()),
-                          np.concatenate(alone.final_deviation.full()))
+    assert np.array_equal(np.concatenate(deviation_values(rec.head)),
+                          np.concatenate(deviation_values(alone)))
 
 
 def test_head_outside_the_horizon_rejected(small_strips):

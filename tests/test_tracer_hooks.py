@@ -105,6 +105,14 @@ def test_cli_run_calls_and_traced_steps(tmp_path, monkeypatch, command, override
 
     monkeypatch.setattr(owner, attr,
                         tracer.span("evolve.run", tracer.observe_run(kept_run)))
+    for key, (module_name, attr) in traced.COUNTERS.items():
+        owner = sys.modules[module_name]
+        monkeypatch.setattr(owner, attr, tracer.counter(key, getattr(owner, attr)))
+    for name in ("transforms.perturbation_y_means",
+                 "transforms.perturbation_y_means_evolve", "energy.ledger_row"):
+        module_name, attr = traced.SPANS[name]
+        owner = sys.modules[module_name]
+        monkeypatch.setattr(owner, attr, tracer.span(name, getattr(owner, attr)))
     monkeypatch.setenv("STRIPWAVE_OUTPUT_ROOT", str(tmp_path))
     t_end, dt = 2.0, 0.02
     args = [command]
@@ -116,3 +124,10 @@ def test_cli_run_calls_and_traced_steps(tmp_path, monkeypatch, command, override
     assert tracer.spans["evolve.run"]["calls"] == len(records) == calls
     assert all(rec.times[-1] == pytest.approx(horizons * t_end) for rec in records)
     assert tracer.steps == calls * round(horizons * t_end / dt)
+    if command == "linear":
+        # the y-mean checks of the CLI and of `run` go through the traced names
+        assert tracer.spans["transforms.perturbation_y_means"]["calls"] >= 1
+        assert tracer.spans["transforms.perturbation_y_means_evolve"]["calls"] >= 1
+        # a ledger row reads the stepper's y-modes and makes no transform
+        assert tracer.spans["energy.ledger_row"]["calls"] >= 1
+        assert not {"rfft", "irfft"} & set(tracer.counts["energy.ledger_row"])
