@@ -11,10 +11,12 @@ Subcommands:
               (eps, lambda) sweep
   convergence grid/time refinement slope table
 
+An experiment that finishes prints its title, one [PASS]/[FAIL] line per
+acceptance check and its notes, and writes its report to summary.json.
 Every run writes a manifest (config echo, version, wall clock, exit code,
-and the steps and ledger rows of each time loop under `counters`) next to
-its artifacts, with the error text when it stopped on one.  Exit codes:
-0 pass, 1 acceptance-threshold failure, 2 usage or configuration error (a
+the steps and ledger rows of each time loop under `counters`, and the report
+or the error text it stopped on) next to its artifacts.  Exit codes:
+0 every check passed, 1 a check failed, 2 usage or configuration error (a
 dt above the transport limit included), 3 runtime blowup, one past t_end on
 the way to the doubled horizon included (partial artifacts retained), 4 the
 KPP wave solve failed, 5 an unexpected internal error (traceback on stderr).
@@ -44,9 +46,15 @@ from .config import (
     validate_config,
 )
 from .energy import EnergyError, fit_exponential_decay
+from . import transforms
 from .evolve import IntegratorConfig, run
-from .grid import Grid, make_grid
-from .transforms import make_initial_perturbation
+from .grid import field_from_function, field_to_csv, laplacian, make_grid, write_csv, zero_field
+from .transforms import (
+    PhysicalState,
+    cole_hopf_forward,
+    cole_hopf_inverse,
+    make_initial_perturbation,
+)
 from .waves import (
     WaveParams,
     WaveSolveError,
@@ -61,15 +69,6 @@ EXIT_CONFIG = 2
 EXIT_BLOWUP = 3
 EXIT_SOLVER = 4
 EXIT_INTERNAL = 5
-
-_SUBCOMMAND_TO_EXPERIMENT = {
-    "wave": "wave",
-    "evolve": "stability0",
-    "linear": "linear_eps",
-    "planarity": "planarity",
-    "convergence": "convergence",
-}
-
 
 def _json_dump(obj, path: Path) -> None:
     def coerce(o):
@@ -101,20 +100,25 @@ def _write_manifest(outdir: Path, cfg: ExperimentConfig, wall: float,
     _json_dump(manifest, outdir / "manifest.json")
 
 
-def _build_grid(cfg: ExperimentConfig, params: WaveParams, lam: float) -> Grid:
-    L_z = cfg.grid["L_z"]
-    if L_z is None:
-        L_z = 25.0 / params.s  # wave tails below 1e-10 of the far field
-    return make_grid(L_z, cfg.grid["n_z"], lam, cfg.grid["n_y"], params.s)
-
-
 def _build_profile(cfg: ExperimentConfig, eps: float, lam: float):
     params = WaveParams(eps=eps, n_minus=cfg.wave["n_minus"],
                         c_plus=cfg.wave["c_plus"], N0=cfg.wave["N0"])
-    grid = _build_grid(cfg, params, lam)
+    L_z = cfg.grid["L_z"]
+    if L_z is None:
+        L_z = 25.0 / params.s  # wave tails below 1e-10 of the far field
+    grid = make_grid(L_z, cfg.grid["n_z"], lam, cfg.grid["n_y"], params.s)
     if eps == 0.0:
         return explicit_wave_eps0(params, grid)
     return solve_wave_kpp(params, grid, tol=cfg.wave["tol"])
+
+
+def _setup(cfg: ExperimentConfig, eps: float, lam: float):
+    """The wave profile for (eps, lam) and the configured initial
+    perturbation on its grid."""
+    profile = _build_profile(cfg, eps, lam)
+    init = cfg.init
+    return profile, make_initial_perturbation(profile.grid, init["amplitude"], init["seed"],
+                                              init["mean_zero_y"], eps=eps)
 
 
 def _integrator(cfg: ExperimentConfig, t_end=None) -> IntegratorConfig:
@@ -132,33 +136,16 @@ def _integrator(cfg: ExperimentConfig, t_end=None) -> IntegratorConfig:
     )
 
 
-def _verdict_lines(checks: dict) -> list[str]:
-    return [f"  [{'PASS' if ok else 'FAIL'}] {name}" for name, ok in checks.items()]
-
-
-def _print_report(title: str, checks: dict) -> bool:
-    print(title)
-    for line in _verdict_lines(checks):
-        print(line)
-    return all(checks.values())
-
-
 # ---------------------------------------------------------------------------
-# Experiments
+# Experiments: each returns (title, checks, report, notes) to run_experiment
 # ---------------------------------------------------------------------------
 
-def _experiment_wave(cfg: ExperimentConfig, outdir: Path,
-                     counters: list) -> tuple[int, dict]:
+def _experiment_wave(cfg: ExperimentConfig, outdir: Path, counters: list):
     eps = cfg.eps_values[0]
-    lam = cfg.lambda_values[0]
-    profile = _build_profile(cfg, eps, lam)
+    profile = _build_profile(cfg, eps, cfg.lambda_values[0])
     g = profile.grid
-
-    with open(outdir / "wave_profile.csv", "w", encoding="utf-8") as fh:
-        fh.write("z,N,C,P\n")
-        for i in range(g.n_z):
-            fh.write(f"{g.z[i]:.17g},{profile.N[i]:.17g},"
-                     f"{profile.C[i]:.17g},{profile.P_z[i]:.17g}\n")
+    write_csv(outdir / "wave_profile.csv", ("z", "N", "C", "P"),
+              zip(g.z, profile.N, profile.C, profile.P_z))
 
     residuals = check_wave_identities(profile)
     meta = {
@@ -191,8 +178,7 @@ def _experiment_wave(cfg: ExperimentConfig, outdir: Path,
             "left tail rate within 2% of the manifold exponent":
                 abs(d["fitted_left_rate"] - mu) / mu < 0.02,
         }
-    ok = _print_report(f"wave experiment (eps = {eps})", checks)
-    return (EXIT_PASS if ok else EXIT_THRESHOLD), {"checks": checks}
+    return f"wave experiment (eps = {eps})", checks, {"checks": checks}, []
 
 
 class _Blowup(Exception):
@@ -234,11 +220,8 @@ def _run_doubled(cfg: ExperimentConfig, system: str, pert, profile, outdir: Path
     return rec, rec2
 
 
-def _experiment_stability0(cfg: ExperimentConfig, outdir: Path,
-                           counters: list) -> tuple[int, dict]:
-    profile = _build_profile(cfg, 0.0, cfg.lambda_values[0])
-    pert = make_initial_perturbation(profile.grid, cfg.init["amplitude"],
-                                     cfg.init["seed"], cfg.init["mean_zero_y"])
+def _experiment_stability0(cfg: ExperimentConfig, outdir: Path, counters: list):
+    profile, pert = _setup(cfg, 0.0, cfg.lambda_values[0])
     t_end = cfg.integrator["t_end"]
     rec, rec2 = _run_doubled(cfg, "nonlinear0", pert, profile, outdir, counters)
 
@@ -267,25 +250,16 @@ def _experiment_stability0(cfg: ExperimentConfig, outdir: Path,
         "D_psi": led.last()["D_psi"],
         "checks": checks,
     }
-    _json_dump(summary, outdir / "summary.json")
-    ok = _print_report("stability0 experiment", checks)
-    print(f"  empirical C0 = {led.last()['C0_running']:.6g}")
-    return (EXIT_PASS if ok else EXIT_THRESHOLD), summary
+    return ("stability0 experiment", checks, summary,
+            [f"empirical C0 = {led.last()['C0_running']:.6g}"])
 
 
-def _experiment_linear_eps(cfg: ExperimentConfig, outdir: Path,
-                           counters: list) -> tuple[int, dict]:
-    eps = cfg.eps_values[0]
-    profile = _build_profile(cfg, eps, cfg.lambda_values[0])
-    pert = make_initial_perturbation(profile.grid, cfg.init["amplitude"],
-                                     cfg.init["seed"], mean_zero_y=True, eps=eps)
+def _experiment_linear_eps(cfg: ExperimentConfig, outdir: Path, counters: list):
+    profile, pert = _setup(cfg, cfg.eps_values[0], cfg.lambda_values[0])
     rec, rec2 = _run_doubled(cfg, "linear_eps", pert, profile, outdir, counters)
-
-    from .transforms import perturbation_y_means
-
     c0 = rec.ledger.last()["C0_running"]
     c0d = rec2.ledger.last()["C0_running"]
-    drift = perturbation_y_means(rec.final_state)
+    drift = transforms.perturbation_y_means(rec.final_state)
     checks = {
         "bounded constant: C0 stable under t_end doubling (< 5%)":
             abs(c0d - c0) <= 0.05 * c0,
@@ -294,10 +268,7 @@ def _experiment_linear_eps(cfg: ExperimentConfig, outdir: Path,
     summary = {"M0": rec.ledger.M0, "empirical_C0": c0, "empirical_C0_doubled": c0d,
                "D_psi4": rec.ledger.last()["D_psi4"], "y_mean_drift": drift,
                "checks": checks}
-    _json_dump(summary, outdir / "summary.json")
-    ok = _print_report("linear_eps experiment", checks)
-    print(f"  empirical C0 = {c0:.6g}")
-    return (EXIT_PASS if ok else EXIT_THRESHOLD), summary
+    return "linear_eps experiment", checks, summary, [f"empirical C0 = {c0:.6g}"]
 
 
 def _positive_window(times, values, lo, hi):
@@ -312,24 +283,17 @@ def _positive_window(times, values, lo, hi):
     return lo, float(min(hi, times[ok][-1]))
 
 
-def _experiment_planarity(cfg: ExperimentConfig, outdir: Path,
-                          counters: list) -> tuple[int, dict]:
+def _experiment_planarity(cfg: ExperimentConfig, outdir: Path, counters: list):
     results = []
     iv = cfg.integrator
     for eps in cfg.eps_values:
         for lam in cfg.lambda_values:
-            profile = _build_profile(cfg, eps, lam)
-            pert = make_initial_perturbation(
-                profile.grid, cfg.init["amplitude"], cfg.init["seed"],
-                mean_zero_y=True, eps=eps)
+            profile, pert = _setup(cfg, eps, lam)
             tag = f"eps{eps:g}_lam{lam:g}"
             rec = _counted(counters, run("nq", pert, profile, _integrator(cfg)), pair=tag)
             t = np.asarray(rec.times)
             q = rec.ledger.column("Q")
-            with open(outdir / f"q_decay_{tag}.csv", "w", encoding="utf-8") as fh:
-                fh.write("t,Q\n")
-                for ti, qi in zip(t, q):
-                    fh.write(f"{ti:.17g},{qi:.17g}\n")
+            write_csv(outdir / f"q_decay_{tag}.csv", ("t", "Q"), zip(t, q))
             if rec.blowup:
                 _blowup(rec, f" for {tag}", pair=tag)
             window = _positive_window(t, q, iv["fit_t_min"], iv["fit_t_max"])
@@ -357,22 +321,13 @@ def _experiment_planarity(cfg: ExperimentConfig, outdir: Path,
             checks[f"eps={eps:g}: rate(lambda={thin['lambda']:g}) > "
                    f"rate(lambda={wide['lambda']:g})"] = thin["rate"] > wide["rate"]
 
-    summary = {"results": results, "checks": checks}
-    _json_dump(summary, outdir / "summary.json")
-    ok = _print_report("planarity experiment", checks)
-    for r in results:
-        if "rate" in r:
-            print(f"  eps={r['eps']:g} lambda={r['lambda']:g}: "
-                  f"c = {r['rate']:.4g}, r^2 = {r['r_squared']:.6f}, "
-                  f"window = [{r['window'][0]:g}, {r['window'][1]:g}]")
-    return (EXIT_PASS if ok else EXIT_THRESHOLD), summary
+    notes = [f"eps={r['eps']:g} lambda={r['lambda']:g}: c = {r['rate']:.4g}, "
+             f"r^2 = {r['r_squared']:.6f}, window = [{r['window'][0]:g}, {r['window'][1]:g}]"
+             for r in results if "rate" in r]
+    return "planarity experiment", checks, {"results": results, "checks": checks}, notes
 
 
-def _experiment_convergence(cfg: ExperimentConfig, outdir: Path,
-                            counters: list) -> tuple[int, dict]:
-    from .grid import field_from_function, laplacian
-    from .transforms import PhysicalState, cole_hopf_forward, cole_hopf_inverse
-
+def _experiment_convergence(cfg: ExperimentConfig, outdir: Path, counters: list):
     rows = []
 
     def slope_of(sizes, errors):
@@ -398,7 +353,6 @@ def _experiment_convergence(cfg: ExperimentConfig, outdir: Path,
         c = field_from_function(
             g, lambda z, y: 1.5 * np.exp(0.2 * np.cos(np.pi * z / g.L_z)
                                          + 0.1 * np.sin(2 * np.pi * y / g.lam)))
-        from .grid import zero_field
         q = cole_hopf_forward(PhysicalState(n=zero_field(g), c=c)).q
         ia = g.n_z // 2
         back = cole_hopf_inverse(q, float(c.values[ia, 0]), float(g.z[ia]))
@@ -432,13 +386,10 @@ def _experiment_convergence(cfg: ExperimentConfig, outdir: Path,
             fh.write(f"{name},{value:.17g},{lo},{hi},{lo <= value <= hi}\n")
     checks = {f"{name} = {value:.3f} in [{lo}, {hi}]": lo <= value <= hi
               for name, value, lo, hi in rows}
-    ok = _print_report("convergence experiment", checks)
-    return (EXIT_PASS if ok else EXIT_THRESHOLD), {"rows": rows, "checks": checks}
+    return "convergence experiment", checks, {"rows": rows, "checks": checks}, []
 
 
 def _write_snapshots(rec, outdir: Path) -> None:
-    from .grid import field_to_csv
-
     for t, st in rec.snapshots:
         tag = f"{t:.6g}".replace(".", "p").replace("-", "m")
         field_to_csv(st.psi, outdir / f"snapshot_psi_t{tag}.csv")
@@ -446,12 +397,13 @@ def _write_snapshots(rec, outdir: Path) -> None:
         field_to_csv(st.phi.y, outdir / f"snapshot_phi2_t{tag}.csv")
 
 
-_RUNNERS = {
-    "wave": _experiment_wave,
-    "stability0": _experiment_stability0,
-    "linear_eps": _experiment_linear_eps,
-    "planarity": _experiment_planarity,
-    "convergence": _experiment_convergence,
+# experiment -> (subcommand, runner)
+_EXPERIMENTS = {
+    "wave": ("wave", _experiment_wave),
+    "stability0": ("evolve", _experiment_stability0),
+    "linear_eps": ("linear", _experiment_linear_eps),
+    "planarity": ("planarity", _experiment_planarity),
+    "convergence": ("convergence", _experiment_convergence),
 }
 
 
@@ -464,10 +416,13 @@ def _print_config_errors(problems) -> None:
 def run_experiment(cfg: ExperimentConfig) -> int:
     """Execute a validated configuration; returns the process exit code.
 
-    The manifest is written on every path: with the experiment's report, a
-    blowup's included (exit 3), or with the error of a dt above the transport
-    limit (exit 2), of a failed wave solve (exit 4) or of any other
-    exception, a crash (exit 5).
+    The one place where a run's result becomes artifacts: the runner's
+    title, checks and notes are printed, its report is written to
+    summary.json, and its checks map to exit 0 (all pass) or 1.  The
+    manifest is written on every path: with the experiment's report, a
+    blowup's included (exit 3), or with the error of a dt above the
+    transport limit (exit 2), of a failed wave solve (exit 4) or of any
+    other exception, a crash (exit 5).
     """
     outdir = _out_dir(cfg)
     for w in cfg.warnings:
@@ -475,7 +430,14 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     start = time.time()
     counters = []  # steps and ledger rows of each `run` call
     try:
-        code, report = _RUNNERS[cfg.experiment](cfg, outdir, counters)
+        title, checks, report, notes = _EXPERIMENTS[cfg.experiment][1](cfg, outdir, counters)
+        print(title)
+        for name, ok in checks.items():
+            print(f"  [{'PASS' if ok else 'FAIL'}] {name}")
+        for line in notes:
+            print(f"  {line}")
+        _json_dump(report, outdir / "summary.json")
+        code = EXIT_PASS if all(checks.values()) else EXIT_THRESHOLD
         extra = {"report": report}
     except _Blowup as exc:
         code, extra = EXIT_BLOWUP, {"report": exc.args[0]}
@@ -505,20 +467,20 @@ def main(argv=None) -> int:
         formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, experiment in _SUBCOMMAND_TO_EXPERIMENT.items():
+    for experiment, (name, _) in _EXPERIMENTS.items():
         p = sub.add_parser(name, help=f"run the {experiment} experiment")
+        p.set_defaults(experiment=experiment)
         p.add_argument("--config", type=str, default=None,
                        help="INI config path (defaults apply when omitted)")
         p.add_argument("--set", action="append", default=[], metavar="SEC.KEY=VAL",
                        help="override a config value (repeatable)")
 
     args = parser.parse_args(argv)
-    experiment = _SUBCOMMAND_TO_EXPERIMENT[args.command]
     try:
         text = (Path(args.config).read_text(encoding="utf-8") if args.config
                 else _default_config_text())
         text = apply_overrides(text, args.set)
-        cfg = validate_config(text, experiment)
+        cfg = validate_config(text, args.experiment)
     except (OSError, UnicodeDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -60,7 +60,7 @@ _SCHEMA = {
     "init": {
         "amplitude": (float, 1e-4),
         "seed": (int, 0),
-        "mean_zero_y": (_parse_bool, False),
+        "mean_zero_y": (_parse_bool, None),  # None: derived from the experiment
     },
     "integrator": {
         "dt": (float, 0.02),
@@ -106,14 +106,16 @@ _RULES = {
 }
 
 # experiment -> (required sections, whether eps and lambda may be sweep
-# lists, a rule every eps value must also keep)
+# lists, a rule every eps value must also keep, whether the initial data must
+# have zero y-means: the default of init.mean_zero_y, and when true the only
+# value it may take)
 _RUN = ("grid", "wave", "init", "integrator", "output")
 EXPERIMENTS = {
-    "wave": (("grid", "wave"), False, None),
-    "stability0": (_RUN, False, (lambda e: e == 0, "must be 0")),
-    "linear_eps": (_RUN, False, _POSITIVE),
-    "planarity": (_RUN, True, _POSITIVE),
-    "convergence": (("grid",), False, None),
+    "wave": (("grid", "wave"), False, None, False),
+    "stability0": (_RUN, False, (lambda e: e == 0, "must be 0"), False),
+    "linear_eps": (_RUN, False, _POSITIVE, True),
+    "planarity": (_RUN, True, _POSITIVE, True),
+    "convergence": (("grid",), False, None, False),
 }
 
 
@@ -216,7 +218,9 @@ def validate_config(text: str, experiment: str) -> ExperimentConfig:
             out.setdefault(key, default)
         values[name] = out
 
-    required, sweep, eps_rule = EXPERIMENTS[experiment]
+    required, sweep, eps_rule, mean_zero = EXPERIMENTS[experiment]
+    if values["init"]["mean_zero_y"] is None:
+        values["init"]["mean_zero_y"] = mean_zero
     for name in required:
         if name not in sections:
             problems.append(f"missing required section [{name}] for "
@@ -236,9 +240,11 @@ def validate_config(text: str, experiment: str) -> ExperimentConfig:
             if len(vals) != 1:
                 problems.append(f"{at(name, key)} must be a single value for "
                                 f"experiment {experiment!r}, got {len(vals)}")
-    rules = _RULES if eps_rule is None else {  # eps_rule implies eps >= 0
-        **_RULES, ("wave", "eps"): (eps_rule[0], f"{eps_rule[1]} for experiment "
-                                                 f"{experiment!r}")}
+    rules = dict(_RULES)
+    if eps_rule is not None:  # eps_rule implies eps >= 0
+        rules["wave", "eps"] = (eps_rule[0], f"{eps_rule[1]} for experiment {experiment!r}")
+    if mean_zero:
+        rules["init", "mean_zero_y"] = (bool, f"must be true for experiment {experiment!r}")
     for name, vals in values.items():
         problems.extend(check_rules(name, vals, lambda key, name=name: at(name, key),
                                     rules=rules))
@@ -256,9 +262,6 @@ def validate_config(text: str, experiment: str) -> ExperimentConfig:
         elif lam > 1.0:
             warnings_list.append(f"grid.lambda = {lam} > 1: the stability theory "
                                  "assumes a thin strip")
-    if experiment == "planarity" and not values["init"]["mean_zero_y"]:
-        warnings_list.append("planarity works in the y-fluctuation channel; "
-                             "init.mean_zero_y = true is recommended")
 
     if problems:
         raise ConfigError(problems)
@@ -295,8 +298,9 @@ def serialize_config(cfg: ExperimentConfig) -> str:
 def apply_overrides(text: str, overrides) -> str:
     """Apply `section.key=value` strings on top of the raw config text.
 
-    Overrides are appended as a patch: existing keys are rewritten in place,
-    new keys appended to their section (created if absent).
+    Existing keys are rewritten in place; a new key is appended at the end
+    under a reopened [section] header, so every line of the text keeps its
+    number in the diagnostics.
     """
     lines = text.splitlines()
     for ov in overrides:
@@ -304,7 +308,6 @@ def apply_overrides(text: str, overrides) -> str:
             raise ConfigError([f"override {ov!r} is not of the form section.key=value"])
         target, value = (p.strip() for p in ov.split("=", 1))
         section, key = (p.strip() for p in target.split(".", 1))
-        done = False
         current = None
         for i, raw in enumerate(lines):
             line = raw.strip()
@@ -312,16 +315,7 @@ def apply_overrides(text: str, overrides) -> str:
                 current = line[1:-1].strip()
             elif current == section and line.partition("=")[0].strip() == key:
                 lines[i] = f"{key} = {value}"
-                done = True
                 break
-        if not done:
-            if f"[{section}]" not in (ln.strip() for ln in lines):
-                lines.append(f"[{section}]")
-                lines.append(f"{key} = {value}")
-            else:
-                # insert right after the section header
-                for i, raw in enumerate(lines):
-                    if raw.strip() == f"[{section}]":
-                        lines.insert(i + 1, f"{key} = {value}")
-                        break
+        else:
+            lines += [f"[{section}]", f"{key} = {value}"]
     return "\n".join(lines) + "\n"

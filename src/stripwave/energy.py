@@ -31,7 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, ScalarField, VectorField, ddz_array, remove_mean_in_y, y_modes
+from .grid import (Grid, ScalarField, VectorField, ddz_array, remove_mean_in_y, write_csv,
+                   y_modes)
 
 LEDGER_COLUMNS = (
     "t", "H3w_phi", "H3_psi", "H2w_grad_psi", "M_inst", "M_sup",
@@ -176,22 +177,9 @@ class EnergyLedger:
             d_phi = d_psi = d_psi4 = 0.0
             m_sup = row.M_inst
             m0 = row.M_inst
-        entry = {
-            "t": row.t,
-            "H3w_phi": row.H3w_phi,
-            "H3_psi": row.H3_psi,
-            "H2w_grad_psi": row.H2w_grad_psi,
-            "M_inst": row.M_inst,
-            "M_sup": m_sup,
-            "D_phi": d_phi,
-            "D_psi": d_psi,
-            "D_psi4": d_psi4,
-            "Q": row.Q,
-            "mass": row.mass,
-            "C0_running": ((m_sup + d_phi + d_psi + d_psi4) / m0) if m0 > 0 else 0.0,
-            "grad_phi_H3w": row.grad_phi_H3w,
-            "psi4_w": row.psi4_w,
-        }
+        entry = {**vars(row), "M_sup": m_sup, "D_phi": d_phi, "D_psi": d_psi,
+                 "D_psi4": d_psi4,
+                 "C0_running": ((m_sup + d_phi + d_psi + d_psi4) / m0) if m0 > 0 else 0.0}
         self.rows.append(entry)
         return entry
 
@@ -206,10 +194,7 @@ class EnergyLedger:
         return self.rows[-1]
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(",".join(LEDGER_COLUMNS) + "\n")
-            for r in self.rows:
-                fh.write(",".join(f"{r[c]:.17g}" for c in LEDGER_COLUMNS) + "\n")
+        write_csv(path, LEDGER_COLUMNS, ([r[c] for c in LEDGER_COLUMNS] for r in self.rows))
 
 
 def transverse_norm_sq(grid: Grid, *modes) -> float:

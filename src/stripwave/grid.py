@@ -91,10 +91,6 @@ class Grid:
         wz[0] = wz[-1] = 0.5 * self.dz
         return wz
 
-    def same_as(self, other: "Grid") -> bool:
-        return (self.L_z, self.n_z, self.lam, self.n_y, self.s) == (
-            other.L_z, other.n_z, other.lam, other.n_y, other.s)
-
 
 def make_grid(L_z: float, n_z: int, lam: float, n_y: int, s: float) -> Grid:
     """Build the strip grid; rejects odd n_y and non-positive sizes."""
@@ -142,7 +138,7 @@ class VectorField:
     y: ScalarField
 
     def __post_init__(self):
-        if not self.z.grid.same_as(self.y.grid):
+        if self.z.grid != self.y.grid:
             raise GridError("vector field components live on different grids")
 
     @property
@@ -272,13 +268,17 @@ def remove_mean_in_y(f: ScalarField) -> ScalarField:
     return ScalarField(f.grid, f.values - f.values.mean(axis=1, keepdims=True))
 
 
-def field_to_csv(f: ScalarField, path) -> None:
-    """Snapshot format: header z,y,value; row-major over (z_i, y_j); 17 digits."""
-    g = f.grid
+def write_csv(path, header, rows) -> None:
+    """A numeric table: the comma-joined names of header, then one line per
+    row of numbers written to 17 significant digits (every double round-trips)."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("z,y,value\n")
-        for i in range(g.n_z):
-            zi = g.z[i]
-            row = f.values[i]
-            for j in range(g.n_y):
-                fh.write(f"{zi:.17g},{g.y[j]:.17g},{row[j]:.17g}\n")
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+
+
+def field_to_csv(f: ScalarField, path) -> None:
+    """Snapshot format: header z,y,value; row-major over (z_i, y_j)."""
+    g = f.grid
+    write_csv(path, ("z", "y", "value"),
+              ((zi, yj, v) for zi, row in zip(g.z, f.values) for yj, v in zip(g.y, row)))

@@ -160,7 +160,7 @@ def cole_hopf_inverse(q: VectorField, c_anchor: float, anchor_z: float) -> Scala
 def assemble_physical(pert: PerturbationState, profile: WaveProfile) -> PhysicalState:
     """(phi, psi) -> (n, c) = (N + div phi, C e^{-psi}) in the moving frame."""
     g = pert.grid
-    if not g.same_as(profile.grid):
+    if g != profile.grid:
         raise TransformError("perturbation and profile live on different grids")
     n = ScalarField(g, profile.N[:, None] + divergence(pert.phi).values)
     if float(np.min(n.values)) < -1e-8:

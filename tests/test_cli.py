@@ -70,6 +70,11 @@ def test_range_problems_report_their_lines():
     assert f"line {lines.index('n_y = 15') + 1}: grid.n_y must be even" in problems[0]
     assert any(p.startswith(f"line {lines.index('dt = -1') + 1}: integrator.dt must "
                             "be positive") for p in problems)
+    # a --set key new to the file leaves the user's lines where they were
+    text = apply_overrides("[grid]\nn_z = 8\n", ["grid.n_y=16"])
+    with pytest.raises(ConfigError) as err:
+        validate_config(text, "wave")
+    assert "line 2: grid.n_z must be >= 16, got 8" in err.value.problems
 
 
 def test_wave_parameter_rules_checked_before_compute():
@@ -403,6 +408,9 @@ def test_manifest_counts_steps_and_rows_per_run_call(tmp_path, monkeypatch):
     assert main(args) == 0
     counters = json.loads((tmp_path / "pl" / "manifest.json").read_text())["counters"]
     assert [c["pair"] for c in counters] == ["eps0.1_lam0.5", "eps0.1_lam0.25"]
+    # mean-zero data is the planarity default, and the echo says so
+    assert "mean_zero_y = true" in json.loads(
+        (tmp_path / "pl" / "manifest.json").read_text())["config"].splitlines()
     for c in counters:
         q_rows = (tmp_path / "pl" / f"q_decay_{c['pair']}.csv").read_text().splitlines()
         assert (c["system"], c["steps"], c["rows"]) == ("nq", 100, len(q_rows) - 1)
@@ -444,6 +452,10 @@ def test_blowup_reason_reaches_stdout_and_manifest(tmp_path, monkeypatch, capsys
     ("planarity", ["wave.eps=0.1", "integrator.t_end=0.5"],
      "integrator.fit_t_min must be below t_end = 0.5 for experiment 'planarity', "
      "got 1.0"),
+    ("linear", ["wave.eps=0.1", "init.mean_zero_y=false"],
+     "init.mean_zero_y must be true for experiment 'linear_eps', got False"),
+    ("planarity", ["wave.eps=0.1", "init.mean_zero_y=false"],
+     "init.mean_zero_y must be true for experiment 'planarity', got False"),
 ])
 def test_bad_inputs_rejected_before_compute(tmp_path, monkeypatch, capsys, command,
                                             overrides, message):
@@ -455,6 +467,41 @@ def test_bad_inputs_rejected_before_compute(tmp_path, monkeypatch, capsys, comma
     assert main(args) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "run").exists()  # exited before the output directory
+
+
+TINY = ["grid.n_z=128", "grid.n_y=4"]
+
+
+@pytest.mark.parametrize("command, overrides", [
+    ("wave", TINY),
+    ("evolve", TINY + ["grid.L_z=50", "wave.n_minus=0.25", "integrator.dt=0.05",
+                       "integrator.t_end=1"]),
+    ("linear", TINY + ["wave.eps=0.1", "integrator.t_end=1"]),
+    ("planarity", TINY + ["wave.eps=0.1", "grid.lambda=0.5,0.25", "integrator.t_end=2"]),
+    # a fit window [1, 1.5] of 6 rows: no fit, a threshold failure
+    ("planarity", TINY + ["wave.eps=0.1", "integrator.t_end=2",
+                          "integrator.fit_t_max=1.5"]),
+    ("convergence", []),
+])
+def test_verdict_reaches_stdout_summary_and_exit_code(tmp_path, monkeypatch, capsys,
+                                                      command, overrides):
+    monkeypatch.setenv("STRIPWAVE_OUTPUT_ROOT", str(tmp_path))
+    args = [command]
+    for o in overrides:
+        args += ["--set", o]
+    code = main(args)
+    out = capsys.readouterr().out
+    report = json.loads((tmp_path / "out" / "manifest.json").read_text())["report"]
+    assert json.loads((tmp_path / "out" / "summary.json").read_text()) == report
+    checks = report["checks"]  # key-sorted by the JSON writer
+    assert checks
+    verdicts = [ln for ln in out.splitlines() if ln.startswith(("  [PASS] ", "  [FAIL] "))]
+    assert sorted(verdicts) == sorted(f"  [{'PASS' if ok else 'FAIL'}] {name}"
+                                      for name, ok in checks.items())
+    assert code == (0 if all(checks.values()) else 1)
+    if "integrator.fit_t_max=1.5" in overrides:
+        assert code == 1
+        assert "  [FAIL] eps=0.1, lambda=0.5: fit available" in out
 
 
 def test_crash_exit_code(tmp_path, monkeypatch, capsys):
