@@ -14,8 +14,9 @@ Subcommands:
 An experiment that finishes prints its title, one [PASS]/[FAIL] line per
 acceptance check and its notes, and writes its report to summary.json.
 Every run writes a manifest (config echo, version, wall clock, exit code,
-the steps and ledger rows of each time loop under `counters`, and the report
-or the error text it stopped on) next to its artifacts.  Exit codes:
+the report or the error text it stopped on, and under `counters` the steps,
+ledger rows and banded solves of each time loop with the seconds it spent in
+tendencies, solves and rows) next to its artifacts.  Exit codes:
 0 every check passed, 1 a check failed, 2 usage or configuration error (a
 dt above the transport limit included), 3 runtime blowup, one past t_end on
 the way to the doubled horizon included (partial artifacts retained), 4 the
@@ -194,10 +195,12 @@ def _blowup(rec, where: str = "", **report) -> None:
 
 
 def _counted(counters: list, rec, **labels):
-    """Note the steps and ledger rows of one `run` call for the manifest."""
+    """Note the steps, ledger rows and banded solves of one `run` call, and
+    the seconds it spent in tendencies, solves and rows, for the manifest."""
     counters.append({"system": rec.system, "dt": rec.config.dt,
                      "t_end": rec.config.t_end, "steps": rec.steps, "rows": rec.rows,
-                     **labels})
+                     "solves": rec.solves, "tendency_s": rec.tendency_s,
+                     "solve_s": rec.solve_s, "row_s": rec.row_s, **labels})
     return rec
 
 
@@ -428,7 +431,7 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     for w in cfg.warnings:
         print(f"warning: {w}")
     start = time.time()
-    counters = []  # steps and ledger rows of each `run` call
+    counters = []  # steps, rows, solves and timings of each `run` call
     try:
         title, checks, report, notes = _EXPERIMENTS[cfg.experiment][1](cfg, outdir, counters)
         print(title)

@@ -105,17 +105,18 @@ _RULES = {
     ("output", "snapshot_every"): _NON_NEGATIVE,
 }
 
-# experiment -> (required sections, whether eps and lambda may be sweep
-# lists, a rule every eps value must also keep, whether the initial data must
-# have zero y-means: the default of init.mean_zero_y, and when true the only
-# value it may take)
+# experiment -> (required sections: those it reads besides [output], whether
+# eps and lambda may be sweep lists, a rule every eps value must also keep,
+# whether the initial data must have zero y-means: the default of
+# init.mean_zero_y, and when true the only value it may take)
 _RUN = ("grid", "wave", "init", "integrator", "output")
 EXPERIMENTS = {
     "wave": (("grid", "wave"), False, None, False),
     "stability0": (_RUN, False, (lambda e: e == 0, "must be 0"), False),
     "linear_eps": (_RUN, False, _POSITIVE, True),
     "planarity": (_RUN, True, _POSITIVE, True),
-    "convergence": (("grid",), False, None, False),
+    # its grids and time runs are fixed; it reads the wave and the seed
+    "convergence": (("wave", "init"), False, None, False),
 }
 
 
@@ -282,9 +283,11 @@ def _format_value(v) -> str:
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
-    """Canonical text form; parse -> serialize -> parse is the identity."""
+    """Canonical text form of the sections the experiment reads, its
+    required ones and [output]; parse -> serialize -> parse is the identity."""
     lines = [f"# experiment: {cfg.experiment}"]
-    for name in ("grid", "wave", "init", "integrator", "output"):
+    read = (*EXPERIMENTS[cfg.experiment][0], "output")
+    for name in (n for n in _SCHEMA if n in read):
         lines.append(f"[{name}]")
         for key in _SCHEMA[name]:
             v = cfg.section(name).get(key)

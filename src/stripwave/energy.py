@@ -44,22 +44,29 @@ class EnergyError(ValueError):
     pass
 
 
-def _z_chain(modes: np.ndarray, grid: Grid, depth: int) -> list:
-    """y-modes and their first `depth` z-derivatives."""
-    chain = [modes]
-    for _ in range(depth):
-        chain.append(ddz_array(chain[-1], grid.dz))
-    return chain
+def _powers(modes: np.ndarray, grid: Grid, depth: int) -> dict:
+    """z-power per y-bin of f and its first `depth` z-derivatives, from f's
+    y-modes: power[weighted][i] = sum_z rows(z) |d_z^i f^(z, k)|^2 with rows
+    the trapezoid weights, times w(z) when weighted.  Each derivative is
+    contracted as soon as it is formed and dropped after the next one, so
+    two levels are held at a time."""
+    rows = {False: grid.trapz_weights, True: grid.trapz_weights * grid.weight}
+    power = {False: [], True: []}
+    level = modes
+    for i in range(depth + 1):
+        if i:
+            level = ddz_array(level, grid.dz)
+        square = level.real**2 + level.imag**2
+        for weighted, r in rows.items():
+            power[weighted].append(r @ square)
+    return power
 
 
-def _norm_sq(chain: list, grid: Grid, pairs, weighted: bool = False) -> float:
-    """Sum over (i, j) in pairs of int w |d_z^i d_y^j f|^2, from f's z-chain."""
-    rows = grid.trapz_weights * grid.weight if weighted else grid.trapz_weights
+def _norm_sq(power: dict, grid: Grid, pairs, weighted: bool = False) -> float:
+    """Sum over (i, j) in pairs of int w |d_z^i d_y^j f|^2, from f's powers."""
     bins = grid.rfft_multiplicity * grid.lam
     k2 = grid.ddy_wavenumbers**2  # k2**0 = 1 keeps the Nyquist bin for j = 0
-    levels = {i for i, _ in pairs}
-    power = {i: rows @ (chain[i].real**2 + chain[i].imag**2) for i in levels}
-    return float(sum(power[i] @ (bins * k2**j) for i, j in pairs))
+    return float(sum(power[weighted][i] @ (bins * k2**j) for i, j in pairs))
 
 
 def _sobolev_pairs(k: int) -> list:
@@ -86,14 +93,14 @@ def sobolev_norm(f, k: int, weighted: bool = False) -> float:
     if isinstance(f, VectorField):
         return sobolev_norm(f.z, k, weighted) + sobolev_norm(f.y, k, weighted)
     if isinstance(f, ScalarField):
-        chain = _z_chain(y_modes(f.values), f.grid, k)
-        return _norm_sq(chain, f.grid, _sobolev_pairs(k), weighted)
+        power = _powers(y_modes(f.values), f.grid, k)
+        return _norm_sq(power, f.grid, _sobolev_pairs(k), weighted)
     raise EnergyError(f"unsupported field type {type(f)!r}")
 
 
 def fourth_derivative_norm_sq(f: ScalarField, weighted: bool = True) -> float:
     """Sum over i+j = 4 of the squared weighted L2 norms of d_z^i d_y^j f."""
-    return _norm_sq(_z_chain(y_modes(f.values), f.grid, 4), f.grid, _FOURTH, weighted)
+    return _norm_sq(_powers(y_modes(f.values), f.grid, 4), f.grid, _FOURTH, weighted)
 
 
 def perturbation_measure(state) -> float:
@@ -127,9 +134,9 @@ def ledger_row(g: Grid, modes, t: float, eps: float) -> LedgerRow:
     No column needs a transform: the modes of div phi are D_z phi_z^ + i k
     phi_y^, and mass is their k = 0 column.
     """
-    phi_z = _z_chain(modes[0], g, 4)
-    phi_y = _z_chain(modes[1], g, 4)
-    psi = _z_chain(modes[2], g, 4 if eps > 0 else 3)
+    phi_z = _powers(modes[0], g, 4)
+    phi_y = _powers(modes[1], g, 4)
+    psi = _powers(modes[2], g, 4 if eps > 0 else 3)
     h3, grad_h3 = _sobolev_pairs(3), _gradient_pairs(3)
     h3w_phi = _norm_sq(phi_z, g, h3, True) + _norm_sq(phi_y, g, h3, True)
     h3_psi = _norm_sq(psi, g, h3)
@@ -137,8 +144,9 @@ def ledger_row(g: Grid, modes, t: float, eps: float) -> LedgerRow:
     grad_phi = _norm_sq(phi_z, g, grad_h3, True) + _norm_sq(phi_y, g, grad_h3, True)
     psi4 = eps * _norm_sq(psi, g, _FOURTH, True) if eps > 0 else 0.0
 
-    div_phi = phi_z[1] + 1j * g.ddy_wavenumbers * phi_y[0]
-    q_trans = _norm_sq([div_phi], g, [(0, 1)]) + _norm_sq(psi, g, [(1, 1), (0, 2)])
+    div_phi = ddz_array(modes[0], g.dz) + 1j * g.ddy_wavenumbers * modes[1]
+    q_trans = (_norm_sq(_powers(div_phi, g, 0), g, [(0, 1)])
+               + _norm_sq(psi, g, [(1, 1), (0, 2)]))
     return LedgerRow(
         t=t,
         H3w_phi=h3w_phi,
@@ -199,7 +207,7 @@ class EnergyLedger:
 
 def transverse_norm_sq(grid: Grid, *modes) -> float:
     """Sum of the unweighted ||d_y f||^2 over fields given by their y-modes."""
-    return sum(_norm_sq([vh], grid, [(0, 1)]) for vh in modes)
+    return sum(_norm_sq(_powers(vh, grid, 0), grid, [(0, 1)]) for vh in modes)
 
 
 def transverse_energy(state) -> float:

@@ -20,7 +20,7 @@ mode at a time.  The stepper therefore holds each field as its rfft y-modes
 (grid.y_modes), z-major with shape (n_z, n_y/2 + 1): d/dy is a
 multiplication by i k, z differences act on the columns, and a field's
 k = 0 column is its per-z y-mean.  Within a step only the quadratic terms
-visit the y-nodes (_products).
+visit the y-nodes (_Products).
 
 Splitting: every Laplacian is implicit; transport, coupling, and nonlinear
 terms are explicit.  The per-mode diffusion matrices are symmetric
@@ -36,15 +36,29 @@ z = -L_z, where a Dirichlet pin would inject spurious boundary kinks into
 the H^3 ledger.
 
 In system C the y-mean column and the fluctuation modes never mix through a
-linear term, and _products multiplies the two parts separately.  Rounding
+linear term, and _Products multiplies the two parts separately.  Rounding
 noise then stays proportional to each part's own magnitude, which lets the
 transverse energy decay through hundreds of e-foldings instead of flooring
 at unit roundoff of the O(1) background.
+
+A step allocates only the arrays it returns.  Each system, each diffusion
+solver and the IMEX core own their scratch arrays, allocated once from the
+grid when they are made and reused by every step: derivatives, fluxes, the
+y-node values of the product factors, the packed right-hand side of the
+banded solve.  Products and sums are formed in place with ufunc out=
+arguments, in the order of the plain expressions (a + b + c as (a + b) + c,
+a scalar times a sum as the sum scaled in place), so every value is bit for
+bit that of a fresh array per intermediate.  No returned array aliases a
+buffer: the tendencies are fresh arrays, and a step forms each right-hand
+side in its tendency (in a fresh array when an SBDF2 history keeps the
+tendency) and solves it in place, so the records and the SBDF2 history keep
+arrays no later step writes.
 """
 
 from __future__ import annotations
 
 import math
+import time
 import warnings
 from dataclasses import asdict, dataclass, field, replace
 
@@ -110,8 +124,12 @@ class TrajectoryRecord:
 
     `head` is the record to an earlier horizon that `run(..., head=T)`
     fills in the same time loop, equal to the record of a separate run to
-    T.  `steps` and `rows` count the steps the loop had taken and the
-    ledger rows it had computed when this record closed.
+    T.  `steps`, `rows` and `solves` count the steps the loop had taken, the
+    ledger rows it had computed and the banded diffusion solves it had made
+    (the curl projection's included) when this record closed;
+    `tendency_s`, `solve_s` and `row_s` are the perf_counter seconds spent
+    by then in explicit tendencies, in right-hand sides with their implicit
+    solves, and in ledger rows.
     """
 
     system: str
@@ -128,6 +146,15 @@ class TrajectoryRecord:
     head: TrajectoryRecord | None = None
     steps: int = 0
     rows: int = 0
+    solves: int = 0
+    tendency_s: float = 0.0
+    solve_s: float = 0.0
+    row_s: float = 0.0
+
+
+def _mode_array(grid) -> np.ndarray:
+    """An uninitialised array of one field's y-modes on grid."""
+    return np.empty((grid.n_z, grid.n_y // 2 + 1), dtype=complex)
 
 
 class _ModeDiffusionSolver:
@@ -139,6 +166,13 @@ class _ModeDiffusionSolver:
     along a single diagonal with exactly zero coupling between blocks, so
     one banded Cholesky factors them all and the solve of every block is
     bitwise that of its own matrix.
+
+    The solver owns its factor, kept in the Fortran order the LAPACK solve
+    reads, and one packed right-hand side of shape (2, modes, n_int): the
+    real and the imaginary parts of every block, the two columns of one
+    solve, which overwrites them in place.  A call writes the solution into
+    `out`, which may be rhs itself, or else into a fresh array; it never
+    returns a view of its own buffer.  `calls` counts the solves.
     """
 
     def __init__(self, grid, coef: float, alpha: float = 1.0):
@@ -148,24 +182,32 @@ class _ModeDiffusionSolver:
         ab[0] = -coef * inv_dz2
         ab[0, :, 0] = 0.0  # no coupling to the previous block
         ab[1] = alpha + coef * (2.0 * inv_dz2 + grid.wavenumbers_y[:, None]**2)
-        self.factor = (cholesky_banded(ab.reshape(2, -1)), False)
+        self.factor = (np.asfortranarray(cholesky_banded(ab.reshape(2, -1))), False)
+        self._packed = np.empty_like(ab)
+        self.calls = 0
 
-    def __call__(self, rhs: np.ndarray) -> np.ndarray:
+    def __call__(self, rhs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """rhs (n_z, n_y // 2 + 1) y-modes; returns the solution with zero
         boundary rows.  Real and imaginary parts are two right-hand sides."""
-        interior = rhs[1:-1].T.ravel()  # mode-major: one block per mode
-        sol = cho_solve_banded(self.factor, np.array([interior.real, interior.imag]).T,
-                               check_finite=False)
-        out = np.zeros_like(rhs)
-        out[1:-1] = (sol[:, 0] + 1j * sol[:, 1]).reshape(-1, self.n_int).T
+        packed = self._packed  # mode-major: one block per mode
+        packed[0] = rhs[1:-1].real.T
+        packed[1] = rhs[1:-1].imag.T
+        sol = cho_solve_banded(self.factor, packed.reshape(2, -1).T, overwrite_b=True,
+                               check_finite=False).T.reshape(packed.shape)
+        self.calls += 1
+        if out is None:
+            out = np.empty_like(rhs)
+        out[0] = out[-1] = 0.0
+        out.real[1:-1] = sol[0].T
+        out.imag[1:-1] = sol[1].T
         return out
 
 
 def _inflow_pinned(alpha: float):
     """Implicit solve of an undiffused field: alpha x = rhs, with the inflow
     row z = +L_z pinned and the outflow row left free."""
-    def solve(rhs):
-        out = rhs / alpha
+    def solve(rhs, out):
+        np.divide(rhs, alpha, out=out)
         out[-1, :] = 0.0
         return out
     return solve
@@ -177,7 +219,13 @@ class _ImexCore:
     With D the implicit diffusion and f the explicit tendency,
         imex1:  (1 - dt D) u' = u + dt f(u)
         SBDF2:  (1.5 - dt D) u' = 2 u - u_old / 2 + dt (2 f(u) - f(u_old)),
-    SBDF2 taking one imex1 step to build its history.
+    SBDF2 taking one imex1 step to build its history.  Each right-hand side
+    is formed in the order of these formulas, in the tendency array itself
+    when no SBDF2 history keeps it and in a fresh array otherwise (SBDF2
+    with one buffer of the core's own), and solved in place: a step returns
+    arrays that only it has written.  `solves` counts the banded solves made
+    so far; `tendency_s` and `solve_s` add up the time spent in the
+    tendencies and in the rest of the steps.
     """
 
     def __init__(self, system, dt: float, scheme: str):
@@ -185,56 +233,103 @@ class _ImexCore:
         self.dt = dt
         self.sbdf2 = scheme == "sbdf2"
         self.solves_1 = system.solves(dt, 1.0)
-        self.solves_15 = system.solves(dt, 1.5) if self.sbdf2 else None
+        self.solves_15 = system.solves(dt, 1.5) if self.sbdf2 else ()
+        self._banded = {s for s in (*self.solves_1, *self.solves_15, system.projector)
+                        if isinstance(s, _ModeDiffusionSolver)}
         self._prev = None  # (arrays, tendencies) of the previous step
+        self._work = _mode_array(system.g) if self.sbdf2 else None
+        self.tendency_s = self.solve_s = 0.0
+
+    @property
+    def solves(self) -> int:
+        return sum(s.calls for s in self._banded)
 
     def step(self, u: tuple) -> tuple:
-        dt = self.dt
+        dt, w = self.dt, self._work
+        start = time.perf_counter()
         tend = self.system.explicit_tendency(u)
+        split = time.perf_counter()
+        out = []
         if self._prev is None:
-            rhs = [x + dt * f for x, f in zip(u, tend)]
-            solves = self.solves_1
+            for x, f, solve in zip(u, tend, self.solves_1):
+                rhs = np.multiply(dt, f, out=None if self.sbdf2 else f)
+                rhs += x
+                out.append(solve(rhs, out=rhs))
         else:
             u_old, tend_old = self._prev
-            rhs = [2.0 * x - 0.5 * xo + dt * (2.0 * f - fo)
-                   for x, xo, f, fo in zip(u, u_old, tend, tend_old)]
-            solves = self.solves_15
+            for x, xo, f, fo, solve in zip(u, u_old, tend, tend_old, self.solves_15):
+                rhs = 2.0 * x
+                rhs -= np.multiply(0.5, xo, out=w)
+                np.multiply(2.0, f, out=w)
+                w -= fo
+                w *= dt
+                rhs += w
+                out.append(solve(rhs, out=rhs))
         if self.sbdf2:
             self._prev = (u, tend)
-        return self.system.settle(tuple(solve(r) for solve, r in zip(solves, rhs)))
+        u = self.system.settle(tuple(out))
+        end = time.perf_counter()
+        self.tendency_s += split - start
+        self.solve_s += end - split
+        return u
 
 
-def _upwind_right(v: np.ndarray, dz: float) -> np.ndarray:
+def _upwind_right(v: np.ndarray, dz: float, out: np.ndarray) -> np.ndarray:
     """One-sided difference toward +z for leftward transport (speed -s)."""
-    out = np.empty_like(v)
-    out[:-1] = (v[1:] - v[:-1]) / dz
+    np.subtract(v[1:], v[:-1], out=out[:-1])
+    out[:-1] /= dz
     out[-1] = 0.0  # inflow row is pinned, never advanced
     return out
 
 
-def _fluctuation(f: np.ndarray) -> np.ndarray:
-    fl = f.copy()
-    fl[:, 0] = 0.0
-    return fl
+class _Products:
+    """Sums of products of y-mode factors, formed on the y-nodes.
 
-
-def _products(grid, factors, terms) -> list:
-    """y-modes of sum(factors[i] * factors[j] for (i, j) in term), per term.
-
+    load(factors, start) puts the factors, arrays of y-modes, in the slots
+    start, start + 1, ...; term(pairs) then returns the y-modes of
+    sum(factor[i] * factor[j] for (i, j) in pairs) over the loaded slots.
     Each factor splits into its k = 0 column m (the y-mean) and its
     fluctuation f, transformed to the y-nodes alone.  f_i f_j + m_i f_j +
     f_i m_j is formed there and transformed back, while m_i m_j goes
     straight into column 0, so rounding stays relative to each part.
+
+    The object owns every array it works in, allocated once from the grid:
+    the means and the y-node values of each slot, a pair, a running sum and
+    one array of modes.  That array holds a factor's fluctuation in load, a
+    partial product while term forms the pairs, and then term's result.
+    load keeps no reference to the factors.  term returns the array of modes
+    itself: it holds until the next call, and a caller reads it but never
+    hands it on.
     """
-    means = [f[:, :1].real for f in factors]
-    phys = [y_values(_fluctuation(f), grid) for f in factors]
-    out = []
-    for term in terms:
-        p = y_modes(sum(phys[i] * phys[j] + means[i] * phys[j] + phys[i] * means[j]
-                        for i, j in term))
-        p[:, 0] += sum(means[i][:, 0] * means[j][:, 0] for i, j in term)
-        out.append(p)
-    return out
+
+    def __init__(self, grid, n_slots: int):
+        self.grid = grid
+        nodes = (grid.n_z, grid.n_y)
+        self._modes = _mode_array(grid)
+        size = grid.n_z * grid.n_y
+        self._part = self._modes.view(float).reshape(-1)[:size].reshape(nodes)
+        self._means = np.empty((n_slots, grid.n_z, 1))
+        self._values = [np.empty(nodes) for _ in range(n_slots)]
+        self._pair, self._sum = np.empty(nodes), np.empty(nodes)
+
+    def load(self, factors, start: int = 0) -> None:
+        for f, mean, values in zip(factors, self._means[start:], self._values[start:]):
+            np.copyto(mean, f[:, :1].real)
+            np.copyto(self._modes, f)
+            self._modes[:, 0] = 0.0
+            y_values(self._modes, self.grid, out=values)
+
+    def term(self, pairs) -> np.ndarray:
+        m, v, part, total = self._means, self._values, self._part, self._sum
+        for n, (i, j) in enumerate(pairs):  # the pairs summed left to right
+            pair = self._pair if n else total
+            np.multiply(v[i], v[j], out=pair)
+            pair += np.multiply(m[i], v[j], out=part)
+            pair += np.multiply(v[i], m[j], out=part)
+            total += pair if n else 0.0  # starting from 0, which turns -0.0 into 0.0
+        out = y_modes(total, out=self._modes)
+        out[:, 0] += sum(m[i][:, 0] * m[j][:, 0] for i, j in pairs)
+        return out
 
 
 def _check_finite(system, u, t):
@@ -254,6 +349,7 @@ class _PerturbationSystem:
     names = ("phi_z", "phi_y", "psi")
     guard = ("M_inst", "energy exceeded {:g} x M0")
     curl = 0.0
+    projector = None
 
     def __init__(self, profile: WaveProfile, transport: str, linear: bool):
         self.g = profile.grid
@@ -264,6 +360,10 @@ class _PerturbationSystem:
         self.s = profile.params.s
         self.N = profile.N[:, None]
         self.P = profile.P_z[:, None]
+        self.eps2P = 2.0 * self.eps * self.P
+        # div phi, a derivative and a partial product
+        self._work = [_mode_array(self.g) for _ in range(3)]
+        self._products = None if linear else _Products(self.g, 3)
 
     def arrays(self, state: PerturbationState) -> tuple:
         return state.y_modes()
@@ -281,26 +381,38 @@ class _PerturbationSystem:
         return phi, phi, psi
 
     def explicit_tendency(self, u):
-        dz, s = self.g.dz, self.s
+        """The explicit tendencies as fresh arrays; every intermediate is
+        formed in the system's own buffers, each sum left to right."""
+        dz, s, ik = self.g.dz, self.s, self.ik
+        div, d, w = self._work
+        products = self._products
         phi1, phi2, psi = u
-        dz_phi1 = ddz_array(phi1, dz)
-        dz_phi2 = ddz_array(phi2, dz)
-        dz_psi = ddz_array(psi, dz)
-        dy_psi = self.ik * psi
-        div = dz_phi1 + self.ik * phi2
+        dz_phi = ddz_array(phi1, dz, out=d)
+        np.multiply(ik, phi2, out=div)
+        div += dz_phi
+        a1 = s * dz_phi
+        dz_psi = ddz_array(psi, dz, out=d)
+        a1 += np.multiply(self.N, dz_psi, out=w)
+        a1 += np.multiply(self.P, div, out=w)
 
-        a1 = s * dz_phi1 + self.N * dz_psi + self.P * div
-        a2 = s * dz_phi2 + self.N * dy_psi
-        if not self.linear:
-            quad = _products(self.g, (div, dz_psi, dy_psi), ([(0, 1)], [(0, 2)]))
-            a1 = a1 + quad[0]
-            a2 = a2 + quad[1]
-
-        transport = (_upwind_right(psi, dz) if self.transport == "upwind"
-                     else ddz_array(psi, dz))
-        a_psi = s * transport + div
+        if self.transport == "upwind":
+            _upwind_right(psi, dz, out=w)
+        else:
+            ddz_array(psi, dz, out=w)
+        a_psi = s * w
+        a_psi += div
         if self.linear:
-            a_psi = a_psi - 2.0 * self.eps * self.P * dz_psi
+            a_psi -= np.multiply(self.eps2P, dz_psi, out=w)
+        else:
+            products.load((div, dz_psi))
+
+        dy_psi = np.multiply(ik, psi, out=d)
+        a2 = s * ddz_array(phi2, dz, out=w)
+        a2 += np.multiply(self.N, dy_psi, out=w)
+        if not self.linear:
+            products.load((dy_psi,), start=2)
+            a1 += products.term([(0, 1)])
+            a2 += products.term([(0, 2)])
         return a1, a2, a_psi
 
     def settle(self, u):
@@ -318,7 +430,7 @@ class _NqSystem:
     """Deviation form of the (n, q) system as the y-modes of (a, b_z, b_y).
 
     The k = 0 column of each array is the deviation's y-mean, the other
-    columns its fluctuation; _products keeps the two apart so the wave is
+    columns its fluctuation; _Products keeps the two apart so the wave is
     an exact discrete fixed point and rounding stays relative to each part.
     In the lab frame the transport terms drop and the wave slides out from
     under the sampled profile, which appears as the exact source
@@ -343,6 +455,10 @@ class _NqSystem:
                           if curl_projection else None)
         self.curl = 0.0  # of the last ledger row
         self._warned = False
+        # the fluxes G or two derivatives, and a partial product
+        self._work = [_mode_array(self.g) for _ in range(3)]
+        # (a, b_z, b_y) and, of b_z and then of b_y, (dz, dy)
+        self._products = _Products(self.g, 5)
 
     def arrays(self, state) -> tuple:
         """The deviation's y-modes from a ColeHopfState or PerturbationState."""
@@ -370,28 +486,48 @@ class _NqSystem:
         return a, b, b
 
     def explicit_tendency(self, u):
-        dz, s, eps, ik = self.g.dz, self.s, self.eps, self.ik
+        """The explicit tendencies as fresh arrays; every intermediate is
+        formed in the system's own buffers, each sum left to right."""
+        dz, s, ik = self.g.dz, self.s, self.ik
+        c = -2.0 * self.eps
+        moving = self.frame == "moving"
+        d1, d2, w = self._work
+        products = self._products
         a, bz, by = u
-        dz_a, dz_bz, dz_by = ddz_array(a, dz), ddz_array(bz, dz), ddz_array(by, dz)
+        products.load((a, bz, by))
 
-        # a b, (b.grad) b_z and (b.grad) b_y
-        ab_z, ab_y, adv_z, adv_y = _products(
-            self.g, (a, bz, by, dz_bz, ik * bz, dz_by, ik * by),
-            ([(0, 1)], [(0, 2)], [(1, 3), (2, 4)], [(1, 5), (2, 6)]))
+        # div G, the fluxes G = N b + P a + a b formed in d1 and d2
+        gz = np.multiply(self.N, bz, out=d1)
+        gz += np.multiply(self.P, a, out=w)
+        gz += products.term([(0, 1)])
+        gy = np.multiply(self.N, by, out=d2)
+        gy += products.term([(0, 2)])
+        ta = ddz_array(gz, dz)
+        ta += np.multiply(ik, gy, out=w)
+        dz_a = ddz_array(a, dz, out=d1)
+        if moving:
+            ta += np.multiply(s, dz_a, out=w)
 
-        # fluxes G = N b + P a + a b
-        gz = self.N * bz + self.P * a + ab_z
-        gy = self.N * by + ab_y
-        ta = ddz_array(gz, dz) + ik * gy
-        # b advection: (P.grad) b + (b.grad) P + (b.grad) b, times -2 eps
-        tbz = -2.0 * eps * (self.P * dz_bz + bz * self.dP[:, None] + adv_z) + dz_a
-        tby = -2.0 * eps * (self.P * dz_by + adv_y) + ik * a
+        # -2 eps [(P.grad) b + (b.grad) P + (b.grad) b] + grad a, per component
+        dz_bz = ddz_array(bz, dz, out=d2)
+        products.load((dz_bz, np.multiply(ik, bz, out=w)), start=3)
+        tbz = self.P * dz_bz
+        tbz += np.multiply(bz, self.dP[:, None], out=w)
+        tbz += products.term([(1, 3), (2, 4)])
+        tbz *= c
+        tbz += dz_a
+        if moving:
+            tbz += np.multiply(s, dz_bz, out=w)
 
-        if self.frame == "moving":
-            ta = ta + s * dz_a
-            tbz = tbz + s * dz_bz
-            tby = tby + s * dz_by
-        else:
+        dz_by = ddz_array(by, dz, out=d2)
+        products.load((dz_by, np.multiply(ik, by, out=d1)), start=3)
+        tby = self.P * dz_by
+        tby += products.term([(1, 3), (2, 4)])
+        tby *= c
+        tby += np.multiply(ik, a, out=w)
+        if moving:
+            tby += np.multiply(s, dz_by, out=w)
+        if not moving:
             # static profile in the lab frame: the wave translates beneath it
             ta[:, 0] -= s * self.dN
             tbz[:, 0] -= s * self.dP
@@ -421,7 +557,10 @@ class _NqSystem:
         q_trans = transverse_norm_sq(g, a, bz, by)
         mass = float(g.trapz_weights @ a[:, 0].real) * g.lam + 0.0
 
-        curl = float(np.max(np.abs(y_values(self.ik * bz - ddz_array(by, g.dz), g))))
+        curl_modes = np.multiply(self.ik, bz, out=self._work[0])
+        curl_modes -= ddz_array(by, g.dz, out=self._work[1])
+        values = y_values(curl_modes, g)
+        curl = float(np.max(np.abs(values, out=values)))
         self.curl = curl
         if curl > 1e-4 and not self._warned:
             warnings.warn(f"curl drift reached {curl:.3g}; enable curl_projection "
@@ -504,11 +643,13 @@ def run(system: str, init, profile: WaveProfile, config: IntegratorConfig,
         record.head = TrajectoryRecord(system=system, config=replace(config, t_end=head))
         open_records.append((record.head, _steps_for(record.head.config)))
     guard, guard_text = model.guard
-    rows = 0
+    rows, row_s = 0, 0.0
 
     def record_row(due):
-        nonlocal rows
+        nonlocal rows, row_s
+        start = time.perf_counter()
         row = model.row(u, t)
+        row_s += time.perf_counter() - start
         rows += 1
         snapshot = None
         for rec in due:
@@ -527,7 +668,8 @@ def run(system: str, init, profile: WaveProfile, config: IntegratorConfig,
         rec.final_state = model.state(u, t)
         if system == "nq":
             rec.final_deviation = u
-        rec.steps, rec.rows = i, rows
+        rec.steps, rec.rows, rec.solves = i, rows, core.solves
+        rec.tendency_s, rec.solve_s, rec.row_s = core.tendency_s, core.solve_s, row_s
 
     u = model.arrays(init)
     t = 0.0

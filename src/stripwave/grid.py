@@ -5,8 +5,11 @@ the y-axis is periodic and differentiated spectrally (exact for resolved
 Fourier modes).  The one-sided exponential weight w(z) = 1 + e^{s z} is
 sampled once at construction and drives all weighted quadrature.
 
-Grids and fields are immutable value snapshots: every operator allocates
-a fresh output array, so instances can be shared freely across threads.
+Grids and fields are immutable value snapshots, so instances can be shared
+freely across threads.  Every operator allocates a fresh output array,
+except that ddz_array, y_modes and y_values also take out=, an array of the
+result's shape and dtype that they fill and return instead: the stepper
+reuses its own buffers that way, with the same arithmetic bit for bit.
 """
 
 from __future__ import annotations
@@ -164,12 +167,15 @@ def zero_field(grid: Grid) -> ScalarField:
 # Exact for polynomials of degree <= 2, including the boundary stencils.
 # ---------------------------------------------------------------------------
 
-def ddz_array(v: np.ndarray, dz: float) -> np.ndarray:
+def ddz_array(v: np.ndarray, dz: float, out: np.ndarray | None = None) -> np.ndarray:
+    if out is None:
+        out = np.empty_like(v)
     if np.iscomplexobj(v):  # y-modes: difference both parts in real arithmetic
         parts = np.ascontiguousarray(v).reshape(len(v), -1).view(v.real.dtype)
-        return ddz_array(parts, dz).view(v.dtype).reshape(v.shape)
-    out = np.empty_like(v)
-    out[1:-1] = (v[2:] - v[:-2]) / (2.0 * dz)
+        ddz_array(parts, dz, out.reshape(len(v), -1).view(parts.dtype))
+        return out
+    np.subtract(v[2:], v[:-2], out=out[1:-1])
+    out[1:-1] /= 2.0 * dz
     out[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * dz)
     out[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * dz)
     return out
@@ -187,15 +193,15 @@ def d2dz2_array(v: np.ndarray, dz: float) -> np.ndarray:
 # y: periodic, transformed by rfft and differentiated spectrally.
 # ---------------------------------------------------------------------------
 
-def y_modes(v: np.ndarray) -> np.ndarray:
+def y_modes(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """rfft y-modes along the last axis, scaled so that the k = 0 column is
     the y-mean; z stays the leading axis."""
-    return np.fft.rfft(v, axis=-1, norm="forward")
+    return np.fft.rfft(v, axis=-1, norm="forward", out=out)
 
 
-def y_values(vh: np.ndarray, grid: Grid) -> np.ndarray:
+def y_values(vh: np.ndarray, grid: Grid, out: np.ndarray | None = None) -> np.ndarray:
     """Inverse of y_modes: samples on the y-nodes."""
-    return np.fft.irfft(vh, n=grid.n_y, axis=-1, norm="forward")
+    return np.fft.irfft(vh, n=grid.n_y, axis=-1, norm="forward", out=out)
 
 
 def ddy_array(v: np.ndarray, grid: Grid) -> np.ndarray:

@@ -264,6 +264,33 @@ def test_cli_convergence_experiment(tmp_path, monkeypatch):
     assert all(line.endswith("True") for line in table[1:])
 
 
+def test_convergence_reads_and_echoes_wave_and_init_only(tmp_path, monkeypatch):
+    # its grids and time runs are fixed: [grid] and [integrator] are neither
+    # required nor echoed, while the [wave] and [init] it reads are required
+    with pytest.raises(ConfigError) as err:
+        validate_config("[grid]\n[integrator]\n", "convergence")
+    assert [p for p in err.value.problems if "missing required section" in p] == [
+        "missing required section [wave] for experiment 'convergence' (defaults "
+        "exist but the section header must be present)",
+        "missing required section [init] for experiment 'convergence' (defaults "
+        "exist but the section header must be present)"]
+
+    monkeypatch.setenv("STRIPWAVE_OUTPUT_ROOT", str(tmp_path))
+    cfgfile = tmp_path / "conv.ini"
+    cfgfile.write_text("[wave]\nn_minus = 1\n[init]\nseed = 0\n[output]\ndirectory = conv\n")
+    assert main(["convergence", "--config", str(cfgfile)]) == 0
+    echo = json.loads((tmp_path / "conv" / "manifest.json").read_text())["config"]
+    sections = [line for line in echo.splitlines() if line.startswith("[")]
+    assert sections == ["[wave]", "[init]", "[output]"]
+    # the experiments that read every section still echo every one
+    for experiment, eps in (("stability0", "0"), ("linear_eps", "0.1"), ("planarity", "0.1")):
+        text = (STABILITY_CFG.format(out="x").replace("eps = 0", f"eps = {eps}")
+                .replace("t_end = 1.0", "t_end = 2.0"))
+        echo = serialize_config(validate_config(text, experiment))
+        assert [line for line in echo.splitlines() if line.startswith("[")] == [
+            "[grid]", "[wave]", "[init]", "[integrator]", "[output]"]
+
+
 def test_ledger_csv_columns(tmp_path):
     cfgfile = tmp_path / "stab.ini"
     cfgfile.write_text(STABILITY_CFG.format(out=tmp_path / "cols"))
@@ -394,9 +421,13 @@ def test_manifest_counts_steps_and_rows_per_run_call(tmp_path, monkeypatch):
     cfgfile.write_text(STABILITY_CFG.format(out=tmp_path / "ev"))
     assert main(["evolve", "--config", str(cfgfile)]) == 0
     manifest = json.loads((tmp_path / "ev" / "manifest.json").read_text())
-    # one loop to 2 t_end = 2: 40 steps, rows at every 4th step from 0
+    timings = [{key: c.pop(key) for key in ("tendency_s", "solve_s", "row_s")}
+               for c in manifest["counters"]]
+    # one loop to 2 t_end = 2: 40 steps, rows at every 4th step from 0, and
+    # per step one banded solve for each phi component (psi is undiffused)
     assert manifest["counters"] == [{"system": "nonlinear0", "dt": 0.05, "t_end": 2.0,
-                                     "steps": 40, "rows": 11}]
+                                     "steps": 40, "rows": 11, "solves": 80}]
+    assert all(isinstance(s, float) and s > 0 for t in timings for s in t.values())
     assert manifest["config"] == serialize_config(
         validate_config(cfgfile.read_text(), "stability0"))
 
@@ -414,6 +445,8 @@ def test_manifest_counts_steps_and_rows_per_run_call(tmp_path, monkeypatch):
     for c in counters:
         q_rows = (tmp_path / "pl" / f"q_decay_{c['pair']}.csv").read_text().splitlines()
         assert (c["system"], c["steps"], c["rows"]) == ("nq", 100, len(q_rows) - 1)
+        assert c["solves"] == 3 * c["steps"]  # a, b_z and b_y are all diffused
+        assert c["tendency_s"] > 0 and c["solve_s"] > 0 and c["row_s"] > 0
 
     assert main(["wave", "--set", "grid.n_z=128", "--set", "output.directory=w"]) == 0
     assert json.loads((tmp_path / "w" / "manifest.json").read_text())["counters"] == []
