@@ -15,7 +15,8 @@ An experiment that finishes prints its title, one [PASS]/[FAIL] line per
 acceptance check and its notes, and writes its report to summary.json.
 Every run writes a manifest (config echo, version, wall clock, exit code,
 the report or the error text it stopped on, and under `counters` the steps,
-ledger rows and banded solves of each time loop with the seconds it spent in
+ledger rows and banded solves of each time loop, for planarity its
+rescalings of the (n, q) fluctuation, and the seconds it spent in
 tendencies, solves and rows) next to its artifacts.  Exit codes:
 0 every check passed, 1 a check failed, 2 usage or configuration error (a
 dt above the transport limit included), 3 runtime blowup, one past t_end on
@@ -195,11 +196,13 @@ def _blowup(rec, where: str = "", **report) -> None:
 
 
 def _counted(counters: list, rec, **labels):
-    """Note the steps, ledger rows and banded solves of one `run` call, and
-    the seconds it spent in tendencies, solves and rows, for the manifest."""
+    """Note the steps, ledger rows and banded solves of one `run` call (and
+    for nq its rescalings of the fluctuation), and the seconds it spent in
+    tendencies, solves and rows, for the manifest."""
+    rescales = {} if rec.rescales is None else {"rescales": rec.rescales}
     counters.append({"system": rec.system, "dt": rec.config.dt,
                      "t_end": rec.config.t_end, "steps": rec.steps, "rows": rec.rows,
-                     "solves": rec.solves, "tendency_s": rec.tendency_s,
+                     "solves": rec.solves, **rescales, "tendency_s": rec.tendency_s,
                      "solve_s": rec.solve_s, "row_s": rec.row_s, **labels})
     return rec
 

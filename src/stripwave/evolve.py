@@ -39,7 +39,13 @@ In system C the y-mean column and the fluctuation modes never mix through a
 linear term, and _Products multiplies the two parts separately.  Rounding
 noise then stays proportional to each part's own magnitude, which lets the
 transverse energy decay through hundreds of e-foldings instead of flooring
-at unit roundoff of the O(1) background.
+at unit roundoff of the O(1) background.  The same split lets the stepper
+hold the fluctuation at unit scale, rescaled by exact powers of two as it
+decays, so that its arithmetic never turns subnormal (_NqSystem).
+
+The y-transforms are the DFT-matrix products of grid.y_modes,
+grid.y_values and grid.y_fluctuation_values; a step makes no numpy.fft
+call.
 
 A step allocates only the arrays it returns.  Each system, each diffusion
 solver and the IMEX core own their scratch arrays, allocated once from the
@@ -67,7 +73,8 @@ from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from .config import ConfigError, check_rules
 from .energy import EnergyLedger, LedgerRow, ledger_row, transverse_norm_sq
-from .grid import ScalarField, VectorField, ddz_array, y_modes, y_values
+from .grid import (ScalarField, VectorField, ddz_array, y_fluctuation_values, y_modes,
+                   y_values)
 from .transforms import ColeHopfState, PerturbationState, perturbation_y_means
 from .waves import WaveProfile
 
@@ -126,7 +133,9 @@ class TrajectoryRecord:
     fills in the same time loop, equal to the record of a separate run to
     T.  `steps`, `rows` and `solves` count the steps the loop had taken, the
     ledger rows it had computed and the banded diffusion solves it had made
-    (the curl projection's included) when this record closed;
+    (the curl projection's included) when this record closed, and for nq
+    `rescales` the rescalings of the fluctuation to unit scale
+    (_NqSystem; None for the other systems);
     `tendency_s`, `solve_s` and `row_s` are the perf_counter seconds spent
     by then in explicit tendencies, in right-hand sides with their implicit
     solves, and in ledger rows.
@@ -147,9 +156,15 @@ class TrajectoryRecord:
     steps: int = 0
     rows: int = 0
     solves: int = 0
+    rescales: int | None = None
     tendency_s: float = 0.0
     solve_s: float = 0.0
     row_s: float = 0.0
+
+
+# The (n, q) fluctuation is rescaled when its peak falls below this power
+# of two (_NqSystem); between rescalings it spans 32 binary orders.
+_RESCALE_FLOOR = 2.0**-32
 
 
 def _mode_array(grid) -> np.ndarray:
@@ -219,7 +234,9 @@ class _ImexCore:
     With D the implicit diffusion and f the explicit tendency,
         imex1:  (1 - dt D) u' = u + dt f(u)
         SBDF2:  (1.5 - dt D) u' = 2 u - u_old / 2 + dt (2 f(u) - f(u_old)),
-    SBDF2 taking one imex1 step to build its history.  Each right-hand side
+    SBDF2 taking one imex1 step to build its history.  When the system's
+    settle rescales the fluctuation of the new arrays by 2**shift, the
+    history gets fresh copies rescaled alike.  Each right-hand side
     is formed in the order of these formulas, in the tendency array itself
     when no SBDF2 history keeps it and in a fresh array otherwise (SBDF2
     with one buffer of the core's own), and solved in place: a step returns
@@ -267,7 +284,10 @@ class _ImexCore:
                 out.append(solve(rhs, out=rhs))
         if self.sbdf2:
             self._prev = (u, tend)
-        u = self.system.settle(tuple(out))
+        u, shift = self.system.settle(tuple(out))
+        if shift and self._prev is not None:  # the history at the new scale
+            self._prev = tuple(tuple(_ldexp_fluctuation(x.copy(), shift) for x in arrays)
+                               for arrays in self._prev)
         end = time.perf_counter()
         self.tendency_s += split - start
         self.solve_s += end - split
@@ -282,6 +302,15 @@ def _upwind_right(v: np.ndarray, dz: float, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def _ldexp_fluctuation(x: np.ndarray, exponent: int) -> np.ndarray:
+    """Multiplies the fluctuation columns (k >= 1) of the y-modes x by
+    2**exponent in place, exactly unless a result leaves the normal range;
+    returns x."""
+    parts = x.view(float)[:, 2:]
+    np.ldexp(parts, exponent, out=parts)
+    return x
+
+
 class _Products:
     """Sums of products of y-mode factors, formed on the y-nodes.
 
@@ -289,15 +318,23 @@ class _Products:
     start, start + 1, ...; term(pairs) then returns the y-modes of
     sum(factor[i] * factor[j] for (i, j) in pairs) over the loaded slots.
     Each factor splits into its k = 0 column m (the y-mean) and its
-    fluctuation f, transformed to the y-nodes alone.  f_i f_j + m_i f_j +
-    f_i m_j is formed there and transformed back, while m_i m_j goes
-    straight into column 0, so rounding stays relative to each part.
+    fluctuation f, transformed to the y-nodes alone
+    (grid.y_fluctuation_values).  f_i f_j + m_i f_j + f_i m_j is formed there
+    and transformed back, while m_i m_j goes straight into column 0, so
+    rounding stays relative to each part.
+
+    With exponent = e the factors' fluctuation columns hold their true
+    values times 2**-e (the (n, q) system's unit scale, see _NqSystem): term
+    then scales f_i f_j by 2**e, which gives the fluctuation columns of its
+    result at the factors' scale, and the result's column 0 by 2**e again,
+    which gives the true y-mean of f_i f_j.  A power of two is exact, so
+    every value in the normal range is that of the unscaled product.
 
     The object owns every array it works in, allocated once from the grid:
     the means and the y-node values of each slot, a pair, a running sum and
-    one array of modes.  That array holds a factor's fluctuation in load, a
-    partial product while term forms the pairs, and then term's result.
-    load keeps no reference to the factors.  term returns the array of modes
+    one array of modes.  That array holds a partial product while term forms
+    the pairs, and then term's result.  load keeps no reference to the
+    factors and writes none of them.  term returns the array of modes
     itself: it holds until the next call, and a caller reads it but never
     hands it on.
     """
@@ -315,19 +352,22 @@ class _Products:
     def load(self, factors, start: int = 0) -> None:
         for f, mean, values in zip(factors, self._means[start:], self._values[start:]):
             np.copyto(mean, f[:, :1].real)
-            np.copyto(self._modes, f)
-            self._modes[:, 0] = 0.0
-            y_values(self._modes, self.grid, out=values)
+            y_fluctuation_values(f, self.grid, out=values)
 
-    def term(self, pairs) -> np.ndarray:
+    def term(self, pairs, exponent: int = 0) -> np.ndarray:
         m, v, part, total = self._means, self._values, self._part, self._sum
         for n, (i, j) in enumerate(pairs):  # the pairs summed left to right
             pair = self._pair if n else total
             np.multiply(v[i], v[j], out=pair)
+            if exponent:
+                np.ldexp(pair, exponent, out=pair)
             pair += np.multiply(m[i], v[j], out=part)
             pair += np.multiply(v[i], m[j], out=part)
             total += pair if n else 0.0  # starting from 0, which turns -0.0 into 0.0
         out = y_modes(total, out=self._modes)
+        if exponent:
+            mean = out.real[:, 0]
+            np.ldexp(mean, exponent, out=mean)
         out[:, 0] += sum(m[i][:, 0] * m[j][:, 0] for i, j in pairs)
         return out
 
@@ -416,7 +456,7 @@ class _PerturbationSystem:
         return a1, a2, a_psi
 
     def settle(self, u):
-        return u
+        return u, 0
 
     def row(self, u, t) -> LedgerRow:
         return ledger_row(self.g, u, t, self.eps)
@@ -435,6 +475,19 @@ class _NqSystem:
     In the lab frame the transport terms drop and the wave slides out from
     under the sampled profile, which appears as the exact source
     (-s N', -s P', 0) in the y-mean column.
+
+    The fluctuation decays through hundreds of e-foldings, and arithmetic
+    on subnormal numbers is many times slower than on normal ones (6-38x in
+    the DFT products), so the arrays hold it at unit scale: their columns
+    k >= 1 are the true fluctuation times 2**-exponent.  When their peak
+    falls below _RESCALE_FLOOR (or, with exponent < 0, rises above its
+    reciprocal), settle multiplies them by the power of two 2**shift that
+    brings it into [1/2, 1) and subtracts shift from the exponent, which
+    never rises above 0: a rising peak is scaled back at most to true
+    scale.  No linear term mixes the columns, and _Products scales the one quadratic
+    coupling, so every value in the normal range is bit for bit that of an
+    unscaled run.  modes(), state() and row() report true values; the
+    y-mean column is never scaled.  `rescales` counts the rescalings.
     """
 
     names = ("a", "b_z", "b_y")
@@ -455,8 +508,12 @@ class _NqSystem:
                           if curl_projection else None)
         self.curl = 0.0  # of the last ledger row
         self._warned = False
+        self.exponent = self.rescales = 0
         # the fluxes G or two derivatives, and a partial product
         self._work = [_mode_array(self.g) for _ in range(3)]
+        # the magnitudes of one array's fluctuation, in a view of the first
+        self._magnitude = (self._work[0].view(float).reshape(-1)[:self.g.n_z * self.g.n_y]
+                           .reshape(self.g.n_z, self.g.n_y))
         # (a, b_z, b_y) and, of b_z and then of b_y, (dz, dy)
         self._products = _Products(self.g, 5)
 
@@ -472,9 +529,16 @@ class _NqSystem:
                     self.ik * psi)
         raise TypeError(f"cannot build (n, q) deviation from {type(state)!r}")
 
+    def modes(self, u) -> tuple:
+        """The true y-modes of the arrays u: u itself at exponent 0, else
+        copies with the fluctuation columns times 2**exponent."""
+        if not self.exponent:
+            return u
+        return tuple(_ldexp_fluctuation(x.copy(), self.exponent) for x in u)
+
     def state(self, u, t) -> ColeHopfState:
         g = self.g
-        a, bz, by = (y_values(x, g) for x in u)
+        a, bz, by = (y_values(x, g) for x in self.modes(u))
         return ColeHopfState(n=ScalarField(g, self.N + a),
                              q=VectorField(ScalarField(g, self.P + bz),
                                            ScalarField(g, by)),
@@ -499,9 +563,10 @@ class _NqSystem:
         # div G, the fluxes G = N b + P a + a b formed in d1 and d2
         gz = np.multiply(self.N, bz, out=d1)
         gz += np.multiply(self.P, a, out=w)
-        gz += products.term([(0, 1)])
+        e = self.exponent
+        gz += products.term([(0, 1)], e)
         gy = np.multiply(self.N, by, out=d2)
-        gy += products.term([(0, 2)])
+        gy += products.term([(0, 2)], e)
         ta = ddz_array(gz, dz)
         ta += np.multiply(ik, gy, out=w)
         dz_a = ddz_array(a, dz, out=d1)
@@ -513,7 +578,7 @@ class _NqSystem:
         products.load((dz_bz, np.multiply(ik, bz, out=w)), start=3)
         tbz = self.P * dz_bz
         tbz += np.multiply(bz, self.dP[:, None], out=w)
-        tbz += products.term([(1, 3), (2, 4)])
+        tbz += products.term([(1, 3), (2, 4)], e)
         tbz *= c
         tbz += dz_a
         if moving:
@@ -522,7 +587,7 @@ class _NqSystem:
         dz_by = ddz_array(by, dz, out=d2)
         products.load((dz_by, np.multiply(ik, by, out=d1)), start=3)
         tby = self.P * dz_by
-        tby += products.term([(1, 3), (2, 4)])
+        tby += products.term([(1, 3), (2, 4)], e)
         tby *= c
         tby += np.multiply(ik, a, out=w)
         if moving:
@@ -534,7 +599,25 @@ class _NqSystem:
         return ta, tbz, tby
 
     def settle(self, u):
-        return u if self.projector is None else self._project(u)
+        """The projected arrays (with curl_projection) and the power of two
+        by which they were rescaled, in place (0 when kept)."""
+        if self.projector is not None:
+            u = self._project(u)
+        return u, self._rescale(u)
+
+    def _rescale(self, u) -> int:
+        peak = max(float(np.abs(x.view(float)[:, 2:], out=self._magnitude).max())
+                   for x in u)
+        sinking = 0.0 < peak < _RESCALE_FLOOR
+        rising = self.exponent < 0 and math.isfinite(peak) and peak * _RESCALE_FLOOR > 1.0
+        if not (sinking or rising):
+            return 0
+        shift = max(-math.frexp(peak)[1], self.exponent)  # the peak into [1/2, 1)
+        for x in u:
+            _ldexp_fluctuation(x, shift)
+        self.exponent -= shift
+        self.rescales += 1
+        return shift
 
     def _project(self, u):
         """Helmholtz projection of the fluctuating b onto gradients.
@@ -554,11 +637,13 @@ class _NqSystem:
     def row(self, u, t) -> LedgerRow:
         g = self.g
         a, bz, by = u
-        q_trans = transverse_norm_sq(g, a, bz, by)
+        q_trans = math.ldexp(transverse_norm_sq(g, a, bz, by), 2 * self.exponent)
         mass = float(g.trapz_weights @ a[:, 0].real) * g.lam + 0.0
 
         curl_modes = np.multiply(self.ik, bz, out=self._work[0])
         curl_modes -= ddz_array(by, g.dz, out=self._work[1])
+        if self.exponent:
+            _ldexp_fluctuation(curl_modes, self.exponent)
         values = y_values(curl_modes, g)
         curl = float(np.max(np.abs(values, out=values)))
         self.curl = curl
@@ -667,7 +752,8 @@ def run(system: str, init, profile: WaveProfile, config: IntegratorConfig,
             rec.blowup, rec.blowup_time, rec.blowup_reason = True, t, reason
         rec.final_state = model.state(u, t)
         if system == "nq":
-            rec.final_deviation = u
+            rec.final_deviation = model.modes(u)
+            rec.rescales = model.rescales
         rec.steps, rec.rows, rec.solves = i, rows, core.solves
         rec.tendency_s, rec.solve_s, rec.row_s = core.tendency_s, core.solve_s, row_s
 

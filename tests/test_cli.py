@@ -447,6 +447,10 @@ def test_manifest_counts_steps_and_rows_per_run_call(tmp_path, monkeypatch):
         assert (c["system"], c["steps"], c["rows"]) == ("nq", 100, len(q_rows) - 1)
         assert c["solves"] == 3 * c["steps"]  # a, b_z and b_y are all diffused
         assert c["tendency_s"] > 0 and c["solve_s"] > 0 and c["row_s"] > 0
+    # Q falls by about e^-60 (lambda = 0.5) and e^-170 (0.25) over t = 2: the
+    # fluctuation is rescaled at least once per pair, more often on the
+    # thinner strip
+    assert 1 <= counters[0]["rescales"] < counters[1]["rescales"]
 
     assert main(["wave", "--set", "grid.n_z=128", "--set", "output.directory=w"]) == 0
     assert json.loads((tmp_path / "w" / "manifest.json").read_text())["counters"] == []

@@ -1,9 +1,11 @@
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from stripwave import evolve
 from stripwave.energy import perturbation_measure
 from stripwave.evolve import (
     IntegratorBlowup,
@@ -728,3 +730,78 @@ def test_warm_nq_steps_stay_allocation_light():
     finally:
         tracemalloc.stop()
     assert (peak - held) / u[0].nbytes < 5.0
+
+
+# ---------------------------------------------------------------------------
+# Unit scale: the (n, q) fluctuation is rescaled by exact powers of two
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def thin_nq_strip():
+    # lambda = 0.25: Q falls by about 1e-90 over t = 2, so the fluctuation
+    # (peak about 2^-20 at t = 0) sinks below 2^-32 again and again
+    p = WaveParams(eps=0.1, n_minus=1.0, c_plus=1.0)
+    g = make_grid(25.0 / p.s, 128, 0.25, 8, p.s)
+    return solve_wave_kpp(p, g), make_initial_perturbation(g, 1e-4, seed=0,
+                                                           mean_zero_y=True, eps=p.eps)
+
+
+@pytest.mark.parametrize("options", [
+    {"scheme": "imex1"},
+    {"scheme": "sbdf2", "transport": "central"},
+    {"scheme": "imex1", "curl_projection": True},
+])
+def test_rescaled_nq_run_is_bitwise_the_unscaled_run(thin_nq_strip, tmp_path, monkeypatch,
+                                                     options):
+    prof, pert = thin_nq_strip
+    cfg = IntegratorConfig(dt=0.01, t_end=2.0, record_every=5, snapshot_every=4, **options)
+
+    def nq_run(config, **kwargs):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # the curl drift note
+            return run("nq", pert, prof, config, **kwargs)
+
+    rec = nq_run(cfg, head=1.23)
+    alone = nq_run(replace(cfg, t_end=1.23))
+    with monkeypatch.context() as m:
+        m.setattr(evolve, "_RESCALE_FLOOR", 0.0)
+        plain = nq_run(cfg)
+    assert rec.rescales >= 2 and plain.rescales == 0
+    assert min(rec.ledger.column("Q")) > 1e-290
+    for a, b in ((rec, plain), (rec.head, alone)):
+        _assert_same_record(a, b, tmp_path)
+        assert all(np.array_equal(x, y) for x, y in zip(a.final_deviation, b.final_deviation))
+    assert rec.head.rescales == alone.rescales >= 1
+
+
+def test_rescaling_moves_the_peak_into_unit_range_both_ways(thin_nq_strip):
+    prof, pert = thin_nq_strip
+    model = _NqSystem(prof, "moving", curl_projection=False)
+
+    def times(factor, u):
+        """u with its fluctuation columns times factor."""
+        return tuple(np.concatenate([x[:, :1], x[:, 1:] * factor], axis=1) for x in u)
+
+    def settled(u):
+        true = [x.copy() for x in model.modes(u)]
+        u, shift = model.settle(u)
+        # settle changes the scale, never the values that modes() reports
+        assert all(np.array_equal(x, y) for x, y in zip(model.modes(u), true))
+        return u, shift, max(np.max(np.abs(x[:, 1:])) for x in u)
+
+    data = model.arrays(pert)
+    u, shift, peak = settled(data)
+    assert shift == 0 and model.exponent == 0  # 2^-32 < peak at t = 0
+
+    # sinking below 2^-32: rescaled to a peak in [1/2, 1), the means untouched
+    u, shift, peak = settled(times(2.0**-40, data))
+    assert model.exponent == -shift < -40 and 0.5 <= peak < 1.0 and model.rescales == 1
+    assert all(np.array_equal(x[:, 0], y[:, 0]) for x, y in zip(u, data))
+
+    # rising above 2^32 while exponent < 0: back towards true scale, never past it
+    exponent = model.exponent
+    u, shift, peak = settled(times(2.0**36, u))
+    assert shift == -36 and model.exponent == exponent + 36 < 0 and 0.5 <= peak < 1.0
+    u, shift, peak = settled(times(2.0**100, u))
+    assert model.exponent == 0 and peak > 2.0**32 and model.rescales == 3
+    assert settled(times(2.0**40, u))[1] == 0 and model.rescales == 3

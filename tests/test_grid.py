@@ -13,6 +13,9 @@ from stripwave.grid import (
     make_grid,
     mean_in_y,
     remove_mean_in_y,
+    y_fluctuation_values,
+    y_modes,
+    y_values,
     zero_field,
 )
 
@@ -191,6 +194,45 @@ def test_discrete_poincare_equality_first_mode():
     norm_fy = np.sqrt((fy.values**2).sum(axis=1) * g.dy)
     ratio = norm_f / (const * norm_fy)
     assert np.max(np.abs(ratio - 1.0)) < 1e-10
+
+
+@pytest.mark.parametrize("n_y", [4, 6, 8, 16, 64])
+def test_y_transforms_match_numpy_fft(n_y):
+    # numpy.fft is the oracle of the DFT-matrix transforms: rows spanning
+    # twelve decades, each compared to 1e-14 of its own norm
+    g = make_grid(10, 33, 0.5, n_y, 1.0)
+    rng = np.random.default_rng(n_y)
+    scale = 10.0 ** rng.uniform(-6, 6, (g.n_z, 1))
+    v = rng.standard_normal((g.n_z, n_y)) * scale
+
+    vh = y_modes(v)
+    rfft = np.fft.rfft(v, norm="forward")
+    assert np.all(np.abs(vh - rfft) <= 1e-14 * np.linalg.norm(rfft, axis=1, keepdims=True))
+    assert np.all(vh[:, 0].imag == 0.0) and np.all(vh[:, -1].imag == 0.0)
+
+    # imaginary parts in every bin: those of bin 0 and Nyquist are ignored
+    modes = vh + 1j * rng.standard_normal(vh.shape) * scale
+    values = y_values(modes, g)
+    irfft = np.fft.irfft(modes, n=n_y, norm="forward")
+    assert np.all(np.abs(values - irfft) <= 1e-14 * np.linalg.norm(irfft, axis=1, keepdims=True))
+    real_ends = modes.copy()
+    real_ends[:, [0, -1]] = real_ends[:, [0, -1]].real
+    assert np.array_equal(y_values(real_ends, g), values)
+
+    out = np.empty_like(vh)
+    assert y_modes(v, out=out) is out and np.array_equal(out, vh)
+    out = np.empty_like(v)
+    assert y_values(modes, g, out=out) is out and np.array_equal(out, values)
+
+    # the fluctuation-only inverse: y_values with column 0 zeroed, input untouched
+    kept = modes.copy()
+    zeroed = modes.copy()
+    zeroed[:, 0] = 0.0
+    want = y_values(zeroed, g)
+    for got in (y_fluctuation_values(modes, g),
+                y_fluctuation_values(modes, g, out=np.empty_like(v))):
+        assert np.all(np.abs(got - want) <= 1e-14 * np.linalg.norm(want, axis=1, keepdims=True))
+    assert np.array_equal(modes, kept)
 
 
 def test_fields_are_immutable():
