@@ -17,7 +17,9 @@ Every run writes a manifest (config echo, version, wall clock, exit code,
 the report or the error text it stopped on, and under `counters` the steps,
 ledger rows and banded solves of each time loop, for planarity its
 rescalings of the (n, q) fluctuation, and the seconds it spent in
-tendencies, solves and rows) next to its artifacts.  Exit codes:
+tendencies, solves and rows, and under `environment` the Python, numpy and
+scipy versions, the core count, the BLAS thread variables and the scipy
+subpackages the run loaded) next to its artifacts.  Exit codes:
 0 every check passed, 1 a check failed, 2 usage or configuration error (a
 dt above the transport limit included), 3 runtime blowup, one past t_end on
 the way to the doubled horizon included (partial artifacts retained), 4 the
@@ -31,6 +33,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import sys
 import time
 import traceback
@@ -38,6 +41,7 @@ import warnings
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .config import (
@@ -88,6 +92,25 @@ def _out_dir(cfg: ExperimentConfig) -> Path:
     return path
 
 
+_THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _environment() -> dict:
+    """Versions, cores and BLAS thread settings of this process, and the
+    scipy subpackages imported so far (an eps = 0 run loads no ODE solver)."""
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "cpu_count": os.cpu_count(),
+        "threads": {name: os.environ.get(name) for name in _THREAD_VARIABLES},
+        "scipy_loaded": sorted(
+            name for name, module in list(sys.modules.items())
+            if name.startswith("scipy.") and name.count(".") == 1
+            and not name.startswith("scipy._") and hasattr(module, "__path__")),
+    }
+
+
 def _write_manifest(outdir: Path, cfg: ExperimentConfig, wall: float,
                     exit_code: int, counters: list, extra: dict) -> None:
     manifest = {
@@ -97,6 +120,7 @@ def _write_manifest(outdir: Path, cfg: ExperimentConfig, wall: float,
         "exit_code": exit_code,
         "config": serialize_config(cfg),
         "counters": counters,
+        "environment": _environment(),
         **extra,
     }
     _json_dump(manifest, outdir / "manifest.json")

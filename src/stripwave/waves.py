@@ -24,16 +24,23 @@ which satisfies
     -s P' - eps P''      = -2 eps P P' + N'
 
 with N(-inf) = (1+eps) s^2, P(-inf) = -s and both tending to 0 on the right.
+
+Only the eps > 0 orbit needs scipy.integrate (LSODA), scipy.optimize
+(brentq, for the front center) and scipy.interpolate (CubicSpline, for C),
+so each is imported on the first KPP solve, not with this module: a process
+that builds only closed-form waves never loads them.  `solve_ivp` is still
+a name of this module, which the orbit looks up at call time, so the
+benchmark tracer can wrap it; the scipy function behind it is imported on
+its first call.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import LSODA, solve_ivp
-from scipy.optimize import brentq
 
 from .config import check_rules
 from .grid import Grid, d2dz2_array, ddz_array
@@ -140,17 +147,29 @@ def explicit_wave_eps0(params: WaveParams, grid: Grid) -> WaveProfile:
     )
 
 
-class _Lsoda(LSODA):
-    """LSODA whose Jacobian and LU counts are Python ints.
+def solve_ivp(*args, **kwargs):
+    """`scipy.integrate.solve_ivp`, imported on the first call."""
+    return _ode_stack()[0](*args, **kwargs)
 
-    scipy reads them from the Fortran work array as np.int32, which
-    json.dumps rejects; every other count solve_ivp reports is an int.
-    """
 
-    def _step_impl(self):
-        ok, msg = super()._step_impl()
-        self.njev, self.nlu = int(self.njev), int(self.nlu)
-        return ok, msg
+@functools.cache
+def _ode_stack():
+    """(solve_ivp, _Lsoda), built once: only the eps > 0 orbit needs them."""
+    from scipy.integrate import LSODA, solve_ivp
+
+    class _Lsoda(LSODA):
+        """LSODA whose Jacobian and LU counts are Python ints.
+
+        scipy reads them from the Fortran work array as np.int32, which
+        json.dumps rejects; every other count solve_ivp reports is an int.
+        """
+
+        def _step_impl(self):
+            ok, msg = super()._step_impl()
+            self.njev, self.nlu = int(self.njev), int(self.nlu)
+            return ok, msg
+
+    return solve_ivp, _Lsoda
 
 
 class _KppOrbit:
@@ -201,7 +220,7 @@ class _KppOrbit:
         # keep relative accuracy for monotone sampling down to the floor
         w0, v0, _ = self._tail_left(0.0)
         sol = solve_ivp(
-            rhs, (0.0, span), (w0, v0), method=_Lsoda, jac=jac,
+            rhs, (0.0, span), (w0, v0), method=_ode_stack()[1], jac=jac,
             rtol=tol, atol=wm * 1e-300, dense_output=True, events=hit_floor)
         if not sol.success:
             raise WaveSolveError(f"phase-plane integration failed: {sol.message}",
@@ -259,6 +278,8 @@ class _KppOrbit:
 
     def front_center(self) -> float:
         """xi at which W = W-/2 (unique by monotonicity)."""
+        from scipy.optimize import brentq
+
         target = 0.5 * self.wm
 
         def g(xi):

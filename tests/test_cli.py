@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -339,6 +342,62 @@ def test_cli_cfl_violation_exit_code(tmp_path, monkeypatch, capsys):
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["exit_code"] == 2
     assert "transport restriction" in manifest["error"]
+
+
+@pytest.mark.parametrize("args, code", [
+    (["wave", "--set", "grid.n_z=128"], 0),
+    (["evolve", "--set", "integrator.dt=5"], 2),
+])
+def test_manifest_records_the_environment(tmp_path, monkeypatch, args, code):
+    monkeypatch.setenv("STRIPWAVE_OUTPUT_ROOT", str(tmp_path))
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    assert main(args) == code
+    env = json.loads((tmp_path / "out" / "manifest.json").read_text())["environment"]
+    assert set(env) == {"python", "numpy", "scipy", "cpu_count", "threads",
+                        "scipy_loaded"}
+    assert env["python"] == ".".join(map(str, sys.version_info[:3]))
+    assert env["numpy"] == np.__version__ and env["cpu_count"] == os.cpu_count()
+    assert env["threads"] == {"OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
+                              "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": None}
+    # public subpackages only, sorted; the stepper's banded solver is one
+    assert "scipy.linalg" in env["scipy_loaded"]
+    assert env["scipy_loaded"] == sorted(env["scipy_loaded"])
+    assert all(m.count(".") == 1 and not m.startswith("scipy._")
+               for m in env["scipy_loaded"])
+
+
+ODE_STACK = ["scipy.integrate", "scipy.optimize"]
+
+
+def _fresh_process(tmp_path, body: str) -> list:
+    """Run `body` in a new isolated interpreter that imports stripwave from
+    this checkout; returns which ODE_STACK packages it had loaded at the end."""
+    src = str(Path(stripwave.cli.__file__).resolve().parents[1])
+    script = (f"import json, sys\nsys.path.insert(0, {src!r})\n{body}\n"
+              f"print(json.dumps([m for m in {ODE_STACK!r} if m in sys.modules]))\n")
+    env = {**os.environ, "STRIPWAVE_OUTPUT_ROOT": str(tmp_path)}
+    done = subprocess.run([sys.executable, "-I", "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_eps0_run_never_loads_the_ode_stack(tmp_path):
+    # only the eps > 0 KPP orbit needs LSODA and brentq, so an eps = 0 run
+    # imports neither, and its manifest says so
+    args = ["evolve", "--set", "grid.n_z=128", "--set", "grid.n_y=4",
+            "--set", "integrator.t_end=0.2"]
+    body = f"import stripwave.cli\nassert stripwave.cli.main({args!r}) == 0"
+    assert _fresh_process(tmp_path, body) == []
+    env = json.loads((tmp_path / "out" / "manifest.json").read_text())["environment"]
+    assert not set(ODE_STACK) & set(env["scipy_loaded"])
+
+    body = ("from stripwave.grid import make_grid\n"
+            "from stripwave.waves import WaveParams, solve_wave_kpp\n"
+            "p = WaveParams(eps=0.1, n_minus=1.0, c_plus=1.0)\n"
+            "solve_wave_kpp(p, make_grid(25.0 / p.s, 128, 0.5, 8, p.s))")
+    assert _fresh_process(tmp_path, body) == ODE_STACK
 
 
 def test_wave_solve_failure_exit_code(tmp_path, monkeypatch, capsys):

@@ -5,6 +5,7 @@ every target must resolve and the stepper must go through the counted names.
 """
 
 import importlib.util
+import json
 import sys
 from collections import Counter
 from pathlib import Path
@@ -80,6 +81,9 @@ def test_kpp_solve_calls_the_traced_name(monkeypatch):
     assert tracer.kpp["calls"] == 1
     assert tracer.kpp["steps"] == profile.diagnostics["nsteps"]
     assert tracer.kpp["nfev"] > 0 and tracer.kpp["njev"] > 0
+    # read off the solve_ivp result as it is: LSODA's counts must be ints
+    assert type(tracer.kpp["njev"]) is int
+    json.dumps(tracer.kpp)
 
 
 @pytest.mark.parametrize("command, overrides, calls, horizons", [
