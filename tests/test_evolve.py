@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from stripwave import evolve
 from stripwave.energy import perturbation_measure
@@ -476,6 +477,36 @@ def test_stacked_diffusion_solve_matches_dense_oracle(coef, alpha):
         b[[0, -1]] = 0.0
         exact = np.linalg.solve(a, b)
         assert np.max(np.abs(x[:, m] - exact)) <= 1e-12 * np.max(np.abs(exact))
+
+
+@pytest.mark.parametrize("coef, alpha", [(0.05, 1.0), (0.02, 1.5), (1.0, 0.0)])
+def test_complex_solve_matches_the_real_two_column_solve(coef, alpha):
+    # the complex factor and one complex column against a real factor of the
+    # same band with the real and imaginary parts as two real columns
+    g = make_grid(5.0, 48, 0.5, 8, 1.0)
+    rng = np.random.default_rng(12)
+    n_k = g.n_y // 2 + 1
+    rhs = rng.standard_normal((g.n_z, n_k)) + 1j * rng.standard_normal((g.n_z, n_k))
+    x = _ModeDiffusionSolver(g, coef, alpha)(rhs)
+    ab = np.empty((2, n_k, g.n_z - 2))
+    ab[0] = -coef / g.dz**2
+    ab[0, :, 0] = 0.0
+    ab[1] = alpha + coef * (2.0 / g.dz**2 + g.wavenumbers_y[:, None]**2)
+    factor = cholesky_banded(ab.reshape(2, -1))
+    columns = np.stack([rhs[1:-1].real.T.ravel(), rhs[1:-1].imag.T.ravel()], axis=1)
+    re, im = cho_solve_banded((factor, False), columns).T.reshape(2, n_k, -1)
+    assert np.all(x[[0, -1]] == 0.0)
+    ref = (re + 1j * im).T
+    assert np.max(np.abs(x[1:-1] - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_complex_solve_keeps_real_columns_real():
+    # a right-hand side with zero imaginary parts, as the k = 0 y-mean column
+    # of the (n, q) state has, comes back with imaginary parts exactly +-0
+    g = make_grid(5.0, 48, 0.5, 8, 1.0)
+    rhs = np.random.default_rng(13).standard_normal((g.n_z, g.n_y // 2 + 1)) + 0j
+    x = _ModeDiffusionSolver(g, 0.05)(rhs)
+    assert np.all(x.imag == 0.0) and np.all(x.real[1:-1] != 0.0)
 
 
 def test_blowup_names_its_field(setup_eps0, nq_setup):
