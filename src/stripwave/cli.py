@@ -39,7 +39,7 @@ import sys
 import time
 import traceback
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -243,14 +243,11 @@ def _blowup(rec, where: str = "", **report) -> None:
 
 
 def _counted(counters: list, rec, **labels):
-    """Note the steps, ledger rows and banded solves of one `run` call (and
-    for nq its rescalings of the fluctuation), and the seconds it spent in
-    tendencies, solves and rows, for the manifest."""
-    rescales = {} if rec.rescales is None else {"rescales": rec.rescales}
+    """Note the counters (evolve.RunCounters) of one `run` call for the
+    manifest."""
+    counts = {key: v for key, v in asdict(rec.counters).items() if v is not None}
     counters.append({"system": rec.system, "dt": rec.config.dt,
-                     "t_end": rec.config.t_end, "steps": rec.steps, "rows": rec.rows,
-                     "solves": rec.solves, **rescales, "tendency_s": rec.tendency_s,
-                     "solve_s": rec.solve_s, "row_s": rec.row_s, **labels})
+                     "t_end": rec.config.t_end, **counts, **labels})
     return rec
 
 

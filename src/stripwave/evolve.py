@@ -45,22 +45,18 @@ at unit roundoff of the O(1) background.  The same split lets the stepper
 hold the fluctuation at unit scale, rescaled by exact powers of two as it
 decays, so that its arithmetic never turns subnormal (_NqSystem).
 
-The y-transforms are the DFT-matrix products of grid.y_modes,
-grid.y_values and grid.y_fluctuation_values; a step makes no numpy.fft
-call.
-
 A step allocates only the arrays it returns.  Each system, each diffusion
-solver and the IMEX core own their scratch arrays, allocated once from the
-grid when they are made and reused by every step: derivatives, fluxes, the
-y-node values of the product factors, the mode-major right-hand side of
-the banded solve.  Products and sums are formed in place with ufunc out=
-arguments, in the order of the plain expressions (a + b + c as (a + b) + c,
-a scalar times a sum as the sum scaled in place), so every value is bit for
-bit that of a fresh array per intermediate.  No returned array aliases a
-buffer: the tendencies are fresh arrays, and a step forms each right-hand
-side in its tendency (in a fresh array when an SBDF2 history keeps the
-tendency) and solves it in place, so the records and the SBDF2 history keep
-arrays no later step writes.
+solver, each _Products and the IMEX core own their scratch arrays,
+allocated once from the grid when they are made and reused by every step:
+derivatives, fluxes, the y-node values of the product factors, the
+mode-major right-hand side of the banded solve.  Products and sums are
+formed in place with ufunc out= arguments, in the order of the plain
+expressions (a + b + c as (a + b) + c, a scalar times a sum as the sum
+scaled in place), so every value is bit for bit that of a fresh array per
+intermediate.  No returned array aliases a buffer: the tendencies are fresh
+arrays, and a step forms each right-hand side in its tendency (in a fresh
+array when an SBDF2 history keeps the tendency) and solves it in place, so
+the records and the SBDF2 history keep arrays no later step writes.
 """
 
 from __future__ import annotations
@@ -123,6 +119,29 @@ class IntegratorConfig:
 
 
 @dataclass
+class RunCounters:
+    """The work of one `run` loop when a record closed, one manifest
+    `counters` entry (None values left out).
+
+    `steps`, `rows` and `solves` count the steps taken, the ledger rows
+    computed and the banded diffusion solves made (the curl projection's
+    included); for nq `rescales` counts the rescalings of the fluctuation to
+    unit scale (_NqSystem; None for the other systems).  `tendency_s`,
+    `solve_s` and `row_s` are the perf_counter seconds spent in explicit
+    tendencies, in right-hand sides with their implicit solves, and in
+    ledger rows.
+    """
+
+    steps: int = 0
+    rows: int = 0
+    solves: int = 0
+    rescales: int | None = None
+    tendency_s: float = 0.0
+    solve_s: float = 0.0
+    row_s: float = 0.0
+
+
+@dataclass
 class TrajectoryRecord:
     """Recorded times, energy ledger, and optional snapshots of one run.
 
@@ -133,14 +152,7 @@ class TrajectoryRecord:
 
     `head` is the record to an earlier horizon that `run(..., head=T)`
     fills in the same time loop, equal to the record of a separate run to
-    T.  `steps`, `rows` and `solves` count the steps the loop had taken, the
-    ledger rows it had computed and the banded diffusion solves it had made
-    (the curl projection's included) when this record closed, and for nq
-    `rescales` the rescalings of the fluctuation to unit scale
-    (_NqSystem; None for the other systems);
-    `tendency_s`, `solve_s` and `row_s` are the perf_counter seconds spent
-    by then in explicit tendencies, in right-hand sides with their implicit
-    solves, and in ledger rows.
+    T.  `counters` is the loop's work when this record closed.
     """
 
     system: str
@@ -155,13 +167,7 @@ class TrajectoryRecord:
     blowup_reason: str | None = None
     curl_max: float = 0.0
     head: TrajectoryRecord | None = None
-    steps: int = 0
-    rows: int = 0
-    solves: int = 0
-    rescales: int | None = None
-    tendency_s: float = 0.0
-    solve_s: float = 0.0
-    row_s: float = 0.0
+    counters: RunCounters = field(default_factory=RunCounters)
 
 
 # The (n, q) fluctuation is rescaled when its peak falls below this power
@@ -240,13 +246,9 @@ class _ImexCore:
         SBDF2:  (1.5 - dt D) u' = 2 u - u_old / 2 + dt (2 f(u) - f(u_old)),
     SBDF2 taking one imex1 step to build its history.  When the system's
     settle rescales the fluctuation of the new arrays by 2**shift, the
-    history gets fresh copies rescaled alike.  Each right-hand side
-    is formed in the order of these formulas, in the tendency array itself
-    when no SBDF2 history keeps it and in a fresh array otherwise (SBDF2
-    with one buffer of the core's own), and solved in place: a step returns
-    arrays that only it has written.  `solves` counts the banded solves made
-    so far; `tendency_s` and `solve_s` add up the time spent in the
-    tendencies and in the rest of the steps.
+    history gets fresh copies rescaled alike.  `solves` counts the banded
+    solves made so far; `counters.tendency_s` and `counters.solve_s` add up
+    the time spent in the tendencies and in the rest of the steps.
     """
 
     def __init__(self, system, dt: float, scheme: str):
@@ -259,7 +261,7 @@ class _ImexCore:
                         if isinstance(s, _ModeDiffusionSolver)}
         self._prev = None  # (arrays, tendencies) of the previous step
         self._work = _mode_array(system.g) if self.sbdf2 else None
-        self.tendency_s = self.solve_s = 0.0
+        self.counters = RunCounters()
 
     @property
     def solves(self) -> int:
@@ -293,8 +295,8 @@ class _ImexCore:
             self._prev = tuple(tuple(_ldexp_fluctuation(x.copy(), shift) for x in arrays)
                                for arrays in self._prev)
         end = time.perf_counter()
-        self.tendency_s += split - start
-        self.solve_s += end - split
+        self.counters.tendency_s += split - start
+        self.counters.solve_s += end - split
         return u
 
 
@@ -334,13 +336,9 @@ class _Products:
     which gives the true y-mean of f_i f_j.  A power of two is exact, so
     every value in the normal range is that of the unscaled product.
 
-    The object owns every array it works in, allocated once from the grid:
-    the means and the y-node values of each slot, a pair, a running sum and
-    one array of modes.  That array holds a partial product while term forms
-    the pairs, and then term's result.  load keeps no reference to the
-    factors and writes none of them.  term returns the array of modes
-    itself: it holds until the next call, and a caller reads it but never
-    hands it on.
+    load keeps no reference to the factors and writes none of them.  term
+    returns an array of the object's own, which holds until the next call:
+    a caller reads it but never hands it on.
     """
 
     def __init__(self, grid, n_slots: int):
@@ -377,9 +375,11 @@ class _Products:
 
 
 def _check_finite(system, u, t):
-    for name, a in zip(system.names, u):
-        if not np.all(np.isfinite(a)):
-            raise IntegratorBlowup(f"non-finite values in {name}", t)
+    """Raises IntegratorBlowup naming every non-finite array of u, in
+    system.names order."""
+    bad = [name for name, a in zip(system.names, u) if not np.all(np.isfinite(a))]
+    if bad:
+        raise IntegratorBlowup(f"non-finite values in {', '.join(bad)}", t)
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +394,7 @@ class _PerturbationSystem:
     guard = ("M_inst", "energy exceeded {:g} x M0")
     curl = 0.0
     projector = None
+    rescales = None
 
     def __init__(self, profile: WaveProfile, transport: str, linear: bool):
         self.g = profile.grid
@@ -732,14 +733,12 @@ def run(system: str, init, profile: WaveProfile, config: IntegratorConfig,
         record.head = TrajectoryRecord(system=system, config=replace(config, t_end=head))
         open_records.append((record.head, _steps_for(record.head.config)))
     guard, guard_text = model.guard
-    rows, row_s = 0, 0.0
 
     def record_row(due):
-        nonlocal rows, row_s
         start = time.perf_counter()
         row = model.row(u, t)
-        row_s += time.perf_counter() - start
-        rows += 1
+        core.counters.row_s += time.perf_counter() - start
+        core.counters.rows += 1
         snapshot = None
         for rec in due:
             rec.ledger.append(row)
@@ -757,9 +756,8 @@ def run(system: str, init, profile: WaveProfile, config: IntegratorConfig,
         rec.final_state = model.state(u, t)
         if system == "nq":
             rec.final_deviation = model.modes(u)
-            rec.rescales = model.rescales
-        rec.steps, rec.rows, rec.solves = i, rows, core.solves
-        rec.tendency_s, rec.solve_s, rec.row_s = core.tendency_s, core.solve_s, row_s
+        rec.counters = replace(core.counters, steps=i, solves=core.solves,
+                               rescales=model.rescales)
 
     u = model.arrays(init)
     t = 0.0

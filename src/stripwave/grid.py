@@ -12,14 +12,14 @@ out=, an array of the result's shape and dtype that they fill and return
 instead: the stepper reuses its own buffers that way, with the same
 arithmetic bit for bit.
 
-The y-transforms of the stepper and the ledger (y_modes, y_values,
-y_fluctuation_values) are products with a real DFT matrix, built once per
-n_y, whose (Re, Im) parts of each rfft bin sit in adjacent columns: one
-BLAS call per array instead of numpy.fft's per-row FFTs.  The cost is
-O(n_y^2) per z-row against O(n_y log n_y), a win for the few y-modes a thin
-strip needs (a forward and inverse pair at n_z = 1024: about 2.9x faster
-at n_y = 16, on par near 64, 1.8x slower at 128).
-ddy_array and d2dy2_array, used off the stepper's path, keep numpy.fft.
+The y-transforms (y_modes, y_values, y_fluctuation_values), and through
+them every y-derivative and y-antiderivative of the package, are products
+with a real DFT matrix, built once per n_y, whose (Re, Im) parts of each
+rfft bin sit in adjacent columns: one BLAS call per array instead of
+numpy.fft's per-row FFTs.  The cost is O(n_y^2) per z-row against
+O(n_y log n_y), a win for the few y-modes a thin strip needs (a forward and
+inverse pair at n_z = 1024: about 2.9x faster at n_y = 16, on par near 64,
+1.8x slower at 128).
 """
 
 from __future__ import annotations
@@ -275,15 +275,11 @@ def ddy_array(v: np.ndarray, grid: Grid) -> np.ndarray:
     on the collocation nodes and its pointwise derivative samples to zero, so
     zeroing is the exact collocation derivative of that mode.
     """
-    vh = np.fft.rfft(v, axis=1)
-    vh *= 1j * grid.ddy_wavenumbers
-    return np.fft.irfft(vh, n=grid.n_y, axis=1)
+    return y_values(1j * grid.ddy_wavenumbers * y_modes(v), grid)
 
 
 def d2dy2_array(v: np.ndarray, grid: Grid) -> np.ndarray:
-    vh = np.fft.rfft(v, axis=1)
-    vh *= -grid.wavenumbers_y**2
-    return np.fft.irfft(vh, n=grid.n_y, axis=1)
+    return y_values(-grid.wavenumbers_y**2 * y_modes(v), grid)
 
 
 def ddz(f: ScalarField) -> ScalarField:

@@ -28,6 +28,7 @@ from .grid import (
     mean_in_y,
     remove_mean_in_y,
     y_modes,
+    y_values,
 )
 from .waves import WaveProfile
 
@@ -110,14 +111,11 @@ def _partial_integral_y(values: np.ndarray, grid: Grid) -> np.ndarray:
     periodic leg integrates mode-by-mode: a_m (e^{i k_m y} - 1)/(i k_m) plus
     a_0 y for the mean.
     """
-    vh = np.fft.rfft(values, axis=1)
-    k = grid.wavenumbers_y
-    factors = np.zeros_like(vh)
-    factors[:, 1:] = vh[:, 1:] / (1j * k[1:])
-    phases = np.exp(1j * np.outer(k, grid.y))  # (n_modes, n_y)
-    osc = (factors * grid.rfft_multiplicity) @ (phases - 1.0) / grid.n_y
-    mean = vh[:, :1].real / grid.n_y
-    return osc.real + mean * grid.y[None, :]
+    modes = y_modes(values)
+    factors = np.zeros_like(modes)
+    factors[:, 1:] = modes[:, 1:] / (1j * grid.wavenumbers_y[1:])
+    osc = y_values(factors, grid)
+    return osc - osc[:, :1] + modes[:, :1].real * grid.y
 
 
 def cole_hopf_inverse(q: VectorField, c_anchor: float, anchor_z: float) -> ScalarField:

@@ -17,11 +17,8 @@ from stripwave.grid import (
     ScalarField,
     VectorField,
     ddy,
-    divergence,
     field_from_function,
-    gradient,
     make_grid,
-    y_values,
     zero_field,
 )
 from stripwave.transforms import (
@@ -244,32 +241,8 @@ def test_criterion_08_planarity():
                "strip narrows", ok, "; ".join(details))
 
 
-def test_criterion_09_cross_solver_consistency():
-    p = WaveParams(eps=0.05, n_minus=1.0, c_plus=1.0)
-
-    def mismatch(n_z, dt):
-        g = make_grid(25.0 / p.s, n_z, 2.0, 8, p.s)
-        prof = solve_wave_kpp(p, g)
-        pert = make_initial_perturbation(g, 1e-8, seed=6, mean_zero_y=True,
-                                         eps=p.eps)
-        cfg = IntegratorConfig(dt=dt, t_end=0.5, record_every=10**9,
-                               transport="central")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            r1 = run("linear_eps", pert, prof, cfg)
-            r2 = run("nq", pert, prof, cfg)
-        f = r1.final_state
-        a1 = divergence(f.phi).values
-        gp = gradient(f.psi)
-        a2, bz2, by2 = (y_values(x, g) for x in r2.final_deviation)
-        err = max(np.max(np.abs(a1 - a2)),
-                  np.max(np.abs(gp.z.values - bz2)),
-                  np.max(np.abs(gp.y.values - by2)))
-        scale = max(np.max(np.abs(a1)), np.max(np.abs(gp.z.values)))
-        return err, scale
-
-    e1, s1 = mismatch(512, 0.02)
-    e2, s2 = mismatch(1024, 0.01)
+def test_criterion_09_cross_solver_consistency(cross_solver_mismatch):
+    (e1, s1), (e2, s2) = cross_solver_mismatch
     ok = (e1 / s1 < 1e-3) and (e1 / e2 > 1.8)
     _report(9, "perturbation and (n, q) solvers agree at t = 0.5; mismatch "
                "halves under joint dt, dz refinement", ok,

@@ -23,8 +23,6 @@ from stripwave.grid import (
     VectorField,
     ddy_array,
     ddz_array,
-    divergence,
-    gradient,
     make_grid,
     y_values,
     zero_field,
@@ -318,33 +316,10 @@ def test_nq_lab_frame_translates_wave(nq_setup):
     assert np.max(np.abs(a - exact)) < 5e-3 * np.max(np.abs(exact))
 
 
-def test_cross_solver_consistency(nq_setup):
+def test_cross_solver_consistency(cross_solver_mismatch):
     # linearized (phi, psi) trajectory versus the nonlinear (n, q) solver at
     # matching small amplitude; mismatch halves under joint dt, dz refinement
-    p = WaveParams(eps=0.05, n_minus=1.0, c_plus=1.0)
-
-    def mismatch(n_z, dt):
-        g = make_grid(25.0 / p.s, n_z, 2.0, 8, p.s)
-        prof = solve_wave_kpp(p, g)
-        pert = make_initial_perturbation(g, 1e-8, seed=6, mean_zero_y=True, eps=p.eps)
-        cfg = IntegratorConfig(dt=dt, t_end=0.5, record_every=10**9,
-                               transport="central")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            r1 = run("linear_eps", pert, prof, cfg)
-            r2 = run("nq", pert, prof, cfg)
-        f = r1.final_state
-        a1 = divergence(f.phi).values
-        gp = gradient(f.psi)
-        a2, bz2, by2 = deviation_values(r2)
-        err = max(np.max(np.abs(a1 - a2)),
-                  np.max(np.abs(gp.z.values - bz2)),
-                  np.max(np.abs(gp.y.values - by2)))
-        scale = max(np.max(np.abs(a1)), np.max(np.abs(gp.z.values)))
-        return err, scale
-
-    e1, s1 = mismatch(512, 0.02)
-    e2, s2 = mismatch(1024, 0.01)
+    (e1, s1), (e2, _) = cross_solver_mismatch
     assert e1 / s1 < 1e-3          # frozen from the combined-error oracle
     assert e1 / e2 > 1.8           # halves (or better) under refinement
 
@@ -397,9 +372,10 @@ def test_blowup_record_keeps_its_reason(setup_eps0):
     assert rec.blowup_reason == "energy exceeded 1e-12 x M0"
 
     # a 1e100 spike in psi overflows inside the first steps; the energy
-    # guard is out of reach, so the record names the first non-finite field.
-    # The overflow reaches the diffusion solve as inf/NaN and must end as
-    # this named blowup, not as an error of the banded solver
+    # guard is out of reach, so the record names every non-finite field (psi
+    # is still finite when phi_z and phi_y are not).  The overflow reaches
+    # the diffusion solve as inf/NaN and must end as this named blowup, not
+    # as an error of the banded solver
     psi = pert.psi.values.copy()
     psi[g.n_z // 2, 3] = 1e100
     spiked = PerturbationState(phi=pert.phi, psi=ScalarField(g, psi))
@@ -408,7 +384,7 @@ def test_blowup_record_keeps_its_reason(setup_eps0):
         rec = run("nonlinear0", spiked, prof,
                   IntegratorConfig(dt=0.05, t_end=1.0, blowup_factor=1e300))
     assert rec.blowup and rec.blowup_time == pytest.approx(0.2)
-    assert rec.blowup_reason == "non-finite values in phi_z"
+    assert rec.blowup_reason == "non-finite values in phi_z, phi_y"
 
     rec = run("nonlinear0", pert, prof, IntegratorConfig(dt=0.05, t_end=0.1))
     assert not rec.blowup and rec.blowup_reason is None
@@ -520,6 +496,13 @@ def test_blowup_names_its_field(setup_eps0, nq_setup):
 
     with pytest.raises(IntegratorBlowup, match="non-finite values in psi at t = 0"):
         one_step("nonlinear0", with_psi_at(np.nan), prof, 0.05)
+    # two fields at once: both named, in the system's order
+    phi_z = pert.phi.z.values.copy()
+    phi_z[0, 0] = np.inf
+    both = PerturbationState(phi=VectorField(ScalarField(g, phi_z), pert.phi.y),
+                             psi=with_psi_at(np.nan).psi)
+    with pytest.raises(IntegratorBlowup, match="non-finite values in phi_z, psi at t = 0$"):
+        one_step("nonlinear0", both, prof, 0.05)
 
     p, gq, profq = nq_setup
     by = np.zeros((gq.n_z, gq.n_y))
@@ -564,8 +547,8 @@ def _assert_same_record(a, b, tmp_path):
     for sa, sb in states:
         assert sa.t == sb.t
         assert np.array_equal(_values(sa), _values(sb), equal_nan=True)
-    assert (a.blowup, a.blowup_time, a.blowup_reason, a.curl_max, a.steps) == (
-        b.blowup, b.blowup_time, b.blowup_reason, b.curl_max, b.steps)
+    assert (a.blowup, a.blowup_time, a.blowup_reason, a.curl_max, a.counters.steps) == (
+        b.blowup, b.blowup_time, b.blowup_reason, b.curl_max, b.counters.steps)
 
 
 def _head_and_separate(system, strip, t_head, **kwargs):
@@ -593,8 +576,8 @@ def test_head_record_is_bitwise_a_separate_run(small_strips, tmp_path, system, s
     _assert_same_record(rec, full, tmp_path)
     assert rec.times[-1] == pytest.approx(2 * t_head)
     # every row is computed once: the head adds only its own off-grid last row
-    assert rec.head.rows == alone.rows
-    assert rec.rows == full.rows + (rec.head.steps % 4 != 0)
+    assert rec.head.counters.rows == alone.counters.rows
+    assert rec.counters.rows == full.counters.rows + (rec.head.counters.steps % 4 != 0)
 
 
 def test_head_record_matches_separate_runs_through_guard_trips(small_strips, tmp_path):
@@ -797,12 +780,12 @@ def test_rescaled_nq_run_is_bitwise_the_unscaled_run(thin_nq_strip, tmp_path, mo
     with monkeypatch.context() as m:
         m.setattr(evolve, "_RESCALE_FLOOR", 0.0)
         plain = nq_run(cfg)
-    assert rec.rescales >= 2 and plain.rescales == 0
+    assert rec.counters.rescales >= 2 and plain.counters.rescales == 0
     assert min(rec.ledger.column("Q")) > 1e-290
     for a, b in ((rec, plain), (rec.head, alone)):
         _assert_same_record(a, b, tmp_path)
         assert all(np.array_equal(x, y) for x, y in zip(a.final_deviation, b.final_deviation))
-    assert rec.head.rescales == alone.rescales >= 1
+    assert rec.head.counters.rescales == alone.counters.rescales >= 1
 
 
 def test_rescaling_moves_the_peak_into_unit_range_both_ways(thin_nq_strip):

@@ -4,7 +4,9 @@ import pytest
 from stripwave.grid import (
     GridError,
     ScalarField,
+    d2dy2_array,
     ddy,
+    ddy_array,
     ddz,
     field_from_function,
     integrate,
@@ -18,6 +20,7 @@ from stripwave.grid import (
     y_values,
     zero_field,
 )
+from stripwave.transforms import _partial_integral_y
 
 
 def test_make_grid_node_coordinates():
@@ -196,7 +199,7 @@ def test_discrete_poincare_equality_first_mode():
     assert np.max(np.abs(ratio - 1.0)) < 1e-10
 
 
-@pytest.mark.parametrize("n_y", [4, 6, 8, 16, 64])
+@pytest.mark.parametrize("n_y", [4, 6, 8, 16, 64, 128])
 def test_y_transforms_match_numpy_fft(n_y):
     # numpy.fft is the oracle of the DFT-matrix transforms: rows spanning
     # twelve decades, each compared to 1e-14 of its own norm
@@ -233,6 +236,29 @@ def test_y_transforms_match_numpy_fft(n_y):
                 y_fluctuation_values(modes, g, out=np.empty_like(v))):
         assert np.all(np.abs(got - want) <= 1e-14 * np.linalg.norm(want, axis=1, keepdims=True))
     assert np.array_equal(modes, kept)
+
+
+@pytest.mark.parametrize("lam", [0.25, 2.0])
+@pytest.mark.parametrize("n_y", [4, 8, 16, 64, 128])
+def test_y_calculus_matches_numpy_fft(n_y, lam):
+    # d/dy, d2/dy2 and the y-antiderivative go through the DFT-matrix
+    # transforms; numpy.fft, in the formulas they replaced, is the oracle:
+    # rows spanning e^-5 .. e^5, each compared to 1e-14 of its own norm
+    g = make_grid(10, 33, lam, n_y, 1.0)
+    rng = np.random.default_rng(n_y)
+    v = rng.standard_normal((g.n_z, n_y)) * np.exp(rng.uniform(-5, 5, (g.n_z, 1)))
+    vh = np.fft.rfft(v, axis=1)
+    k = g.wavenumbers_y
+    factors = np.zeros_like(vh)
+    factors[:, 1:] = vh[:, 1:] / (1j * k[1:])
+    phases = np.exp(1j * np.outer(k, g.y))
+    antiderivative = (((factors * g.rfft_multiplicity) @ (phases - 1.0) / n_y).real
+                      + vh[:, :1].real / n_y * g.y)
+    cases = ((ddy_array(v, g), np.fft.irfft(vh * 1j * g.ddy_wavenumbers, n=n_y, axis=1)),
+             (d2dy2_array(v, g), np.fft.irfft(vh * -k**2, n=n_y, axis=1)),
+             (_partial_integral_y(v, g), antiderivative))
+    for got, want in cases:
+        assert np.all(np.abs(got - want) <= 1e-14 * np.linalg.norm(want, axis=1, keepdims=True))
 
 
 def test_fields_are_immutable():
