@@ -17,8 +17,9 @@ Every run writes a manifest (config echo, version, wall clock, exit code,
 the report or the error text it stopped on, under `waves` each wave profile
 it built, with the build's seconds and for a KPP orbit the solver's counts,
 under `counters` the steps, ledger rows and banded solves of each time loop,
-for planarity its rescalings of the (n, q) fluctuation, and the seconds it
-spent in tendencies, solves and rows, and under `environment` the Python,
+for planarity its rescalings of the (n, q) fluctuation, the seconds it
+spent in tendencies, solves and rows, and its dt over the transport limit
+(the CFL margin), and under `environment` the Python,
 numpy and scipy versions, the core count, the BLAS thread variables and the
 scipy subpackages the run loaded) next to its artifacts.  Exit codes:
 0 every check passed, 1 a check failed, 2 usage or configuration error (a
@@ -243,11 +244,12 @@ def _blowup(rec, where: str = "", **report) -> None:
 
 
 def _counted(counters: list, rec, **labels):
-    """Note the counters (evolve.RunCounters) of one `run` call for the
-    manifest."""
+    """Note the counters (evolve.RunCounters) and the CFL margin of one
+    `run` call for the manifest."""
     counts = {key: v for key, v in asdict(rec.counters).items() if v is not None}
-    counters.append({"system": rec.system, "dt": rec.config.dt,
-                     "t_end": rec.config.t_end, **counts, **labels})
+    counters.append({"system": rec.system, "dt": rec.config.dt, "t_end": rec.config.t_end,
+                     **counts, "dt_over_transport_limit": rec.dt_over_transport_limit,
+                     **labels})
     return rec
 
 

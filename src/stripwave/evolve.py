@@ -24,11 +24,10 @@ visit the y-nodes (_Products).
 
 Splitting: every Laplacian is implicit; transport, coupling, and nonlinear
 terms are explicit.  The per-mode diffusion matrices are symmetric
-tridiagonal in z; stacked along one diagonal they form a single banded
-system with one complex Cholesky factor.  A field's complex y-modes are
-one right-hand side column of one banded solve: the band solve pays per
-row of each column, so one complex column costs less than the real and
-imaginary parts as two real columns.  One IMEX core advances all three
+tridiagonal in z; stacked along one diagonal they form a single
+tridiagonal system with one real LDL^T factor (LAPACK dpttrf).  A field's
+complex y-modes are one right-hand side column of one tridiagonal solve
+(zpttrs), called directly.  One IMEX core advances all three
 systems with either scheme, first-order IMEX (imex1) or SBDF2 (Ascher,
 Ruuth & Wetton, SIAM J. Numer. Anal. 32, 1995); a system supplies only its
 explicit tendency, the implicit solve of each of its arrays, and its ledger
@@ -67,7 +66,7 @@ import warnings
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg.lapack import dpttrf, zpttrs
 
 from .config import ConfigError, check_rules
 from .energy import EnergyLedger, LedgerRow, ledger_row, transverse_norm_sq
@@ -153,6 +152,8 @@ class TrajectoryRecord:
     `head` is the record to an earlier horizon that `run(..., head=T)`
     fills in the same time loop, equal to the record of a separate run to
     T.  `counters` is the loop's work when this record closed.
+    `dt_over_transport_limit` is dt over the explicit-transport limit
+    cfl_safety * dz / v_max (IntegratorConfig), the run's CFL margin.
     """
 
     system: str
@@ -168,6 +169,7 @@ class TrajectoryRecord:
     curl_max: float = 0.0
     head: TrajectoryRecord | None = None
     counters: RunCounters = field(default_factory=RunCounters)
+    dt_over_transport_limit: float | None = None
 
 
 # The (n, q) fluctuation is rescaled when its peak falls below this power
@@ -180,37 +182,60 @@ def _mode_array(grid) -> np.ndarray:
     return np.empty((grid.n_z, grid.n_y // 2 + 1), dtype=complex)
 
 
+def cholesky_banded(d: np.ndarray, e: np.ndarray):
+    """LAPACK dpttrf: the LDL^T factor (d, e, info) of the symmetric
+    tridiagonal matrix with diagonal d and off-diagonal e.
+
+    A module-level name so that the benchmark tracer (benchmarks/traced.py)
+    can count factorizations by wrapping it, as it counts solves on
+    cho_solve_banded and KPP solves on waves.solve_ivp.
+    """
+    return dpttrf(d, e)
+
+
+def cho_solve_banded(factor: tuple, b: np.ndarray) -> np.ndarray:
+    """LAPACK zpttrs: solves the factored tridiagonal system for the complex
+    column b in place (a contiguous b is overwritten) and returns it.
+
+    A module-level name so that the benchmark tracer counts solves by
+    wrapping it (see cholesky_banded).
+    """
+    return zpttrs(*factor, b, overwrite_b=1)[0]
+
+
 class _ModeDiffusionSolver:
     """Solves (alpha I - coef (d_zz - k^2)) x = b for every y-mode at once.
 
     Interior rows carry the 3-point stencil; boundary rows are Dirichlet
     pins (x = 0 at z = +-L_z).  Each mode's matrix is symmetric positive
     definite and tridiagonal; the modes are stacked one block after another
-    along a single diagonal with exactly zero coupling between blocks, so
-    one banded Cholesky factors them all and the solve of every block is
-    bitwise that of its own matrix.
+    along a single diagonal, and the off-diagonal entry between two blocks
+    is an exact 0, so one real LDL^T factor (dpttrf) holds them all and the
+    solve of every block is bitwise that of its own matrix.  A factor with
+    a non-positive pivot raises numpy.linalg.LinAlgError naming its y-mode
+    and its z row among the mode's n_z - 2 interior rows.
 
-    The factor is complex (LAPACK zpbtrf of the real matrix), so a field's
-    complex y-modes are one right-hand side column and one zpbtrs call
-    solves them as they are.  The band solve costs per row, not per flop:
-    one complex column takes about 70 % of the time of the real and
-    imaginary parts as two real columns.  The solver owns its factor, kept
-    in the Fortran order the LAPACK solve reads, and one mode-major
-    right-hand side of shape (modes, n_int), which the solve overwrites in
-    place.  A call writes the solution into `out`, which may be rhs itself,
-    or else into a fresh array; it never returns a view of its own buffer.
-    `calls` counts the solves.
+    A field's complex y-modes are one right-hand side column, solved as
+    they are by one zpttrs call; the factor's off-diagonal is kept complex,
+    as zpttrs reads it, so no call converts it.  The solver owns one
+    mode-major right-hand side of shape (modes, n_int), which the solve
+    overwrites in place.  A call writes the solution into `out`, which may
+    be rhs itself, or else into a fresh array; it never returns a view of
+    its own buffer.  `calls` counts the solves.
     """
 
     def __init__(self, grid, coef: float, alpha: float = 1.0):
         self.n_int = grid.n_z - 2
         inv_dz2 = 1.0 / grid.dz**2
-        ab = np.empty((2, grid.n_y // 2 + 1, self.n_int), dtype=complex)
-        ab[0] = -coef * inv_dz2
-        ab[0, :, 0] = 0.0  # no coupling to the previous block
-        ab[1] = alpha + coef * (2.0 * inv_dz2 + grid.wavenumbers_y[:, None]**2)
-        self.factor = (np.asfortranarray(cholesky_banded(ab.reshape(2, -1))), False)
-        self._packed = np.empty_like(ab[0])
+        d = np.repeat(alpha + coef * (2.0 * inv_dz2 + grid.wavenumbers_y**2), self.n_int)
+        e = np.full((grid.n_y // 2 + 1, self.n_int), -coef * inv_dz2)
+        e[:, -1] = 0.0  # no coupling to the next block
+        self._packed = np.empty_like(e, dtype=complex)
+        d, e, info = cholesky_banded(d, e.ravel()[:-1])
+        if info > 0:  # the first non-positive pivot, row info - 1 of the stack
+            mode, row = divmod(info - 1, self.n_int)
+            raise np.linalg.LinAlgError(f"not positive definite: y-mode {mode}, z row {row}")
+        self.factor = (d, e.astype(complex))
         self.calls = 0
 
     def __call__(self, rhs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -218,8 +243,7 @@ class _ModeDiffusionSolver:
         boundary rows."""
         packed = self._packed  # mode-major: one block per mode
         packed[...] = rhs[1:-1].T
-        sol = cho_solve_banded(self.factor, packed.reshape(-1), overwrite_b=True,
-                               check_finite=False).reshape(packed.shape)
+        sol = cho_solve_banded(self.factor, packed.reshape(-1)).reshape(packed.shape)
         self.calls += 1
         if out is None:
             out = np.empty_like(rhs)
@@ -677,13 +701,15 @@ def _steps_for(config: IntegratorConfig) -> int:
     return max(int(n), 1)
 
 
-def _validate_cfl(config: IntegratorConfig, profile: WaveProfile):
+def _validate_cfl(config: IntegratorConfig, profile: WaveProfile) -> float:
+    """Rejects a dt above the transport limit; returns dt over that limit."""
     v_max = max(abs(profile.params.s), math.sqrt(float(np.max(profile.N))), 1e-12)
     limit = config.cfl_safety * profile.grid.dz / v_max
     if config.dt > limit * (1 + 1e-12):
         raise ConfigError([
             f"dt = {config.dt:.4g} violates the transport restriction "
             f"dt <= cfl_safety * dz / v_max = {limit:.4g}"])
+    return config.dt / limit
 
 
 def run(system: str, init, profile: WaveProfile, config: IntegratorConfig,
@@ -714,7 +740,7 @@ def run(system: str, init, profile: WaveProfile, config: IntegratorConfig,
         raise ValueError(f"{system} requires a profile with {need}, got eps = {eps:g}")
     if head is not None and not 0.0 <= head <= config.t_end:
         raise ValueError(f"head = {head} must lie in [0, t_end = {config.t_end}]")
-    _validate_cfl(config, profile)
+    cfl = _validate_cfl(config, profile)
     if system == "nq":
         model = _NqSystem(profile, config.frame, config.curl_projection)
     else:
@@ -726,11 +752,12 @@ def run(system: str, init, profile: WaveProfile, config: IntegratorConfig,
             warnings.warn(f"input y-means reach {drift:.3g}; the linearized system "
                           "assumes mean-zero data", stacklevel=2)
     core = _ImexCore(model, config.dt, config.scheme)
-    record = TrajectoryRecord(system=system, config=config)
+    record = TrajectoryRecord(system=system, config=config, dt_over_transport_limit=cfl)
     # (record, last step) of every record that close() has not yet finished
     open_records = [(record, _steps_for(config))]
     if head is not None:
-        record.head = TrajectoryRecord(system=system, config=replace(config, t_end=head))
+        record.head = TrajectoryRecord(system=system, config=replace(config, t_end=head),
+                                       dt_over_transport_limit=cfl)
         open_records.append((record.head, _steps_for(record.head.config)))
     guard, guard_text = model.guard
 

@@ -485,7 +485,9 @@ def test_manifest_counts_steps_and_rows_per_run_call(tmp_path, monkeypatch):
     # one loop to 2 t_end = 2: 40 steps, rows at every 4th step from 0, and
     # per step one banded solve for each phi component (psi is undiffused)
     assert manifest["counters"] == [{"system": "nonlinear0", "dt": 0.05, "t_end": 2.0,
-                                     "steps": 40, "rows": 11, "solves": 80}]
+                                     "steps": 40, "rows": 11, "solves": 80,
+                                     "dt_over_transport_limit": pytest.approx(
+                                         0.05 / (0.9 * (100 / 511) / 0.5), rel=1e-12)}]
     assert all(isinstance(s, float) and s > 0 for t in timings for s in t.values())
     assert manifest["config"] == serialize_config(
         validate_config(cfgfile.read_text(), "stability0"))
@@ -513,6 +515,23 @@ def test_manifest_counts_steps_and_rows_per_run_call(tmp_path, monkeypatch):
 
     assert main(["wave", "--set", "grid.n_z=128", "--set", "output.directory=w"]) == 0
     assert json.loads((tmp_path / "w" / "manifest.json").read_text())["counters"] == []
+
+
+@pytest.mark.parametrize("command, overrides, entries", [
+    ("evolve", ["integrator.t_end=0.2"], 1),
+    ("planarity", ["wave.eps=0.1", "grid.lambda=0.5,0.25", "integrator.t_end=2"], 2),
+])
+def test_manifest_records_the_cfl_margin(tmp_path, monkeypatch, command, overrides,
+                                         entries):
+    # dt over the transport limit cfl_safety * dz / v_max, per time loop
+    monkeypatch.setenv("STRIPWAVE_OUTPUT_ROOT", str(tmp_path))
+    args = [command]
+    for o in ("grid.n_z=128", "grid.n_y=4", "output.directory=out", *overrides):
+        args += ["--set", o]
+    assert main(args) == 0
+    counters = json.loads((tmp_path / "out" / "manifest.json").read_text())["counters"]
+    assert len(counters) == entries
+    assert all(0.0 < c["dt_over_transport_limit"] <= 1.0 for c in counters)
 
 
 def test_manifest_lists_every_wave_build(tmp_path, monkeypatch):

@@ -457,8 +457,9 @@ def test_stacked_diffusion_solve_matches_dense_oracle(coef, alpha):
 
 @pytest.mark.parametrize("coef, alpha", [(0.05, 1.0), (0.02, 1.5), (1.0, 0.0)])
 def test_complex_solve_matches_the_real_two_column_solve(coef, alpha):
-    # the complex factor and one complex column against a real factor of the
-    # same band with the real and imaginary parts as two real columns
+    # the tridiagonal LDL^T solve of one complex column against an
+    # independent oracle: scipy's real banded Cholesky of the same matrix,
+    # with the real and imaginary parts as two real columns
     g = make_grid(5.0, 48, 0.5, 8, 1.0)
     rng = np.random.default_rng(12)
     n_k = g.n_y // 2 + 1
@@ -474,6 +475,29 @@ def test_complex_solve_matches_the_real_two_column_solve(coef, alpha):
     assert np.all(x[[0, -1]] == 0.0)
     ref = (re + 1j * im).T
     assert np.max(np.abs(x[1:-1] - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("coef, alpha", [(0.05, 1.0), (0.02, 1.5), (1.0, 0.0)])
+def test_stacked_solve_blocks_are_independent(coef, alpha):
+    # the off-diagonal is exactly 0 between mode blocks: a right-hand side
+    # in one y-mode leaves every other mode's column exactly 0
+    g = make_grid(5.0, 48, 0.5, 8, 1.0)
+    rng = np.random.default_rng(14)
+    n_k = g.n_y // 2 + 1
+    solve = _ModeDiffusionSolver(g, coef, alpha)
+    for m in range(n_k):
+        rhs = np.zeros((g.n_z, n_k), dtype=complex)
+        rhs[:, m] = rng.standard_normal(g.n_z) + 1j * rng.standard_normal(g.n_z)
+        x = solve(rhs)
+        assert np.all(np.delete(x, m, axis=1) == 0.0)
+        assert np.all(x[1:-1, m] != 0.0)
+
+
+def test_failed_factorization_names_its_mode():
+    # alpha = -1e3 makes the first pivot of y-mode 0 negative
+    g = make_grid(5.0, 48, 0.5, 8, 1.0)
+    with pytest.raises(np.linalg.LinAlgError, match="y-mode 0, z row 0$"):
+        _ModeDiffusionSolver(g, 0.05, alpha=-1e3)
 
 
 def test_complex_solve_keeps_real_columns_real():

@@ -135,3 +135,44 @@ def test_cli_run_calls_and_traced_steps(tmp_path, monkeypatch, command, override
         # a ledger row reads the stepper's y-modes and makes no transform
         assert tracer.spans["energy.ledger_row"]["calls"] >= 1
         assert not {"rfft", "irfft"} & set(tracer.counts["energy.ledger_row"])
+
+
+@pytest.mark.parametrize("system, eps, scheme, projection, solvers", [
+    ("nonlinear0", 0.0, "imex1", False, 1),
+    ("linear_eps", 0.05, "imex1", False, 2),
+    ("nq", 0.1, "imex1", False, 2),
+    ("nq", 0.1, "sbdf2", True, 5),
+])
+def test_traced_counts_match_the_program(monkeypatch, system, eps, scheme, projection,
+                                         solvers):
+    # each LAPACK call goes through its forwarder once: the traced solves are
+    # the record's solves, the traced factorizations one per solver built
+    import stripwave.evolve as evolve
+
+    traced = _load_traced(monkeypatch)
+    tracer = traced.Tracer()
+    for key in ("solves", "factorizations"):
+        module_name, attr = traced.COUNTERS[key]
+        owner = sys.modules[module_name]
+        monkeypatch.setattr(owner, attr, tracer.counter(key, getattr(owner, attr)))
+    built = []
+    real_init = evolve._ModeDiffusionSolver.__init__
+
+    def init(self, *args, **kwargs):
+        built.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(evolve._ModeDiffusionSolver, "__init__", init)
+
+    params = WaveParams(eps=eps, n_minus=1.0, c_plus=1.0)
+    grid = make_grid(25.0 / params.s, 128, 0.5, 8, params.s)
+    profile = solve_wave_kpp(params, grid) if eps > 0 else explicit_wave_eps0(params, grid)
+    init_state = make_initial_perturbation(grid, 1e-4, seed=0, mean_zero_y=eps > 0, eps=eps)
+    rec = run(system, init_state, profile,
+              IntegratorConfig(dt=0.01, t_end=0.05, scheme=scheme,
+                               curl_projection=projection))
+
+    counts = sum(tracer.counts.values(), Counter())
+    assert len({id(s) for s in built}) == solvers
+    assert counts["factorizations"] == solvers
+    assert counts["solves"] == rec.counters.solves > 0
