@@ -44,18 +44,18 @@ at unit roundoff of the O(1) background.  The same split lets the stepper
 hold the fluctuation at unit scale, rescaled by exact powers of two as it
 decays, so that its arithmetic never turns subnormal (_NqSystem).
 
-A step allocates only the arrays it returns.  Each system, each diffusion
-solver, each _Products and the IMEX core own their scratch arrays,
-allocated once from the grid when they are made and reused by every step:
+An imex1 step allocates only the arrays it returns.  Each system, each
+diffusion solver and each _Products own their scratch arrays, allocated
+once from the grid when they are made and reused by every step:
 derivatives, fluxes, the y-node values of the product factors, the
 mode-major right-hand side of the banded solve.  Products and sums are
 formed in place with ufunc out= arguments, in the order of the plain
 expressions (a + b + c as (a + b) + c, a scalar times a sum as the sum
 scaled in place), so every value is bit for bit that of a fresh array per
 intermediate.  No returned array aliases a buffer: the tendencies are fresh
-arrays, and a step forms each right-hand side in its tendency (in a fresh
-array when an SBDF2 history keeps the tendency) and solves it in place, so
-the records and the SBDF2 history keep arrays no later step writes.
+arrays, an imex1 step forms each right-hand side in its tendency and an
+SBDF2 step in a fresh array, and solves it in place, so the records and the
+SBDF2 history keep arrays no later step writes.
 """
 
 from __future__ import annotations
@@ -263,7 +263,7 @@ def _inflow_pinned(alpha: float):
 
 
 class _ImexCore:
-    """imex1 / SBDF2 steps of a system over its (array, solve) pairs.
+    """imex1 / SBDF2 steps of a system over its arrays and system.solves.
 
     With D the implicit diffusion and f the explicit tendency,
         imex1:  (1 - dt D) u' = u + dt f(u)
@@ -284,7 +284,6 @@ class _ImexCore:
         self._banded = {s for s in (*self.solves_1, *self.solves_15, system.projector)
                         if isinstance(s, _ModeDiffusionSolver)}
         self._prev = None  # (arrays, tendencies) of the previous step
-        self._work = _mode_array(system.g) if self.sbdf2 else None
         self.counters = RunCounters()
 
     @property
@@ -292,7 +291,7 @@ class _ImexCore:
         return sum(s.calls for s in self._banded)
 
     def step(self, u: tuple) -> tuple:
-        dt, w = self.dt, self._work
+        dt = self.dt
         start = time.perf_counter()
         tend = self.system.explicit_tendency(u)
         split = time.perf_counter()
@@ -305,12 +304,7 @@ class _ImexCore:
         else:
             u_old, tend_old = self._prev
             for x, xo, f, fo, solve in zip(u, u_old, tend, tend_old, self.solves_15):
-                rhs = 2.0 * x
-                rhs -= np.multiply(0.5, xo, out=w)
-                np.multiply(2.0, f, out=w)
-                w -= fo
-                w *= dt
-                rhs += w
+                rhs = 2.0 * x - 0.5 * xo + dt * (2.0 * f - fo)
                 out.append(solve(rhs, out=rhs))
         if self.sbdf2:
             self._prev = (u, tend)
@@ -406,33 +400,51 @@ def _check_finite(system, u, t):
         raise IntegratorBlowup(f"non-finite values in {', '.join(bad)}", t)
 
 
-# ---------------------------------------------------------------------------
-# Systems A and B: perturbation (phi, psi)
-# ---------------------------------------------------------------------------
+class _System:
+    """The wave coefficients, scratch arrays and implicit solves that the
+    systems share.  solves(dt, alpha) gives array i the solve of
+    (alpha - dt c lap) x = rhs with c = diffusion[i]: one _ModeDiffusionSolver
+    per distinct c, shared by its arrays, and _inflow_pinned for c = 0."""
 
-class _PerturbationSystem:
-    """Systems A (linear=False, eps = 0) and B (linear=True, eps > 0) as
-    the y-modes of (phi_z, phi_y, psi)."""
-
-    names = ("phi_z", "phi_y", "psi")
-    guard = ("M_inst", "energy exceeded {:g} x M0")
-    curl = 0.0
+    curl = 0.0  # of the last ledger row
     projector = None
     rescales = None
 
-    def __init__(self, profile: WaveProfile, transport: str, linear: bool):
+    def __init__(self, profile: WaveProfile, diffusion: tuple):
         self.g = profile.grid
         self.ik = 1j * self.g.ddy_wavenumbers
-        self.transport = transport
-        self.linear = linear
         self.eps = profile.params.eps
         self.s = profile.params.s
         self.N = profile.N[:, None]
         self.P = profile.P_z[:, None]
-        self.eps2P = 2.0 * self.eps * self.P
-        # div phi, a derivative and a partial product
+        self.diffusion = diffusion
         self._work = [_mode_array(self.g) for _ in range(3)]
-        self._products = None if linear else _Products(self.g, 3)
+
+    def solves(self, dt, alpha):
+        solvers = {c: _ModeDiffusionSolver(self.g, c * dt, alpha) if c
+                   else _inflow_pinned(alpha) for c in dict.fromkeys(self.diffusion)}
+        return tuple(solvers[c] for c in self.diffusion)
+
+    def settle(self, u):
+        return u, 0
+
+
+# ---------------------------------------------------------------------------
+# Systems A and B: perturbation (phi, psi)
+# ---------------------------------------------------------------------------
+
+class _PerturbationSystem(_System):
+    """Systems A (eps = 0, with the quadratic terms) and B (eps > 0,
+    linearized) as the y-modes of (phi_z, phi_y, psi)."""
+
+    names = ("phi_z", "phi_y", "psi")
+    guard = ("M_inst", "energy exceeded {:g} x M0")
+
+    def __init__(self, profile: WaveProfile, transport: str):
+        super().__init__(profile, (1.0, 1.0, profile.params.eps))
+        self.transport = transport
+        self.eps2P = 2.0 * self.eps * self.P
+        self._products = None if self.eps > 0 else _Products(self.g, 3)
 
     def arrays(self, state: PerturbationState) -> tuple:
         return state.y_modes()
@@ -443,17 +455,11 @@ class _PerturbationSystem:
         return PerturbationState(phi=VectorField(phi_z, phi_y), psi=psi, t=t,
                                  eps=self.eps)
 
-    def solves(self, dt, alpha):
-        phi = _ModeDiffusionSolver(self.g, dt, alpha)
-        psi = (_ModeDiffusionSolver(self.g, self.eps * dt, alpha)
-               if self.eps > 0 else _inflow_pinned(alpha))
-        return phi, phi, psi
-
     def explicit_tendency(self, u):
         """The explicit tendencies as fresh arrays; every intermediate is
         formed in the system's own buffers, each sum left to right."""
         dz, s, ik = self.g.dz, self.s, self.ik
-        div, d, w = self._work
+        div, d, w = self._work  # div phi, a derivative, a partial product
         products = self._products
         phi1, phi2, psi = u
         dz_phi = ddz_array(phi1, dz, out=d)
@@ -470,7 +476,7 @@ class _PerturbationSystem:
             ddz_array(psi, dz, out=w)
         a_psi = s * w
         a_psi += div
-        if self.linear:
+        if products is None:  # linearized
             a_psi -= np.multiply(self.eps2P, dz_psi, out=w)
         else:
             products.load((div, dz_psi))
@@ -478,14 +484,11 @@ class _PerturbationSystem:
         dy_psi = np.multiply(ik, psi, out=d)
         a2 = s * ddz_array(phi2, dz, out=w)
         a2 += np.multiply(self.N, dy_psi, out=w)
-        if not self.linear:
+        if products is not None:
             products.load((dy_psi,), start=2)
             a1 += products.term([(0, 1)])
             a2 += products.term([(0, 2)])
         return a1, a2, a_psi
-
-    def settle(self, u):
-        return u, 0
 
     def row(self, u, t) -> LedgerRow:
         return ledger_row(self.g, u, t, self.eps)
@@ -495,7 +498,7 @@ class _PerturbationSystem:
 # System C: (n, q) deviations
 # ---------------------------------------------------------------------------
 
-class _NqSystem:
+class _NqSystem(_System):
     """Deviation form of the (n, q) system as the y-modes of (a, b_z, b_y).
 
     The k = 0 column of each array is the deviation's y-mean, the other
@@ -523,23 +526,15 @@ class _NqSystem:
     guard = ("Q", "transverse energy exceeded {:g} x Q0")
 
     def __init__(self, profile: WaveProfile, frame: str, curl_projection: bool):
-        self.g = profile.grid
-        self.ik = 1j * self.g.ddy_wavenumbers
-        self.eps = profile.params.eps
+        super().__init__(profile, (1.0, profile.params.eps, profile.params.eps))
         self.frame = frame
-        self.s = profile.params.s
-        self.N = profile.N[:, None]
-        self.P = profile.P_z[:, None]
         self.dN = ddz_array(profile.N, self.g.dz)
         self.dP = ddz_array(profile.P_z, self.g.dz)
         # factors (k^2 - d_zz) for the Helmholtz projection
         self.projector = (_ModeDiffusionSolver(self.g, 1.0, alpha=0.0)
                           if curl_projection else None)
-        self.curl = 0.0  # of the last ledger row
         self._warned = False
         self.exponent = self.rescales = 0
-        # the fluxes G or two derivatives, and a partial product
-        self._work = [_mode_array(self.g) for _ in range(3)]
         # the magnitudes of one array's fluctuation, in a view of the first
         self._magnitude = (self._work[0].view(float).reshape(-1)[:self.g.n_z * self.g.n_y]
                            .reshape(self.g.n_z, self.g.n_y))
@@ -573,18 +568,13 @@ class _NqSystem:
                                            ScalarField(g, by)),
                              t=t)
 
-    def solves(self, dt, alpha):
-        a = _ModeDiffusionSolver(self.g, dt, alpha)
-        b = _ModeDiffusionSolver(self.g, self.eps * dt, alpha)
-        return a, b, b
-
     def explicit_tendency(self, u):
         """The explicit tendencies as fresh arrays; every intermediate is
         formed in the system's own buffers, each sum left to right."""
         dz, s, ik = self.g.dz, self.s, self.ik
         c = -2.0 * self.eps
         moving = self.frame == "moving"
-        d1, d2, w = self._work
+        d1, d2, w = self._work  # the fluxes G or two derivatives, a partial product
         products = self._products
         a, bz, by = u
         products.load((a, bz, by))
@@ -744,8 +734,7 @@ def run(system: str, init, profile: WaveProfile, config: IntegratorConfig,
     if system == "nq":
         model = _NqSystem(profile, config.frame, config.curl_projection)
     else:
-        model = _PerturbationSystem(profile, config.transport,
-                                    linear=system == "linear_eps")
+        model = _PerturbationSystem(profile, config.transport)
     if system == "linear_eps":
         drift = perturbation_y_means(init)
         if drift > 1e-12:

@@ -28,15 +28,13 @@ with N(-inf) = (1+eps) s^2, P(-inf) = -s and both tending to 0 on the right.
 Only the eps > 0 orbit needs scipy.integrate (LSODA), scipy.optimize
 (brentq, for the front center) and scipy.interpolate (CubicSpline, for C),
 so each is imported on the first KPP solve, not with this module: a process
-that builds only closed-form waves never loads them.  `solve_ivp` is still
-a name of this module, which the orbit looks up at call time, so the
-benchmark tracer can wrap it; the scipy function behind it is imported on
-its first call.
+that builds only closed-form waves never loads them.  The orbit calls this
+module's `solve_ivp`, which imports scipy's at call time and hands back its
+LSODA counts as Python ints; the benchmark tracer wraps it by that name.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -148,28 +146,14 @@ def explicit_wave_eps0(params: WaveParams, grid: Grid) -> WaveProfile:
 
 
 def solve_ivp(*args, **kwargs):
-    """`scipy.integrate.solve_ivp`, imported on the first call."""
-    return _ode_stack()[0](*args, **kwargs)
+    """`scipy.integrate.solve_ivp`, imported on the first call, with the
+    LSODA counts njev and nlu as Python ints: scipy reads them from the
+    Fortran work array as np.int32, which json.dumps rejects."""
+    from scipy.integrate import solve_ivp
 
-
-@functools.cache
-def _ode_stack():
-    """(solve_ivp, _Lsoda), built once: only the eps > 0 orbit needs them."""
-    from scipy.integrate import LSODA, solve_ivp
-
-    class _Lsoda(LSODA):
-        """LSODA whose Jacobian and LU counts are Python ints.
-
-        scipy reads them from the Fortran work array as np.int32, which
-        json.dumps rejects; every other count solve_ivp reports is an int.
-        """
-
-        def _step_impl(self):
-            ok, msg = super()._step_impl()
-            self.njev, self.nlu = int(self.njev), int(self.nlu)
-            return ok, msg
-
-    return solve_ivp, _Lsoda
+    sol = solve_ivp(*args, **kwargs)
+    sol.njev, sol.nlu = int(sol.njev), int(sol.nlu)
+    return sol
 
 
 class _KppOrbit:
@@ -220,7 +204,7 @@ class _KppOrbit:
         # keep relative accuracy for monotone sampling down to the floor
         w0, v0, _ = self._tail_left(0.0)
         sol = solve_ivp(
-            rhs, (0.0, span), (w0, v0), method=_ode_stack()[1], jac=jac,
+            rhs, (0.0, span), (w0, v0), method="LSODA", jac=jac,
             rtol=tol, atol=wm * 1e-300, dense_output=True, events=hit_floor)
         if not sol.success:
             raise WaveSolveError(f"phase-plane integration failed: {sol.message}",

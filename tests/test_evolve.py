@@ -509,6 +509,41 @@ def test_complex_solve_keeps_real_columns_real():
     assert np.all(x.imag == 0.0) and np.all(x.real[1:-1] != 0.0)
 
 
+@pytest.mark.parametrize("system, eps, sharing", [
+    ("nonlinear0", 0.0, "S S pin"),
+    ("linear_eps", 0.05, "S S T"),
+    ("nq", 0.05, "A B B"),
+    ("linear_eps", 1.0, "S S S"),
+    ("nq", 1.0, "S S S"),
+])
+def test_arrays_with_one_diffusion_share_one_solver(system, eps, sharing):
+    # one solver per distinct diffusion coefficient; eps = 1 is the
+    # coefficient of phi and of a, so every diffused array shares one
+    p = WaveParams(eps=eps, n_minus=1.0 if eps else 0.25, c_plus=1.0)
+    g = make_grid(25.0 / p.s, 128, 0.5, 8, p.s)
+    prof = solve_wave_kpp(p, g) if eps else explicit_wave_eps0(p, g)
+    model = (_NqSystem(prof, "moving", curl_projection=False) if system == "nq"
+             else _PerturbationSystem(prof, "upwind"))
+    core = _ImexCore(model, 0.01, "imex1")
+    solves = core.solves_1
+    labels = sharing.split()
+    for i in range(3):
+        for j in range(i):
+            assert (solves[i] is solves[j]) == (labels[i] == labels[j])
+    assert [isinstance(s, _ModeDiffusionSolver) for s in solves] == [
+        label != "pin" for label in labels]
+
+    init = make_initial_perturbation(g, 1e-4, seed=0, mean_zero_y=eps > 0, eps=eps)
+    u = model.arrays(init)
+    for _ in range(3):
+        u = core.step(u)
+    banded = {id(s): s for s in solves if isinstance(s, _ModeDiffusionSolver)}
+    for s in banded.values():  # each array's solve once per step
+        assert s.calls == 3 * sum(t is s for t in solves)
+    record = run(system, init, prof, IntegratorConfig(dt=0.01, t_end=0.03))
+    assert record.counters.solves == core.solves == sum(s.calls for s in banded.values())
+
+
 def test_blowup_names_its_field(setup_eps0, nq_setup):
     _, g, prof = setup_eps0
     pert = make_initial_perturbation(g, 1e-4, seed=0)
@@ -683,7 +718,7 @@ def _strip(system, n_z, n_y):
 def _model(system, prof):
     if system == "nq":
         return _NqSystem(prof, "moving", curl_projection=False)
-    return _PerturbationSystem(prof, "upwind", linear=False)
+    return _PerturbationSystem(prof, "upwind")
 
 
 @pytest.mark.parametrize("system", ["nq", "nonlinear0"])

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from stripwave import waves
 from stripwave.grid import make_grid
 from stripwave.waves import (
     WaveError,
@@ -314,3 +315,13 @@ def test_kpp_solver_counts_are_json_ready(kpp_01):
     assert d["solver"] == "LSODA"
     for key in ("nfev", "njev", "nsteps"):
         assert type(d[key]) is int and d[key] > 0
+
+
+def test_solve_ivp_hands_back_lsoda_counts_as_ints():
+    # scipy's LSODA reads njev and nlu as np.int32; the module's solve_ivp
+    # casts both, so its result goes to json.dumps as it is
+    sol = waves.solve_ivp(lambda t, u: -50.0 * u, (0.0, 1.0), [1.0], method="LSODA",
+                          jac=lambda t, u: [[-50.0]])
+    assert sol.success and sol.njev > 0 and sol.nlu > 0
+    assert type(sol.njev) is int and type(sol.nlu) is int
+    json.dumps({"njev": sol.njev, "nlu": sol.nlu})
