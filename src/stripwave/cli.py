@@ -40,7 +40,7 @@ import sys
 import time
 import traceback
 import warnings
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +48,7 @@ import scipy
 
 from . import __version__
 from .config import (
+    SECTIONS,
     ConfigError,
     ExperimentConfig,
     apply_overrides,
@@ -164,26 +165,12 @@ def _perturbation(cfg: ExperimentConfig, profile):
                                      init["mean_zero_y"], eps=profile.params.eps)
 
 
-def _setup(cfg: ExperimentConfig, eps: float, lam: float, waves: list):
-    """The wave profile for (eps, lam) and the configured initial
-    perturbation on its grid."""
-    profile = _build_profile(cfg, eps, lam, waves)
-    return profile, _perturbation(cfg, profile)
-
-
-def _integrator(cfg: ExperimentConfig, t_end=None) -> IntegratorConfig:
-    iv = cfg.integrator
-    return IntegratorConfig(
-        dt=iv["dt"],
-        t_end=iv["t_end"] if t_end is None else t_end,
-        scheme=iv["scheme"],
-        cfl_safety=iv["cfl_safety"],
-        record_every=iv["record_every"],
-        transport=iv["transport"],
-        frame=iv["frame"],
-        curl_projection=iv["curl_projection"],
-        snapshot_every=cfg.output["snapshot_every"],
-    )
+def _integrator(cfg: ExperimentConfig, **changes) -> IntegratorConfig:
+    """The IntegratorConfig of the [integrator] keys that name one of its
+    fields and of output.snapshot_every, with `changes` on top."""
+    names = {f.name for f in fields(IntegratorConfig)}
+    return IntegratorConfig(**{**{k: v for k, v in cfg.integrator.items() if k in names},
+                               "snapshot_every": cfg.output["snapshot_every"], **changes})
 
 
 # ---------------------------------------------------------------------------
@@ -274,9 +261,10 @@ def _run_doubled(cfg: ExperimentConfig, system: str, pert, profile, outdir: Path
 
 def _experiment_stability0(cfg: ExperimentConfig, outdir: Path, waves: list,
                            counters: list):
-    profile, pert = _setup(cfg, 0.0, cfg.lambda_values[0], waves)
+    profile = _build_profile(cfg, 0.0, cfg.lambda_values[0], waves)
     t_end = cfg.integrator["t_end"]
-    rec, rec2 = _run_doubled(cfg, "nonlinear0", pert, profile, outdir, counters)
+    rec, rec2 = _run_doubled(cfg, "nonlinear0", _perturbation(cfg, profile), profile,
+                             outdir, counters)
 
     led, led2 = rec.ledger, rec2.ledger
     m0 = led.M0
@@ -309,8 +297,9 @@ def _experiment_stability0(cfg: ExperimentConfig, outdir: Path, waves: list,
 
 def _experiment_linear_eps(cfg: ExperimentConfig, outdir: Path, waves: list,
                            counters: list):
-    profile, pert = _setup(cfg, cfg.eps_values[0], cfg.lambda_values[0], waves)
-    rec, rec2 = _run_doubled(cfg, "linear_eps", pert, profile, outdir, counters)
+    profile = _build_profile(cfg, cfg.eps_values[0], cfg.lambda_values[0], waves)
+    rec, rec2 = _run_doubled(cfg, "linear_eps", _perturbation(cfg, profile), profile,
+                             outdir, counters)
     c0 = rec.ledger.last()["C0_running"]
     c0d = rec2.ledger.last()["C0_running"]
     drift = transforms.perturbation_y_means(rec.final_state)
@@ -517,11 +506,6 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     return code
 
 
-def _default_config_text() -> str:
-    return "\n".join(f"[{name}]" for name in
-                     ("grid", "wave", "init", "integrator", "output")) + "\n"
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="stripwave",
@@ -540,7 +524,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         text = (Path(args.config).read_text(encoding="utf-8") if args.config
-                else _default_config_text())
+                else "".join(f"[{name}]\n" for name in SECTIONS))
         text = apply_overrides(text, args.set)
         cfg = validate_config(text, args.experiment)
     except (OSError, UnicodeDecodeError) as exc:

@@ -79,6 +79,7 @@ _SCHEMA = {
         "snapshot_every": (int, 0),
     },
 }
+SECTIONS = tuple(_SCHEMA)
 
 _POSITIVE = (lambda v: v > 0, "must be positive")
 _NON_NEGATIVE = (lambda v: v >= 0, "must be non-negative")
@@ -109,12 +110,11 @@ _RULES = {
 # eps and lambda may be sweep lists, a rule every eps value must also keep,
 # whether the initial data must have zero y-means: the default of
 # init.mean_zero_y, and when true the only value it may take)
-_RUN = ("grid", "wave", "init", "integrator", "output")
 EXPERIMENTS = {
     "wave": (("grid", "wave"), False, None, False),
-    "stability0": (_RUN, False, (lambda e: e == 0, "must be 0"), False),
-    "linear_eps": (_RUN, False, _POSITIVE, True),
-    "planarity": (_RUN, True, _POSITIVE, True),
+    "stability0": (SECTIONS, False, (lambda e: e == 0, "must be 0"), False),
+    "linear_eps": (SECTIONS, False, _POSITIVE, True),
+    "planarity": (SECTIONS, True, _POSITIVE, True),
     # its grids and time runs are fixed; it reads the wave and the seed
     "convergence": (("wave", "init"), False, None, False),
 }

@@ -121,6 +121,7 @@ class LedgerRow:
     psi4_w: float          # D_psi4 integrand (already eps-multiplied)
     Q: float
     mass: float
+    curl: float = 0.0      # nq only: max |curl b| on the y-nodes
 
 
 def ledger_row(g: Grid, modes, t: float, eps: float) -> LedgerRow:

@@ -142,7 +142,7 @@ class RunCounters:
 
 @dataclass
 class TrajectoryRecord:
-    """Recorded times, energy ledger, and optional snapshots of one run.
+    """Energy ledger and snapshots of one run; its rows give `times` and `curl_max`.
 
     `final_state` is the state at the last step in physical space.  For nq,
     `final_deviation` is the tuple (a, b_z, b_y) of y-modes that the loop
@@ -158,7 +158,6 @@ class TrajectoryRecord:
 
     system: str
     config: IntegratorConfig
-    times: list = field(default_factory=list)
     ledger: EnergyLedger = field(default_factory=EnergyLedger)
     snapshots: list = field(default_factory=list)
     final_state: object = None
@@ -166,10 +165,17 @@ class TrajectoryRecord:
     blowup: bool = False
     blowup_time: float | None = None
     blowup_reason: str | None = None
-    curl_max: float = 0.0
     head: TrajectoryRecord | None = None
     counters: RunCounters = field(default_factory=RunCounters)
     dt_over_transport_limit: float | None = None
+
+    @property
+    def times(self) -> list:
+        return [row["t"] for row in self.ledger.rows]
+
+    @property
+    def curl_max(self) -> float:
+        return max([0.0] + [row["curl"] for row in self.ledger.rows])
 
 
 # The (n, q) fluctuation is rescaled when its peak falls below this power
@@ -406,7 +412,6 @@ class _System:
     (alpha - dt c lap) x = rhs with c = diffusion[i]: one _ModeDiffusionSolver
     per distinct c, shared by its arrays, and _inflow_pinned for c = 0."""
 
-    curl = 0.0  # of the last ledger row
     projector = None
     rescales = None
 
@@ -665,14 +670,13 @@ class _NqSystem(_System):
             _ldexp_fluctuation(curl_modes, self.exponent)
         values = y_values(curl_modes, g)
         curl = float(np.max(np.abs(values, out=values)))
-        self.curl = curl
         if curl > 1e-4 and not self._warned:
             warnings.warn(f"curl drift reached {curl:.3g}; enable curl_projection "
                           "to re-gauge", stacklevel=3)
             self._warned = True
         return LedgerRow(t=t, H3w_phi=0.0, H3_psi=0.0, H2w_grad_psi=0.0,
                          M_inst=0.0, grad_phi_H3w=0.0, psi4_w=0.0,
-                         Q=q_trans, mass=mass)
+                         Q=q_trans, mass=mass, curl=curl)
 
 
 # ---------------------------------------------------------------------------
@@ -758,10 +762,8 @@ def run(system: str, init, profile: WaveProfile, config: IntegratorConfig,
         snapshot = None
         for rec in due:
             rec.ledger.append(row)
-            rec.times.append(t)
-            rec.curl_max = max(rec.curl_max, model.curl)
             # snapshot every snapshot_every-th recorded row
-            if config.snapshot_every and (len(rec.times) - 1) % config.snapshot_every == 0:
+            if config.snapshot_every and (len(rec.ledger.rows) - 1) % config.snapshot_every == 0:
                 snapshot = snapshot or (t, model.state(u, t))
                 rec.snapshots.append(snapshot)
         return getattr(row, guard)

@@ -5,12 +5,12 @@ the y-axis is periodic and differentiated spectrally (exact for resolved
 Fourier modes).  The one-sided exponential weight w(z) = 1 + e^{s z} is
 sampled once at construction and drives all weighted quadrature.
 
-Grids and fields are immutable value snapshots, so instances can be shared
-freely across threads.  Every operator allocates a fresh output array,
-except that ddz_array, y_modes, y_values and y_fluctuation_values also take
-out=, an array of the result's shape and dtype that they fill and return
-instead: the stepper reuses its own buffers that way, with the same
-arithmetic bit for bit.
+Grids and fields are immutable value snapshots with read-only arrays, so
+instances can be shared freely across threads.  Every operator allocates a
+fresh output array, except that ddz_array, y_modes, y_values and
+y_fluctuation_values also take out=, an array of the result's shape and
+dtype that they fill and return instead: the stepper reuses its own buffers
+that way, with the same arithmetic bit for bit.
 
 The y-transforms (y_modes, y_values, y_fluctuation_values), and through
 them every y-derivative and y-antiderivative of the package, are products
@@ -44,11 +44,18 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform tensor grid on the truncated strip.
+    """Uniform tensor grid on the truncated strip, with read-only arrays derived
+    once, at construction:
 
     z nodes: z_i = -L_z + i*dz, i = 0..n_z-1, dz = 2*L_z/(n_z-1)
     y nodes: y_j = j*dy,        j = 0..n_y-1, dy = lam/n_y (no repeated endpoint)
     weight : w(z_i) = 1 + e^{s z_i}, exact at every node
+    wavenumbers_y: angular wavenumbers 2*pi*m/lam of the rfft bins m = 0..n_y/2
+    ddy_wavenumbers: the same with the Nyquist bin zeroed; 1j times this is
+        the symbol of the collocation d/dy (see ddy_array)
+    rfft_multiplicity: how often each bin occurs in the full spectrum: once
+        for bins 0 and Nyquist, twice (with its conjugate) otherwise
+    trapz_weights: trapezoid quadrature weights in z: dz inside, dz/2 at the ends
     """
 
     L_z: float
@@ -56,18 +63,28 @@ class Grid:
     lam: float
     n_y: int
     s: float
-    z: np.ndarray = field(repr=False, compare=False, default=None)
-    y: np.ndarray = field(repr=False, compare=False, default=None)
-    weight: np.ndarray = field(repr=False, compare=False, default=None)
+    z: np.ndarray = field(init=False, repr=False, compare=False)
+    y: np.ndarray = field(init=False, repr=False, compare=False)
+    weight: np.ndarray = field(init=False, repr=False, compare=False)
+    wavenumbers_y: np.ndarray = field(init=False, repr=False, compare=False)
+    ddy_wavenumbers: np.ndarray = field(init=False, repr=False, compare=False)
+    rfft_multiplicity: np.ndarray = field(init=False, repr=False, compare=False)
+    trapz_weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_rules("grid", {"L_z": self.L_z, "n_z": self.n_z, "lambda": self.lam,
                              "n_y": self.n_y}, error=GridError)
         z = np.linspace(-self.L_z, self.L_z, self.n_z)
-        y = np.arange(self.n_y) * (self.lam / self.n_y)
-        object.__setattr__(self, "z", _frozen(z))
-        object.__setattr__(self, "y", _frozen(y))
-        object.__setattr__(self, "weight", _frozen(1.0 + np.exp(self.s * z)))
+        k = 2.0 * np.pi * np.fft.rfftfreq(self.n_y, d=self.dy)
+        mult = np.full(self.n_y // 2 + 1, 2.0)
+        mult[0] = mult[-1] = 1.0
+        wz = np.full(self.n_z, self.dz)
+        wz[0] = wz[-1] = 0.5 * self.dz
+        for name, a in dict(z=z, y=np.arange(self.n_y) * (self.lam / self.n_y),
+                            weight=1.0 + np.exp(self.s * z), wavenumbers_y=k,
+                            ddy_wavenumbers=np.append(k[:-1], 0.0),
+                            rfft_multiplicity=mult, trapz_weights=wz).items():
+            object.__setattr__(self, name, _frozen(a))
 
     @property
     def dz(self) -> float:
@@ -76,34 +93,6 @@ class Grid:
     @property
     def dy(self) -> float:
         return self.lam / self.n_y
-
-    @property
-    def wavenumbers_y(self) -> np.ndarray:
-        """Angular wavenumbers 2*pi*m/lam for the rfft bins m = 0..n_y/2."""
-        return 2.0 * np.pi * np.fft.rfftfreq(self.n_y, d=self.dy)
-
-    @property
-    def ddy_wavenumbers(self) -> np.ndarray:
-        """wavenumbers_y with the Nyquist bin zeroed; 1j times this is the
-        symbol of the collocation d/dy (see ddy_array)."""
-        k = self.wavenumbers_y
-        k[-1] = 0.0
-        return k
-
-    @property
-    def rfft_multiplicity(self) -> np.ndarray:
-        """How often each rfft bin occurs in the full spectrum: once for
-        bins 0 and Nyquist, twice (with its conjugate) otherwise."""
-        mult = np.full(self.n_y // 2 + 1, 2.0)
-        mult[0] = mult[-1] = 1.0
-        return mult
-
-    @property
-    def trapz_weights(self) -> np.ndarray:
-        """Trapezoid quadrature weights in z: dz inside, dz/2 at both ends."""
-        wz = np.full(self.n_z, self.dz)
-        wz[0] = wz[-1] = 0.5 * self.dz
-        return wz
 
 
 def make_grid(L_z: float, n_z: int, lam: float, n_y: int, s: float) -> Grid:

@@ -272,9 +272,12 @@ class _KppOrbit:
         return brentq(g, 0.0, self.xi_end, xtol=1e-13, rtol=1e-15)
 
     def ode_residual(self, xi: np.ndarray) -> np.ndarray:
-        """Defect eps W'' + s(1+2eps) W' + (1+eps)s^2 W - N0 W^2 of the evaluator."""
+        """The defect of the evaluator at xi."""
+        return self.defect(*self.evaluate(xi))
+
+    def defect(self, W, Wp, Wpp) -> np.ndarray:
+        """eps W'' + s(1+2eps) W' + (1+eps)s^2 W - N0 W^2 of evaluated (W, W', W'')."""
         p = self.params
-        W, Wp, Wpp = self.evaluate(xi)
         return (p.eps * Wpp + p.s * (1.0 + 2.0 * p.eps) * Wp
                 + (1.0 + p.eps) * p.s**2 * W - p.N0 * W**2)
 
@@ -306,7 +309,7 @@ def solve_wave_kpp(params: WaveParams, grid: Grid, tol: float = 1e-10) -> WavePr
     xi_c = orbit.front_center()
 
     xi = grid.z + xi_c
-    W, Wp, _ = orbit.evaluate(xi)
+    W, Wp, Wpp = orbit.evaluate(xi)
     if np.any(W <= 0.0) or np.any(np.diff(W) >= 0.0):
         raise WaveSolveError("sampled W is not strictly positive decreasing",
                              {"eps": params.eps, "n_z": grid.n_z})
@@ -319,7 +322,7 @@ def solve_wave_kpp(params: WaveParams, grid: Grid, tol: float = 1e-10) -> WavePr
     # endpoint carrying the analytic e^{-s z} tail beyond the truncation.
     C = _c_from_p(grid, P, params.c_plus, s)
 
-    residual = float(np.max(np.abs(orbit.ode_residual(xi))))
+    residual = float(np.max(np.abs(orbit.defect(W, Wp, Wpp))))
     win = (grid.z >= 5.0 / s) & (grid.z <= 10.0 / s)
     fit_right = _fit_log_slope(grid.z[win], W[win]) if np.count_nonzero(win) >= 4 else np.nan
     win_l = (grid.z >= -10.0 / s) & (grid.z <= -5.0 / s)

@@ -702,3 +702,39 @@ def test_config_and_constructor_rules_agree(section, key, bad, construct, error)
         construct(bad)
     # the same rule: the same requirement and the same offending value
     assert f"{key} must {problem.split(' must ', 1)[1]}" in str(ctor_err.value)
+
+
+def test_cli_kpp_wave_experiment(tmp_path, monkeypatch, capsys):
+    # the eps > 0 branch of the wave experiment, with a real KPP solve
+    monkeypatch.setenv("STRIPWAVE_OUTPUT_ROOT", str(tmp_path))
+    assert main(["wave", "--set", "wave.eps=0.1", "--set", "grid.n_z=256",
+                 "--set", "grid.n_y=4"]) == 0
+    out = capsys.readouterr().out
+    for check in ("ODE residual below 1e-4", "right tail rate within 2% of -s",
+                  "left tail rate within 2% of the manifold exponent"):
+        assert f"  [PASS] {check}\n" in out
+    meta = json.loads((tmp_path / "out" / "wave_metadata.json").read_text())
+    assert meta["solver"] == "LSODA"
+    assert all(type(meta[key]) is int for key in ("nfev", "njev", "nsteps"))
+
+
+def test_cli_prints_config_warnings_before_the_title(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("STRIPWAVE_OUTPUT_ROOT", str(tmp_path))
+    assert main(["wave", "--set", "grid.lambda=1.5", "--set", "grid.n_z=256"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("warning: grid.lambda = 1.5 > 1: ")
+    assert lines[1] == "wave experiment (eps = 0.0)"
+
+
+@pytest.mark.parametrize("text, experiment, problem", [
+    (WAVE_CFG + "[init]\nmean_zero_y = maybe\n", "wave",
+     "line 12: bad value for init.mean_zero_y: not a boolean: 'maybe'"),
+    (WAVE_CFG + "n_minus\n", "wave", "line 11: expected 'key = value', got 'n_minus'"),
+    (WAVE_CFG + "c_plus = 2.0\n", "wave", "line 11: duplicate key 'c_plus' in [wave]"),
+    (WAVE_CFG, "stability", "unknown experiment 'stability'; expected one of wave, "
+     "stability0, linear_eps, planarity, convergence"),
+])
+def test_config_diagnostics_name_their_line(text, experiment, problem):
+    with pytest.raises(ConfigError) as err:
+        validate_config(text, experiment)
+    assert problem in err.value.problems

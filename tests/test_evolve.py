@@ -878,3 +878,23 @@ def test_rescaling_moves_the_peak_into_unit_range_both_ways(thin_nq_strip):
     u, shift, peak = settled(times(2.0**100, u))
     assert model.exponent == 0 and peak > 2.0**32 and model.rescales == 3
     assert settled(times(2.0**40, u))[1] == 0 and model.rescales == 3
+
+
+def test_nq_curl_drift_warns_once_and_reaches_the_record():
+    # q_y = f(z) cos(k y) with q_z = P is no gradient: curl q = f'(z) cos(k y)
+    p = WaveParams(eps=0.1, n_minus=1.0, c_plus=1.0)
+    g = make_grid(25.0 / p.s, 128, 0.5, 8, p.s)
+    prof = solve_wave_kpp(p, g)
+    by = 1e-2 * np.exp(-g.z[:, None]**2 / 4) * np.cos(2 * np.pi * g.y[None, :] / g.lam)
+    st = ColeHopfState(
+        n=ScalarField(g, np.repeat(prof.N[:, None], g.n_y, axis=1)),
+        q=VectorField(ScalarField(g, np.repeat(prof.P_z[:, None], g.n_y, axis=1)),
+                      ScalarField(g, by)))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rec = run("nq", st, prof, IntegratorConfig(dt=0.01, t_end=0.04))
+    drift = [w for w in caught if "curl drift reached" in str(w.message)]
+    assert len(drift) == 1
+    curls = [row["curl"] for row in rec.ledger.rows]
+    assert len(curls) == 5 and min(curls) > 1e-4
+    assert rec.curl_max == max(curls)

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -58,3 +59,21 @@ def test_compare_outputs_names_what_differs(tmp_path):
     (missing / "run" / "ledger.csv").unlink()
     done = _compare(old, missing)
     assert done.returncode == 1 and "run/ledger.csv: only in" in done.stdout
+
+
+def test_line_coverage_names_the_branch_its_test_never_takes(tmp_path):
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "mod.py").write_text(
+        '"""A module."""\n\n\ndef sign(x):\n    """Sign of x."""\n'
+        "    if x < 0:\n        return -1\n    return 1\n")
+    (tmp_path / "test_mod.py").write_text(
+        "from mod import sign\n\n\ndef test_positive():\n    assert sign(2) == 1\n")
+    tool = Path(__file__).resolve().parents[1] / "tools" / "line_coverage.py"
+    done = subprocess.run(
+        [sys.executable, str(tool), "src", "test_mod.py", "-q", "-p", "no:cacheprovider"],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(tmp_path / "src")},
+        capture_output=True, text=True)
+    assert done.returncode == 0, done.stdout + done.stderr
+    report = done.stdout.split("statements never run, per module:\n")[1]
+    # only line 7 never ran: neither the docstrings nor the def line count
+    assert report.splitlines() == ["    1 mod.py", "      7: return -1", "    1 total"]

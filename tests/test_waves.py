@@ -200,6 +200,21 @@ def test_kpp_orbit_residual_across_every_branch(eps):
     assert np.max(np.abs(orbit.ode_residual(xi))) < 2e-9
 
 
+def test_kpp_build_evaluates_the_orbit_once(monkeypatch):
+    # the profile and its ODE residual come from one pass over the grid
+    calls = []
+    evaluate = _KppOrbit.evaluate
+
+    def counted(self, xi):
+        calls.append(len(xi))
+        return evaluate(self, xi)
+
+    monkeypatch.setattr(_KppOrbit, "evaluate", counted)
+    p = WaveParams(eps=0.1, n_minus=1.0, c_plus=1.0)
+    solve_wave_kpp(p, default_grid(p, n_z=256))
+    assert calls == [256]
+
+
 @pytest.mark.parametrize("eps", [0.1, 0.01, 1e-3])
 def test_kpp_manifold_branch_is_second_order(eps):
     # the left branch alone, where evaluate uses it; without the c2 delta^2
