@@ -44,7 +44,6 @@ from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .config import (
@@ -102,6 +101,8 @@ _THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS
 def _environment() -> dict:
     """Versions, cores and BLAS thread settings of this process, and the
     scipy subpackages imported so far (an eps = 0 run loads no ODE solver)."""
+    import scipy
+
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,

@@ -27,7 +27,10 @@ terms are explicit.  The per-mode diffusion matrices are symmetric
 tridiagonal in z; stacked along one diagonal they form a single
 tridiagonal system with one real LDL^T factor (LAPACK dpttrf).  A field's
 complex y-modes are one right-hand side column of one tridiagonal solve
-(zpttrs), called directly.  One IMEX core advances all three
+(zpttrs), called directly.  scipy.linalg, which holds both, is imported on
+first use (_lapack), which `run` makes just before it builds the system and
+its solvers, so importing stripwave loads no scipy and an eps = 0 run pays
+that import inside `run`.  One IMEX core advances all three
 systems with either scheme, first-order IMEX (imex1) or SBDF2 (Ascher,
 Ruuth & Wetton, SIAM J. Numer. Anal. 32, 1995); a system supplies only its
 explicit tendency, the implicit solve of each of its arrays, and its ledger
@@ -60,13 +63,13 @@ SBDF2 history keep arrays no later step writes.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 import warnings
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
-from scipy.linalg.lapack import dpttrf, zpttrs
 
 from .config import ConfigError, check_rules
 from .energy import EnergyLedger, LedgerRow, ledger_row, transverse_norm_sq
@@ -125,16 +128,18 @@ class RunCounters:
     `steps`, `rows` and `solves` count the steps taken, the ledger rows
     computed and the banded diffusion solves made (the curl projection's
     included); for nq `rescales` counts the rescalings of the fluctuation to
-    unit scale (_NqSystem; None for the other systems).  `tendency_s`,
-    `solve_s` and `row_s` are the perf_counter seconds spent in explicit
-    tendencies, in right-hand sides with their implicit solves, and in
-    ledger rows.
+    unit scale (_NqSystem; None for the other systems).  `build_s`,
+    `tendency_s`, `solve_s` and `row_s` are the perf_counter seconds spent
+    building the system and its solvers before the first step (the first
+    run of a process imports scipy.linalg there), in explicit tendencies, in
+    right-hand sides with their implicit solves, and in ledger rows.
     """
 
     steps: int = 0
     rows: int = 0
     solves: int = 0
     rescales: int | None = None
+    build_s: float = 0.0
     tendency_s: float = 0.0
     solve_s: float = 0.0
     row_s: float = 0.0
@@ -188,6 +193,16 @@ def _mode_array(grid) -> np.ndarray:
     return np.empty((grid.n_z, grid.n_y // 2 + 1), dtype=complex)
 
 
+@functools.cache
+def _lapack() -> tuple:
+    """scipy's LAPACK (dpttrf, zpttrs), imported on the first call: only a
+    diffusion solver needs scipy.linalg, so importing stripwave does not
+    load it."""
+    from scipy.linalg.lapack import dpttrf, zpttrs
+
+    return dpttrf, zpttrs
+
+
 def cholesky_banded(d: np.ndarray, e: np.ndarray):
     """LAPACK dpttrf: the LDL^T factor (d, e, info) of the symmetric
     tridiagonal matrix with diagonal d and off-diagonal e.
@@ -196,7 +211,7 @@ def cholesky_banded(d: np.ndarray, e: np.ndarray):
     can count factorizations by wrapping it, as it counts solves on
     cho_solve_banded and KPP solves on waves.solve_ivp.
     """
-    return dpttrf(d, e)
+    return _lapack()[0](d, e)
 
 
 def cho_solve_banded(factor: tuple, b: np.ndarray) -> np.ndarray:
@@ -206,7 +221,7 @@ def cho_solve_banded(factor: tuple, b: np.ndarray) -> np.ndarray:
     A module-level name so that the benchmark tracer counts solves by
     wrapping it (see cholesky_banded).
     """
-    return zpttrs(*factor, b, overwrite_b=1)[0]
+    return _lapack()[1](*factor, b, overwrite_b=1)[0]
 
 
 class _ModeDiffusionSolver:
@@ -735,16 +750,21 @@ def run(system: str, init, profile: WaveProfile, config: IntegratorConfig,
     if head is not None and not 0.0 <= head <= config.t_end:
         raise ValueError(f"head = {head} must lie in [0, t_end = {config.t_end}]")
     cfl = _validate_cfl(config, profile)
-    if system == "nq":
-        model = _NqSystem(profile, config.frame, config.curl_projection)
-    else:
-        model = _PerturbationSystem(profile, config.transport)
     if system == "linear_eps":
         drift = perturbation_y_means(init)
         if drift > 1e-12:
             warnings.warn(f"input y-means reach {drift:.3g}; the linearized system "
                           "assumes mean-zero data", stacklevel=2)
+    start = time.perf_counter()
+    # scipy.linalg is imported before the system allocates its arrays:
+    # imported on top of them, it left an eps = 0 run's peak RSS 0.1 MB higher
+    _lapack()
+    if system == "nq":
+        model = _NqSystem(profile, config.frame, config.curl_projection)
+    else:
+        model = _PerturbationSystem(profile, config.transport)
     core = _ImexCore(model, config.dt, config.scheme)
+    core.counters.build_s = time.perf_counter() - start
     record = TrajectoryRecord(system=system, config=config, dt_over_transport_limit=cfl)
     # (record, last step) of every record that close() has not yet finished
     open_records = [(record, _steps_for(config))]

@@ -360,8 +360,8 @@ def test_manifest_records_the_environment(tmp_path, monkeypatch, args, code):
     assert env["numpy"] == np.__version__ and env["cpu_count"] == os.cpu_count()
     assert env["threads"] == {"OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
                               "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": None}
-    # public subpackages only, sorted; the stepper's banded solver is one
-    assert "scipy.linalg" in env["scipy_loaded"]
+    # public subpackages only, sorted; test_cli_loads_scipy_linalg_only_to_step
+    # checks which ones a command loads
     assert env["scipy_loaded"] == sorted(env["scipy_loaded"])
     assert all(m.count(".") == 1 and not m.startswith("scipy._")
                for m in env["scipy_loaded"])
@@ -370,12 +370,12 @@ def test_manifest_records_the_environment(tmp_path, monkeypatch, args, code):
 ODE_STACK = ["scipy.integrate", "scipy.optimize"]
 
 
-def _fresh_process(tmp_path, body: str) -> list:
+def _fresh_process(tmp_path, body: str, modules=ODE_STACK) -> list:
     """Run `body` in a new isolated interpreter that imports stripwave from
-    this checkout; returns which ODE_STACK packages it had loaded at the end."""
+    this checkout; returns which of `modules` it had loaded at the end."""
     src = str(Path(stripwave.cli.__file__).resolve().parents[1])
     script = (f"import json, sys\nsys.path.insert(0, {src!r})\n{body}\n"
-              f"print(json.dumps([m for m in {ODE_STACK!r} if m in sys.modules]))\n")
+              f"print(json.dumps([m for m in {modules!r} if m in sys.modules]))\n")
     env = {**os.environ, "STRIPWAVE_OUTPUT_ROOT": str(tmp_path)}
     done = subprocess.run([sys.executable, "-I", "-c", script], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
@@ -398,6 +398,31 @@ def test_eps0_run_never_loads_the_ode_stack(tmp_path):
             "p = WaveParams(eps=0.1, n_minus=1.0, c_plus=1.0)\n"
             "solve_wave_kpp(p, make_grid(25.0 / p.s, 128, 0.5, 8, p.s))")
     assert _fresh_process(tmp_path, body) == ODE_STACK
+
+
+@pytest.mark.parametrize("body, loaded", [
+    ("import stripwave", []),
+    ("import stripwave.cli", []),
+    ("from stripwave.evolve import _ModeDiffusionSolver\n"
+     "from stripwave.grid import make_grid\n"
+     "_ModeDiffusionSolver(make_grid(10.0, 32, 0.5, 4, 1.0), 0.1)", ["scipy", "scipy.linalg"]),
+], ids=["stripwave", "stripwave.cli", "solver"])
+def test_scipy_loads_with_the_first_diffusion_solver(tmp_path, body, loaded):
+    assert _fresh_process(tmp_path, body, ["scipy", "scipy.linalg"]) == loaded
+
+
+@pytest.mark.parametrize("args, code, loaded", [
+    (["wave"], 0, []),
+    # the CFL check rejects dt before run builds a solver
+    (["evolve", "--set", "integrator.dt=5"], 2, []),
+    (["evolve", "--set", "integrator.t_end=0.2"], 0, ["scipy.linalg"]),
+], ids=["wave", "evolve-cfl-rejected", "evolve"])
+def test_cli_loads_scipy_linalg_only_to_step(tmp_path, args, code, loaded):
+    args = [*args, "--set", "grid.n_z=128", "--set", "grid.n_y=4"]
+    body = f"import stripwave.cli\nassert stripwave.cli.main({args!r}) == {code}"
+    assert _fresh_process(tmp_path, body, ["scipy.linalg"]) == loaded
+    env = json.loads((tmp_path / "out" / "manifest.json").read_text())["environment"]
+    assert ("scipy.linalg" in env["scipy_loaded"]) == bool(loaded)
 
 
 def test_wave_solve_failure_exit_code(tmp_path, monkeypatch, capsys):
@@ -480,7 +505,7 @@ def test_manifest_counts_steps_and_rows_per_run_call(tmp_path, monkeypatch):
     cfgfile.write_text(STABILITY_CFG.format(out=tmp_path / "ev"))
     assert main(["evolve", "--config", str(cfgfile)]) == 0
     manifest = json.loads((tmp_path / "ev" / "manifest.json").read_text())
-    timings = [{key: c.pop(key) for key in ("tendency_s", "solve_s", "row_s")}
+    timings = [{key: c.pop(key) for key in ("build_s", "tendency_s", "solve_s", "row_s")}
                for c in manifest["counters"]]
     # one loop to 2 t_end = 2: 40 steps, rows at every 4th step from 0, and
     # per step one banded solve for each phi component (psi is undiffused)

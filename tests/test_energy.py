@@ -59,6 +59,20 @@ def test_norm_rejects_large_k():
         sobolev_norm(zero_field(g), 5)
 
 
+def test_norm_of_a_vector_field_sums_its_components():
+    g = small_grid()
+    f = field_from_function(g, lambda z, y: np.exp(-z**2) * np.cos(2 * np.pi * y / g.lam))
+    h = field_from_function(g, lambda z, y: np.exp(-(z - 1.0)**2))
+    assert sobolev_norm(VectorField(f, h), 2, weighted=True) == (
+        sobolev_norm(f, 2, weighted=True) + sobolev_norm(h, 2, weighted=True))
+
+
+def test_norm_rejects_an_unsupported_type():
+    g = small_grid()
+    with pytest.raises(EnergyError, match="unsupported field type <class 'numpy.ndarray'>"):
+        sobolev_norm(np.zeros((g.n_z, g.n_y)), 1)
+
+
 def test_norm_monotone_in_k_and_weight():
     g = small_grid()
     rng = np.random.default_rng(0)
@@ -207,6 +221,11 @@ def test_empirical_c0_rejects_zero_m0():
                          M_inst=0.0, grad_phi_H3w=0, psi4_w=0, Q=0, mass=0))
     with pytest.raises(EnergyError):
         empirical_C0(led)
+
+
+def test_empirical_c0_rejects_an_empty_ledger():
+    with pytest.raises(EnergyError, match="empty ledger"):
+        empirical_C0(EnergyLedger())
 
 
 def test_m_sup_brute_force_oracle():

@@ -294,6 +294,13 @@ def test_wave_is_stationary_in_moving_frame(nq_setup):
     assert drift < 1e-12
 
 
+def test_nq_run_rejects_a_state_it_cannot_deviate(nq_setup):
+    p, g, prof = nq_setup
+    with pytest.raises(TypeError, match=r"cannot build \(n, q\) deviation from "
+                                        r"<class 'stripwave.grid.ScalarField'>"):
+        run("nq", zero_field(g), prof, IntegratorConfig(dt=0.01, t_end=0.01))
+
+
 def test_nq_mass_conservation(nq_setup):
     p, g, prof = nq_setup
     pert = make_initial_perturbation(g, 1e-6, seed=8, mean_zero_y=True, eps=p.eps)

@@ -4,6 +4,7 @@ import pytest
 from stripwave.grid import (
     GridError,
     ScalarField,
+    VectorField,
     d2dy2_array,
     ddy,
     ddy_array,
@@ -282,3 +283,34 @@ def test_field_snapshot_csv_format(tmp_path):
     z0, y1, v = (float(x) for x in lines[2].split(","))
     assert z0 == -10.0 and y1 == g.dy
     assert v == pytest.approx(z0 + 10 * y1, rel=1e-15)
+
+
+def test_field_rejects_a_shape_off_its_grid():
+    g = make_grid(10, 32, 0.5, 8, 1.0)
+    with pytest.raises(GridError, match=r"field shape \(8, 32\) does not match grid \(32, 8\)"):
+        ScalarField(g, np.zeros((8, 32)))
+
+
+def test_vector_field_components_share_one_grid():
+    g, h = make_grid(10, 32, 0.5, 8, 1.0), make_grid(10, 32, 0.25, 8, 1.0)
+    with pytest.raises(GridError, match="vector field components live on different grids"):
+        VectorField(zero_field(g), zero_field(h))
+
+
+def test_scalar_field_sum_and_difference():
+    g = make_grid(10, 32, 0.5, 8, 1.0)
+    f = field_from_function(g, lambda z, y: z + np.sin(2 * np.pi * y / g.lam))
+    h = field_from_function(g, lambda z, y: z * y)
+    for got, want in ((f + h, f.values + h.values), (f - h, f.values - h.values),
+                      (f + 2.0, f.values + 2.0), (f - 2.0, f.values - 2.0)):
+        assert isinstance(got, ScalarField) and got.grid == g
+        assert np.array_equal(got.values, want)
+
+
+def test_y_transforms_read_modes_with_a_strided_last_axis():
+    g = make_grid(10, 32, 0.5, 8, 1.0)
+    modes = y_modes(np.random.default_rng(4).standard_normal((g.n_z, g.n_y)))
+    strided = np.asfortranarray(modes)
+    assert strided.strides[-1] != strided.itemsize
+    assert np.array_equal(y_values(strided, g), y_values(modes, g))
+    assert np.array_equal(y_fluctuation_values(strided, g), y_fluctuation_values(modes, g))

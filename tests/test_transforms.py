@@ -117,6 +117,15 @@ def test_inverse_rejects_rotational_field():
         cole_hopf_inverse(q, 1.0, 0.0)
 
 
+def test_inverse_rejects_a_bad_anchor():
+    g = make_grid(10, 64, 0.5, 8, 1.0)
+    q = VectorField(zero_field(g), zero_field(g))
+    with pytest.raises(TransformError, match="c_anchor must be positive, got 0.0"):
+        cole_hopf_inverse(q, c_anchor=0.0, anchor_z=0.0)
+    with pytest.raises(TransformError, match=r"anchor_z = 10.5 outside \[-L_z, L_z\]"):
+        cole_hopf_inverse(q, c_anchor=1.0, anchor_z=10.5)
+
+
 def test_inverse_recovers_wave_profile():
     # analytic log-gradient of the explicit wave on a short window where
     # the trapezoid Euler-Maclaurin constant stays below the 1e-6 target
@@ -182,6 +191,15 @@ def test_assemble_zero_perturbation_is_wave(wave_setup):
     phys = assemble_physical(pert, prof)
     assert np.max(np.abs(phys.n.values - prof.N[:, None])) == 0.0
     assert np.max(np.abs(phys.c.values - prof.C[:, None])) == 0.0
+
+
+def test_assemble_rejects_a_perturbation_on_another_grid(wave_setup):
+    _, g, prof = wave_setup
+    h = make_grid(g.L_z, g.n_z, 0.25, g.n_y, g.s)
+    pert = PerturbationState(
+        phi=VectorField(zero_field(h), zero_field(h)), psi=zero_field(h))
+    with pytest.raises(TransformError, match="perturbation and profile live on different grids"):
+        assemble_physical(pert, prof)
 
 
 def test_assemble_mass_zero_for_clamped_phi(wave_setup):

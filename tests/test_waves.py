@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -75,6 +76,13 @@ def test_explicit_rejects_positive_eps():
     p = WaveParams(eps=0.1, n_minus=1.0, c_plus=1.0)
     with pytest.raises(WaveError):
         explicit_wave_eps0(p, default_grid(p))
+
+
+def test_profile_rejects_an_array_off_its_grid():
+    p = WaveParams(eps=0.0, n_minus=1.0, c_plus=1.0)
+    prof = explicit_wave_eps0(p, default_grid(p))
+    with pytest.raises(WaveError, match=r"C must have shape \(1024,\), got \(1023,\)"):
+        replace(prof, C=prof.C[:-1])
 
 
 def test_explicit_identity_residuals():
