@@ -11,17 +11,24 @@ Subcommands:
               (eps, lambda) sweep
   convergence grid/time refinement slope table
 
+planarity runs the strips of one eps at once, up to the cores the process
+may use: the first in this process, each later one in a child forked after
+the wave build.  The strips are read in sweep order and this process writes
+every artifact, so the outputs, exit code included, are those of a run in
+sequence.
+
 An experiment that finishes prints its title, one [PASS]/[FAIL] line per
 acceptance check and its notes, and writes its report to summary.json.
 Every run writes a manifest (config echo, version, wall clock, exit code,
 the report or the error text it stopped on, under `waves` each wave profile
 it built, with the build's seconds and for a KPP orbit the solver's counts,
 under `counters` the steps, ledger rows and banded solves of each time loop,
-for planarity its rescalings of the (n, q) fluctuation, the seconds it
-spent in tendencies, solves and rows, and its dt over the transport limit
-(the CFL margin), and under `environment` the Python,
-numpy and scipy versions, the core count, the BLAS thread variables and the
-scipy subpackages the run loaded) next to its artifacts.  Exit codes:
+for planarity its rescalings of the (n, q) fluctuation and whether it ran
+in a forked child, the seconds it spent in tendencies, solves and rows, and
+its dt over the transport limit (the CFL margin), and under `environment`
+the Python, numpy and scipy versions, the core count and the cores this
+process may use, the BLAS thread variables and the scipy subpackages the
+run loaded) next to its artifacts.  Exit codes:
 0 every check passed, 1 a check failed, 2 usage or configuration error (a
 dt above the transport limit included), 3 runtime blowup, one past t_end on
 the way to the doubled horizon included (partial artifacts retained), 4 the
@@ -40,7 +47,9 @@ import sys
 import time
 import traceback
 import warnings
+from contextlib import closing
 from dataclasses import asdict, fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -98,9 +107,18 @@ def _out_dir(cfg: ExperimentConfig) -> Path:
 _THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
+def _usable_cores() -> int:
+    """The cores this process may run on: its affinity mask, where the
+    platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _environment() -> dict:
-    """Versions, cores and BLAS thread settings of this process, and the
-    scipy subpackages imported so far (an eps = 0 run loads no ODE solver)."""
+    """Versions, cores (all, and those this process may use) and BLAS thread
+    settings of this process, and the scipy subpackages imported so far (an
+    eps = 0 run loads no ODE solver)."""
     import scipy
 
     return {
@@ -108,6 +126,7 @@ def _environment() -> dict:
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "cpu_count": os.cpu_count(),
+        "usable_cores": _usable_cores(),
         "threads": {name: os.environ.get(name) for name in _THREAD_VARIABLES},
         "scipy_loaded": sorted(
             name for name, module in list(sys.modules.items())
@@ -327,33 +346,45 @@ def _positive_window(times, values, lo, hi):
     return lo, float(min(hi, times[ok][-1]))
 
 
+def _strip(cfg: ExperimentConfig, wave, lam: float):
+    """The nq record on the strip of width `lam` over the z-only `wave`,
+    without the states planarity never reads (snapshots, final state and
+    deviation): a forked child sends back only the ledger, counters, CFL
+    margin and blowup."""
+    g = wave.grid
+    profile = replace(wave, grid=make_grid(g.L_z, g.n_z, lam, g.n_y, g.s))
+    rec = run("nq", _perturbation(cfg, profile), profile, _integrator(cfg))
+    return replace(rec, snapshots=[], final_state=None, final_deviation=None)
+
+
 def _experiment_planarity(cfg: ExperimentConfig, outdir: Path, waves: list,
                           counters: list):
+    from .forked import at_once  # planarity alone runs jobs at once
+
     results = []
     iv = cfg.integrator
     for eps in cfg.eps_values:
-        # the wave is z-only: one build per eps serves every strip width
+        # the wave is z-only: one build per eps serves every strip width,
+        # and the strips run at once but are read in sweep order
         wave = _build_profile(cfg, eps, cfg.lambda_values[0], waves)
-        g = wave.grid
-        for lam in cfg.lambda_values:
-            profile = replace(wave, grid=make_grid(g.L_z, g.n_z, lam, g.n_y, g.s))
-            pert = _perturbation(cfg, profile)
-            tag = f"eps{eps:g}_lam{lam:g}"
-            rec = _counted(counters, run("nq", pert, profile, _integrator(cfg)), pair=tag)
-            t = np.asarray(rec.times)
-            q = rec.ledger.column("Q")
-            write_csv(outdir / f"q_decay_{tag}.csv", ("t", "Q"), zip(t, q))
-            if rec.blowup:
-                _blowup(rec, f" for {tag}", pair=tag)
-            window = _positive_window(t, q, iv["fit_t_min"], iv["fit_t_max"])
-            try:
-                c, r2 = fit_exponential_decay(t, q, window)
-            except EnergyError as exc:
-                results.append({"eps": eps, "lambda": lam, "error": str(exc)})
-                continue
-            results.append({"eps": eps, "lambda": lam, "rate": c, "r_squared": r2,
-                            "window": list(window), "Q0": float(q[0]),
-                            "curl_max": rec.curl_max})
+        strips = {f"eps{eps:g}_lam{lam:g}": lam for lam in cfg.lambda_values}
+        with closing(at_once(partial(_strip, cfg, wave), strips, _usable_cores())) as done:
+            for (tag, lam), (rec, forked) in zip(strips.items(), done):
+                _counted(counters, rec, pair=tag, forked=forked)
+                t = np.asarray(rec.times)
+                q = rec.ledger.column("Q")
+                write_csv(outdir / f"q_decay_{tag}.csv", ("t", "Q"), zip(t, q))
+                if rec.blowup:
+                    _blowup(rec, f" for {tag}", pair=tag)
+                window = _positive_window(t, q, iv["fit_t_min"], iv["fit_t_max"])
+                try:
+                    c, r2 = fit_exponential_decay(t, q, window)
+                except EnergyError as exc:
+                    results.append({"eps": eps, "lambda": lam, "error": str(exc)})
+                    continue
+                results.append({"eps": eps, "lambda": lam, "rate": c, "r_squared": r2,
+                                "window": list(window), "Q0": float(q[0]),
+                                "curl_max": rec.curl_max})
 
     checks = {}
     for r in results:

@@ -1,7 +1,10 @@
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +18,7 @@ from stripwave.config import (
     serialize_config,
     validate_config,
 )
+from stripwave.evolve import IntegratorBlowup
 from stripwave.grid import GridError, make_grid
 from stripwave.transforms import TransformError, make_initial_perturbation
 from stripwave.waves import WaveError, WaveParams, WaveSolveError, solve_wave_kpp
@@ -354,10 +358,11 @@ def test_manifest_records_the_environment(tmp_path, monkeypatch, args, code):
     monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
     assert main(args) == code
     env = json.loads((tmp_path / "out" / "manifest.json").read_text())["environment"]
-    assert set(env) == {"python", "numpy", "scipy", "cpu_count", "threads",
+    assert set(env) == {"python", "numpy", "scipy", "cpu_count", "usable_cores", "threads",
                         "scipy_loaded"}
     assert env["python"] == ".".join(map(str, sys.version_info[:3]))
     assert env["numpy"] == np.__version__ and env["cpu_count"] == os.cpu_count()
+    assert env["usable_cores"] == len(os.sched_getaffinity(0))
     assert env["threads"] == {"OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
                               "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": None}
     # public subpackages only, sorted; test_cli_loads_scipy_linalg_only_to_step
@@ -365,6 +370,12 @@ def test_manifest_records_the_environment(tmp_path, monkeypatch, args, code):
     assert env["scipy_loaded"] == sorted(env["scipy_loaded"])
     assert all(m.count(".") == 1 and not m.startswith("scipy._")
                for m in env["scipy_loaded"])
+
+
+def test_usable_cores_fall_back_to_the_core_count(monkeypatch):
+    # a platform without an affinity mask may use every core
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert stripwave.cli._usable_cores() == os.cpu_count()
 
 
 ODE_STACK = ["scipy.integrate", "scipy.optimize"]
@@ -548,15 +559,21 @@ def test_manifest_counts_steps_and_rows_per_run_call(tmp_path, monkeypatch):
 ])
 def test_manifest_records_the_cfl_margin(tmp_path, monkeypatch, command, overrides,
                                          entries):
-    # dt over the transport limit cfl_safety * dz / v_max, per time loop
+    # dt over the transport limit cfl_safety * dz / v_max, per time loop;
+    # with two usable cores planarity's second strip runs in a forked child
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setenv("STRIPWAVE_OUTPUT_ROOT", str(tmp_path))
     args = [command]
     for o in ("grid.n_z=128", "grid.n_y=4", "output.directory=out", *overrides):
         args += ["--set", o]
     assert main(args) == 0
-    counters = json.loads((tmp_path / "out" / "manifest.json").read_text())["counters"]
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    counters = manifest["counters"]
     assert len(counters) == entries
     assert all(0.0 < c["dt_over_transport_limit"] <= 1.0 for c in counters)
+    assert [c.get("forked") for c in counters] == (
+        [False, True] if command == "planarity" else [None])
+    assert manifest["environment"]["usable_cores"] == 2
 
 
 def test_manifest_lists_every_wave_build(tmp_path, monkeypatch):
@@ -763,3 +780,243 @@ def test_config_diagnostics_name_their_line(text, experiment, problem):
     with pytest.raises(ConfigError) as err:
         validate_config(text, experiment)
     assert problem in err.value.problems
+
+
+def test_json_dump_rejects_what_json_cannot_hold(tmp_path):
+    with pytest.raises(TypeError, match="not JSON serializable: <class 'object'>"):
+        stripwave.cli._json_dump({"x": object()}, tmp_path / "x.json")
+
+
+def test_positive_window_without_a_positive_sample_is_empty():
+    # Q underflowed from the first row on: no sample to fit
+    assert stripwave.cli._positive_window([0.0, 0.5, 1.0], [1e-300, 0.0, 0.0],
+                                          1.0, 10.0) == (1.0, 1.0)
+
+
+def test_kpp_integration_failure_exit_code(tmp_path, monkeypatch, capsys):
+    # the LSODA orbit integration reports failure: exit 4 with its message
+    import stripwave.waves
+
+    real_solve_ivp = stripwave.waves.solve_ivp
+
+    def failing(*args, **kwargs):
+        sol = real_solve_ivp(*args, **kwargs)
+        sol.success, sol.message = False, "injected"
+        return sol
+
+    monkeypatch.setattr(stripwave.waves, "solve_ivp", failing)
+    monkeypatch.setenv("STRIPWAVE_OUTPUT_ROOT", str(tmp_path))
+    assert main(["linear", "--set", "wave.eps=0.1", "--set", "grid.n_z=128",
+                 "--set", "grid.n_y=4"]) == 4
+    assert "wave solve failed: phase-plane integration failed: injected" in (
+        capsys.readouterr().err)
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["exit_code"] == 4
+    assert manifest["error"] == "phase-plane integration failed: injected"
+    assert manifest["counters"] == []
+
+
+# ---------------------------------------------------------------------------
+# planarity's strips at once: the second strip runs in a forked child
+# ---------------------------------------------------------------------------
+
+SWEEP = TINY + ["wave.eps=0.1", "grid.lambda=0.5,0.25", "integrator.t_end=2"]
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _sweep(tmp_path, monkeypatch, capsys, cores: int):
+    """A planarity sweep over two strips with `cores` usable cores: its exit
+    code, stdout, stderr and output directory."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+    monkeypatch.setenv("STRIPWAVE_OUTPUT_ROOT", str(tmp_path / f"cores{cores}"))
+    args = ["planarity"]
+    for o in SWEEP:
+        args += ["--set", o]
+    code = main(args)
+    out, err = capsys.readouterr()
+    _no_child_left()
+    return code, out, err, tmp_path / f"cores{cores}" / "out"
+
+
+def _untimed_manifest(outdir: Path) -> dict:
+    """The manifest without its timings (`*_s`) and without the keys that
+    say how the strips ran (`usable_cores`, `forked`)."""
+    def untimed(value):
+        if isinstance(value, dict):
+            return {k: untimed(v) for k, v in value.items()
+                    if not k.endswith("_s") and k not in ("usable_cores", "forked")}
+        if isinstance(value, list):
+            return [untimed(v) for v in value]
+        return value
+
+    return untimed(json.loads((outdir / "manifest.json").read_text()))
+
+
+def test_forked_strips_give_the_sequential_outputs(tmp_path, monkeypatch, capsys):
+    one = _sweep(tmp_path, monkeypatch, capsys, 1)
+    two = _sweep(tmp_path, monkeypatch, capsys, 2)
+    assert one[:3] == two[:3] and one[0] == 0
+    names = sorted(p.name for p in one[3].iterdir())
+    assert names == sorted(p.name for p in two[3].iterdir()) == [
+        "manifest.json", "q_decay_eps0.1_lam0.25.csv", "q_decay_eps0.1_lam0.5.csv",
+        "summary.json"]
+    for name in names[1:]:
+        assert (one[3] / name).read_bytes() == (two[3] / name).read_bytes()
+    assert _untimed_manifest(one[3]) == _untimed_manifest(two[3])
+    forked = [[c["forked"] for c in json.loads((run[3] / "manifest.json").read_text())
+               ["counters"]] for run in (one, two)]
+    assert forked == [[False, False], [False, True]]
+
+
+@pytest.mark.parametrize("lam, written", [(0.25, 2), (0.5, 1)], ids=["child", "parent"])
+def test_a_strip_blowup_ends_the_sweep_as_in_sequence(tmp_path, monkeypatch, capsys,
+                                                      lam, written):
+    # a blowup in the child's strip is reported at its turn, as in sequence;
+    # one in the parent's strip ends the run before the child's CSV
+    real_run = stripwave.cli.run
+
+    def blows_up(system, init, profile, config, **kwargs):
+        rec = real_run(system, init, profile, config, **kwargs)
+        if profile.grid.lam == lam:
+            rec.blowup, rec.blowup_time, rec.blowup_reason = True, 0.5, "injected"
+        return rec
+
+    monkeypatch.setattr(stripwave.cli, "run", blows_up)
+    runs = [_sweep(tmp_path, monkeypatch, capsys, cores) for cores in (1, 2)]
+    (code, out, err, one), (_, _, _, two) = runs
+    assert runs[0][:3] == runs[1][:3] and code == 3
+    assert out.splitlines()[-1] == f"blowup at t = 0.5 for eps0.1_lam{lam:g}: injected"
+    for outdir in (one, two):
+        assert len(list(outdir.glob("q_decay_*.csv"))) == written
+        assert not (outdir / "summary.json").exists()
+    assert _untimed_manifest(one) == _untimed_manifest(two)
+    assert _untimed_manifest(two)["report"] == {
+        "blowup_time": 0.5, "blowup_reason": "injected", "pair": f"eps0.1_lam{lam:g}"}
+
+
+@pytest.mark.parametrize("error, code", [
+    (RuntimeError("injected"), 5),
+    # its __init__ takes two arguments and formats them into one
+    (IntegratorBlowup("non-finite values in a", 0.5), 5),
+    (ConfigError(["injected problem"]), 2),
+], ids=["RuntimeError", "IntegratorBlowup", "ConfigError"])
+def test_an_exception_in_the_child_is_raised_at_its_turn(tmp_path, monkeypatch, capsys,
+                                                         error, code):
+    real_run = stripwave.cli.run
+
+    def raises(system, init, profile, config, **kwargs):
+        if profile.grid.lam == 0.25:
+            raise error
+        return real_run(system, init, profile, config, **kwargs)
+
+    monkeypatch.setattr(stripwave.cli, "run", raises)
+    one = _sweep(tmp_path, monkeypatch, capsys, 1)
+    two = _sweep(tmp_path, monkeypatch, capsys, 2)
+    assert one[0] == two[0] == code and one[1] == two[1]
+    assert _untimed_manifest(one[3]) == _untimed_manifest(two[3])
+    manifest = json.loads((two[3] / "manifest.json").read_text())
+    if code == 2:
+        assert manifest["error"] == "injected problem"
+        assert one[2] == two[2] == "config errors:\n  injected problem\n"
+    else:
+        assert manifest["error"] == f"{type(error).__name__}: {error}"
+        # the child's traceback comes with the parent's
+        assert f"{type(error).__name__}: {error}" in two[2]
+        assert "raised in the child process that ran eps0.1_lam0.25:" in two[2]
+    assert [c["pair"] for c in manifest["counters"]] == ["eps0.1_lam0.5"]
+
+
+def test_a_killed_child_is_named_with_its_signal(tmp_path, monkeypatch, capsys):
+    real_run = stripwave.cli.run
+    parent = os.getpid()
+
+    def killed(system, init, profile, config, **kwargs):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real_run(system, init, profile, config, **kwargs)
+
+    monkeypatch.setattr(stripwave.cli, "run", killed)
+    code, _, err, outdir = _sweep(tmp_path, monkeypatch, capsys, 2)
+    assert code == 5
+    message = ("RuntimeError: the child process that ran eps0.1_lam0.25 was killed by "
+               "signal 9 (SIGKILL) without a result")
+    assert message in err
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    assert manifest["exit_code"] == 5 and manifest["error"] == message
+
+
+def test_child_warnings_reach_stderr_once_in_strip_order(tmp_path, monkeypatch, capsys):
+    real_run = stripwave.cli.run
+
+    def warns(system, init, profile, config, **kwargs):
+        warnings.warn(f"strip {profile.grid.lam:g}")
+        warnings.warn("every strip")  # shown once, for the first strip
+        return real_run(system, init, profile, config, **kwargs)
+
+    monkeypatch.setattr(stripwave.cli, "run", warns)
+    monkeypatch.setattr(warnings, "showwarning",
+                        lambda message, category, *args, **kwargs:
+                        print(f"{category.__name__}: {message}", file=sys.stderr))
+    one = _sweep(tmp_path, monkeypatch, capsys, 1)
+    two = _sweep(tmp_path, monkeypatch, capsys, 2)
+    assert one[:3] == two[:3] and one[0] == 0
+    assert two[2].splitlines() == ["UserWarning: strip 0.5", "UserWarning: every strip",
+                                   "UserWarning: strip 0.25"]
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc/<pid>/stat")
+def test_a_child_exits_when_its_parent_dies(tmp_path):
+    # kill a planarity CLI mid-sweep: its forked child must not outlive it
+    pids = tmp_path / "forked.txt"
+    args = ["planarity"]
+    for o in (*TINY, "wave.eps=0.1", "grid.lambda=0.5,0.25", "integrator.t_end=1000",
+              "integrator.record_every=1000"):
+        args += ["--set", o]
+    src = str(Path(stripwave.cli.__file__).resolve().parents[1])
+    script = (f"import os, sys\nsys.path.insert(0, {src!r})\n"
+              "os.sched_getaffinity = lambda pid: {0, 1}\n"
+              "fork = os.fork\n"
+              "def noted_fork():\n"
+              "    pid = fork()\n"
+              "    if pid:\n"
+              f"        with open({str(pids)!r}, 'a') as f:\n"
+              "            f.write(f'{pid}\\n')\n"
+              "    return pid\n"
+              "os.fork = noted_fork\n"
+              "import stripwave.cli\n"
+              f"stripwave.cli.main({args!r})\n")
+    env = {**os.environ, "STRIPWAVE_OUTPUT_ROOT": str(tmp_path)}
+    proc = subprocess.Popen([sys.executable, "-I", "-c", script], cwd=tmp_path, env=env,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 120
+        while not (pids.exists() and pids.read_text().endswith("\n")):
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.05)
+        child = int(pids.read_text())
+        assert _running(child)
+    finally:
+        proc.kill()
+        proc.wait()
+
+    deadline = time.monotonic() + 5
+    while _running(child) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    orphaned = _running(child)
+    if orphaned:
+        os.kill(child, signal.SIGKILL)
+    assert not orphaned
+    _no_child_left()
+
+
+def _running(pid: int) -> bool:
+    """Whether process `pid` exists and has not exited (a zombie has)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rpartition(")")[2].split()[0] not in ("Z", "X")

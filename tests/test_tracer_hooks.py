@@ -6,6 +6,7 @@ every target must resolve and the stepper must go through the counted names.
 
 import importlib.util
 import json
+import os
 import sys
 from collections import Counter
 from pathlib import Path
@@ -95,7 +96,10 @@ def test_cli_run_calls_and_traced_steps(tmp_path, monkeypatch, command, override
                                         calls, horizons):
     # `evolve` and `linear` reach t_end and its doubling in one `run` call,
     # so the `evolve.run` span is one call and the observed steps are 2n;
-    # `planarity` makes one call per (eps, lambda) pair
+    # `planarity` makes one call per (eps, lambda) pair.  With one usable
+    # core every call runs in this process, where the tracer sees it
+    # (test_tracer_sees_only_the_strip_run_in_process: the forked strips)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     traced = _load_traced(monkeypatch)
     tracer = traced.Tracer()
     records = []
@@ -135,6 +139,33 @@ def test_cli_run_calls_and_traced_steps(tmp_path, monkeypatch, command, override
         # a ledger row reads the stepper's y-modes and makes no transform
         assert tracer.spans["energy.ledger_row"]["calls"] >= 1
         assert not {"rfft", "irfft"} & set(tracer.counts["energy.ledger_row"])
+
+
+def test_tracer_sees_only_the_strip_run_in_process(tmp_path, monkeypatch):
+    # with two usable cores the second strip runs in a forked child: the
+    # tracer counts `run` calls in this process, so it sees one call and its
+    # steps, while the manifest's counters list both strips
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    traced = _load_traced(monkeypatch)
+    tracer = traced.Tracer()
+    module_name, attr = traced.SPANS["evolve.run"]
+    owner = sys.modules[module_name]
+    monkeypatch.setattr(owner, attr,
+                        tracer.span("evolve.run", tracer.observe_run(getattr(owner, attr))))
+    monkeypatch.setenv("STRIPWAVE_OUTPUT_ROOT", str(tmp_path))
+    args = ["planarity"]
+    for o in ("grid.n_z=128", "grid.n_y=4", "integrator.t_end=2", "integrator.dt=0.02",
+              "wave.eps=0.1", "grid.lambda=0.5,0.25"):
+        args += ["--set", o]
+    assert stripwave.cli.main(args) == 0
+
+    assert tracer.spans["evolve.run"]["calls"] == 1
+    assert tracer.steps == 100
+    counters = json.loads((tmp_path / "out" / "manifest.json").read_text())["counters"]
+    assert [(c["pair"], c["steps"], c["forked"]) for c in counters] == [
+        ("eps0.1_lam0.5", 100, False), ("eps0.1_lam0.25", 100, True)]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("system, eps, scheme, projection, solvers", [
