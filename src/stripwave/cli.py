@@ -244,19 +244,17 @@ class _Blowup(Exception):
 
 def _blowup(rec, where: str = "", **report) -> None:
     """Print the blowup of `rec` and end the experiment on it."""
-    reason = f": {rec.blowup_reason}" if rec.blowup_reason else ""
-    print(f"blowup at t = {rec.blowup_time}{where}{reason}")
+    print(f"blowup at t = {rec.blowup_time}{where}: {rec.blowup_reason}")
     raise _Blowup({"blowup_time": rec.blowup_time,
                    "blowup_reason": rec.blowup_reason, **report})
 
 
 def _counted(counters: list, rec, **labels):
-    """Note the counters (evolve.RunCounters) and the CFL margin of one
-    `run` call for the manifest."""
+    """Note the counters (evolve.RunCounters) of one `run` call for the
+    manifest, with its labels."""
     counts = {key: v for key, v in asdict(rec.counters).items() if v is not None}
     counters.append({"system": rec.system, "dt": rec.config.dt, "t_end": rec.config.t_end,
-                     **counts, "dt_over_transport_limit": rec.dt_over_transport_limit,
-                     **labels})
+                     **counts, **labels})
     return rec
 
 
@@ -349,8 +347,8 @@ def _positive_window(times, values, lo, hi):
 def _strip(cfg: ExperimentConfig, wave, lam: float):
     """The nq record on the strip of width `lam` over the z-only `wave`,
     without the states planarity never reads (snapshots, final state and
-    deviation): a forked child sends back only the ledger, counters, CFL
-    margin and blowup."""
+    deviation): a forked child sends back only the ledger, counters and
+    blowup."""
     g = wave.grid
     profile = replace(wave, grid=make_grid(g.L_z, g.n_z, lam, g.n_y, g.s))
     rec = run("nq", _perturbation(cfg, profile), profile, _integrator(cfg))

@@ -79,6 +79,11 @@ from .transforms import ColeHopfState, PerturbationState, perturbation_y_means
 from .waves import WaveProfile
 
 
+# The energy guard of `run`: a recorded M_inst (for nq the transverse
+# energy Q) above this many times its initial value is a blowup.
+BLOWUP_FACTOR = 1e6
+
+
 class IntegratorBlowup(RuntimeError):
     """Raised when a run produces non-finite values or runaway energy.
 
@@ -111,7 +116,6 @@ class IntegratorConfig:
     frame: str = "moving"
     curl_projection: bool = False
     snapshot_every: int = 0
-    blowup_factor: float = 1e6
 
     def __post_init__(self):
         problems = (check_rules("integrator", asdict(self))
@@ -133,6 +137,8 @@ class RunCounters:
     building the system and its solvers before the first step (the first
     run of a process imports scipy.linalg there), in explicit tendencies, in
     right-hand sides with their implicit solves, and in ledger rows.
+    `dt_over_transport_limit` is dt over the explicit-transport limit
+    cfl_safety * dz / v_max (IntegratorConfig), the run's CFL margin.
     """
 
     steps: int = 0
@@ -143,6 +149,7 @@ class RunCounters:
     tendency_s: float = 0.0
     solve_s: float = 0.0
     row_s: float = 0.0
+    dt_over_transport_limit: float | None = None
 
 
 @dataclass
@@ -154,11 +161,11 @@ class TrajectoryRecord:
     held (grid.y_modes: z-major, k = 0 column = the y-mean), the deviation
     (n - N, q - P) from the wave; grid.y_values gives its y-node values.
 
-    `head` is the record to an earlier horizon that `run(..., head=T)`
-    fills in the same time loop, equal to the record of a separate run to
-    T.  `counters` is the loop's work when this record closed.
-    `dt_over_transport_limit` is dt over the explicit-transport limit
-    cfl_safety * dz / v_max (IntegratorConfig), the run's CFL margin.
+    A record that ended on a blowup holds its time and its reason, the
+    message of the IntegratorBlowup without the time; `blowup` says whether
+    it did.  `head` is the record to an earlier horizon that
+    `run(..., head=T)` fills in the same time loop.  `counters` is the
+    loop's work when this record closed.
     """
 
     system: str
@@ -167,12 +174,14 @@ class TrajectoryRecord:
     snapshots: list = field(default_factory=list)
     final_state: object = None
     final_deviation: object = None
-    blowup: bool = False
     blowup_time: float | None = None
     blowup_reason: str | None = None
     head: TrajectoryRecord | None = None
     counters: RunCounters = field(default_factory=RunCounters)
-    dt_over_transport_limit: float | None = None
+
+    @property
+    def blowup(self) -> bool:
+        return self.blowup_reason is not None
 
     @property
     def times(self) -> list:
@@ -726,20 +735,22 @@ def run(system: str, init, profile: WaveProfile, config: IntegratorConfig,
     """Advance one system to t_end, recording the energy ledger.
 
     Records at steps {0, record_every, 2*record_every, ...} and always at
-    the final step; halts early on blowup (non-finite values, or M_inst,
-    for nq the transverse energy Q, above blowup_factor times its initial
-    value), returning the partial record with the blowup flag set.
-    Non-finite initial data raise IntegratorBlowup, and a profile whose
-    eps does not suit the system (nonlinear0 needs eps = 0, linear_eps and
-    nq eps > 0) a ValueError, before any step.  One step is a run with
-    t_end = dt.
+    the final step.  The loop ends at its first blowup, non-finite values
+    or a recorded M_inst (for nq the transverse energy Q) above
+    BLOWUP_FACTOR times its initial value: each raises IntegratorBlowup,
+    which closes every record still open with its time and reason, so
+    `run` returns the partial record.  Non-finite initial data raise
+    IntegratorBlowup, and a profile whose eps does not suit the system
+    (nonlinear0 needs eps = 0, linear_eps and nq eps > 0) a ValueError,
+    before any step.  One step is a run with t_end = dt.
 
-    With head = T (0 <= T <= t_end) the same loop also fills `record.head`,
-    bitwise the record of a separate run to T: every ledger row is computed
-    once and appended to each record that asks for it, the head's final
-    row included when T lies off the record_every grid.  Each record's
-    blowup guard reads only its own rows, so a blowup at t <= T marks
-    both records and one after T only the returned one.
+    With head = T (0 <= T <= t_end) the same loop also fills `record.head`:
+    every ledger row is computed once and appended to each record that asks
+    for it, the head's final row included when T lies off the record_every
+    grid.  Each record is bitwise that of a separate run to its horizon,
+    but for one case: a guard trip on the head's off-grid last row, the
+    one row that only the head takes, ends the loop and closes the
+    returned record there too.
     """
     if system not in SYSTEMS:
         raise ValueError(f"unknown system {system!r}; expected one of {SYSTEMS}")
@@ -765,13 +776,12 @@ def run(system: str, init, profile: WaveProfile, config: IntegratorConfig,
         model = _PerturbationSystem(profile, config.transport)
     core = _ImexCore(model, config.dt, config.scheme)
     core.counters.build_s = time.perf_counter() - start
-    record = TrajectoryRecord(system=system, config=config, dt_over_transport_limit=cfl)
-    # (record, last step) of every record that close() has not yet finished
-    open_records = [(record, _steps_for(config))]
+    core.counters.dt_over_transport_limit = cfl
+    record = TrajectoryRecord(system=system, config=config)
+    records = [(record, _steps_for(config))]  # (record, its last step)
     if head is not None:
-        record.head = TrajectoryRecord(system=system, config=replace(config, t_end=head),
-                                       dt_over_transport_limit=cfl)
-        open_records.append((record.head, _steps_for(record.head.config)))
+        record.head = TrajectoryRecord(system=system, config=replace(config, t_end=head))
+        records.append((record.head, _steps_for(record.head.config)))
     guard, guard_text = model.guard
 
     def record_row(due):
@@ -790,7 +800,7 @@ def run(system: str, init, profile: WaveProfile, config: IntegratorConfig,
 
     def close(rec, reason=None):
         if reason is not None:
-            rec.blowup, rec.blowup_time, rec.blowup_reason = True, t, reason
+            rec.blowup_time, rec.blowup_reason = t, reason
         rec.final_state = model.state(u, t)
         if system == "nq":
             rec.final_deviation = model.modes(u)
@@ -801,26 +811,24 @@ def run(system: str, init, profile: WaveProfile, config: IntegratorConfig,
     t = 0.0
     _check_finite(model, u, t)
     try:
-        for i in range(max(n for _, n in open_records) + 1):
+        for i in range(max(n for _, n in records) + 1):
             if i:
                 u = core.step(u)
                 t = i * config.dt
                 _check_finite(model, u, t)
-            due = [rec for rec, n in open_records if i % config.record_every == 0 or i == n]
+            due = [rec for rec, n in records
+                   if i <= n and (i % config.record_every == 0 or i == n)]
             if due:
                 level = record_row(due)
                 if i == 0:
                     level0 = level
-                elif level0 > 0 and level > config.blowup_factor * level0:
-                    for rec in due:
-                        close(rec, guard_text.format(config.blowup_factor))
-            for rec, n in open_records:
-                if i == n and rec.final_state is None:
+                elif level0 > 0 and level > BLOWUP_FACTOR * level0:
+                    raise IntegratorBlowup(guard_text.format(BLOWUP_FACTOR), t)
+            for rec, n in records:
+                if i == n:
                     close(rec)
-            open_records = [(rec, n) for rec, n in open_records if rec.final_state is None]
-            if not open_records:
-                break
     except IntegratorBlowup as exc:
-        for rec, _ in open_records:
-            close(rec, exc.reason)
+        for rec, n in records:
+            if i <= n:  # still open
+                close(rec, exc.reason)
     return record

@@ -26,7 +26,6 @@ from .grid import (
     ddz_array,
     divergence,
     mean_in_y,
-    remove_mean_in_y,
     y_modes,
     y_values,
 )
@@ -205,7 +204,7 @@ def make_initial_perturbation(
     equals `amplitude` exactly; with mean_zero_y the per-z y-averages are
     projected out first.
     """
-    from .energy import perturbation_measure
+    from .energy import ledger_row
 
     check_rules("init", {"amplitude": amplitude, "seed": seed}, error=TransformError)
     rng = np.random.default_rng(seed)
@@ -225,22 +224,17 @@ def make_initial_perturbation(
             v += coef * np.outer(profile_z, np.cos(2 * np.pi * m * grid.y / grid.lam + phase))
         return v
 
-    phi = VectorField(
-        ScalarField(grid, build(True)), ScalarField(grid, build(True)))
-    psi = ScalarField(grid, build(False))
-    state = PerturbationState(phi=phi, psi=psi, t=0.0, eps=eps)
-
+    values = [build(True), build(True), build(False)]  # phi_z, phi_y, psi
     if mean_zero_y:
-        state = PerturbationState(
-            phi=VectorField(remove_mean_in_y(phi.z), remove_mean_in_y(phi.y)),
-            psi=remove_mean_in_y(psi), t=0.0, eps=eps)
-
-    if amplitude == 0.0:
-        return state.scaled(0.0)
-    measured = perturbation_measure(state)
-    if measured <= 0.0:
-        raise TransformError("degenerate random draw produced an empty state")
-    return state.scaled(np.sqrt(amplitude / measured))
+        values = [v - v.mean(axis=1, keepdims=True) for v in values]
+    scale = 0.0
+    if amplitude != 0.0:
+        measured = ledger_row(grid, [y_modes(v) for v in values], 0.0, 0.0).M_inst
+        if measured <= 0.0:
+            raise TransformError("degenerate random draw produced an empty state")
+        scale = np.sqrt(amplitude / measured)
+    phi_z, phi_y, psi = (ScalarField(grid, v * scale) for v in values)
+    return PerturbationState(phi=VectorField(phi_z, phi_y), psi=psi, t=0.0, eps=eps)
 
 
 def perturbation_y_means(state: PerturbationState) -> float:

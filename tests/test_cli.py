@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import stripwave.cli
+import stripwave.waves
 from stripwave.cli import main
 from stripwave.config import (
     ConfigError,
@@ -450,6 +451,42 @@ def test_wave_solve_failure_exit_code(tmp_path, monkeypatch, capsys):
     assert manifest["error_context"] == [{"eps": 0.1}]
 
 
+def _orbit_leaves_its_range(monkeypatch):
+    real = stripwave.waves.solve_ivp
+
+    def solve(*args, **kwargs):
+        sol = real(*args, **kwargs)
+        sol.y[0, -1] = -1.0  # W below zero, past the floor's tolerance
+        return sol
+
+    monkeypatch.setattr(stripwave.waves, "solve_ivp", solve)
+
+
+def _sampled_w_stalls(monkeypatch):
+    real = stripwave.waves._KppOrbit.evaluate
+
+    def evaluate(self, xi):
+        W, Wp, Wpp = real(self, xi)
+        W[len(W) // 2] = W[len(W) // 2 - 1]  # not strictly decreasing
+        return W, Wp, Wpp
+
+    monkeypatch.setattr(stripwave.waves._KppOrbit, "evaluate", evaluate)
+
+
+@pytest.mark.parametrize("fault, message", [
+    (_orbit_leaves_its_range, "orbit left [0, W-]; integrator failure"),
+    (_sampled_w_stalls, "sampled W is not strictly positive decreasing"),
+], ids=["orbit-range", "sampled-w"])
+def test_kpp_orbit_checks_exit_through_the_solver_code(tmp_path, monkeypatch, capsys,
+                                                       fault, message):
+    fault(monkeypatch)
+    monkeypatch.setenv("STRIPWAVE_OUTPUT_ROOT", str(tmp_path))
+    assert main(["wave", "--set", "wave.eps=0.1", "--set", "grid.n_z=128"]) == 4
+    assert f"wave solve failed: {message}" in capsys.readouterr().err
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert (manifest["exit_code"], manifest["error"]) == (4, message)
+
+
 def _run_blowing_up_at(monkeypatch, blowup_time):
     """Patch the CLI's one `run` call so that every record it returns whose
     horizon reaches blowup_time is marked as blown up there."""
@@ -461,7 +498,7 @@ def _run_blowing_up_at(monkeypatch, blowup_time):
         records.append(rec)
         for r in (rec, rec.head):
             if r.config.t_end >= blowup_time:
-                r.blowup, r.blowup_time = True, blowup_time
+                r.blowup_time, r.blowup_reason = blowup_time, "injected"
         return rec
 
     monkeypatch.setattr(stripwave.cli, "run", blows_up)
@@ -509,6 +546,33 @@ def test_blowup_before_t_end_skips_the_doubled_ledger(tmp_path, monkeypatch, cap
     manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
     assert manifest["exit_code"] == 3
     assert manifest["report"]["blowup_time"] == 0.5
+
+
+def test_a_head_blowup_on_its_own_last_row_ends_the_loop(tmp_path, monkeypatch, capsys):
+    # t_end = 0.1 is step 2, off the record_every = 3 grid, so that row is
+    # the head's alone; the loop to 2 t_end would record steps 0, 3 and 4
+    overrides = ["grid.n_z=128", "grid.n_y=8", "integrator.t_end=0.1"]
+    probe = tmp_path / "probe"
+    assert main(_doubled_args(tmp_path, "evolve", [
+        *overrides, "integrator.record_every=1", f"output.directory={probe}"])) == 0
+    rows = np.genfromtxt(probe / "ledger_double.csv", delimiter=",", names=True)
+    m = rows["M_inst"] / rows["M_inst"][0]
+    assert m[4] < m[3] < m[2]
+    factor = 0.5 * (m[2] + m[3])  # the head's row at step 2 trips, no later row would
+    monkeypatch.setattr("stripwave.evolve.BLOWUP_FACTOR", factor)
+    capsys.readouterr()
+    assert main(_doubled_args(tmp_path, "evolve", [
+        *overrides, "integrator.record_every=3"])) == 3
+    reason = f"energy exceeded {factor:g} x M0"
+    assert capsys.readouterr().out.splitlines()[-1] == f"blowup at t = 0.1: {reason}"
+    out = tmp_path / "run"
+    assert not (out / "ledger_double.csv").exists()
+    assert list(np.genfromtxt(out / "ledger.csv", delimiter=",", names=True)["t"]) == [0.0, 0.1]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["report"] == {"blowup_time": 0.1, "blowup_reason": reason}
+    # the loop ended at the head's blowup: 2 steps and 2 rows, not 4 and 4
+    assert [(c["t_end"], c["steps"], c["rows"]) for c in manifest["counters"]] == [
+        (0.2, 2, 2)]
 
 
 def test_manifest_counts_steps_and_rows_per_run_call(tmp_path, monkeypatch):
@@ -615,8 +679,7 @@ def test_blowup_reason_reaches_stdout_and_manifest(tmp_path, monkeypatch, capsys
 
     def guard_trips(*args, **kwargs):
         rec = real_run(*args, **kwargs)
-        rec.blowup, rec.blowup_time = True, 0.5
-        rec.blowup_reason = "transverse energy exceeded 1e+06 x Q0"
+        rec.blowup_time, rec.blowup_reason = 0.5, "transverse energy exceeded 1e+06 x Q0"
         return rec
 
     monkeypatch.setattr(stripwave.cli, "run", guard_trips)
@@ -882,7 +945,7 @@ def test_a_strip_blowup_ends_the_sweep_as_in_sequence(tmp_path, monkeypatch, cap
     def blows_up(system, init, profile, config, **kwargs):
         rec = real_run(system, init, profile, config, **kwargs)
         if profile.grid.lam == lam:
-            rec.blowup, rec.blowup_time, rec.blowup_reason = True, 0.5, "injected"
+            rec.blowup_time, rec.blowup_reason = 0.5, "injected"
         return rec
 
     monkeypatch.setattr(stripwave.cli, "run", blows_up)

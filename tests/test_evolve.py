@@ -359,23 +359,23 @@ def test_run_deterministic_rerun(setup_eps0):
     assert np.array_equal(r1.final_state.psi.values, r2.final_state.psi.values)
 
 
-def test_blowup_detection_partial_record(setup_eps0):
+def test_blowup_detection_partial_record(setup_eps0, monkeypatch):
     _, g, prof = setup_eps0
     pert = make_initial_perturbation(g, 1e-4, seed=0)
     # absurd blowup threshold triggers the energy guard immediately
-    cfg = IntegratorConfig(dt=0.05, t_end=1.0, record_every=1,
-                           blowup_factor=1e-12)
+    monkeypatch.setattr(evolve, "BLOWUP_FACTOR", 1e-12)
+    cfg = IntegratorConfig(dt=0.05, t_end=1.0, record_every=1)
     rec = run("nonlinear0", pert, prof, cfg)
     assert rec.blowup
     assert rec.blowup_time is not None
     assert len(rec.ledger.rows) >= 1
 
 
-def test_blowup_record_keeps_its_reason(setup_eps0):
+def test_blowup_record_keeps_its_reason(setup_eps0, monkeypatch):
     _, g, prof = setup_eps0
     pert = make_initial_perturbation(g, 1e-4, seed=0)
-    rec = run("nonlinear0", pert, prof,
-              IntegratorConfig(dt=0.05, t_end=1.0, blowup_factor=1e-12))
+    monkeypatch.setattr(evolve, "BLOWUP_FACTOR", 1e-12)
+    rec = run("nonlinear0", pert, prof, IntegratorConfig(dt=0.05, t_end=1.0))
     assert rec.blowup_reason == "energy exceeded 1e-12 x M0"
 
     # a 1e100 spike in psi overflows inside the first steps; the energy
@@ -386,15 +386,19 @@ def test_blowup_record_keeps_its_reason(setup_eps0):
     psi = pert.psi.values.copy()
     psi[g.n_z // 2, 3] = 1e100
     spiked = PerturbationState(phi=pert.phi, psi=ScalarField(g, psi))
+    monkeypatch.setattr(evolve, "BLOWUP_FACTOR", 1e300)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        rec = run("nonlinear0", spiked, prof,
-                  IntegratorConfig(dt=0.05, t_end=1.0, blowup_factor=1e300))
+        rec = run("nonlinear0", spiked, prof, IntegratorConfig(dt=0.05, t_end=1.0))
     assert rec.blowup and rec.blowup_time == pytest.approx(0.2)
     assert rec.blowup_reason == "non-finite values in phi_z, phi_y"
 
+    monkeypatch.undo()
     rec = run("nonlinear0", pert, prof, IntegratorConfig(dt=0.05, t_end=0.1))
     assert not rec.blowup and rec.blowup_reason is None
+    # the guard's text states the default factor as it always has
+    assert _PerturbationSystem.guard[1].format(evolve.BLOWUP_FACTOR) == (
+        "energy exceeded 1e+06 x M0")
 
 
 def test_unknown_system_rejected(setup_eps0):
@@ -646,39 +650,55 @@ def test_head_record_is_bitwise_a_separate_run(small_strips, tmp_path, system, s
     assert rec.counters.rows == full.counters.rows + (rec.head.counters.steps % 4 != 0)
 
 
-def test_head_record_matches_separate_runs_through_guard_trips(small_strips, tmp_path):
+def test_head_record_matches_separate_runs_through_guard_trips(small_strips, tmp_path,
+                                                               monkeypatch):
     strip = small_strips["nonlinear0"]
     dt = 0.05
     probe, _, _ = _head_and_separate("nonlinear0", strip, 0.1, dt=dt)
     m = probe.ledger.column("M_inst") / probe.ledger.M0
     # the imex1 ledger dips at step 1 and peaks again at step 2 before it
-    # decays, so a blowup_factor below 1 can place a trip on either side of T
+    # decays, so a BLOWUP_FACTOR below 1 can place a trip on either side of T
     assert m[1] < m[3] < m[2] and m[4] < m[3]
     cases = [
-        # (T, record_every, blowup_factor, head blowup time, full blowup time)
+        # (T, record_every, BLOWUP_FACTOR, head blowup time, full blowup time)
         (0.1, 1, 0.5 * m[1], dt, dt),                     # trip before T
         (0.05, 2, 0.5 * (m[1] + m[2]), None, 2 * dt),     # trip after T
-        (0.1, 3, 0.5 * (m[2] + m[3]), 2 * dt, None),      # head's off-grid row only
-        (0.1, 3, 0.5 * (m[3] + m[4]), 2 * dt, 3 * dt),    # both, at different rows
     ]
     for t_head, every, factor, head_time, full_time in cases:
+        monkeypatch.setattr(evolve, "BLOWUP_FACTOR", factor)
         rec, alone, full = _head_and_separate("nonlinear0", strip, t_head, dt=dt,
-                                              record_every=every, blowup_factor=factor)
+                                              record_every=every)
         _assert_same_record(rec.head, alone, tmp_path)
         _assert_same_record(rec, full, tmp_path)
         assert rec.head.blowup_time == pytest.approx(head_time)
         assert rec.blowup_time == pytest.approx(full_time)
 
+    # a trip on the head's own off-grid last row (T = 0.1 is step 2 of
+    # record_every = 3), which the full record never takes, ends the loop:
+    # both records close there, whether the separate full run would never
+    # trip or would trip at a later row of its own
+    for factor, full_time in ((0.5 * (m[2] + m[3]), None), (0.5 * (m[3] + m[4]), 3 * dt)):
+        monkeypatch.setattr(evolve, "BLOWUP_FACTOR", factor)
+        rec, alone, full = _head_and_separate("nonlinear0", strip, 0.1, dt=dt,
+                                              record_every=3)
+        _assert_same_record(rec.head, alone, tmp_path)
+        assert rec.head.blowup_time == pytest.approx(2 * dt)
+        assert full.blowup_time == pytest.approx(full_time)
+        assert (rec.blowup_time, rec.blowup_reason) == (
+            rec.head.blowup_time, rec.head.blowup_reason)
+        assert rec.ledger.rows == [r for r in full.ledger.rows if r["t"] <= 2 * dt]
+        assert rec.counters.steps == rec.head.counters.steps == 2
+
 
 def test_head_record_matches_separate_runs_through_non_finite_values(small_strips,
-                                                                    tmp_path):
+                                                                    tmp_path, monkeypatch):
     prof, pert = small_strips["nonlinear0"]
     g = prof.grid
     psi = pert.psi.values.copy()
     psi[g.n_z // 2, 3] = 1e100
     spiked = PerturbationState(phi=pert.phi, psi=ScalarField(g, psi))
-    rec, alone, full = _head_and_separate("nonlinear0", (prof, spiked), 1.0, dt=0.05,
-                                          blowup_factor=1e300)
+    monkeypatch.setattr(evolve, "BLOWUP_FACTOR", 1e300)
+    rec, alone, full = _head_and_separate("nonlinear0", (prof, spiked), 1.0, dt=0.05)
     assert rec.head.blowup and rec.blowup_time == rec.head.blowup_time < 1.0
     _assert_same_record(rec.head, alone, tmp_path)
     _assert_same_record(rec, full, tmp_path)

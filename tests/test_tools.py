@@ -61,19 +61,37 @@ def test_compare_outputs_names_what_differs(tmp_path):
     assert done.returncode == 1 and "run/ledger.csv: only in" in done.stdout
 
 
-def test_line_coverage_names_the_branch_its_test_never_takes(tmp_path):
+def _line_coverage(tmp_path, module: str, test: str) -> list:
+    """The tool's listing for src/mod.py holding `module`, run by test_mod.py
+    holding `test`."""
     (tmp_path / "src").mkdir()
-    (tmp_path / "src" / "mod.py").write_text(
-        '"""A module."""\n\n\ndef sign(x):\n    """Sign of x."""\n'
-        "    if x < 0:\n        return -1\n    return 1\n")
-    (tmp_path / "test_mod.py").write_text(
-        "from mod import sign\n\n\ndef test_positive():\n    assert sign(2) == 1\n")
+    (tmp_path / "src" / "mod.py").write_text(module)
+    (tmp_path / "test_mod.py").write_text(test)
     tool = Path(__file__).resolve().parents[1] / "tools" / "line_coverage.py"
     done = subprocess.run(
         [sys.executable, str(tool), "src", "test_mod.py", "-q", "-p", "no:cacheprovider"],
         cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(tmp_path / "src")},
         capture_output=True, text=True)
     assert done.returncode == 0, done.stdout + done.stderr
-    report = done.stdout.split("statements never run, per module:\n")[1]
+    return done.stdout.split("statements never run, per module:\n")[1].splitlines()
+
+
+def test_line_coverage_names_the_branch_its_test_never_takes(tmp_path):
+    report = _line_coverage(
+        tmp_path,
+        '"""A module."""\n\n\ndef sign(x):\n    """Sign of x."""\n'
+        "    if x < 0:\n        return -1\n    return 1\n",
+        "from mod import sign\n\n\ndef test_positive():\n    assert sign(2) == 1\n")
     # only line 7 never ran: neither the docstrings nor the def line count
-    assert report.splitlines() == ["    1 mod.py", "      7: return -1", "    1 total"]
+    assert report == ["    1 mod.py", "      7: return -1", "    1 total"]
+
+
+def test_line_coverage_counts_the_lines_a_forked_child_runs(tmp_path):
+    report = _line_coverage(
+        tmp_path,
+        "import os\n\n\ndef in_child():\n    pid = os.fork()\n    if pid == 0:\n"
+        "        status = 3\n        os._exit(status)\n"
+        "    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])\n",
+        "from mod import in_child\n\n\ndef test_child():\n    assert in_child() == 3\n")
+    # lines 7 and 8 run only in the child, which hands them back at os._exit
+    assert report == ["    0 mod.py", "    0 total"]

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -241,6 +243,21 @@ def test_initial_perturbation_measured_amplitude():
     for seed in (0, 1, 7):
         pert = make_initial_perturbation(g, 1e-4, seed=seed)
         assert perturbation_measure(pert) == pytest.approx(1e-4, rel=1e-10)
+
+
+def test_initial_perturbation_rejects_a_degenerate_draw(monkeypatch):
+    from stripwave import energy
+
+    def empty(*args):
+        return replace(real(*args), M_inst=0.0)
+
+    real = energy.ledger_row
+    monkeypatch.setattr(energy, "ledger_row", empty)
+    g = make_grid(25.0, 256, 0.5, 16, 1.0)
+    with pytest.raises(TransformError, match="degenerate random draw"):
+        make_initial_perturbation(g, 1e-4, seed=1)
+    # a zero amplitude measures nothing
+    assert make_initial_perturbation(g, 0.0, seed=1).psi.max_abs() == 0.0
 
 
 def test_initial_perturbation_mean_zero_projection():

@@ -292,6 +292,20 @@ def test_kpp_reports_diagnostics_on_failure():
         raise AssertionError("tol = 0 must be rejected")
 
 
+def test_p_tail_kept_when_every_node_is_trusted():
+    p = WaveParams(eps=0.1, n_minus=1.0, c_plus=1.0)
+    g = default_grid(p, n_z=64)
+    # |P| stays within 1e4 of its peak at every node: nothing to continue
+    P = -np.exp(-0.1 * (g.z + g.L_z))
+    assert waves._continue_p_tail(g, P, p.s) is P
+    # the last three nodes below the level: they are continued from the fourth
+    Q = P.copy()
+    Q[-3:] = -1e-9
+    out = waves._continue_p_tail(g, Q, p.s)
+    assert np.array_equal(out[:-3], P[:-3])
+    assert np.allclose(out[-3:], P[-4] * np.exp(-p.s * (g.z[-3:] - g.z[-4])), rtol=1e-15)
+
+
 def test_wave_solve_error_is_runtime_error():
     assert issubclass(WaveSolveError, RuntimeError)
 

@@ -7,14 +7,19 @@ lines run by code whose file lies under SRC_DIR, then prints, per module,
 the count of statements that never ran and each one's line.  Docstrings,
 `def`/`class` lines and `try:` headers are left out.  A statement counts as
 run when any line of it ran; for a compound statement (if, for, while,
-with) only its header lines count.  Code that a test runs in a subprocess
-or in another thread is not traced, so its statements are reported as
-never run.  Exits with pytest's exit code.
+with) only its header lines count.  A child made by os.fork keeps the
+hook and hands its lines back when it ends through os._exit.  Code that a
+test runs in a subprocess, in another thread or in a child that ends
+otherwise (killed, or returning to the caller of fork) is not traced, so
+its statements are reported as never run.  Exits with pytest's exit code.
 """
 
 import ast
 import os
+import pickle
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -57,11 +62,30 @@ def traced_run(root: Path, pytest_args: list) -> tuple[int, dict]:
                 hits.setdefault(path, set())
         return local if inside[name] is not None else None
 
+    handoff = Path(tempfile.mkdtemp(prefix="line_coverage-"))
+    real_exit = os._exit
+
+    def exit_with_hits(status):
+        with open(handoff / f"{os.getpid()}.pickle", "wb") as fh:
+            pickle.dump(hits, fh)
+        real_exit(status)
+
+    def in_child():
+        # the child keeps this thread's hook; it reports only its own lines
+        for lines in hits.values():
+            lines.clear()
+        os._exit = exit_with_hits
+
+    os.register_at_fork(after_in_child=in_child)
     sys.settrace(tracer)
     try:
         code = pytest.main(pytest_args)
     finally:
         sys.settrace(None)
+        for path in handoff.glob("*.pickle"):
+            for name, lines in pickle.loads(path.read_bytes()).items():
+                hits.setdefault(name, set()).update(lines)
+        shutil.rmtree(handoff)
     return int(code), hits
 
 
