@@ -346,13 +346,12 @@ def _positive_window(times, values, lo, hi):
 
 def _strip(cfg: ExperimentConfig, wave, lam: float):
     """The nq record on the strip of width `lam` over the z-only `wave`,
-    without the states planarity never reads (snapshots, final state and
-    deviation): a forked child sends back only the ledger, counters and
-    blowup."""
+    without the states planarity never reads (final state and deviation): a
+    forked child sends back only the ledger, counters and blowup."""
     g = wave.grid
     profile = replace(wave, grid=make_grid(g.L_z, g.n_z, lam, g.n_y, g.s))
     rec = run("nq", _perturbation(cfg, profile), profile, _integrator(cfg))
-    return replace(rec, snapshots=[], final_state=None, final_deviation=None)
+    return replace(rec, final_state=None, final_deviation=None)
 
 
 def _experiment_planarity(cfg: ExperimentConfig, outdir: Path, waves: list,
@@ -556,7 +555,7 @@ def main(argv=None) -> int:
         text = (Path(args.config).read_text(encoding="utf-8") if args.config
                 else "".join(f"[{name}]\n" for name in SECTIONS))
         text = apply_overrides(text, args.set)
-        cfg = validate_config(text, args.experiment)
+        cfg = validate_config(text, args.experiment, args.set)
     except (OSError, UnicodeDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

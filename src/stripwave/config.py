@@ -106,17 +106,37 @@ _RULES = {
     ("output", "snapshot_every"): _NON_NEGATIVE,
 }
 
+_ZERO = (lambda v: v == 0, "must be 0")
+
+
+def _fixed(section: str, key: str) -> dict:
+    """The rule that holds section.key at its default: another value would
+    claim a run that the experiment never makes."""
+    default = _SCHEMA[section][key][1]
+    return {(section, key): (lambda v: v == default, f"must be {str(default).lower()}")}
+
+
+# the (n, q) system alone reads these; it has no transport stencil, and
+# planarity writes no snapshots
+_NQ_ONLY = {**_fixed("integrator", "frame"), **_fixed("integrator", "curl_projection")}
+_MEAN_ZERO = {("init", "mean_zero_y"): (bool, "must be true")}
+
 # experiment -> (required sections: those it reads besides [output], whether
-# eps and lambda may be sweep lists, a rule every eps value must also keep,
-# whether the initial data must have zero y-means: the default of
-# init.mean_zero_y, and when true the only value it may take)
+# eps and lambda may be sweep lists, the rules it adds to _RULES).  Such a
+# rule replaces, and so must imply, that of _RULES for its key, and its
+# requirement is stated "for experiment '<name>'".  A setting that the
+# experiment's run would ignore is held at its default.  init.mean_zero_y
+# defaults to whether the experiment holds the mean-zero rule.
 EXPERIMENTS = {
-    "wave": (("grid", "wave"), False, None, False),
-    "stability0": (SECTIONS, False, (lambda e: e == 0, "must be 0"), False),
-    "linear_eps": (SECTIONS, False, _POSITIVE, True),
-    "planarity": (SECTIONS, True, _POSITIVE, True),
-    # its grids and time runs are fixed; it reads the wave and the seed
-    "convergence": (("wave", "init"), False, None, False),
+    "wave": (("grid", "wave"), False, {}),
+    "stability0": (SECTIONS, False, {("wave", "eps"): _ZERO, **_NQ_ONLY}),
+    "linear_eps": (SECTIONS, False, {("wave", "eps"): _POSITIVE, **_MEAN_ZERO, **_NQ_ONLY}),
+    "planarity": (SECTIONS, True, {("wave", "eps"): _POSITIVE, **_MEAN_ZERO,
+                                   **_fixed("integrator", "transport"),
+                                   **_fixed("output", "snapshot_every")}),
+    # its grids and time runs are fixed; it reads the wave's n_minus and
+    # c_plus at eps = 0, and the seed
+    "convergence": (("wave", "init"), False, {("wave", "eps"): _ZERO}),
 }
 
 
@@ -196,32 +216,46 @@ def check_rules(section: str, values: dict, label=str, error=None,
     return problems
 
 
-def validate_config(text: str, experiment: str) -> ExperimentConfig:
-    """Strict validation; raises ConfigError listing every problem found."""
+def validate_config(text: str, experiment: str, overrides=()) -> ExperimentConfig:
+    """Strict validation; raises ConfigError listing every problem found.
+
+    A problem is led by the line of the text it concerns or, for a key whose
+    value one of `overrides` (apply_overrides' strings) set, by '--set' and
+    that override."""
     if experiment not in EXPERIMENTS:
         raise ConfigError([f"unknown experiment {experiment!r}; "
                            f"expected one of {', '.join(EXPERIMENTS)}"])
     sections, problems = parse_raw(text)
+    where = {}  # line number -> the override whose value the line holds
+    for ov in overrides:
+        section, _, key = ov.partition("=")[0].partition(".")
+        entry = sections.get(section.strip(), {}).get(key.strip())
+        if entry:
+            where[entry[1]] = f"--set {ov}"
+
+    def line(ln: int) -> str:
+        return where.get(ln, f"line {ln}")
+
     values: dict = {}
     for name, schema in _SCHEMA.items():
         out = {}
         present = sections.get(name, {})
         for key, (raw, ln) in present.items():
             if key not in schema:
-                problems.append(f"line {ln}: unknown key {key!r} in [{name}]")
+                problems.append(f"{line(ln)}: unknown key {key!r} in [{name}]")
                 continue
             conv, _ = schema[key]
             try:
                 out[key] = conv(raw)
             except ValueError as exc:
-                problems.append(f"line {ln}: bad value for {name}.{key}: {exc}")
+                problems.append(f"{line(ln)}: bad value for {name}.{key}: {exc}")
         for key, (conv, default) in schema.items():
             out.setdefault(key, default)
         values[name] = out
 
-    required, sweep, eps_rule, mean_zero = EXPERIMENTS[experiment]
+    required, sweep, own = EXPERIMENTS[experiment]
     if values["init"]["mean_zero_y"] is None:
-        values["init"]["mean_zero_y"] = mean_zero
+        values["init"]["mean_zero_y"] = ("init", "mean_zero_y") in own
     for name in required:
         if name not in sections:
             problems.append(f"missing required section [{name}] for "
@@ -229,9 +263,9 @@ def validate_config(text: str, experiment: str) -> ExperimentConfig:
                             "section header must be present)")
 
     def at(name: str, key: str) -> str:
-        """'name.key', led by 'line N: ' when the key was read from the text."""
+        """'name.key', led by its line or override when the text holds it."""
         entry = sections.get(name, {}).get(key)
-        return f"line {entry[1]}: {name}.{key}" if entry else f"{name}.{key}"
+        return f"{line(entry[1])}: {name}.{key}" if entry else f"{name}.{key}"
 
     warnings_list = []
     gv, wv = values["grid"], values["wave"]
@@ -241,11 +275,8 @@ def validate_config(text: str, experiment: str) -> ExperimentConfig:
             if len(vals) != 1:
                 problems.append(f"{at(name, key)} must be a single value for "
                                 f"experiment {experiment!r}, got {len(vals)}")
-    rules = dict(_RULES)
-    if eps_rule is not None:  # eps_rule implies eps >= 0
-        rules["wave", "eps"] = (eps_rule[0], f"{eps_rule[1]} for experiment {experiment!r}")
-    if mean_zero:
-        rules["init", "mean_zero_y"] = (bool, f"must be true for experiment {experiment!r}")
+    rules = {**_RULES, **{key: (ok, f"{requirement} for experiment {experiment!r}")
+                          for key, (ok, requirement) in own.items()}}
     for name, vals in values.items():
         problems.extend(check_rules(name, vals, lambda key, name=name: at(name, key),
                                     rules=rules))
@@ -311,6 +342,8 @@ def apply_overrides(text: str, overrides) -> str:
             raise ConfigError([f"override {ov!r} is not of the form section.key=value"])
         target, value = (p.strip() for p in ov.split("=", 1))
         section, key = (p.strip() for p in target.split(".", 1))
+        if section not in _SCHEMA:
+            raise ConfigError([f"override {ov!r} names an unknown section [{section}]"])
         current = None
         for i, raw in enumerate(lines):
             line = raw.strip()

@@ -20,9 +20,9 @@ every term with j >= 1.  grad^4 means the five mixed fourth-order
 derivatives, each counted once.
 
 The engine works on modes throughout.  ledger_row takes the y-modes the
-stepper holds, so a row makes no transform; sobolev_norm,
-fourth_derivative_norm_sq and perturbation_measure take fields and
-transform them once at the boundary.
+stepper holds, so a row makes no transform; sobolev_norm and
+fourth_derivative_norm_sq take fields and transform them once at the
+boundary.
 """
 
 from __future__ import annotations
@@ -101,11 +101,6 @@ def sobolev_norm(f, k: int, weighted: bool = False) -> float:
 def fourth_derivative_norm_sq(f: ScalarField, weighted: bool = True) -> float:
     """Sum over i+j = 4 of the squared weighted L2 norms of d_z^i d_y^j f."""
     return _norm_sq(_powers(y_modes(f.values), f.grid, 4), f.grid, _FOURTH, weighted)
-
-
-def perturbation_measure(state) -> float:
-    """M_inst: the combined weighted measure of a PerturbationState."""
-    return ledger_row(state.grid, state.y_modes(), state.t, 0.0).M_inst
 
 
 @dataclass(frozen=True)

@@ -104,7 +104,11 @@ class IntegratorConfig:
     dt <= cfl_safety * dz / v_max with v_max = max(|s|, sqrt(max N)); run()
     validates this against the actual profile.  transport selects the psi
     advection stencil ("upwind" default; "central" pairs with sbdf2 for
-    second order).  snapshot_every = 0 disables field snapshots.
+    second order) and steers only nonlinear0 and linear_eps; frame and
+    curl_projection steer only nq.  run ignores the keys that its system
+    does not read, so one config may drive several systems (the CLI refuses
+    such keys off their defaults, config.EXPERIMENTS).  snapshot_every = 0
+    disables field snapshots.
     """
 
     dt: float
@@ -741,8 +745,9 @@ def run(system: str, init, profile: WaveProfile, config: IntegratorConfig,
     which closes every record still open with its time and reason, so
     `run` returns the partial record.  Non-finite initial data raise
     IntegratorBlowup, and a profile whose eps does not suit the system
-    (nonlinear0 needs eps = 0, linear_eps and nq eps > 0) a ValueError,
-    before any step.  One step is a run with t_end = dt.
+    (nonlinear0 needs eps = 0, linear_eps and nq eps > 0) or whose grid is
+    not that of the initial data a ValueError, before any step.  One step
+    is a run with t_end = dt.
 
     With head = T (0 <= T <= t_end) the same loop also fills `record.head`:
     every ledger row is computed once and appended to each record that asks
@@ -758,6 +763,8 @@ def run(system: str, init, profile: WaveProfile, config: IntegratorConfig,
     if (eps == 0.0) != (system == "nonlinear0"):
         need = "eps = 0" if system == "nonlinear0" else "eps > 0"
         raise ValueError(f"{system} requires a profile with {need}, got eps = {eps:g}")
+    if init.grid != profile.grid:
+        raise ValueError(f"the initial data lie on {init.grid}, the profile on {profile.grid}")
     if head is not None and not 0.0 <= head <= config.t_end:
         raise ValueError(f"head = {head} must lie in [0, t_end = {config.t_end}]")
     cfl = _validate_cfl(config, profile)

@@ -53,6 +53,10 @@ class ColeHopfState:
     q: VectorField
     t: float = 0.0
 
+    @property
+    def grid(self) -> Grid:
+        return self.n.grid
+
 
 @dataclass(frozen=True)
 class PerturbationState:
@@ -75,11 +79,6 @@ class PerturbationState:
     def y_modes(self) -> tuple:
         """The y-modes (grid.y_modes) of phi_z, phi_y and psi."""
         return tuple(y_modes(f.values) for f in (self.phi.z, self.phi.y, self.psi))
-
-    def scaled(self, a: float) -> "PerturbationState":
-        return PerturbationState(
-            phi=VectorField(a * self.phi.z, a * self.phi.y),
-            psi=a * self.psi, t=self.t, eps=self.eps)
 
 
 def cole_hopf_forward(state: PhysicalState) -> ColeHopfState:

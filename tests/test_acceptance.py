@@ -192,7 +192,6 @@ def test_criterion_07_superposition(linear_runs):
     a = make_initial_perturbation(g, 1e-4, seed=4, mean_zero_y=True, eps=0.05)
     b = make_initial_perturbation(g, 1e-4, seed=5, mean_zero_y=True, eps=0.05)
     ca, cb = 0.7, -1.3
-    comb = a.scaled(0.0)
     comb = type(a)(
         phi=VectorField(
             ScalarField(g, ca * a.phi.z.values + cb * b.phi.z.values),

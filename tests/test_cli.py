@@ -85,6 +85,32 @@ def test_range_problems_report_their_lines():
     assert "line 2: grid.n_z must be >= 16, got 8" in err.value.problems
 
 
+def test_override_problems_name_their_override(tmp_path, capsys):
+    # without a file the text is one of section headers the user never saw
+    assert main(["evolve", "--set", "integrator.dt=-1", "--set", "grid.n_y=3"]) == 2
+    err = capsys.readouterr().err
+    assert "  --set grid.n_y=3: grid.n_y must be even" in err
+    assert "  --set integrator.dt=-1: integrator.dt must be positive" in err
+    assert "line" not in err
+    # a file's keys keep their lines; an override of one of them is named by it
+    cfgfile = tmp_path / "two.ini"
+    cfgfile.write_text("[grid]\nn_z = 8\n")
+    assert main(["wave", "--config", str(cfgfile), "--set", "grid.n_y=3",
+                 "--set", "wave.eps=x"]) == 2
+    err = capsys.readouterr().err
+    assert "  line 2: grid.n_z must be >= 16, got 8" in err
+    assert "  --set grid.n_y=3: grid.n_y must be even" in err
+    assert "  --set wave.eps=x: bad value for wave.eps" in err
+    assert main(["wave", "--config", str(cfgfile), "--set", "grid.n_z=9",
+                 "--set", "grid.nz=9"]) == 2
+    err = capsys.readouterr().err
+    assert "  --set grid.n_z=9: grid.n_z must be >= 16, got 9" in err
+    assert "  --set grid.nz=9: unknown key 'nz' in [grid]" in err
+    assert "line" not in err
+    assert main(["wave", "--set", "plot.style=fancy"]) == 2
+    assert "override 'plot.style=fancy' names an unknown section [plot]" in capsys.readouterr().err
+
+
 def test_wave_parameter_rules_checked_before_compute():
     text = apply_overrides(WAVE_CFG, ["wave.tol=1e-3", "wave.N0=-1"])
     with pytest.raises(ConfigError) as err:
@@ -710,6 +736,20 @@ def test_blowup_reason_reaches_stdout_and_manifest(tmp_path, monkeypatch, capsys
      "init.mean_zero_y must be true for experiment 'linear_eps', got False"),
     ("planarity", ["wave.eps=0.1", "init.mean_zero_y=false"],
      "init.mean_zero_y must be true for experiment 'planarity', got False"),
+    # settings that the experiment's run would ignore
+    ("evolve", ["integrator.frame=lab"],
+     "integrator.frame must be moving for experiment 'stability0', got 'lab'"),
+    ("evolve", ["integrator.curl_projection=true"],
+     "integrator.curl_projection must be false for experiment 'stability0', got True"),
+    ("linear", ["wave.eps=0.1", "integrator.frame=lab"],
+     "integrator.frame must be moving for experiment 'linear_eps', got 'lab'"),
+    ("linear", ["wave.eps=0.1", "integrator.curl_projection=true"],
+     "integrator.curl_projection must be false for experiment 'linear_eps', got True"),
+    ("planarity", ["wave.eps=0.1", "integrator.transport=central"],
+     "integrator.transport must be upwind for experiment 'planarity', got 'central'"),
+    ("planarity", ["wave.eps=0.1", "output.snapshot_every=2"],
+     "output.snapshot_every must be 0 for experiment 'planarity', got 2"),
+    ("convergence", ["wave.eps=0.1"], "wave.eps must be 0 for experiment 'convergence', got 0.1"),
 ])
 def test_bad_inputs_rejected_before_compute(tmp_path, monkeypatch, capsys, command,
                                             overrides, message):
@@ -724,6 +764,37 @@ def test_bad_inputs_rejected_before_compute(tmp_path, monkeypatch, capsys, comma
 
 
 TINY = ["grid.n_z=128", "grid.n_y=4"]
+
+MODE_FLIPS = ["integrator.scheme=sbdf2", "integrator.transport=central",
+              "integrator.frame=lab", "integrator.curl_projection=true",
+              "output.snapshot_every=1"]
+
+
+@pytest.mark.parametrize("command, overrides", [
+    ("evolve", TINY + ["grid.L_z=50", "wave.n_minus=0.25", "integrator.dt=0.05",
+                       "integrator.t_end=0.5"]),
+    ("linear", TINY + ["wave.eps=0.1", "integrator.t_end=0.5"]),
+    ("planarity", TINY + ["wave.eps=0.1", "integrator.t_end=0.5", "integrator.fit_t_min=0.1"]),
+])
+def test_no_accepted_mode_setting_is_ignored(tmp_path, monkeypatch, capsys, command,
+                                             overrides):
+    # each flip away from the default is refused before the output directory
+    # exists, or changes the CSVs the run writes (snapshots included)
+    monkeypatch.setenv("STRIPWAVE_OUTPUT_ROOT", str(tmp_path))
+
+    def csvs(name, flips):
+        args = [command]
+        for o in overrides + flips + [f"output.directory={name}"]:
+            args += ["--set", o]
+        code = main(args)
+        out = tmp_path / name
+        return code, out.exists() and {p.name: p.read_bytes() for p in out.glob("*.csv")}
+
+    _, default = csvs("default", [])
+    assert default
+    for i, flip in enumerate(MODE_FLIPS):
+        code, files = csvs(f"flip{i}", [flip])
+        assert (code == 2 and files is False) or files != default, flip
 
 
 @pytest.mark.parametrize("command, overrides", [

@@ -7,7 +7,6 @@ import pytest
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from stripwave import evolve
-from stripwave.energy import perturbation_measure
 from stripwave.evolve import (
     IntegratorBlowup,
     _ImexCore,
@@ -107,30 +106,51 @@ def test_zero_state_fixed_point_linear(setup_linear):
     assert st.psi.max_abs() == 0.0
 
 
-@pytest.mark.parametrize("system, setup, requirement", [
-    ("nonlinear0", "setup_linear", "eps = 0"),
-    ("linear_eps", "setup_eps0", "eps > 0"),
-    ("nq", "setup_eps0", "eps > 0"),
-], ids=["nonlinear0", "linear_eps", "nq"])
-def test_run_rejects_profile_eps_mismatch(request, monkeypatch, system, setup,
-                                          requirement):
-    # rejected before any step: nothing is factored or solved
-    import stripwave.evolve as evolve
-
+@pytest.fixture
+def no_factorization(monkeypatch):
+    """Fails the test as soon as a banded factorization or solve runs."""
     def no_compute(*args, **kwargs):
         raise AssertionError("a banded factorization or solve ran")
 
     monkeypatch.setattr(evolve, "cholesky_banded", no_compute)
     monkeypatch.setattr(evolve, "cho_solve_banded", no_compute)
+
+
+@pytest.mark.parametrize("system, setup, requirement", [
+    ("nonlinear0", "setup_linear", "eps = 0"),
+    ("linear_eps", "setup_eps0", "eps > 0"),
+    ("nq", "setup_eps0", "eps > 0"),
+], ids=["nonlinear0", "linear_eps", "nq"])
+def test_run_rejects_profile_eps_mismatch(request, no_factorization, system, setup,
+                                          requirement):
+    # rejected before any step: nothing is factored or solved
     _, g, prof = request.getfixturevalue(setup)
     with pytest.raises(ValueError, match=f"^{system} requires a profile with {requirement}"):
         run(system, zero_state(g), prof, IntegratorConfig(dt=0.01, t_end=0.01))
+
+
+@pytest.mark.parametrize("system, setup", [
+    ("nonlinear0", "setup_eps0"), ("linear_eps", "setup_linear"), ("nq", "setup_linear"),
+])
+def test_run_rejects_initial_data_on_another_strip(request, no_factorization, system, setup):
+    # data drawn on a strip of width 0.25 would be read with the wavenumbers
+    # of the profile's width 0.5: rejected before anything is factored
+    p, g, prof = request.getfixturevalue(setup)
+    other = make_grid(g.L_z, g.n_z, 0.25, g.n_y, g.s)
+    init = make_initial_perturbation(other, 1e-4, seed=0, eps=p.eps)
+    with pytest.raises(ValueError, match="^the initial data lie on Grid.*lam=0.25.*"
+                                         "the profile on Grid.*lam=0.5"):
+        run(system, init, prof, IntegratorConfig(dt=0.01, t_end=0.01))
 
 
 def _flat(state):
     return np.concatenate([state.phi.z.values.ravel(),
                            state.phi.y.values.ravel(),
                            state.psi.values.ravel()])
+
+
+def _scaled(pert, a):
+    return PerturbationState(phi=VectorField(a * pert.phi.z, a * pert.phi.y), psi=a * pert.psi)
 
 
 def _final(system, pert, prof, dt, scheme, transport, t_end):
@@ -184,9 +204,9 @@ def test_amplitude_linearity_slope_two(setup_eps0):
     defects = []
     amps = [1e-2, 1e-3, 1e-4]
     for a in amps:
-        fa = _flat(_final("nonlinear0", base.scaled(np.sqrt(a)), prof,
+        fa = _flat(_final("nonlinear0", _scaled(base, np.sqrt(a)), prof,
                           0.05, "imex1", "upwind", 1.0))
-        fh = _flat(_final("nonlinear0", base.scaled(np.sqrt(a) / 2), prof,
+        fh = _flat(_final("nonlinear0", _scaled(base, np.sqrt(a) / 2), prof,
                           0.05, "imex1", "upwind", 1.0))
         defects.append(np.linalg.norm(fa - 2.0 * fh))
     slope = np.polyfit(np.log(np.sqrt(amps)), np.log(defects), 1)[0]

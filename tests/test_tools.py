@@ -61,6 +61,29 @@ def test_compare_outputs_names_what_differs(tmp_path):
     assert done.returncode == 1 and "run/ledger.csv: only in" in done.stdout
 
 
+def test_compare_outputs_names_the_json_values_that_differ(tmp_path):
+    def tree(name, steps, config, rates):
+        (tmp_path / name).mkdir()
+        manifest = {"counters": [{"steps": steps, "solve_s": steps / 10}],
+                    "config": config, "rates": rates, "fit": float("nan")}
+        (tmp_path / name / "manifest.json").write_text(json.dumps(manifest))
+        return tmp_path / name
+
+    old = tree("old", 4, "[integrator]\nframe = moving\n", list(range(12)))
+    # NaN equals NaN, and the timings are left out
+    assert _compare(old, tree("same", 4, "[integrator]\nframe = moving\n", list(range(12)))).returncode == 0
+    done = _compare(old, tree("new", 2, "[integrator]\nframe = lab\n", list(range(1, 16))))
+    assert done.returncode == 1
+    # 17 values differ: the config's second line, the steps, rates[0] to [11], and rates[12]
+    # to [14], which the old list lacks; the first 10 are named
+    assert done.stdout.splitlines() == [
+        "manifest.json: differs outside the *_s timings",
+        '  config[1]: "frame = moving" -> "frame = lab"', "  counters[0].steps: 4 -> 2",
+        *(f"  rates[{i}]: {i} -> {i + 1}" for i in range(8)), "  and 7 more"]
+    longer = _compare(old, tree("longer", 4, "[integrator]\nframe = moving\n", list(range(13))))
+    assert longer.stdout.splitlines()[1:] == ["  rates[12]: absent -> 12"]
+
+
 def _line_coverage(tmp_path, module: str, test: str) -> list:
     """The tool's listing for src/mod.py holding `module`, run by test_mod.py
     holding `test`."""

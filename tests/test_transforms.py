@@ -237,12 +237,12 @@ def test_initial_perturbation_zero_amplitude():
 
 
 def test_initial_perturbation_measured_amplitude():
-    from stripwave.energy import perturbation_measure
+    from stripwave.energy import ledger_row
 
     g = make_grid(25.0, 512, 0.5, 16, 1.0)
     for seed in (0, 1, 7):
         pert = make_initial_perturbation(g, 1e-4, seed=seed)
-        assert perturbation_measure(pert) == pytest.approx(1e-4, rel=1e-10)
+        assert ledger_row(g, pert.y_modes(), 0.0, 0.0).M_inst == pytest.approx(1e-4, rel=1e-10)
 
 
 def test_initial_perturbation_rejects_a_degenerate_draw(monkeypatch):

@@ -4,14 +4,19 @@ when nothing differs.
     python tools/compare_outputs.py OLD NEW
 
 JSON files are compared after dropping every key that ends in `_s` (the
-timings); every other file is compared as bytes.  For a CSV that differs,
-the largest relative difference of each differing column is printed.
+timings); every other file is compared as bytes.  For a JSON file that
+differs, the path of each differing value is printed with both values (the
+first MAX_KEYS of them); for a CSV, the largest relative difference of each
+differing column.
 """
 
 import csv
 import json
 import sys
 from pathlib import Path
+
+MAX_KEYS = 10
+_ABSENT = object()  # a key or list entry that one side lacks
 
 
 def _untimed(value):
@@ -45,6 +50,37 @@ def csv_columns(old: Path, new: Path) -> list[str]:
     return [f"{name}: max relative difference {d:.3g}" for name, d in worst.items() if d]
 
 
+def _leaf(value) -> str:
+    return "absent" if value is _ABSENT else json.dumps(value)  # as text, so NaN equals NaN
+
+
+def _differing(old, new, path=""):
+    """(path, old, new) of each value where two JSON values differ, with
+    paths such as `counters[0].steps`; a text of several lines, such as the
+    config echo, is compared as the list of its lines."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in sorted(old.keys() | new.keys()):
+            yield from _differing(old.get(key, _ABSENT), new.get(key, _ABSENT),
+                                  f"{path}.{key}" if path else key)
+    elif isinstance(old, list) and isinstance(new, list):
+        for i in range(max(len(old), len(new))):
+            yield from _differing(old[i] if i < len(old) else _ABSENT,
+                                  new[i] if i < len(new) else _ABSENT, f"{path}[{i}]")
+    elif isinstance(old, str) and isinstance(new, str) and "\n" in old + new:
+        yield from _differing(old.splitlines(), new.splitlines(), path)
+    elif _leaf(old) != _leaf(new):
+        yield path, old, new
+
+
+def json_keys(old: Path, new: Path) -> list[str]:
+    """One line per differing value of two JSON files, timings left out:
+    its path and both values, the first MAX_KEYS of them."""
+    lines = [f"{path}: {_leaf(a)} -> {_leaf(b)}" for path, a, b in _differing(
+        *(_untimed(json.loads(p.read_text())) for p in (old, new)))]
+    extra = len(lines) - MAX_KEYS
+    return lines[:MAX_KEYS] + ([f"and {extra} more"] if extra > 0 else [])
+
+
 def compare(old_root: Path, new_root: Path) -> list[str]:
     """The differences between two trees, one line each."""
     files = sorted({p.relative_to(root) for root in (old_root, new_root)
@@ -55,10 +91,10 @@ def compare(old_root: Path, new_root: Path) -> list[str]:
         if not (old.is_file() and new.is_file()):
             report.append(f"{rel}: only in {old_root if old.is_file() else new_root}")
         elif rel.suffix == ".json":
-            old_json, new_json = (json.dumps(_untimed(json.loads(p.read_text())), sort_keys=True)
-                                  for p in (old, new))
-            if old_json != new_json:  # as text, so NaN equals NaN
+            keys = json_keys(old, new)
+            if keys:
                 report.append(f"{rel}: differs outside the *_s timings")
+                report.extend(f"  {line}" for line in keys)
         elif old.read_bytes() != new.read_bytes():
             report.append(f"{rel}: differs")
             if rel.suffix == ".csv":
