@@ -438,10 +438,11 @@ def _experiment_convergence(cfg: ExperimentConfig, outdir: Path, waves: list,
     rows.append(("cole_hopf_roundtrip_slope", slope_of(sizes, errs), 1.7, 2.3))
 
     # time-stepping self-convergence
-    p = WaveParams(eps=0.0, n_minus=cfg.wave["n_minus"], c_plus=cfg.wave["c_plus"])
+    p = WaveParams(eps=0.0, n_minus=cfg.wave["n_minus"], c_plus=cfg.wave["c_plus"],
+                   N0=cfg.wave["N0"])
     g = make_grid(50.0, 256, 2.0, 8, p.s)
     prof = _built(waves, explicit_wave_eps0, p, g)
-    pert = make_initial_perturbation(g, 1e-4, cfg.init["seed"])
+    pert = _perturbation(cfg, prof)
 
     def final(dt, scheme, transport):
         c = IntegratorConfig(dt=dt, t_end=0.4, scheme=scheme,
@@ -554,8 +555,7 @@ def main(argv=None) -> int:
     try:
         text = (Path(args.config).read_text(encoding="utf-8") if args.config
                 else "".join(f"[{name}]\n" for name in SECTIONS))
-        text = apply_overrides(text, args.set)
-        cfg = validate_config(text, args.experiment, args.set)
+        cfg = validate_config(text, args.experiment, apply_overrides(args.set))
     except (OSError, UnicodeDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

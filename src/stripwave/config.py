@@ -1,9 +1,11 @@
-"""Experiment configuration: strict INI-style parsing with line diagnostics.
+"""Experiment configuration: strict INI-style parsing and `--set` overrides.
 
-Format: flat `key = value` pairs under [section] headers.  Unknown sections
-or keys are rejected, every problem is reported with its line number, and a
-parsed configuration serializes back to canonical text that re-parses to an
-identical configuration (diff-friendly for experiment sweeps).
+Format: flat `key = value` pairs under [section] headers, with `--set
+section.key=value` overrides merged over them.  Unknown sections or keys are
+rejected, every problem is led by the origin of the entry it concerns (its
+line, or its override), and a parsed configuration serializes back to
+canonical text that re-parses to an identical configuration (diff-friendly
+for experiment sweeps).
 
 Every input rule is stated once, in _RULES; check_rules applies it to a
 config before any compute and to each library constructor's arguments.
@@ -22,7 +24,7 @@ INTEGRATOR_CHOICES = {
 
 
 class ConfigError(ValueError):
-    """Carries the full list of line-numbered problems."""
+    """Carries the full list of problems, each led by its origin."""
 
     def __init__(self, problems):
         self.problems = list(problems)
@@ -134,8 +136,8 @@ EXPERIMENTS = {
     "planarity": (SECTIONS, True, {("wave", "eps"): _POSITIVE, **_MEAN_ZERO,
                                    **_fixed("integrator", "transport"),
                                    **_fixed("output", "snapshot_every")}),
-    # its grids and time runs are fixed; it reads the wave's n_minus and
-    # c_plus at eps = 0, and the seed
+    # its grids and time runs are fixed; it reads the [wave] at eps = 0 and
+    # the [init]
     "convergence": (("wave", "init"), False, {("wave", "eps"): _ZERO}),
 }
 
@@ -165,7 +167,7 @@ class ExperimentConfig:
 
 
 def parse_raw(text: str):
-    """Parse INI text into {section: {key: (raw_value, line_no)}}."""
+    """Parse INI text into {section: {key: (raw_value, "line N")}}."""
     problems = []
     sections: dict = {}
     current = None
@@ -193,7 +195,7 @@ def parse_raw(text: str):
         if key in sections[current]:
             problems.append(f"line {ln}: duplicate key {key!r} in [{current}]")
             continue
-        sections[current][key] = (value, ln)
+        sections[current][key] = (value, f"line {ln}")
     return sections, problems
 
 
@@ -216,39 +218,32 @@ def check_rules(section: str, values: dict, label=str, error=None,
     return problems
 
 
-def validate_config(text: str, experiment: str, overrides=()) -> ExperimentConfig:
+def validate_config(text: str, experiment: str, overrides=None) -> ExperimentConfig:
     """Strict validation; raises ConfigError listing every problem found.
 
-    A problem is led by the line of the text it concerns or, for a key whose
-    value one of `overrides` (apply_overrides' strings) set, by '--set' and
-    that override."""
+    The entries of `overrides` (apply_overrides' result) replace or join
+    those parsed from the text, and each problem is led by the origin of the
+    entry it concerns: 'line N' of the text or '--set <override>'."""
     if experiment not in EXPERIMENTS:
         raise ConfigError([f"unknown experiment {experiment!r}; "
                            f"expected one of {', '.join(EXPERIMENTS)}"])
     sections, problems = parse_raw(text)
-    where = {}  # line number -> the override whose value the line holds
-    for ov in overrides:
-        section, _, key = ov.partition("=")[0].partition(".")
-        entry = sections.get(section.strip(), {}).get(key.strip())
-        if entry:
-            where[entry[1]] = f"--set {ov}"
-
-    def line(ln: int) -> str:
-        return where.get(ln, f"line {ln}")
+    for name, entries in (overrides or {}).items():
+        sections.setdefault(name, {}).update(entries)
 
     values: dict = {}
     for name, schema in _SCHEMA.items():
         out = {}
         present = sections.get(name, {})
-        for key, (raw, ln) in present.items():
+        for key, (raw, origin) in present.items():
             if key not in schema:
-                problems.append(f"{line(ln)}: unknown key {key!r} in [{name}]")
+                problems.append(f"{origin}: unknown key {key!r} in [{name}]")
                 continue
             conv, _ = schema[key]
             try:
                 out[key] = conv(raw)
             except ValueError as exc:
-                problems.append(f"{line(ln)}: bad value for {name}.{key}: {exc}")
+                problems.append(f"{origin}: bad value for {name}.{key}: {exc}")
         for key, (conv, default) in schema.items():
             out.setdefault(key, default)
         values[name] = out
@@ -263,9 +258,9 @@ def validate_config(text: str, experiment: str, overrides=()) -> ExperimentConfi
                             "section header must be present)")
 
     def at(name: str, key: str) -> str:
-        """'name.key', led by its line or override when the text holds it."""
+        """'name.key', led by its origin when an entry sets it."""
         entry = sections.get(name, {}).get(key)
-        return f"{line(entry[1])}: {name}.{key}" if entry else f"{name}.{key}"
+        return f"{entry[1]}: {name}.{key}" if entry else f"{name}.{key}"
 
     warnings_list = []
     gv, wv = values["grid"], values["wave"]
@@ -329,14 +324,11 @@ def serialize_config(cfg: ExperimentConfig) -> str:
     return "\n".join(lines)
 
 
-def apply_overrides(text: str, overrides) -> str:
-    """Apply `section.key=value` strings on top of the raw config text.
-
-    Existing keys are rewritten in place; a new key is appended at the end
-    under a reopened [section] header, so every line of the text keeps its
-    number in the diagnostics.
-    """
-    lines = text.splitlines()
+def apply_overrides(overrides) -> dict:
+    """The `section.key=value` strings as entries {section: {key: (raw_value,
+    "--set <override>")}} for validate_config; of two overrides of one key
+    the last wins."""
+    entries: dict = {}
     for ov in overrides:
         if "=" not in ov or "." not in ov.split("=", 1)[0]:
             raise ConfigError([f"override {ov!r} is not of the form section.key=value"])
@@ -344,14 +336,5 @@ def apply_overrides(text: str, overrides) -> str:
         section, key = (p.strip() for p in target.split(".", 1))
         if section not in _SCHEMA:
             raise ConfigError([f"override {ov!r} names an unknown section [{section}]"])
-        current = None
-        for i, raw in enumerate(lines):
-            line = raw.strip()
-            if line.startswith("[") and line.endswith("]"):
-                current = line[1:-1].strip()
-            elif current == section and line.partition("=")[0].strip() == key:
-                lines[i] = f"{key} = {value}"
-                break
-        else:
-            lines += [f"[{section}]", f"{key} = {value}"]
-    return "\n".join(lines) + "\n"
+        entries.setdefault(section, {})[key] = (value, f"--set {ov}")
+    return entries

@@ -177,10 +177,10 @@ def _bump(x: np.ndarray) -> np.ndarray:
 
 
 def _bump_d1(x: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(x)
+    out = _bump(x)
     inside = np.abs(x) < 1.0
     xi = x[inside]
-    out[inside] = np.exp(1.0 - 1.0 / (1.0 - xi**2)) * (-2.0 * xi / (1.0 - xi**2) ** 2)
+    out[inside] *= -2.0 * xi / (1.0 - xi**2) ** 2
     return out
 
 

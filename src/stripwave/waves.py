@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import check_rules
-from .grid import Grid, d2dz2_array, ddz_array
+from .grid import Grid, _frozen, d2dz2_array, ddz_array
 
 
 class WaveError(ValueError):
@@ -116,10 +116,9 @@ class WaveProfile:
 
     def __post_init__(self):
         for name in ("N", "C", "P_z"):
-            a = np.ascontiguousarray(getattr(self, name), dtype=float)
+            a = _frozen(getattr(self, name))
             if a.shape != (self.grid.n_z,):
                 raise WaveError(f"{name} must have shape ({self.grid.n_z},), got {a.shape}")
-            a.flags.writeable = False
             object.__setattr__(self, name, a)
 
 

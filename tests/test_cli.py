@@ -78,14 +78,14 @@ def test_range_problems_report_their_lines():
     assert f"line {lines.index('n_y = 15') + 1}: grid.n_y must be even" in problems[0]
     assert any(p.startswith(f"line {lines.index('dt = -1') + 1}: integrator.dt must "
                             "be positive") for p in problems)
-    # a --set key new to the file leaves the user's lines where they were
-    text = apply_overrides("[grid]\nn_z = 8\n", ["grid.n_y=16"])
+    # an override of a key the file lacks leaves the file's problems at their lines
     with pytest.raises(ConfigError) as err:
-        validate_config(text, "wave")
+        validate_config("[grid]\nn_z = 8\n", "wave", apply_overrides(["grid.n_y=16"]))
     assert "line 2: grid.n_z must be >= 16, got 8" in err.value.problems
 
 
-def test_override_problems_name_their_override(tmp_path, capsys):
+def test_override_problems_name_their_override(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("STRIPWAVE_OUTPUT_ROOT", str(tmp_path))
     # without a file the text is one of section headers the user never saw
     assert main(["evolve", "--set", "integrator.dt=-1", "--set", "grid.n_y=3"]) == 2
     err = capsys.readouterr().err
@@ -101,20 +101,37 @@ def test_override_problems_name_their_override(tmp_path, capsys):
     assert "  line 2: grid.n_z must be >= 16, got 8" in err
     assert "  --set grid.n_y=3: grid.n_y must be even" in err
     assert "  --set wave.eps=x: bad value for wave.eps" in err
+    # the override's section counts as present, as the file's would
+    assert "missing required section" not in err
     assert main(["wave", "--config", str(cfgfile), "--set", "grid.n_z=9",
                  "--set", "grid.nz=9"]) == 2
     err = capsys.readouterr().err
     assert "  --set grid.n_z=9: grid.n_z must be >= 16, got 9" in err
     assert "  --set grid.nz=9: unknown key 'nz' in [grid]" in err
     assert "line" not in err
+    # of two overrides of one key the last wins and names the problem
+    assert main(["wave", "--set", "grid.n_y=3", "--set", "grid.n_y=5"]) == 2
+    err = capsys.readouterr().err
+    assert "  --set grid.n_y=5: grid.n_y must be even and >= 4 (periodic spectral " \
+        "axis), got 5" in err
+    assert "n_y=3" not in err
+    # an override of a key does not mend a malformed line or a duplicate of it
+    cfgfile.write_text("[grid]\n[wave]\n\n[integrator]\ndt\n")
+    assert main(["wave", "--config", str(cfgfile), "--set", "integrator.dt=0.01"]) == 2
+    assert "  line 5: expected 'key = value', got 'dt'" in capsys.readouterr().err
+    cfgfile.write_text("[grid]\nn_y = 5\n[integrator]\ndt = 0.01\ndt = 0.02\n")
+    assert main(["evolve", "--config", str(cfgfile), "--set", "integrator.dt=-2"]) == 2
+    err = capsys.readouterr().err
+    assert "  line 5: duplicate key 'dt' in [integrator]" in err
+    assert "  line 2: grid.n_y must be even" in err
+    assert "  --set integrator.dt=-2: integrator.dt must be positive, got -2.0" in err
     assert main(["wave", "--set", "plot.style=fancy"]) == 2
     assert "override 'plot.style=fancy' names an unknown section [plot]" in capsys.readouterr().err
 
 
 def test_wave_parameter_rules_checked_before_compute():
-    text = apply_overrides(WAVE_CFG, ["wave.tol=1e-3", "wave.N0=-1"])
     with pytest.raises(ConfigError) as err:
-        validate_config(text, "wave")
+        validate_config(WAVE_CFG, "wave", apply_overrides(["wave.tol=1e-3", "wave.N0=-1"]))
     joined = " ".join(err.value.problems)
     assert "wave.tol must lie in (0, 1e-4]" in joined
     assert "wave.N0 must be positive" in joined
@@ -153,11 +170,10 @@ def test_lambda_guards():
 
 
 def test_integrator_rules_all_reported():
-    text = apply_overrides(STABILITY_CFG.format(out="x"),
-                           ["integrator.cfl_safety=1.5", "integrator.record_every=0",
-                            "integrator.scheme=rk4"])
+    overrides = apply_overrides(["integrator.cfl_safety=1.5", "integrator.record_every=0",
+                                 "integrator.scheme=rk4"])
     with pytest.raises(ConfigError) as err:
-        validate_config(text, "stability0")
+        validate_config(STABILITY_CFG.format(out="x"), "stability0", overrides)
     joined = " ".join(err.value.problems)
     for key in ("cfl_safety", "record_every", "scheme"):
         assert f"integrator.{key} must" in joined
@@ -179,15 +195,15 @@ def test_sweep_lists_only_for_planarity():
 
 
 def test_apply_overrides_rewrites_and_appends():
-    text = apply_overrides(WAVE_CFG, ["wave.eps=0.1", "output.directory=zzz"])
-    cfg = validate_config(text, "wave")
+    cfg = validate_config(WAVE_CFG, "wave",
+                          apply_overrides(["wave.eps=0.1", "output.directory=zzz"]))
     assert cfg.wave["eps"] == (0.1,)
     assert cfg.output["directory"] == "zzz"
 
 
 def test_override_syntax_error():
     with pytest.raises(ConfigError, match="section.key=value"):
-        apply_overrides(WAVE_CFG, ["epsilon 0.1"])
+        apply_overrides(["epsilon 0.1"])
 
 
 def test_cli_config_error_exit_code(tmp_path):
@@ -296,6 +312,10 @@ def test_cli_convergence_experiment(tmp_path, monkeypatch):
     table = (tmp_path / "conv" / "convergence.csv").read_text().splitlines()
     assert table[0] == "check,value,target_lo,target_hi,pass"
     assert all(line.endswith("True") for line in table[1:])
+    # its time runs start from the configured perturbation
+    assert main(["convergence", "--set", "output.directory=conv2",
+                 "--set", "init.amplitude=1e-3"]) == 0
+    assert (tmp_path / "conv2" / "convergence.csv").read_text().splitlines() != table
 
 
 def test_convergence_reads_and_echoes_wave_and_init_only(tmp_path, monkeypatch):
@@ -870,9 +890,8 @@ def _kpp_with_tol(tol):
      TransformError),
 ])
 def test_config_and_constructor_rules_agree(section, key, bad, construct, error):
-    text = apply_overrides(WAVE_CFG, [f"{section}.{key}={bad}"])
     with pytest.raises(ConfigError) as cfg_err:
-        validate_config(text, "wave")
+        validate_config(WAVE_CFG, "wave", apply_overrides([f"{section}.{key}={bad}"]))
     problem = next(p for p in cfg_err.value.problems if f"{section}.{key} must" in p)
     with pytest.raises(error) as ctor_err:
         construct(bad)

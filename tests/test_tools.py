@@ -118,3 +118,19 @@ def test_line_coverage_counts_the_lines_a_forked_child_runs(tmp_path):
         "from mod import in_child\n\n\ndef test_child():\n    assert in_child() == 3\n")
     # lines 7 and 8 run only in the child, which hands them back at os._exit
     assert report == ["    0 mod.py", "    0 total"]
+
+
+def test_line_coverage_survives_a_child_killed_while_handing_back(tmp_path):
+    report = _line_coverage(
+        tmp_path,
+        "import os\nimport pickle\nimport signal\n\n\ndef killed():\n"
+        "    pid = os.fork()\n    if pid == 0:\n"
+        "        pickle.dump = lambda *args: os.kill(os.getpid(), signal.SIGKILL)\n"
+        "        os._exit(0)\n"
+        "    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])\n",
+        "import signal\n\nfrom mod import killed\n\n\n"
+        "def test_killed():\n    assert killed() == -signal.SIGKILL\n")
+    # the child dies inside its hand-off, so its two lines are lost, not the report
+    assert report == ["    2 mod.py",
+                      "      9: pickle.dump = lambda *args: os.kill(os.getpid(), signal.SIGKILL)",
+                      "      10: os._exit(0)", "    2 total"]

@@ -66,8 +66,11 @@ def traced_run(root: Path, pytest_args: list) -> tuple[int, dict]:
     real_exit = os._exit
 
     def exit_with_hits(status):
-        with open(handoff / f"{os.getpid()}.pickle", "wb") as fh:
+        # a child killed while writing leaves only its .part file unmerged
+        part = handoff / f"{os.getpid()}.part"
+        with open(part, "wb") as fh:
             pickle.dump(hits, fh)
+        os.replace(part, part.with_suffix(".pickle"))
         real_exit(status)
 
     def in_child():
