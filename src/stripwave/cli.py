@@ -367,7 +367,7 @@ def _experiment_planarity(cfg: ExperimentConfig, outdir: Path, waves: list,
         strips = {f"eps{eps:g}_lam{lam:g}": lam for lam in cfg.lambda_values}
         with closing(at_once(partial(_strip, cfg, wave), strips, _usable_cores())) as done:
             for (tag, lam), (rec, forked) in zip(strips.items(), done):
-                _counted(counters, rec, pair=tag, forked=forked)
+                _counted(counters, rec, pair=tag, forked=forked, curl_max=rec.curl_max)
                 t = np.asarray(rec.times)
                 q = rec.ledger.column("Q")
                 write_csv(outdir / f"q_decay_{tag}.csv", ("t", "Q"), zip(t, q))

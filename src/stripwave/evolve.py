@@ -104,11 +104,12 @@ class IntegratorConfig:
     dt <= cfl_safety * dz / v_max with v_max = max(|s|, sqrt(max N)); run()
     validates this against the actual profile.  transport selects the psi
     advection stencil ("upwind" default; "central" pairs with sbdf2 for
-    second order) and steers only nonlinear0 and linear_eps; frame and
-    curl_projection steer only nq.  run ignores the keys that its system
-    does not read, so one config may drive several systems (the CLI refuses
-    such keys off their defaults, config.EXPERIMENTS).  snapshot_every = 0
-    disables field snapshots.
+    second order) and steers only nonlinear0 and linear_eps; curl_projection
+    steers only nq.  Every system runs in the moving frame, so no field
+    selects a frame.  run ignores the keys that its system does not read,
+    so one config may drive several systems (the CLI refuses such keys off
+    their defaults, config.EXPERIMENTS).  snapshot_every = 0 disables field
+    snapshots.
     """
 
     dt: float
@@ -117,7 +118,6 @@ class IntegratorConfig:
     cfl_safety: float = 0.9
     record_every: int = 1
     transport: str = "upwind"
-    frame: str = "moving"
     curl_projection: bool = False
     snapshot_every: int = 0
 
@@ -536,10 +536,8 @@ class _NqSystem(_System):
 
     The k = 0 column of each array is the deviation's y-mean, the other
     columns its fluctuation; _Products keeps the two apart so the wave is
-    an exact discrete fixed point and rounding stays relative to each part.
-    In the lab frame the transport terms drop and the wave slides out from
-    under the sampled profile, which appears as the exact source
-    (-s N', -s P', 0) in the y-mean column.
+    an exact discrete fixed point of the moving frame, the only one the
+    system steps in, and rounding stays relative to each part.
 
     The fluctuation decays through hundreds of e-foldings, and arithmetic
     on subnormal numbers is many times slower than on normal ones (6-38x in
@@ -558,10 +556,8 @@ class _NqSystem(_System):
     names = ("a", "b_z", "b_y")
     guard = ("Q", "transverse energy exceeded {:g} x Q0")
 
-    def __init__(self, profile: WaveProfile, frame: str, curl_projection: bool):
+    def __init__(self, profile: WaveProfile, curl_projection: bool):
         super().__init__(profile, (1.0, profile.params.eps, profile.params.eps))
-        self.frame = frame
-        self.dN = ddz_array(profile.N, self.g.dz)
         self.dP = ddz_array(profile.P_z, self.g.dz)
         # factors (k^2 - d_zz) for the Helmholtz projection
         self.projector = (_ModeDiffusionSolver(self.g, 1.0, alpha=0.0)
@@ -606,7 +602,6 @@ class _NqSystem(_System):
         formed in the system's own buffers, each sum left to right."""
         dz, s, ik = self.g.dz, self.s, self.ik
         c = -2.0 * self.eps
-        moving = self.frame == "moving"
         d1, d2, w = self._work  # the fluxes G or two derivatives, a partial product
         products = self._products
         a, bz, by = u
@@ -622,8 +617,7 @@ class _NqSystem(_System):
         ta = ddz_array(gz, dz)
         ta += np.multiply(ik, gy, out=w)
         dz_a = ddz_array(a, dz, out=d1)
-        if moving:
-            ta += np.multiply(s, dz_a, out=w)
+        ta += np.multiply(s, dz_a, out=w)
 
         # -2 eps [(P.grad) b + (b.grad) P + (b.grad) b] + grad a, per component
         dz_bz = ddz_array(bz, dz, out=d2)
@@ -633,8 +627,7 @@ class _NqSystem(_System):
         tbz += products.term([(1, 3), (2, 4)], e)
         tbz *= c
         tbz += dz_a
-        if moving:
-            tbz += np.multiply(s, dz_bz, out=w)
+        tbz += np.multiply(s, dz_bz, out=w)
 
         dz_by = ddz_array(by, dz, out=d2)
         products.load((dz_by, np.multiply(ik, by, out=d1)), start=3)
@@ -642,12 +635,7 @@ class _NqSystem(_System):
         tby += products.term([(1, 3), (2, 4)], e)
         tby *= c
         tby += np.multiply(ik, a, out=w)
-        if moving:
-            tby += np.multiply(s, dz_by, out=w)
-        if not moving:
-            # static profile in the lab frame: the wave translates beneath it
-            ta[:, 0] -= s * self.dN
-            tbz[:, 0] -= s * self.dP
+        tby += np.multiply(s, dz_by, out=w)
         return ta, tbz, tby
 
     def settle(self, u):
@@ -778,7 +766,7 @@ def run(system: str, init, profile: WaveProfile, config: IntegratorConfig,
     # imported on top of them, it left an eps = 0 run's peak RSS 0.1 MB higher
     _lapack()
     if system == "nq":
-        model = _NqSystem(profile, config.frame, config.curl_projection)
+        model = _NqSystem(profile, config.curl_projection)
     else:
         model = _PerturbationSystem(profile, config.transport)
     core = _ImexCore(model, config.dt, config.scheme)

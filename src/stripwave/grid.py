@@ -298,13 +298,9 @@ def divergence(v: VectorField) -> ScalarField:
 # rectangle rule in y for the full period.
 # ---------------------------------------------------------------------------
 
-def integrate_array(v: np.ndarray, grid: Grid) -> float:
-    return float(grid.trapz_weights @ v.sum(axis=1)) * grid.dy
-
-
 def integrate(f: ScalarField) -> float:
     """Integral over the strip: trapezoid in z x rectangle in y."""
-    return integrate_array(f.values, f.grid)
+    return float(f.grid.trapz_weights @ f.values.sum(axis=1)) * f.grid.dy
 
 
 def integrate_weighted(f: ScalarField) -> float:

@@ -270,10 +270,6 @@ class _KppOrbit:
 
         return brentq(g, 0.0, self.xi_end, xtol=1e-13, rtol=1e-15)
 
-    def ode_residual(self, xi: np.ndarray) -> np.ndarray:
-        """The defect of the evaluator at xi."""
-        return self.defect(*self.evaluate(xi))
-
     def defect(self, W, Wp, Wpp) -> np.ndarray:
         """eps W'' + s(1+2eps) W' + (1+eps)s^2 W - N0 W^2 of evaluated (W, W', W'')."""
         p = self.params

@@ -7,6 +7,7 @@ import pytest
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from stripwave import evolve
+from stripwave.energy import transverse_energy
 from stripwave.evolve import (
     IntegratorBlowup,
     _ImexCore,
@@ -294,11 +295,14 @@ def nq_setup():
     return p, g, solve_wave_kpp(p, g)
 
 
-def wave_state(g, prof):
-    return ColeHopfState(
-        n=ScalarField(g, np.repeat(prof.N[:, None], g.n_y, axis=1)),
-        q=VectorField(ScalarField(g, np.repeat(prof.P_z[:, None], g.n_y, axis=1)),
-                      zero_field(g)))
+def wave_state(g, prof, shift=0):
+    """The wave as a state on g, its samples moved `shift` nodes to the left
+    and padded with their last value."""
+    def planar(v):
+        v = np.concatenate([v[shift:], np.full(shift, v[-1])])
+        return ScalarField(g, np.repeat(v[:, None], g.n_y, axis=1))
+
+    return ColeHopfState(n=planar(prof.N), q=VectorField(planar(prof.P_z), zero_field(g)))
 
 
 def test_wave_is_stationary_in_moving_frame(nq_setup):
@@ -332,15 +336,37 @@ def test_nq_mass_conservation(nq_setup):
     assert np.max(np.abs(mass - mass[0])) < 1e-8
 
 
-def test_nq_lab_frame_translates_wave(nq_setup):
+@pytest.mark.parametrize("t_end", [0.01, 0.2])
+def test_nq_ledger_q_matches_the_physical_transverse_energy(nq_setup, t_end):
+    # the ledger's Q, summed over the stepper's y-modes at its unit scale,
+    # against Q of the final state's y-node values with the y-mean removed
     p, g, prof = nq_setup
-    cfg = IntegratorConfig(dt=0.005, t_end=0.5, record_every=100, frame="lab")
-    rec = run("nq", wave_state(g, prof), prof, cfg)
+    pert = make_initial_perturbation(g, 1e-4, seed=2, mean_zero_y=True, eps=p.eps)
+    rec = run("nq", pert, prof, IntegratorConfig(dt=0.01, t_end=t_end, record_every=10))
+    q = rec.ledger.column("Q")[-1]
+    assert q == pytest.approx(transverse_energy(rec.final_state), rel=1e-9)
+
+
+def _translation_drift(g, prof):
+    """The y-mean of a at t = 0.5 from the wave moved a whole number of
+    nodes (about 0.5) to the left: its largest departure from where it
+    started, relative to that start."""
+    init = wave_state(g, prof, shift=round(0.5 / g.dz))
+    rec = run("nq", init, prof, IntegratorConfig(dt=0.005, t_end=0.5, record_every=100))
     a = rec.final_deviation[0][:, 0].real  # the y-mean column
-    shifted = np.interp(g.z - p.s * 0.5, g.z, prof.N,
-                        left=prof.N[0], right=prof.N[-1])
-    exact = shifted - prof.N
-    assert np.max(np.abs(a - exact)) < 5e-3 * np.max(np.abs(exact))
+    start = init.n.values[:, 0] - prof.N
+    return np.max(np.abs(a - start)) / np.max(np.abs(start))
+
+
+def test_nq_moving_frame_keeps_a_translated_wave(nq_setup):
+    # a translate of the wave is a travelling wave too, so in the moving
+    # frame it stays where it started: the transport speed s, the fluxes
+    # and the wave's samples must agree, to second order in dz
+    p, g, prof = nq_setup
+    drift = _translation_drift(g, prof)
+    assert drift <= 1e-3
+    fine = make_grid(g.L_z, 2 * g.n_z, g.lam, g.n_y, g.s)
+    assert 3 * _translation_drift(fine, solve_wave_kpp(p, fine)) <= drift
 
 
 def test_cross_solver_consistency(cross_solver_mismatch):
@@ -553,7 +579,7 @@ def test_arrays_with_one_diffusion_share_one_solver(system, eps, sharing):
     p = WaveParams(eps=eps, n_minus=1.0 if eps else 0.25, c_plus=1.0)
     g = make_grid(25.0 / p.s, 128, 0.5, 8, p.s)
     prof = solve_wave_kpp(p, g) if eps else explicit_wave_eps0(p, g)
-    model = (_NqSystem(prof, "moving", curl_projection=False) if system == "nq"
+    model = (_NqSystem(prof, curl_projection=False) if system == "nq"
              else _PerturbationSystem(prof, "upwind"))
     core = _ImexCore(model, 0.01, "imex1")
     solves = core.solves_1
@@ -764,7 +790,7 @@ def _strip(system, n_z, n_y):
 
 def _model(system, prof):
     if system == "nq":
-        return _NqSystem(prof, "moving", curl_projection=False)
+        return _NqSystem(prof, curl_projection=False)
     return _PerturbationSystem(prof, "upwind")
 
 
@@ -896,7 +922,7 @@ def test_rescaled_nq_run_is_bitwise_the_unscaled_run(thin_nq_strip, tmp_path, mo
 
 def test_rescaling_moves_the_peak_into_unit_range_both_ways(thin_nq_strip):
     prof, pert = thin_nq_strip
-    model = _NqSystem(prof, "moving", curl_projection=False)
+    model = _NqSystem(prof, curl_projection=False)
 
     def times(factor, u):
         """u with its fluctuation columns times factor."""

@@ -205,7 +205,7 @@ def test_kpp_orbit_residual_across_every_branch(eps):
     _, orbit = _orbit(eps)
     xi = np.arange(-5.0, orbit.xi_end + 5.0, 1e-4)
     assert xi[0] < 0.0 < 2.0 * orbit.h < orbit.xi_end < xi[-1]
-    assert np.max(np.abs(orbit.ode_residual(xi))) < 2e-9
+    assert np.max(np.abs(orbit.defect(*orbit.evaluate(xi)))) < 2e-9
 
 
 def test_kpp_build_evaluates_the_orbit_once(monkeypatch):
