@@ -6,11 +6,8 @@ __version__ = "0.1.0"
 
 from .energy import (  # noqa: F401
     EnergyLedger,
-    empirical_C0,
     fit_exponential_decay,
     ledger_row,
-    sobolev_norm,
-    transverse_energy,
 )
 from .evolve import (  # noqa: F401
     IntegratorBlowup,
@@ -25,20 +22,14 @@ from .grid import (  # noqa: F401
     VectorField,
     ddy,
     ddz,
-    divergence,
-    gradient,
-    integrate,
-    integrate_weighted,
     laplacian,
     make_grid,
     mean_in_y,
-    remove_mean_in_y,
 )
 from .transforms import (  # noqa: F401
     ColeHopfState,
     PerturbationState,
     PhysicalState,
-    assemble_physical,
     cole_hopf_forward,
     cole_hopf_inverse,
     curl,

@@ -22,13 +22,13 @@ acceptance check and its notes, and writes its report to summary.json.
 Every run writes a manifest (config echo, version, wall clock, exit code,
 the report or the error text it stopped on, under `waves` each wave profile
 it built, with the build's seconds and for a KPP orbit the solver's counts,
-under `counters` the steps, ledger rows and banded solves of each time loop,
-for planarity its rescalings of the (n, q) fluctuation and whether it ran
-in a forked child, the seconds it spent in tendencies, solves and rows, and
-its dt over the transport limit (the CFL margin), and under `environment`
-the Python, numpy and scipy versions, the core count and the cores this
-process may use, the BLAS thread variables and the scipy subpackages the
-run loaded) next to its artifacts.  Exit codes:
+under `counters` the steps, ledger rows, banded solves and banded solvers
+factored of each time loop, for planarity its rescalings of the (n, q)
+fluctuation and whether it ran in a forked child, the seconds it spent in
+tendencies, solves and rows, and its dt over the transport limit (the CFL
+margin), and under `environment` the Python, numpy and scipy versions, the
+core count and the cores this process may use, the BLAS thread variables
+and the scipy subpackages the run loaded) next to its artifacts.  Exit codes:
 0 every check passed, 1 a check failed, 2 usage or configuration error (a
 dt above the transport limit included), 3 runtime blowup, one past t_end on
 the way to the doubled horizon included (partial artifacts retained), 4 the

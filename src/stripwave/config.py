@@ -106,7 +106,7 @@ _RULES = {
     ("wave", "eps"): _NON_NEGATIVE,
     **{("wave", key): _POSITIVE for key in ("n_minus", "c_plus", "N0")},
     ("wave", "tol"): (lambda v: 0 < v <= 1e-4, "must lie in (0, 1e-4]"),
-    ("init", "amplitude"): _NON_NEGATIVE,
+    ("init", "amplitude"): _POSITIVE,
     ("init", "seed"): _NON_NEGATIVE,
     ("integrator", "dt"): _POSITIVE,
     ("integrator", "t_end"): _NON_NEGATIVE,

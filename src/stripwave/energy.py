@@ -19,10 +19,11 @@ y.  As in ddy_array the Nyquist bin has zero derivative, so it drops out of
 every term with j >= 1.  grad^4 means the five mixed fourth-order
 derivatives, each counted once.
 
-The engine works on modes throughout.  ledger_row takes the y-modes the
-stepper holds, so a row makes no transform; sobolev_norm and
-fourth_derivative_norm_sq take fields and transform them once at the
-boundary.
+The engine works on modes throughout: ledger_row and transverse_norm_sq
+(the (n, q) ledger's Q) take the y-modes the stepper holds, so a row makes
+no transform.  The ledger's C0_running column, (M_sup + D_phi + D_psi +
+D_psi4) / M0, is the smallest constant that closes the energy inequality
+so far.
 """
 
 from __future__ import annotations
@@ -31,8 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (Grid, ScalarField, VectorField, ddz_array, remove_mean_in_y, write_csv,
-                   y_modes)
+from .grid import Grid, ddz_array, write_csv
 
 LEDGER_COLUMNS = (
     "t", "H3w_phi", "H3_psi", "H2w_grad_psi", "M_inst", "M_sup",
@@ -81,26 +81,6 @@ def _gradient_pairs(k: int) -> list:
 
 
 _FOURTH = [(4 - j, j) for j in range(5)]
-
-
-def sobolev_norm(f, k: int, weighted: bool = False) -> float:
-    """Squared H^k (or H^k_w) norm of a scalar or vector field.
-
-    k is limited to 0..4; vector fields sum over components.
-    """
-    if not (0 <= k <= 4):
-        raise EnergyError(f"k must lie in 0..4, got {k}")
-    if isinstance(f, VectorField):
-        return sobolev_norm(f.z, k, weighted) + sobolev_norm(f.y, k, weighted)
-    if isinstance(f, ScalarField):
-        power = _powers(y_modes(f.values), f.grid, k)
-        return _norm_sq(power, f.grid, _sobolev_pairs(k), weighted)
-    raise EnergyError(f"unsupported field type {type(f)!r}")
-
-
-def fourth_derivative_norm_sq(f: ScalarField, weighted: bool = True) -> float:
-    """Sum over i+j = 4 of the squared weighted L2 norms of d_z^i d_y^j f."""
-    return _norm_sq(_powers(y_modes(f.values), f.grid, 4), f.grid, _FOURTH, weighted)
 
 
 @dataclass(frozen=True)
@@ -206,18 +186,6 @@ def transverse_norm_sq(grid: Grid, *modes) -> float:
     return sum(_norm_sq(_powers(vh, grid, 0), grid, [(0, 1)]) for vh in modes)
 
 
-def transverse_energy(state) -> float:
-    """Q = ||n_y||^2 + ||q_y||^2 for a ColeHopfState.
-
-    The per-z y-mean is projected out before the transform; it carries no
-    y-derivative, but the evaluation then stays accurate relative to the
-    fluctuating part even on top of an O(1) background.
-    """
-    n, q = state.n, state.q
-    fluct = (y_modes(remove_mean_in_y(f).values) for f in (n, q.z, q.y))
-    return transverse_norm_sq(n.grid, *fluct)
-
-
 def fit_exponential_decay(times, values, window) -> tuple[float, float]:
     """Least-squares log-linear fit of values ~ A e^{-c t} on a time window.
 
@@ -242,15 +210,3 @@ def fit_exponential_decay(times, values, window) -> tuple[float, float]:
     ss_tot = float(np.sum((logs - logs.mean()) ** 2))
     r_sq = 0.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     return float(-slope), float(r_sq)
-
-
-def empirical_C0(ledger: EnergyLedger) -> float:
-    """Smallest constant closing the energy inequality at the final time:
-    (M_sup + D_phi + D_psi + D_psi4) / M0.  The eps-dissipation term is zero
-    for eps = 0 runs, recovering the undiffused form of the inequality.
-    """
-    if not ledger.rows:
-        raise EnergyError("empty ledger")
-    if ledger.M0 <= 0.0:
-        raise EnergyError("M0 must be positive to normalize the constant")
-    return ledger.last()["C0_running"]

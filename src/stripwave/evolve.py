@@ -135,8 +135,10 @@ class RunCounters:
 
     `steps`, `rows` and `solves` count the steps taken, the ledger rows
     computed and the banded diffusion solves made (the curl projection's
-    included); for nq `rescales` counts the rescalings of the fluctuation to
-    unit scale (_NqSystem; None for the other systems).  `build_s`,
+    included); `factorizations` counts the banded solvers the loop built,
+    each factored once (the curl projector included); for nq `rescales`
+    counts the rescalings of the fluctuation to unit scale (_NqSystem; None
+    for the other systems).  `build_s`,
     `tendency_s`, `solve_s` and `row_s` are the perf_counter seconds spent
     building the system and its solvers before the first step (the first
     run of a process imports scipy.linalg there), in explicit tendencies, in
@@ -148,6 +150,7 @@ class RunCounters:
     steps: int = 0
     rows: int = 0
     solves: int = 0
+    factorizations: int = 0
     rescales: int | None = None
     build_s: float = 0.0
     tendency_s: float = 0.0
@@ -800,7 +803,7 @@ def run(system: str, init, profile: WaveProfile, config: IntegratorConfig,
         if system == "nq":
             rec.final_deviation = model.modes(u)
         rec.counters = replace(core.counters, steps=i, solves=core.solves,
-                               rescales=model.rescales)
+                               factorizations=len(core._banded), rescales=model.rescales)
 
     u = model.arrays(init)
     t = 0.0

@@ -2,8 +2,9 @@
 
 The z-axis is a uniform finite-difference axis including both endpoints;
 the y-axis is periodic and differentiated spectrally (exact for resolved
-Fourier modes).  The one-sided exponential weight w(z) = 1 + e^{s z} is
-sampled once at construction and drives all weighted quadrature.
+Fourier modes).  The one-sided exponential weight w(z) = 1 + e^{s z} and
+the trapezoid weights in z are sampled once at construction; the energy
+ledger's quadrature (energy) contracts with them.
 
 Grids and fields are immutable value snapshots with read-only arrays, so
 instances can be shared freely across threads.  Every operator allocates a
@@ -114,23 +115,8 @@ class ScalarField:
                 f"field shape {v.shape} does not match grid ({self.grid.n_z}, {self.grid.n_y})")
         object.__setattr__(self, "values", _frozen(v))
 
-    def __add__(self, other):
-        return ScalarField(self.grid, self.values + _vals(other))
-
-    def __sub__(self, other):
-        return ScalarField(self.grid, self.values - _vals(other))
-
-    def __mul__(self, other):
-        return ScalarField(self.grid, self.values * _vals(other))
-
-    __rmul__ = __mul__
-
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.values)))
-
-
-def _vals(x):
-    return x.values if isinstance(x, ScalarField) else x
 
 
 @dataclass(frozen=True)
@@ -285,38 +271,9 @@ def laplacian(f: ScalarField) -> ScalarField:
         f.grid, d2dz2_array(f.values, f.grid.dz) + d2dy2_array(f.values, f.grid))
 
 
-def gradient(f: ScalarField) -> VectorField:
-    return VectorField(ddz(f), ddy(f))
-
-
-def divergence(v: VectorField) -> ScalarField:
-    return ScalarField(v.grid, ddz_array(v.z.values, v.grid.dz) + ddy_array(v.y.values, v.grid))
-
-
-# ---------------------------------------------------------------------------
-# Quadrature: trapezoid in z (matches the 2nd-order FD accuracy), exact
-# rectangle rule in y for the full period.
-# ---------------------------------------------------------------------------
-
-def integrate(f: ScalarField) -> float:
-    """Integral over the strip: trapezoid in z x rectangle in y."""
-    return float(f.grid.trapz_weights @ f.values.sum(axis=1)) * f.grid.dy
-
-
-def integrate_weighted(f: ScalarField) -> float:
-    """Same quadrature with the weight w(z_i) applied per row."""
-    g = f.grid
-    return float((g.trapz_weights * g.weight) @ f.values.sum(axis=1)) * g.dy
-
-
 def mean_in_y(f: ScalarField) -> np.ndarray:
     """Per-z average over the periodic direction, shape (n_z,)."""
     return f.values.mean(axis=1)
-
-
-def remove_mean_in_y(f: ScalarField) -> ScalarField:
-    """Subtract the per-z y-average; idempotent projector."""
-    return ScalarField(f.grid, f.values - f.values.mean(axis=1, keepdims=True))
 
 
 def write_csv(path, header, rows) -> None:

@@ -1,4 +1,5 @@
-"""Conversions among physical, log-gradient, and perturbation variables.
+"""The Cole-Hopf transform between physical and log-gradient variables, and
+the perturbation variables with their initial data.
 
 Physical state (n, c) maps to (n, q) through q = -grad(c)/c = -grad(log c),
 which removes the 1/c singularity of the chemotactic flux and is invertible
@@ -6,11 +7,13 @@ up to one anchor value of c as long as q is curl-free.  Perturbations of a
 wave profile are carried as a vector potential and a log-deviation:
 
     n = N + div(phi),      c = C exp(-psi),      q = P + grad(psi).
+
+The steppers (evolve) and the energy ledger (energy) work on (phi, psi)
+itself; no program path assembles (n, c) from it.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,12 +27,10 @@ from .grid import (
     ddy_array,
     ddz,
     ddz_array,
-    divergence,
     mean_in_y,
     y_modes,
     y_values,
 )
-from .waves import WaveProfile
 
 
 class TransformError(ValueError):
@@ -153,20 +154,6 @@ def cole_hopf_inverse(q: VectorField, c_anchor: float, anchor_z: float) -> Scala
     return ScalarField(g, np.exp(log_c))
 
 
-def assemble_physical(pert: PerturbationState, profile: WaveProfile) -> PhysicalState:
-    """(phi, psi) -> (n, c) = (N + div phi, C e^{-psi}) in the moving frame."""
-    g = pert.grid
-    if g != profile.grid:
-        raise TransformError("perturbation and profile live on different grids")
-    n = ScalarField(g, profile.N[:, None] + divergence(pert.phi).values)
-    if float(np.min(n.values)) < -1e-8:
-        warnings.warn(
-            f"assembled n dips to {float(np.min(n.values)):.3g}; "
-            "perturbation too large for positivity", stacklevel=2)
-    c = ScalarField(g, profile.C[:, None] * np.exp(-pert.psi.values))
-    return PhysicalState(n=n, c=c, t=pert.t)
-
-
 def _bump(x: np.ndarray) -> np.ndarray:
     """C-infinity bump exp(1 - 1/(1 - x^2)) on (-1, 1), zero outside."""
     out = np.zeros_like(x)
@@ -200,8 +187,8 @@ def make_initial_perturbation(
 
         ||phi||_{H^3_w}^2 + ||psi||_{H^3}^2 + ||grad psi||_{H^2_w}^2
 
-    equals `amplitude` exactly; with mean_zero_y the per-z y-averages are
-    projected out first.
+    equals `amplitude` (which must be positive) exactly; with mean_zero_y
+    the per-z y-averages are projected out first.
     """
     from .energy import ledger_row
 
@@ -226,12 +213,10 @@ def make_initial_perturbation(
     values = [build(True), build(True), build(False)]  # phi_z, phi_y, psi
     if mean_zero_y:
         values = [v - v.mean(axis=1, keepdims=True) for v in values]
-    scale = 0.0
-    if amplitude != 0.0:
-        measured = ledger_row(grid, [y_modes(v) for v in values], 0.0, 0.0).M_inst
-        if measured <= 0.0:
-            raise TransformError("degenerate random draw produced an empty state")
-        scale = np.sqrt(amplitude / measured)
+    measured = ledger_row(grid, [y_modes(v) for v in values], 0.0, 0.0).M_inst
+    if measured <= 0.0:
+        raise TransformError("degenerate random draw produced an empty state")
+    scale = np.sqrt(amplitude / measured)
     phi_z, phi_y, psi = (ScalarField(grid, v * scale) for v in values)
     return PerturbationState(phi=VectorField(phi_z, phi_y), psi=psi, t=0.0, eps=eps)
 

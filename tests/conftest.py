@@ -5,8 +5,9 @@ import warnings
 import numpy as np
 import pytest
 
+from oracles import divergence, gradient
 from stripwave.evolve import IntegratorConfig, run
-from stripwave.grid import divergence, gradient, make_grid, y_values
+from stripwave.grid import make_grid, y_values
 from stripwave.transforms import make_initial_perturbation
 from stripwave.waves import WaveParams, solve_wave_kpp
 

@@ -629,9 +629,11 @@ def test_manifest_counts_steps_and_rows_per_run_call(tmp_path, monkeypatch):
     timings = [{key: c.pop(key) for key in ("build_s", "tendency_s", "solve_s", "row_s")}
                for c in manifest["counters"]]
     # one loop to 2 t_end = 2: 40 steps, rows at every 4th step from 0, and
-    # per step one banded solve for each phi component (psi is undiffused)
+    # per step one banded solve for each phi component (psi is undiffused),
+    # both made by the one solver the loop factored
     assert manifest["counters"] == [{"system": "nonlinear0", "dt": 0.05, "t_end": 2.0,
                                      "steps": 40, "rows": 11, "solves": 80,
+                                     "factorizations": 1,
                                      "dt_over_transport_limit": pytest.approx(
                                          0.05 / (0.9 * (100 / 511) / 0.5), rel=1e-12)}]
     assert all(isinstance(s, float) and s > 0 for t in timings for s in t.values())
@@ -775,6 +777,8 @@ def test_blowup_reason_reaches_stdout_and_manifest(tmp_path, monkeypatch, capsys
     # the stepper runs in the moving frame alone
     ("planarity", ["wave.eps=0.1", "integrator.frame=lab"],
      "--set integrator.frame=lab: integrator.frame must be moving, got 'lab'"),
+    ("evolve", ["init.amplitude=0"],
+     "--set init.amplitude=0: init.amplitude must be positive, got 0.0"),
 ])
 def test_bad_inputs_rejected_before_compute(tmp_path, monkeypatch, capsys, command,
                                             overrides, message):
@@ -887,7 +891,7 @@ def _kpp_with_tol(tol):
     ("wave", "N0", -1.0, lambda v: WaveParams(eps=0.0, n_minus=1.0, c_plus=1.0, N0=v),
      WaveError),
     ("wave", "tol", 1e-3, _kpp_with_tol, WaveError),
-    ("init", "amplitude", -1.0,
+    ("init", "amplitude", 0.0,
      lambda v: make_initial_perturbation(make_grid(10.0, 64, 0.5, 4, 1.0), v, 0),
      TransformError),
     ("init", "seed", -1,

@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -134,3 +135,36 @@ def test_line_coverage_survives_a_child_killed_while_handing_back(tmp_path):
     assert report == ["    2 mod.py",
                       "      9: pickle.dump = lambda *args: os.kill(os.getpid(), signal.SIGKILL)",
                       "      10: os._exit(0)", "    2 total"]
+
+
+def _unnamed_definitions(package: Path) -> list:
+    """The module-level functions and classes of the package's modules
+    (not __init__: an export alone runs nothing) that no code of the package
+    names, as an ast.Name or ast.Attribute, outside their own bodies.  The
+    scan repeats without the bodies found so far, so a helper named only by
+    another such helper is found as well."""
+    statements, names = [], []
+    for path in sorted(package.glob("*.py")):
+        if path.name != "__init__.py":
+            for node in ast.parse(path.read_text()).body:
+                statements.append((path.stem, node))
+                names.append({n.id if isinstance(n, ast.Name) else n.attr
+                              for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))})
+    defined = [i for i, (_, node) in enumerate(statements)
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    found = set()
+    while True:
+        new = set()
+        for i in set(defined) - found:
+            elsewhere = (names[j] for j in range(len(names)) if j != i and j not in found)
+            if not any(statements[i][1].name in n for n in elsewhere):
+                new.add(i)
+        if not new:
+            return sorted(f"{statements[i][0]}.{statements[i][1].name}" for i in found)
+        found |= new
+
+
+def test_the_package_names_every_definition_it_holds():
+    # a definition that only tests or exports reach belongs in the tests
+    package = Path(__file__).resolve().parents[1] / "src" / "stripwave"
+    assert _unnamed_definitions(package) == []

@@ -3,22 +3,20 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from oracles import divergence, integrate
 from stripwave.grid import (
     ScalarField,
     VectorField,
     ddy,
     ddz,
     field_from_function,
-    integrate,
     make_grid,
     zero_field,
 )
 from stripwave.transforms import (
     ColeHopfState,
-    PerturbationState,
     PhysicalState,
     TransformError,
-    assemble_physical,
     cole_hopf_forward,
     cole_hopf_inverse,
     curl,
@@ -186,54 +184,12 @@ def test_roundtrip_q_side(wave_setup):
     assert err < 20 * g.dz**2
 
 
-def test_assemble_zero_perturbation_is_wave(wave_setup):
-    _, g, prof = wave_setup
-    pert = PerturbationState(
-        phi=VectorField(zero_field(g), zero_field(g)), psi=zero_field(g))
-    phys = assemble_physical(pert, prof)
-    assert np.max(np.abs(phys.n.values - prof.N[:, None])) == 0.0
-    assert np.max(np.abs(phys.c.values - prof.C[:, None])) == 0.0
-
-
-def test_assemble_rejects_a_perturbation_on_another_grid(wave_setup):
-    _, g, prof = wave_setup
-    h = make_grid(g.L_z, g.n_z, 0.25, g.n_y, g.s)
-    pert = PerturbationState(
-        phi=VectorField(zero_field(h), zero_field(h)), psi=zero_field(h))
-    with pytest.raises(TransformError, match="perturbation and profile live on different grids"):
-        assemble_physical(pert, prof)
-
-
-def test_assemble_mass_zero_for_clamped_phi(wave_setup):
-    _, g, prof = wave_setup
+def test_initial_perturbation_carries_no_mass(wave_setup):
+    # phi vanishes at both ends, so int (n - N) = int div phi is 0
+    _, g, _ = wave_setup
     pert = make_initial_perturbation(g, 1e-4, seed=3)
-    phys = assemble_physical(pert, prof)
-    mass = integrate(ScalarField(g, phys.n.values - prof.N[:, None]))
+    mass = integrate(divergence(pert.phi))
     assert abs(mass) < 1e-12
-
-
-def test_assemble_constant_psi_scales_c(wave_setup):
-    _, g, prof = wave_setup
-    k = 0.37
-    pert = PerturbationState(
-        phi=VectorField(zero_field(g), zero_field(g)),
-        psi=field_from_function(g, lambda z, y: k * np.ones_like(z)))
-    phys = assemble_physical(pert, prof)
-    assert np.allclose(phys.c.values, prof.C[:, None] * np.exp(-k), rtol=1e-13)
-
-
-def test_assemble_warns_on_large_negative_n(wave_setup):
-    _, g, prof = wave_setup
-    pert = make_initial_perturbation(g, 1e4, seed=0)
-    with pytest.warns(UserWarning, match="positivity"):
-        assemble_physical(pert, prof)
-
-
-def test_initial_perturbation_zero_amplitude():
-    g = make_grid(25.0, 256, 0.5, 16, 1.0)
-    pert = make_initial_perturbation(g, 0.0, seed=1)
-    assert pert.phi.max_abs() == 0.0
-    assert pert.psi.max_abs() == 0.0
 
 
 def test_initial_perturbation_measured_amplitude():
@@ -256,8 +212,6 @@ def test_initial_perturbation_rejects_a_degenerate_draw(monkeypatch):
     g = make_grid(25.0, 256, 0.5, 16, 1.0)
     with pytest.raises(TransformError, match="degenerate random draw"):
         make_initial_perturbation(g, 1e-4, seed=1)
-    # a zero amplitude measures nothing
-    assert make_initial_perturbation(g, 0.0, seed=1).psi.max_abs() == 0.0
 
 
 def test_initial_perturbation_mean_zero_projection():
