@@ -24,7 +24,6 @@ from .grid import (  # noqa: F401
     ddz,
     laplacian,
     make_grid,
-    mean_in_y,
 )
 from .transforms import (  # noqa: F401
     ColeHopfState,

@@ -66,7 +66,8 @@ from .config import (
 from .energy import EnergyError, fit_exponential_decay
 from . import transforms
 from .evolve import IntegratorConfig, run
-from .grid import field_from_function, field_to_csv, laplacian, make_grid, write_csv, zero_field
+from .grid import (ScalarField, field_from_function, field_to_csv, laplacian, make_grid,
+                   write_csv, y_values, zero_field)
 from .transforms import (
     PhysicalState,
     cole_hopf_forward,
@@ -258,17 +259,18 @@ def _counted(counters: list, rec, **labels):
     return rec
 
 
-def _run_doubled(cfg: ExperimentConfig, system: str, pert, profile, outdir: Path,
+def _run_doubled(cfg: ExperimentConfig, system: str, profile, outdir: Path,
                  counters: list):
-    """One time loop to 2 t_end whose head record stops at t_end; writes
-    ledger.csv and the snapshots from the head, then ledger_double.csv, and
-    ends the experiment on the first blowup, the head's before the rest."""
+    """One time loop to 2 t_end from the configured perturbation, whose
+    head record stops at t_end; writes ledger.csv and the snapshots from the
+    head, then ledger_double.csv, and ends the experiment on the first
+    blowup, the head's before the rest."""
     t_end = cfg.integrator["t_end"]
-    rec2 = _counted(counters, run(system, pert, profile,
+    rec2 = _counted(counters, run(system, _perturbation(cfg, profile), profile,
                                   _integrator(cfg, t_end=2 * t_end), head=t_end))
     rec = rec2.head
     rec.ledger.to_csv(outdir / "ledger.csv")
-    _write_snapshots(rec, outdir)
+    _write_snapshots(rec, profile.grid, outdir)
     if rec.blowup:
         _blowup(rec)
     rec2.ledger.to_csv(outdir / "ledger_double.csv")
@@ -281,8 +283,7 @@ def _experiment_stability0(cfg: ExperimentConfig, outdir: Path, waves: list,
                            counters: list):
     profile = _build_profile(cfg, 0.0, cfg.lambda_values[0], waves)
     t_end = cfg.integrator["t_end"]
-    rec, rec2 = _run_doubled(cfg, "nonlinear0", _perturbation(cfg, profile), profile,
-                             outdir, counters)
+    rec, rec2 = _run_doubled(cfg, "nonlinear0", profile, outdir, counters)
 
     led, led2 = rec.ledger, rec2.ledger
     m0 = led.M0
@@ -316,11 +317,10 @@ def _experiment_stability0(cfg: ExperimentConfig, outdir: Path, waves: list,
 def _experiment_linear_eps(cfg: ExperimentConfig, outdir: Path, waves: list,
                            counters: list):
     profile = _build_profile(cfg, cfg.eps_values[0], cfg.lambda_values[0], waves)
-    rec, rec2 = _run_doubled(cfg, "linear_eps", _perturbation(cfg, profile), profile,
-                             outdir, counters)
+    rec, rec2 = _run_doubled(cfg, "linear_eps", profile, outdir, counters)
     c0 = rec.ledger.last()["C0_running"]
     c0d = rec2.ledger.last()["C0_running"]
-    drift = transforms.perturbation_y_means(rec.final_state)
+    drift = transforms.perturbation_y_means(rec.final_modes)
     checks = {
         "bounded constant: C0 stable under t_end doubling (< 5%)":
             abs(c0d - c0) <= 0.05 * c0,
@@ -346,12 +346,12 @@ def _positive_window(times, values, lo, hi):
 
 def _strip(cfg: ExperimentConfig, wave, lam: float):
     """The nq record on the strip of width `lam` over the z-only `wave`,
-    without the states planarity never reads (final state and deviation): a
-    forked child sends back only the ledger, counters and blowup."""
+    without the final modes, which planarity never reads: a forked child
+    sends back only the ledger, counters and blowup."""
     g = wave.grid
     profile = replace(wave, grid=make_grid(g.L_z, g.n_z, lam, g.n_y, g.s))
     rec = run("nq", _perturbation(cfg, profile), profile, _integrator(cfg))
-    return replace(rec, final_state=None, final_deviation=None)
+    return replace(rec, final_modes=None)
 
 
 def _experiment_planarity(cfg: ExperimentConfig, outdir: Path, waves: list,
@@ -447,9 +447,8 @@ def _experiment_convergence(cfg: ExperimentConfig, outdir: Path, waves: list,
     def final(dt, scheme, transport):
         c = IntegratorConfig(dt=dt, t_end=0.4, scheme=scheme,
                              record_every=10**9, transport=transport)
-        f = _counted(counters, run("nonlinear0", pert, prof, c)).final_state
-        return np.concatenate([f.phi.z.values.ravel(), f.phi.y.values.ravel(),
-                               f.psi.values.ravel()])
+        modes = _counted(counters, run("nonlinear0", pert, prof, c)).final_modes
+        return np.concatenate([y_values(x, prof.grid).ravel() for x in modes])
 
     for scheme, transport, lo, hi in (("imex1", "upwind", 1.6, 2.5),
                                       ("sbdf2", "central", 3.0, 5.0)):
@@ -468,12 +467,14 @@ def _experiment_convergence(cfg: ExperimentConfig, outdir: Path, waves: list,
     return "convergence experiment", checks, {"rows": rows, "checks": checks}, []
 
 
-def _write_snapshots(rec, outdir: Path) -> None:
-    for t, st in rec.snapshots:
+def _write_snapshots(rec, grid, outdir: Path) -> None:
+    """The y-node values of each snapshot's (phi_z, phi_y, psi) modes, one
+    CSV per field and time."""
+    for t, modes in rec.snapshots:
         tag = f"{t:.6g}".replace(".", "p").replace("-", "m")
-        field_to_csv(st.psi, outdir / f"snapshot_psi_t{tag}.csv")
-        field_to_csv(st.phi.z, outdir / f"snapshot_phi1_t{tag}.csv")
-        field_to_csv(st.phi.y, outdir / f"snapshot_phi2_t{tag}.csv")
+        for name, x in zip(("phi1", "phi2", "psi"), modes):
+            field_to_csv(ScalarField(grid, y_values(x, grid)),
+                         outdir / f"snapshot_{name}_t{tag}.csv")
 
 
 # experiment -> (subcommand, runner)

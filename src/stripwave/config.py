@@ -120,9 +120,10 @@ _RULES = {
 
 _ZERO = (lambda v: v == 0, "must be 0")
 
-# the (n, q) system alone reads curl_projection; it has no transport
-# stencil, and planarity writes no snapshots
-_NQ_ONLY = _fixed("integrator", "curl_projection")
+# planarity alone reads curl_projection (its (n, q) system) and the fit
+# window; it has no transport stencil and writes no snapshots
+_PLANARITY_ONLY = {**_fixed("integrator", "curl_projection"),
+                   **_fixed("integrator", "fit_t_min"), **_fixed("integrator", "fit_t_max")}
 _MEAN_ZERO = {("init", "mean_zero_y"): (bool, "must be true")}
 
 # experiment -> (required sections: those it reads besides [output], whether
@@ -134,8 +135,9 @@ _MEAN_ZERO = {("init", "mean_zero_y"): (bool, "must be true")}
 # defaults to whether the experiment holds the mean-zero rule.
 EXPERIMENTS = {
     "wave": (("grid", "wave"), False, {}),
-    "stability0": (SECTIONS, False, {("wave", "eps"): _ZERO, **_NQ_ONLY}),
-    "linear_eps": (SECTIONS, False, {("wave", "eps"): _POSITIVE, **_MEAN_ZERO, **_NQ_ONLY}),
+    "stability0": (SECTIONS, False, {("wave", "eps"): _ZERO, **_PLANARITY_ONLY}),
+    "linear_eps": (SECTIONS, False, {("wave", "eps"): _POSITIVE, **_MEAN_ZERO,
+                                     **_PLANARITY_ONLY}),
     "planarity": (SECTIONS, True, {("wave", "eps"): _POSITIVE, **_MEAN_ZERO,
                                    **_fixed("integrator", "transport"),
                                    **_fixed("output", "snapshot_every")}),

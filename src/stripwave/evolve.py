@@ -20,7 +20,10 @@ mode at a time.  The stepper therefore holds each field as its rfft y-modes
 (grid.y_modes), z-major with shape (n_z, n_y/2 + 1): d/dy is a
 multiplication by i k, z differences act on the columns, and a field's
 k = 0 column is its per-z y-mean.  Within a step only the quadratic terms
-visit the y-nodes (_Products).
+visit the y-nodes (_Products).  The records of a run hold its final state
+and its snapshots in this format too (TrajectoryRecord), so no state in
+physical space is formed here: that is left to the writers of artifacts
+that need node values.
 
 Splitting: every Laplacian is implicit; transport, coupling, and nonlinear
 terms are explicit.  The per-mode diffusion matrices are symmetric
@@ -73,8 +76,7 @@ import numpy as np
 
 from .config import ConfigError, check_rules
 from .energy import EnergyLedger, LedgerRow, ledger_row, transverse_norm_sq
-from .grid import (ScalarField, VectorField, ddz_array, y_fluctuation_values, y_modes,
-                   y_values)
+from .grid import ddz_array, y_fluctuation_values, y_modes, y_values
 from .transforms import ColeHopfState, PerturbationState, perturbation_y_means
 from .waves import WaveProfile
 
@@ -163,10 +165,13 @@ class RunCounters:
 class TrajectoryRecord:
     """Energy ledger and snapshots of one run; its rows give `times` and `curl_max`.
 
-    `final_state` is the state at the last step in physical space.  For nq,
-    `final_deviation` is the tuple (a, b_z, b_y) of y-modes that the loop
-    held (grid.y_modes: z-major, k = 0 column = the y-mean), the deviation
-    (n - N, q - P) from the wave; grid.y_values gives its y-node values.
+    `final_modes` is the state at the last step as the true y-modes of the
+    system's arrays (grid.y_modes: z-major, k = 0 column = the y-mean):
+    (phi_z, phi_y, psi) for nonlinear0 and linear_eps, and for nq the
+    deviation (a, b_z, b_y) = (n - N, q - P) from the wave.  `snapshots`
+    holds (t, modes) pairs of the same format.  These are the loop's own
+    arrays, which no later step writes; grid.y_values gives their y-node
+    values.
 
     A record that ended on a blowup holds its time and its reason, the
     message of the IntegratorBlowup without the time; `blowup` says whether
@@ -179,8 +184,7 @@ class TrajectoryRecord:
     config: IntegratorConfig
     ledger: EnergyLedger = field(default_factory=EnergyLedger)
     snapshots: list = field(default_factory=list)
-    final_state: object = None
-    final_deviation: object = None
+    final_modes: tuple | None = None
     blowup_time: float | None = None
     blowup_reason: str | None = None
     head: TrajectoryRecord | None = None
@@ -464,6 +468,10 @@ class _System:
     def settle(self, u):
         return u, 0
 
+    def modes(self, u) -> tuple:
+        """The true y-modes of the arrays u."""
+        return u
+
 
 # ---------------------------------------------------------------------------
 # Systems A and B: perturbation (phi, psi)
@@ -484,12 +492,6 @@ class _PerturbationSystem(_System):
 
     def arrays(self, state: PerturbationState) -> tuple:
         return state.y_modes()
-
-    def state(self, u, t) -> PerturbationState:
-        g = self.g
-        phi_z, phi_y, psi = (ScalarField(g, y_values(x, g)) for x in u)
-        return PerturbationState(phi=VectorField(phi_z, phi_y), psi=psi, t=t,
-                                 eps=self.eps)
 
     def explicit_tendency(self, u):
         """The explicit tendencies as fresh arrays; every intermediate is
@@ -552,8 +554,8 @@ class _NqSystem(_System):
     never rises above 0: a rising peak is scaled back at most to true
     scale.  No linear term mixes the columns, and _Products scales the one quadratic
     coupling, so every value in the normal range is bit for bit that of an
-    unscaled run.  modes(), state() and row() report true values; the
-    y-mean column is never scaled.  `rescales` counts the rescalings.
+    unscaled run.  modes() and row() report true values; the y-mean column
+    is never scaled.  `rescales` counts the rescalings.
     """
 
     names = ("a", "b_z", "b_y")
@@ -591,14 +593,6 @@ class _NqSystem(_System):
         if not self.exponent:
             return u
         return tuple(_ldexp_fluctuation(x.copy(), self.exponent) for x in u)
-
-    def state(self, u, t) -> ColeHopfState:
-        g = self.g
-        a, bz, by = (y_values(x, g) for x in self.modes(u))
-        return ColeHopfState(n=ScalarField(g, self.N + a),
-                             q=VectorField(ScalarField(g, self.P + bz),
-                                           ScalarField(g, by)),
-                             t=t)
 
     def explicit_tendency(self, u):
         """The explicit tendencies as fresh arrays; every intermediate is
@@ -730,15 +724,19 @@ def run(system: str, init, profile: WaveProfile, config: IntegratorConfig,
     """Advance one system to t_end, recording the energy ledger.
 
     Records at steps {0, record_every, 2*record_every, ...} and always at
-    the final step.  The loop ends at its first blowup, non-finite values
-    or a recorded M_inst (for nq the transverse energy Q) above
-    BLOWUP_FACTOR times its initial value: each raises IntegratorBlowup,
-    which closes every record still open with its time and reason, so
-    `run` returns the partial record.  Non-finite initial data raise
-    IntegratorBlowup, and a profile whose eps does not suit the system
-    (nonlinear0 needs eps = 0, linear_eps and nq eps > 0) or whose grid is
-    not that of the initial data a ValueError, before any step.  One step
-    is a run with t_end = dt.
+    the final step; every snapshot_every-th recorded row also snapshots the
+    state, and a record closes on the state of its last step, both as the
+    true y-modes of the system's arrays (TrajectoryRecord).  For
+    linear_eps, initial y-means above 1e-12 (read off the modes' k = 0
+    columns) raise a warning.  The loop ends at its first blowup,
+    non-finite values or a recorded M_inst (for nq the transverse energy Q)
+    above BLOWUP_FACTOR times its initial value: each raises
+    IntegratorBlowup, which closes every record still open with its time
+    and reason, so `run` returns the partial record.  Non-finite initial
+    data raise IntegratorBlowup, and a profile whose eps does not suit the
+    system (nonlinear0 needs eps = 0, linear_eps and nq eps > 0) or whose
+    grid is not that of the initial data a ValueError, before any step.
+    One step is a run with t_end = dt.
 
     With head = T (0 <= T <= t_end) the same loop also fills `record.head`:
     every ledger row is computed once and appended to each record that asks
@@ -759,11 +757,6 @@ def run(system: str, init, profile: WaveProfile, config: IntegratorConfig,
     if head is not None and not 0.0 <= head <= config.t_end:
         raise ValueError(f"head = {head} must lie in [0, t_end = {config.t_end}]")
     cfl = _validate_cfl(config, profile)
-    if system == "linear_eps":
-        drift = perturbation_y_means(init)
-        if drift > 1e-12:
-            warnings.warn(f"input y-means reach {drift:.3g}; the linearized system "
-                          "assumes mean-zero data", stacklevel=2)
     start = time.perf_counter()
     # scipy.linalg is imported before the system allocates its arrays:
     # imported on top of them, it left an eps = 0 run's peak RSS 0.1 MB higher
@@ -792,20 +785,26 @@ def run(system: str, init, profile: WaveProfile, config: IntegratorConfig,
             rec.ledger.append(row)
             # snapshot every snapshot_every-th recorded row
             if config.snapshot_every and (len(rec.ledger.rows) - 1) % config.snapshot_every == 0:
-                snapshot = snapshot or (t, model.state(u, t))
+                snapshot = snapshot or (t, model.modes(u))
                 rec.snapshots.append(snapshot)
         return getattr(row, guard)
 
     def close(rec, reason=None):
         if reason is not None:
             rec.blowup_time, rec.blowup_reason = t, reason
-        rec.final_state = model.state(u, t)
-        if system == "nq":
-            rec.final_deviation = model.modes(u)
+        rec.final_modes = model.modes(u)
         rec.counters = replace(core.counters, steps=i, solves=core.solves,
                                factorizations=len(core._banded), rescales=model.rescales)
 
     u = model.arrays(init)
+    # the loop and its records hold modes alone: initial data that the
+    # caller keeps no reference to are freed here, not at the end of the run
+    del init
+    if system == "linear_eps":
+        drift = perturbation_y_means(u)
+        if drift > 1e-12:
+            warnings.warn(f"input y-means reach {drift:.3g}; the linearized system "
+                          "assumes mean-zero data", stacklevel=2)
     t = 0.0
     _check_finite(model, u, t)
     try:

@@ -271,11 +271,6 @@ def laplacian(f: ScalarField) -> ScalarField:
         f.grid, d2dz2_array(f.values, f.grid.dz) + d2dy2_array(f.values, f.grid))
 
 
-def mean_in_y(f: ScalarField) -> np.ndarray:
-    """Per-z average over the periodic direction, shape (n_z,)."""
-    return f.values.mean(axis=1)
-
-
 def write_csv(path, header, rows) -> None:
     """A numeric table: the comma-joined names of header, then one line per
     row of numbers written to 17 significant digits (every double round-trips)."""

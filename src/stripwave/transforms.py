@@ -8,8 +8,10 @@ wave profile are carried as a vector potential and a log-deviation:
 
     n = N + div(phi),      c = C exp(-psi),      q = P + grad(psi).
 
-The steppers (evolve) and the energy ledger (energy) work on (phi, psi)
-itself; no program path assembles (n, c) from it.
+The steppers (evolve) and the energy ledger (energy) work on the y-modes
+of (phi, psi) (PerturbationState.y_modes), and a run's records keep those
+modes; no program path assembles (n, c) from them.  perturbation_y_means
+reads the y-means straight from the modes' k = 0 columns.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from .grid import (
     ddy_array,
     ddz,
     ddz_array,
-    mean_in_y,
     y_modes,
     y_values,
 )
@@ -39,20 +40,18 @@ class TransformError(ValueError):
 
 @dataclass(frozen=True)
 class PhysicalState:
-    """Cell density n >= 0 and chemical concentration c > 0 at time t."""
+    """Cell density n >= 0 and chemical concentration c > 0."""
 
     n: ScalarField
     c: ScalarField
-    t: float = 0.0
 
 
 @dataclass(frozen=True)
 class ColeHopfState:
-    """Density n and log-gradient field q = -grad(log c) at time t."""
+    """Density n and log-gradient field q = -grad(log c)."""
 
     n: ScalarField
     q: VectorField
-    t: float = 0.0
 
     @property
     def grid(self) -> Grid:
@@ -70,7 +69,6 @@ class PerturbationState:
 
     phi: VectorField
     psi: ScalarField
-    t: float = 0.0
     eps: float = 0.0
 
     @property
@@ -94,7 +92,7 @@ def cole_hopf_forward(state: PhysicalState) -> ColeHopfState:
     g = state.c.grid
     qz = ScalarField(g, -ddz_array(c, g.dz) / c)
     qy = ScalarField(g, -ddy_array(c, g) / c)
-    return ColeHopfState(n=state.n, q=VectorField(qz, qy), t=state.t)
+    return ColeHopfState(n=state.n, q=VectorField(qz, qy))
 
 
 def curl(q: VectorField) -> ScalarField:
@@ -218,13 +216,10 @@ def make_initial_perturbation(
         raise TransformError("degenerate random draw produced an empty state")
     scale = np.sqrt(amplitude / measured)
     phi_z, phi_y, psi = (ScalarField(grid, v * scale) for v in values)
-    return PerturbationState(phi=VectorField(phi_z, phi_y), psi=psi, t=0.0, eps=eps)
+    return PerturbationState(phi=VectorField(phi_z, phi_y), psi=psi, eps=eps)
 
 
-def perturbation_y_means(state: PerturbationState) -> float:
-    """Largest per-z y-average across all three perturbation components."""
-    return max(
-        float(np.max(np.abs(mean_in_y(state.phi.z)))),
-        float(np.max(np.abs(mean_in_y(state.phi.y)))),
-        float(np.max(np.abs(mean_in_y(state.psi)))),
-    )
+def perturbation_y_means(modes) -> float:
+    """Largest per-z y-average over the y-modes of every field: the largest
+    |x[:, 0].real|, the k = 0 column being the y-mean (grid.y_modes)."""
+    return max(float(np.max(np.abs(x[:, 0].real))) for x in modes)

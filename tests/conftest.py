@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import divergence, gradient
+from oracles import divergence, gradient, perturbation_state
 from stripwave.evolve import IntegratorConfig, run
 from stripwave.grid import make_grid, y_values
 from stripwave.transforms import make_initial_perturbation
@@ -30,10 +30,10 @@ def cross_solver_mismatch():
             warnings.simplefilter("ignore")
             r1 = run("linear_eps", pert, prof, cfg)
             r2 = run("nq", pert, prof, cfg)
-        f = r1.final_state
+        f = perturbation_state(g, r1.final_modes)
         a1 = divergence(f.phi).values
         gp = gradient(f.psi)
-        a2, bz2, by2 = (y_values(x, g) for x in r2.final_deviation)
+        a2, bz2, by2 = (y_values(x, g) for x in r2.final_modes)
         err = max(np.max(np.abs(a1 - a2)),
                   np.max(np.abs(gp.z.values - bz2)),
                   np.max(np.abs(gp.y.values - by2)))

@@ -1,5 +1,6 @@
 """Physical-space oracles: quadrature, divergence, gradient, mean removal and
-the transverse energy, on the y-node values of fields.
+the transverse energy, on the y-node values of fields, and the states in
+physical space of a run's y-modes (a record's `final_modes`).
 
 They use only grid's public derivative operators (ddz_array, ddy_array),
 the grid's quadrature weights and numpy, never the mode-space norm engine
@@ -7,7 +8,8 @@ of stripwave.energy, so a test that compares the ledger with them compares
 two independent evaluations of one quantity.
 """
 
-from stripwave.grid import ScalarField, VectorField, ddy_array, ddz_array
+from stripwave.grid import ScalarField, VectorField, ddy_array, ddz_array, y_values
+from stripwave.transforms import ColeHopfState, PerturbationState
 
 
 def integrate(f: ScalarField, weighted: bool = False) -> float:
@@ -47,3 +49,19 @@ def transverse_energy(state) -> float:
         fy = ddy_array(remove_mean_in_y(f).values, f.grid)
         total += integrate(ScalarField(f.grid, fy * fy))
     return total
+
+
+def perturbation_state(grid, modes) -> PerturbationState:
+    """(phi, psi) on the y-nodes of the (phi_z, phi_y, psi) y-modes."""
+    phi_z, phi_y, psi = (ScalarField(grid, y_values(x, grid)) for x in modes)
+    return PerturbationState(phi=VectorField(phi_z, phi_y), psi=psi)
+
+
+def cole_hopf_state(profile, modes) -> ColeHopfState:
+    """(n, q) = (N + a, P + b) on the y-nodes of the nq deviation's
+    (a, b_z, b_y) y-modes from the wave `profile`."""
+    g = profile.grid
+    a, bz, by = (y_values(x, g) for x in modes)
+    return ColeHopfState(n=ScalarField(g, profile.N[:, None] + a),
+                         q=VectorField(ScalarField(g, profile.P_z[:, None] + bz),
+                                       ScalarField(g, by)))

@@ -11,6 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from oracles import perturbation_state
 from stripwave.cli import _positive_window, main
 from stripwave.energy import fit_exponential_decay
 from stripwave.evolve import IntegratorConfig, run
@@ -176,7 +177,7 @@ def test_criterion_06_linear_stability(linear_runs):
     _, recT, rec2T = linear_runs
     c0 = recT.ledger.last()["C0_running"]
     c0d = rec2T.ledger.last()["C0_running"]
-    drift = perturbation_y_means(recT.final_state)
+    drift = perturbation_y_means(recT.final_modes)
     ok = (not recT.blowup and not rec2T.blowup
           and np.isfinite(c0) and c0 > 0
           and abs(c0d - c0) <= 0.05 * c0
@@ -198,7 +199,8 @@ def test_criterion_07_superposition(linear_runs):
             ScalarField(g, ca * a.phi.y.values + cb * b.phi.y.values)),
         psi=ScalarField(g, ca * a.psi.values + cb * b.psi.values), eps=0.05)
     one_step = IntegratorConfig(dt=0.02, t_end=0.02)
-    sa, sb, sc = (run("linear_eps", s, prof, one_step).final_state for s in (a, b, comb))
+    sa, sb, sc = (perturbation_state(g, run("linear_eps", s, prof, one_step).final_modes)
+                  for s in (a, b, comb))
     err = max(
         np.max(np.abs(sc.phi.z.values - ca * sa.phi.z.values - cb * sb.phi.z.values)),
         np.max(np.abs(sc.phi.y.values - ca * sa.phi.y.values - cb * sb.phi.y.values)),

@@ -779,6 +779,13 @@ def test_blowup_reason_reaches_stdout_and_manifest(tmp_path, monkeypatch, capsys
      "--set integrator.frame=lab: integrator.frame must be moving, got 'lab'"),
     ("evolve", ["init.amplitude=0"],
      "--set init.amplitude=0: init.amplitude must be positive, got 0.0"),
+    # planarity alone fits a decay rate
+    ("evolve", ["integrator.fit_t_min=3", "integrator.fit_t_max=7"],
+     "--set integrator.fit_t_max=7: integrator.fit_t_max must be 10.0 for experiment "
+     "'stability0', got 7.0"),
+    ("linear", ["wave.eps=0.1", "integrator.fit_t_min=3"],
+     "--set integrator.fit_t_min=3: integrator.fit_t_min must be 1.0 for experiment "
+     "'linear_eps', got 3.0"),
 ])
 def test_bad_inputs_rejected_before_compute(tmp_path, monkeypatch, capsys, command,
                                             overrides, message):

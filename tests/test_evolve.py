@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
-from oracles import transverse_energy
+from oracles import cole_hopf_state, perturbation_state, transverse_energy
 from stripwave import evolve
 from stripwave.evolve import (
     IntegratorBlowup,
@@ -15,7 +15,6 @@ from stripwave.evolve import (
     _NqSystem,
     _PerturbationSystem,
     IntegratorConfig,
-    TrajectoryRecord,
     run,
 )
 from stripwave.grid import (
@@ -65,12 +64,12 @@ def zero_state(g, eps=0.0):
 
 
 def one_step(system, state, prof, dt):
-    return run(system, state, prof, IntegratorConfig(dt=dt, t_end=dt)).final_state
+    return run(system, state, prof, IntegratorConfig(dt=dt, t_end=dt)).final_modes
 
 
-def deviation_values(rec):
+def deviation_values(rec, g):
     """The y-node values of an nq record's (a, b_z, b_y) deviation modes."""
-    return [y_values(x, rec.final_state.n.grid) for x in rec.final_deviation]
+    return [y_values(x, g) for x in rec.final_modes]
 
 
 def test_config_validation():
@@ -95,14 +94,14 @@ def test_cfl_rejected(setup_eps0):
 
 def test_zero_state_is_fixed_point(setup_eps0):
     _, g, prof = setup_eps0
-    st = one_step("nonlinear0", zero_state(g), prof, 0.05)
+    st = perturbation_state(g, one_step("nonlinear0", zero_state(g), prof, 0.05))
     assert st.phi.max_abs() == 0.0
     assert st.psi.max_abs() == 0.0
 
 
 def test_zero_state_fixed_point_linear(setup_linear):
     _, g, prof = setup_linear
-    st = one_step("linear_eps", zero_state(g, eps=0.05), prof, 0.02)
+    st = perturbation_state(g, one_step("linear_eps", zero_state(g, eps=0.05), prof, 0.02))
     assert st.phi.max_abs() == 0.0
     assert st.psi.max_abs() == 0.0
 
@@ -159,7 +158,7 @@ def _scaled(pert, a):
 def _final(system, pert, prof, dt, scheme, transport, t_end):
     cfg = IntegratorConfig(dt=dt, t_end=t_end, scheme=scheme,
                            record_every=10**9, transport=transport)
-    return run(system, pert, prof, cfg).final_state
+    return perturbation_state(prof.grid, run(system, pert, prof, cfg).final_modes)
 
 
 def test_temporal_self_convergence_first_order(setup_eps0_wide):
@@ -192,7 +191,7 @@ def test_temporal_self_convergence_second_order(setup_eps0_wide):
     sols = []
     for dt in (0.004, 0.002, 0.001):
         cfg = IntegratorConfig(dt=dt, t_end=0.4, scheme="sbdf2", record_every=10**9)
-        d = deviation_values(run("nq", pert, prof, cfg))
+        d = deviation_values(run("nq", pert, prof, cfg), g)
         sols.append(np.concatenate([x.ravel() for x in d]))
     e1 = np.linalg.norm(sols[0] - sols[1])
     e2 = np.linalg.norm(sols[1] - sols[2])
@@ -250,7 +249,7 @@ def test_linear_preserves_y_mean_zero(setup_linear):
     pert = make_initial_perturbation(g, 1e-4, seed=2, mean_zero_y=True, eps=0.05)
     cfg = IntegratorConfig(dt=0.02, t_end=1.0, record_every=10)
     rec = run("linear_eps", pert, prof, cfg)
-    assert perturbation_y_means(rec.final_state) < 1e-12
+    assert perturbation_y_means(rec.final_modes) < 1e-12
 
 
 def test_linear_warns_on_biased_data(setup_linear):
@@ -270,7 +269,8 @@ def test_linear_superposition(setup_linear):
             ScalarField(g, ca * a.phi.z.values + cb * b.phi.z.values),
             ScalarField(g, ca * a.phi.y.values + cb * b.phi.y.values)),
         psi=ScalarField(g, ca * a.psi.values + cb * b.psi.values), eps=0.05)
-    sa, sb, sc = (one_step("linear_eps", s, prof, 0.02) for s in (a, b, comb))
+    sa, sb, sc = (perturbation_state(g, one_step("linear_eps", s, prof, 0.02))
+                  for s in (a, b, comb))
     err = max(
         np.max(np.abs(sc.phi.z.values - ca * sa.phi.z.values - cb * sb.phi.z.values)),
         np.max(np.abs(sc.phi.y.values - ca * sa.phi.y.values - cb * sb.phi.y.values)),
@@ -314,7 +314,7 @@ def test_wave_is_stationary_in_moving_frame(nq_setup):
     p, g, prof = nq_setup
     cfg = IntegratorConfig(dt=0.01, t_end=1.0, record_every=50)
     rec = run("nq", wave_state(g, prof), prof, cfg)
-    drift = max(np.max(np.abs(x)) for x in deviation_values(rec))
+    drift = max(np.max(np.abs(x)) for x in deviation_values(rec, g))
     bound = 10 * (g.dz**2 + cfg.dt)
     assert drift <= bound
     assert drift < 1e-12
@@ -348,7 +348,8 @@ def test_nq_ledger_q_matches_the_physical_transverse_energy(nq_setup, t_end):
     pert = make_initial_perturbation(g, 1e-4, seed=2, mean_zero_y=True, eps=p.eps)
     rec = run("nq", pert, prof, IntegratorConfig(dt=0.01, t_end=t_end, record_every=10))
     q = rec.ledger.column("Q")[-1]
-    assert q == pytest.approx(transverse_energy(rec.final_state), rel=1e-9, abs=0.0)
+    assert q == pytest.approx(transverse_energy(cole_hopf_state(prof, rec.final_modes)),
+                              rel=1e-9, abs=0.0)
 
 
 def _translation_drift(g, prof):
@@ -357,7 +358,7 @@ def _translation_drift(g, prof):
     started, relative to that start."""
     init = wave_state(g, prof, shift=round(0.5 / g.dz))
     rec = run("nq", init, prof, IntegratorConfig(dt=0.005, t_end=0.5, record_every=100))
-    a = rec.final_deviation[0][:, 0].real  # the y-mean column
+    a = rec.final_modes[0][:, 0].real  # the y-mean column
     start = init.n.values[:, 0] - prof.N
     return np.max(np.abs(a - start)) / np.max(np.abs(start))
 
@@ -406,7 +407,7 @@ def test_run_deterministic_rerun(setup_eps0):
     r2 = run("nonlinear0", pert, prof, cfg)
     for c in ("M_inst", "D_phi", "mass"):
         assert np.array_equal(r1.ledger.column(c), r2.ledger.column(c))
-    assert np.array_equal(r1.final_state.psi.values, r2.final_state.psi.values)
+    assert np.array_equal(y_values(r1.final_modes[2], g), y_values(r2.final_modes[2], g))
 
 
 def test_blowup_detection_partial_record(setup_eps0, monkeypatch):
@@ -465,7 +466,7 @@ def test_curl_projection_keeps_gradient_structure(nq_setup):
         warnings.simplefilter("ignore")
         rec = run("nq", pert, prof, cfg)
     assert rec.curl_max < 1e-4
-    assert np.max(np.abs(rec.final_deviation[2][:, 0])) == 0.0  # the y-mean of b_y
+    assert np.max(np.abs(rec.final_modes[2][:, 0])) == 0.0  # the y-mean of b_y
 
 
 def test_curl_projection_maps_gradient_to_itself(nq_setup):
@@ -479,20 +480,25 @@ def test_curl_projection_maps_gradient_to_itself(nq_setup):
         n=ScalarField(g, np.repeat(prof.N[:, None], g.n_y, axis=1)),
         q=VectorField(ScalarField(g, prof.P_z[:, None] + bz), ScalarField(g, by)))
     cfg = IntegratorConfig(dt=1e-6, t_end=1e-6, curl_projection=True)
-    bz_new, by_new = deviation_values(run("nq", st, prof, cfg))[1:]
+    bz_new, by_new = deviation_values(run("nq", st, prof, cfg), g)[1:]
     err = max(np.max(np.abs(bz_new - bz)), np.max(np.abs(by_new - by)))
     assert err < 1e-3 * max(np.max(np.abs(bz)), np.max(np.abs(by)))
 
 
 def test_snapshots_recorded(setup_eps0):
+    # a snapshot keeps the loop's own arrays, which no later step writes:
+    # each is bitwise the final modes of a separate run to its time
     _, g, prof = setup_eps0
     pert = make_initial_perturbation(g, 1e-4, seed=0)
-    cfg = IntegratorConfig(dt=0.05, t_end=0.5, record_every=2, snapshot_every=2)
-    rec = run("nonlinear0", pert, prof, cfg)
-    assert len(rec.snapshots) >= 2
-    t0, s0 = rec.snapshots[0]
-    assert t0 == 0.0
-    assert isinstance(s0, PerturbationState)
+    for scheme, transport in (("imex1", "upwind"), ("sbdf2", "central")):
+        cfg = IntegratorConfig(dt=0.05, t_end=0.5, scheme=scheme, record_every=2,
+                               transport=transport, snapshot_every=2)
+        rec = run("nonlinear0", pert, prof, cfg)
+        assert [t for t, _ in rec.snapshots] == [0.0, 4 * 0.05, 8 * 0.05]
+        for t, modes in rec.snapshots:
+            assert [x.shape for x in modes] == [(g.n_z, g.n_y // 2 + 1)] * 3
+            alone = run("nonlinear0", pert, prof, replace(cfg, t_end=t)).final_modes
+            assert all(np.array_equal(x, y) for x, y in zip(modes, alone))
 
 
 @pytest.mark.parametrize("coef, alpha", [(0.05, 1.0), (0.02, 1.5), (1.0, 0.0)])
@@ -649,12 +655,6 @@ def small_strips():
     return strips
 
 
-def _values(state):
-    if isinstance(state, ColeHopfState):
-        return np.concatenate([f.values.ravel() for f in (state.n, state.q.z, state.q.y)])
-    return _flat(state)
-
-
 def _assert_same_record(a, b, tmp_path):
     a.ledger.to_csv(tmp_path / "a.csv")
     b.ledger.to_csv(tmp_path / "b.csv")
@@ -662,11 +662,10 @@ def _assert_same_record(a, b, tmp_path):
     assert a.config == b.config
     assert a.times == b.times
     assert [t for t, _ in a.snapshots] == [t for t, _ in b.snapshots]
-    states = zip([s for _, s in a.snapshots] + [a.final_state],
-                 [s for _, s in b.snapshots] + [b.final_state])
+    states = zip([s for _, s in a.snapshots] + [a.final_modes],
+                 [s for _, s in b.snapshots] + [b.final_modes])
     for sa, sb in states:
-        assert sa.t == sb.t
-        assert np.array_equal(_values(sa), _values(sb), equal_nan=True)
+        assert all(np.array_equal(x, y, equal_nan=True) for x, y in zip(sa, sb))
     assert (a.blowup, a.blowup_time, a.blowup_reason, a.curl_max, a.counters.steps) == (
         b.blowup, b.blowup_time, b.blowup_reason, b.curl_max, b.counters.steps)
 
@@ -768,8 +767,6 @@ def test_nq_head_record_keeps_its_own_curl_drift(tmp_path):
     assert alone.curl_max > full.curl_max > 0.0
     _assert_same_record(rec.head, alone, tmp_path)
     _assert_same_record(rec, full, tmp_path)
-    assert np.array_equal(np.concatenate(deviation_values(rec.head)),
-                          np.concatenate(deviation_values(alone)))
 
 
 def test_head_outside_the_horizon_rejected(small_strips):
@@ -852,9 +849,6 @@ def test_runs_in_any_order_give_the_same_bits(tmp_path):
     backward = dict(run_all(order[-2::-1]))
     for key, rec in forward:
         _assert_same_record(rec, backward[key], tmp_path)
-        if key[0] == "nq":
-            assert all(np.array_equal(x, y) for x, y in
-                       zip(rec.final_deviation, backward[key].final_deviation))
 
 
 def test_warm_nq_steps_stay_allocation_light():
@@ -920,7 +914,6 @@ def test_rescaled_nq_run_is_bitwise_the_unscaled_run(thin_nq_strip, tmp_path, mo
     assert min(rec.ledger.column("Q")) > 1e-290
     for a, b in ((rec, plain), (rec.head, alone)):
         _assert_same_record(a, b, tmp_path)
-        assert all(np.array_equal(x, y) for x, y in zip(a.final_deviation, b.final_deviation))
     assert rec.head.counters.rescales == alone.counters.rescales >= 1
 
 

@@ -168,3 +168,27 @@ def test_the_package_names_every_definition_it_holds():
     # a definition that only tests or exports reach belongs in the tests
     package = Path(__file__).resolve().parents[1] / "src" / "stripwave"
     assert _unnamed_definitions(package) == []
+
+
+def _unused_imports(source: str) -> list:
+    """The names that a module's imports bind (`import a.b` binds a) and no
+    ast.Name of the module reads; `from __future__ import ...` binds none."""
+    tree = ast.parse(source)
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [name for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            for name in (a.asname or a.name.split(".")[0] for a in node.names)
+            if name not in read]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    assert _unused_imports("from __future__ import annotations\nimport os.path\n"
+                           "from math import pi, tau as turn\n\n\ndef f():\n"
+                           "    import json\n    return os.sep, turn\n") == ["pi", "json"]
+    root = Path(__file__).resolve().parents[1]
+    modules = [*(root / "src" / "stripwave").glob("*.py"), *(root / "tests").glob("*.py"),
+               *(root / "tools").glob("*.py")]
+    unused = {f"{path.relative_to(root)}: {name}" for path in modules
+              if path.name != "__init__.py" for name in _unused_imports(path.read_text())}
+    assert sorted(unused) == []

@@ -14,7 +14,6 @@ from stripwave.grid import (
     zero_field,
 )
 from stripwave.transforms import (
-    ColeHopfState,
     PhysicalState,
     TransformError,
     cole_hopf_forward,
@@ -217,7 +216,20 @@ def test_initial_perturbation_rejects_a_degenerate_draw(monkeypatch):
 def test_initial_perturbation_mean_zero_projection():
     g = make_grid(25.0, 512, 0.5, 16, 1.0)
     pert = make_initial_perturbation(g, 1e-4, seed=2, mean_zero_y=True)
-    assert perturbation_y_means(pert) < 1e-14
+    assert perturbation_y_means(pert.y_modes()) < 1e-14
+
+
+@pytest.mark.parametrize("n_z, n_y", [(512, 16), (257, 6)])
+@pytest.mark.parametrize("seed", range(5))
+def test_perturbation_y_means_match_the_node_means(n_z, n_y, seed):
+    # the k = 0 column of the y-modes against the y-nodes' own average, on
+    # data that keep their y-means
+    g = make_grid(25.0, n_z, 0.5, n_y, 1.0)
+    pert = make_initial_perturbation(g, 1e-4, seed=seed, mean_zero_y=False)
+    means = max(float(np.max(np.abs(f.values.mean(axis=1))))
+                for f in (pert.phi.z, pert.phi.y, pert.psi))
+    assert means > 0.0
+    assert perturbation_y_means(pert.y_modes()) == pytest.approx(means, rel=1e-14, abs=0.0)
 
 
 def test_initial_perturbation_deterministic():
@@ -235,9 +247,3 @@ def test_initial_perturbation_compact_support():
     far = np.abs(g.z) > 8.0
     assert np.max(np.abs(pert.phi.z.values[far])) == 0.0
     assert np.max(np.abs(pert.psi.values[far])) == 0.0
-
-
-def test_cole_hopf_state_holds_time():
-    g = make_grid(10, 64, 0.5, 8, 1.0)
-    st = ColeHopfState(n=zero_field(g), q=VectorField(zero_field(g), zero_field(g)), t=2.5)
-    assert st.t == 2.5
