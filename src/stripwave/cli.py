@@ -30,7 +30,8 @@ margin), and under `environment` the Python, numpy and scipy versions, the
 core count and the cores this process may use, the BLAS thread variables
 and the scipy subpackages the run loaded) next to its artifacts.  Exit codes:
 0 every check passed, 1 a check failed, 2 usage or configuration error (a
-dt above the transport limit included), 3 runtime blowup, one past t_end on
+dt above the transport limit and an output directory that cannot be made
+included), 3 runtime blowup, one past t_end on
 the way to the doubled horizon included (partial artifacts retained), 4 the
 KPP wave solve failed, 5 an unexpected internal error (traceback on stderr).
 
@@ -502,9 +503,14 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     manifest is written on every path: with the experiment's report, a
     blowup's included (exit 3), or with the error of a dt above the
     transport limit (exit 2), of a failed wave solve (exit 4) or of any
-    other exception, a crash (exit 5).
+    other exception, a crash (exit 5).  An output directory that cannot be
+    made is a configuration error (exit 2) that leaves no manifest.
     """
-    outdir = _out_dir(cfg)
+    try:
+        outdir = _out_dir(cfg)
+    except OSError as exc:
+        print(f"output directory error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     for w in cfg.warnings:
         print(f"warning: {w}")
     start = time.time()

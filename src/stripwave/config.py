@@ -8,7 +8,9 @@ canonical text that re-parses to an identical configuration (diff-friendly
 for experiment sweeps).
 
 Every input rule is stated once, in _RULES; check_rules applies it to a
-config before any compute and to each library constructor's arguments.
+config before any compute and to each library constructor's arguments.  Each
+experiment holds at their defaults the settings its run never reads
+(EXPERIMENTS, _held).
 """
 
 from __future__ import annotations
@@ -71,7 +73,7 @@ _SCHEMA = {
         "cfl_safety": (float, 0.9),
         "transport": (str, "upwind"),
         # the stepper runs in the moving frame alone; the key stays because
-        # the benchmark's pinned workloads set it, and _RULES holds it there
+        # the benchmark's pinned workloads set it, and _held holds it there
         "frame": (str, "moving"),
         "curl_projection": (_parse_bool, False),
         "fit_t_min": (float, 1.0),
@@ -83,13 +85,6 @@ _SCHEMA = {
     },
 }
 SECTIONS = tuple(_SCHEMA)
-
-
-def _fixed(section: str, key: str) -> dict:
-    """The rule that holds section.key at its default: another value would
-    claim a run that the program never makes."""
-    default = _SCHEMA[section][key][1]
-    return {(section, key): (lambda v: v == default, f"must be {str(default).lower()}")}
 
 
 _POSITIVE = (lambda v: v > 0, "must be positive")
@@ -114,37 +109,46 @@ _RULES = {
     ("integrator", "record_every"): (lambda v: v >= 1, "must be >= 1"),
     **{("integrator", key): (allowed.__contains__, f"must be {' or '.join(allowed)}")
        for key, allowed in INTEGRATOR_CHOICES.items()},
-    **_fixed("integrator", "frame"),
     ("output", "snapshot_every"): _NON_NEGATIVE,
 }
 
-_ZERO = (lambda v: v == 0, "must be 0")
-
-# planarity alone reads curl_projection (its (n, q) system) and the fit
-# window; it has no transport stencil and writes no snapshots
-_PLANARITY_ONLY = {**_fixed("integrator", "curl_projection"),
-                   **_fixed("integrator", "fit_t_min"), **_fixed("integrator", "fit_t_max")}
 _MEAN_ZERO = {("init", "mean_zero_y"): (bool, "must be true")}
 
-# experiment -> (required sections: those it reads besides [output], whether
-# eps and lambda may be sweep lists, the rules it adds to _RULES).  Such a
-# rule replaces, and so must imply, that of _RULES for its key, and its
-# requirement is stated "for experiment '<name>'".  A setting that the
-# experiment's run would ignore is held at its default (integrator.frame,
-# which no run reads, by _RULES for every experiment).  init.mean_zero_y
+# experiment -> (required sections: those it reads besides output.directory,
+# whether eps and lambda may be sweep lists, the rules it adds to _RULES, the
+# 'section.key' prefixes of the settings its run never reads).  Such a rule
+# replaces, and so must imply, that of _RULES for its key, and its
+# requirement is stated "for experiment '<name>'".  _held holds at its
+# default each key that a prefix names, integrator.frame (which no run
+# reads) and every key of a section the experiment does not require, but
+# output.directory.  init.mean_zero_y is derived where [init] is read: it
 # defaults to whether the experiment holds the mean-zero rule.
 EXPERIMENTS = {
-    "wave": (("grid", "wave"), False, {}),
-    "stability0": (SECTIONS, False, {("wave", "eps"): _ZERO, **_PLANARITY_ONLY}),
-    "linear_eps": (SECTIONS, False, {("wave", "eps"): _POSITIVE, **_MEAN_ZERO,
-                                     **_PLANARITY_ONLY}),
-    "planarity": (SECTIONS, True, {("wave", "eps"): _POSITIVE, **_MEAN_ZERO,
-                                   **_fixed("integrator", "transport"),
-                                   **_fixed("output", "snapshot_every")}),
+    "wave": (("grid", "wave"), False, {}, ()),
+    "stability0": (SECTIONS, False, {},
+                   ("wave.eps", "integrator.curl_projection", "integrator.fit_t_")),
+    "linear_eps": (SECTIONS, False, {("wave", "eps"): _POSITIVE, **_MEAN_ZERO},
+                   ("integrator.curl_projection", "integrator.fit_t_")),
+    # planarity alone reads curl_projection (its (n, q) system) and the fit
+    # window; it has no transport stencil and writes no snapshots
+    "planarity": (SECTIONS, True, {("wave", "eps"): _POSITIVE, **_MEAN_ZERO},
+                  ("integrator.transport", "output.snapshot_every")),
     # its grids and time runs are fixed; it reads the [wave] at eps = 0 and
     # the [init]
-    "convergence": (("wave", "init"), False, {("wave", "eps"): _ZERO}),
+    "convergence": (("wave", "init"), False, {}, ("wave.eps",)),
 }
+
+
+def _held(experiment: str) -> dict:
+    """The rules that hold at its default each setting the run of
+    `experiment` never reads (EXPERIMENTS).  check_rules passes them each
+    element of a sweep list, which (v,) compares with a one-value default."""
+    required, _, _, prefixes = EXPERIMENTS[experiment]
+    prefixes += ("integrator.frame", *(f"{name}." for name in SECTIONS if name not in required))
+    return {(name, key): (lambda v, d=default: v == d or (v,) == d,
+                          f"must be {'unset' if default is None else _format_value(default)}")
+            for name, schema in _SCHEMA.items() for key, (_, default) in schema.items()
+            if f"{name}.{key}".startswith(prefixes) and f"{name}.{key}" != "output.directory"}
 
 
 @dataclass(frozen=True)
@@ -158,9 +162,6 @@ class ExperimentConfig:
     integrator: dict = field(default_factory=dict)
     output: dict = field(default_factory=dict)
     warnings: tuple = ()
-
-    def section(self, name: str) -> dict:
-        return getattr(self, name)
 
     @property
     def eps_values(self) -> tuple:
@@ -253,8 +254,8 @@ def validate_config(text: str, experiment: str, overrides=None) -> ExperimentCon
             out.setdefault(key, default)
         values[name] = out
 
-    required, sweep, own = EXPERIMENTS[experiment]
-    if values["init"]["mean_zero_y"] is None:
+    required, sweep, own, _ = EXPERIMENTS[experiment]
+    if "init" in required and values["init"]["mean_zero_y"] is None:
         values["init"]["mean_zero_y"] = ("init", "mean_zero_y") in own
     for name in required:
         if name not in sections:
@@ -269,25 +270,25 @@ def validate_config(text: str, experiment: str, overrides=None) -> ExperimentCon
 
     warnings_list = []
     gv, wv = values["grid"], values["wave"]
-    if not sweep:
-        for name, key, vals in (("grid", "lambda", gv["lambda"]),
-                                ("wave", "eps", wv["eps"])):
-            if len(vals) != 1:
-                problems.append(f"{at(name, key)} must be a single value for "
-                                f"experiment {experiment!r}, got {len(vals)}")
+    for name, key, vals in (("grid", "lambda", gv["lambda"]), ("wave", "eps", wv["eps"])):
+        if not sweep and len(vals) != 1:
+            problems.append(f"{at(name, key)} must be a single value for "
+                            f"experiment {experiment!r}, got {len(vals)}")
+        elif not vals or len({f"{v:g}" for v in vals}) < len(vals):
+            problems.append(f"{at(name, key)} must list one or more values, distinct "
+                            f"at the 6 digits ({{:g}}) of the strip tags, got {list(vals)}")
     rules = {**_RULES, **{key: (ok, f"{requirement} for experiment {experiment!r}")
-                          for key, (ok, requirement) in own.items()}}
+                          for key, (ok, requirement) in {**own, **_held(experiment)}.items()}}
     for name, vals in values.items():
         problems.extend(check_rules(name, vals, lambda key, name=name: at(name, key),
                                     rules=rules))
     fit = values["integrator"]
-    if not fit["fit_t_min"] < fit["fit_t_max"]:
-        problems.append(f"{at('integrator', 'fit_t_min')} must be below fit_t_max "
-                        f"= {fit['fit_t_max']}, got {fit['fit_t_min']}")
-    if experiment == "planarity" and not fit["fit_t_min"] < fit["t_end"]:
-        problems.append(f"{at('integrator', 'fit_t_min')} must be below t_end "
-                        f"= {fit['t_end']} for experiment 'planarity', "
-                        f"got {fit['fit_t_min']}")
+    if experiment == "planarity":  # only planarity reads the fit window
+        for bound in ("fit_t_max", "t_end"):
+            if not fit["fit_t_min"] < fit[bound]:
+                problems.append(f"{at('integrator', 'fit_t_min')} must be below {bound} = "
+                                f"{fit[bound]} for experiment 'planarity', "
+                                f"got {fit['fit_t_min']}")
     for lam in gv["lambda"]:
         if lam > 2.0:
             problems.append(f"{at('grid', 'lambda')} = {lam} exceeds the hard limit 2")
@@ -297,10 +298,7 @@ def validate_config(text: str, experiment: str, overrides=None) -> ExperimentCon
 
     if problems:
         raise ConfigError(problems)
-    return ExperimentConfig(
-        experiment=experiment, grid=values["grid"], wave=values["wave"],
-        init=values["init"], integrator=values["integrator"],
-        output=values["output"], warnings=tuple(warnings_list))
+    return ExperimentConfig(experiment, **values, warnings=tuple(warnings_list))
 
 
 def _format_value(v) -> str:
@@ -321,7 +319,7 @@ def serialize_config(cfg: ExperimentConfig) -> str:
     for name in (n for n in _SCHEMA if n in read):
         lines.append(f"[{name}]")
         for key in _SCHEMA[name]:
-            v = cfg.section(name).get(key)
+            v = getattr(cfg, name).get(key)
             if v is None:
                 continue
             lines.append(f"{key} = {_format_value(v)}")

@@ -109,9 +109,10 @@ class IntegratorConfig:
     second order) and steers only nonlinear0 and linear_eps; curl_projection
     steers only nq.  Every system runs in the moving frame, so no field
     selects a frame.  run ignores the keys that its system does not read,
-    so one config may drive several systems (the CLI refuses such keys off
-    their defaults, config.EXPERIMENTS).  snapshot_every = 0 disables field
-    snapshots.
+    so one config may drive several systems; the CLI holds such keys at
+    their defaults, and the whole [integrator] for the experiments that
+    step no configured run (wave, convergence; config.EXPERIMENTS).
+    snapshot_every = 0 disables field snapshots.
     """
 
     dt: float

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import stripwave.cli
+import stripwave.config
 import stripwave.waves
 from stripwave.cli import main
 from stripwave.config import (
@@ -70,10 +71,12 @@ def test_empty_config_lists_required_sections():
 
 
 def test_range_problems_report_their_lines():
-    text = WAVE_CFG.replace("n_y = 16", "n_y = 15") + "\n[integrator]\ndt = -1\n"
+    # stability0 reads [integrator]; wave holds it at its defaults
+    text = STABILITY_CFG.format(out="x").replace("n_y = 16", "n_y = 15").replace(
+        "dt = 0.05", "dt = -1")
     lines = text.splitlines()
     with pytest.raises(ConfigError) as err:
-        validate_config(text, "wave")
+        validate_config(text, "stability0")
     problems = err.value.problems
     assert f"line {lines.index('n_y = 15') + 1}: grid.n_y must be even" in problems[0]
     assert any(p.startswith(f"line {lines.index('dt = -1') + 1}: integrator.dt must "
@@ -751,7 +754,8 @@ def test_blowup_reason_reaches_stdout_and_manifest(tmp_path, monkeypatch, capsys
      "wave.eps must be positive for experiment 'planarity', got 0.0"),
     ("evolve", ["init.seed=-1"], "init.seed must be non-negative, got -1"),
     ("planarity", ["wave.eps=0.1", "integrator.fit_t_min=5", "integrator.fit_t_max=2"],
-     "integrator.fit_t_min must be below fit_t_max = 2.0, got 5.0"),
+     "integrator.fit_t_min must be below fit_t_max = 2.0 for experiment 'planarity', "
+     "got 5.0"),
     ("evolve", ["output.snapshot_every=-1"],
      "output.snapshot_every must be non-negative, got -1"),
     ("planarity", ["wave.eps=0.1", "integrator.t_end=0.5"],
@@ -762,11 +766,12 @@ def test_blowup_reason_reaches_stdout_and_manifest(tmp_path, monkeypatch, capsys
     ("planarity", ["wave.eps=0.1", "init.mean_zero_y=false"],
      "init.mean_zero_y must be true for experiment 'planarity', got False"),
     # settings that the experiment's run would ignore
-    ("evolve", ["integrator.frame=lab"], "integrator.frame must be moving, got 'lab'"),
+    ("evolve", ["integrator.frame=lab"],
+     "integrator.frame must be moving for experiment 'stability0', got 'lab'"),
     ("evolve", ["integrator.curl_projection=true"],
      "integrator.curl_projection must be false for experiment 'stability0', got True"),
     ("linear", ["wave.eps=0.1", "integrator.frame=lab"],
-     "integrator.frame must be moving, got 'lab'"),
+     "integrator.frame must be moving for experiment 'linear_eps', got 'lab'"),
     ("linear", ["wave.eps=0.1", "integrator.curl_projection=true"],
      "integrator.curl_projection must be false for experiment 'linear_eps', got True"),
     ("planarity", ["wave.eps=0.1", "integrator.transport=central"],
@@ -776,16 +781,32 @@ def test_blowup_reason_reaches_stdout_and_manifest(tmp_path, monkeypatch, capsys
     ("convergence", ["wave.eps=0.1"], "wave.eps must be 0 for experiment 'convergence', got 0.1"),
     # the stepper runs in the moving frame alone
     ("planarity", ["wave.eps=0.1", "integrator.frame=lab"],
-     "--set integrator.frame=lab: integrator.frame must be moving, got 'lab'"),
+     "--set integrator.frame=lab: integrator.frame must be moving for experiment "
+     "'planarity', got 'lab'"),
     ("evolve", ["init.amplitude=0"],
      "--set init.amplitude=0: init.amplitude must be positive, got 0.0"),
     # planarity alone fits a decay rate
     ("evolve", ["integrator.fit_t_min=3", "integrator.fit_t_max=7"],
-     "--set integrator.fit_t_max=7: integrator.fit_t_max must be 10.0 for experiment "
+     "--set integrator.fit_t_max=7: integrator.fit_t_max must be 10 for experiment "
      "'stability0', got 7.0"),
     ("linear", ["wave.eps=0.1", "integrator.fit_t_min=3"],
-     "--set integrator.fit_t_min=3: integrator.fit_t_min must be 1.0 for experiment "
+     "--set integrator.fit_t_min=3: integrator.fit_t_min must be 1 for experiment "
      "'linear_eps', got 3.0"),
+    # a sweep list names one or more strips, each under its own {:g} tag
+    ("planarity", ["wave.eps="], "--set wave.eps=: wave.eps must list one or more values, "
+     "distinct at the 6 digits ({:g}) of the strip tags, got []"),
+    ("planarity", ["wave.eps=0.1", "grid.lambda="],
+     "--set grid.lambda=: grid.lambda must list one or more values, distinct at the 6 "
+     "digits ({:g}) of the strip tags, got []"),
+    ("planarity", ["wave.eps=0.1", "grid.lambda=0.5,0.5"],
+     "grid.lambda must list one or more values, distinct at the 6 digits ({:g}) of the "
+     "strip tags, got [0.5, 0.5]"),
+    ("planarity", ["wave.eps=0.1", "grid.lambda=0.5,0.5000001"],
+     "grid.lambda must list one or more values, distinct at the 6 digits ({:g}) of the "
+     "strip tags, got [0.5, 0.5000001]"),
+    ("planarity", ["wave.eps=0.1,0.1"],
+     "--set wave.eps=0.1,0.1: wave.eps must list one or more values, distinct at the 6 "
+     "digits ({:g}) of the strip tags, got [0.1, 0.1]"),
 ])
 def test_bad_inputs_rejected_before_compute(tmp_path, monkeypatch, capsys, command,
                                             overrides, message):
@@ -797,6 +818,75 @@ def test_bad_inputs_rejected_before_compute(tmp_path, monkeypatch, capsys, comma
     assert main(args) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "run").exists()  # exited before the output directory
+
+
+def test_an_output_directory_that_cannot_be_made_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("STRIPWAVE_OUTPUT_ROOT", str(tmp_path))
+    (tmp_path / "taken").write_text("a file")
+    for directory, reason in (("taken", "File exists"), ("taken/run", "Not a directory")):
+        assert main(["wave", "--set", "grid.n_z=64",
+                     "--set", f"output.directory={directory}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("output directory error: ") and reason in err
+        assert "Traceback" not in err
+    assert (tmp_path / "taken").read_text() == "a file"
+
+
+# another valid value of every setting but output.directory
+OTHER_VALUES = {
+    "grid.L_z": "20", "grid.n_z": "96", "grid.lambda": "0.25", "grid.n_y": "6",
+    "wave.eps": "0.1", "wave.n_minus": "0.5", "wave.c_plus": "2", "wave.N0": "0.5",
+    "wave.tol": "1e-6", "init.amplitude": "1e-3", "init.seed": "4",
+    "init.mean_zero_y": "true", "integrator.dt": "0.5", "integrator.t_end": "5",
+    "integrator.scheme": "sbdf2", "integrator.record_every": "2",
+    "integrator.cfl_safety": "0.5", "integrator.transport": "central",
+    "integrator.frame": "lab", "integrator.curl_projection": "true",
+    "integrator.fit_t_min": "2", "integrator.fit_t_max": "5",
+    "output.snapshot_every": "3",
+}
+
+
+@pytest.mark.parametrize("command, base, accepted, unseen", [
+    # the z-only profile never meets the strip's lambda and n_y, and at
+    # eps = 0 no KPP orbit reads wave.tol
+    ("wave", ["grid.n_z=64"], {"grid.L_z", "grid.n_z", "grid.lambda", "grid.n_y",
+                               "wave.eps", "wave.n_minus", "wave.c_plus", "wave.N0",
+                               "wave.tol"}, {"grid.lambda", "grid.n_y", "wave.tol"}),
+    # its wave is at eps = 0, so wave.tol claims nothing (README), and its
+    # time runs step log-gradients of c, which the scale c_plus of c leaves alone
+    ("convergence", [], {"wave.n_minus", "wave.c_plus", "wave.N0", "wave.tol",
+                         "init.amplitude", "init.seed", "init.mean_zero_y"},
+     {"wave.c_plus", "wave.tol"}),
+])
+def test_every_accepted_setting_reaches_the_outputs(tmp_path, monkeypatch, capsys,
+                                                    command, base, accepted, unseen):
+    # a setting the experiment accepts changes its CSV or summary.json bytes,
+    # bar the named few; one it holds exits 2 before the output directory
+    assert set(OTHER_VALUES) == {f"{name}.{key}" for name, keys in
+                                 stripwave.config._SCHEMA.items() for key in keys} - {
+                                     "output.directory"}
+    monkeypatch.setenv("STRIPWAVE_OUTPUT_ROOT", str(tmp_path))
+
+    def outputs(name, flips):
+        args = [command]
+        for o in base + flips + [f"output.directory={name}"]:
+            args += ["--set", o]
+        code = main(args)
+        out = tmp_path / name
+        return code, out.exists() and {p.name: p.read_bytes() for p in out.iterdir()
+                                       if p.suffix == ".csv" or p.name == "summary.json"}
+
+    code, default = outputs("default", [])
+    assert code == 0 and len(default) == 2
+    capsys.readouterr()
+    for i, (setting, value) in enumerate(OTHER_VALUES.items()):
+        code, files = outputs(f"flip{i}", [f"{setting}={value}"])
+        err = capsys.readouterr().err
+        if setting in accepted:
+            assert code in (0, 1) and (files != default) == (setting not in unseen), setting
+        else:
+            assert code == 2 and files is False, setting
+            assert f"--set {setting}={value}: {setting} must be " in err
 
 
 TINY = ["grid.n_z=128", "grid.n_y=4"]
@@ -906,8 +996,12 @@ def _kpp_with_tol(tol):
      TransformError),
 ])
 def test_config_and_constructor_rules_agree(section, key, bad, construct, error):
+    # wave holds [init] at its defaults, so the init rules go through
+    # stability0, which reads it (and holds eps at 0)
+    text, experiment = ((WAVE_CFG, "wave") if section in ("grid", "wave")
+                        else (STABILITY_CFG.format(out="x"), "stability0"))
     with pytest.raises(ConfigError) as cfg_err:
-        validate_config(WAVE_CFG, "wave", apply_overrides([f"{section}.{key}={bad}"]))
+        validate_config(text, experiment, apply_overrides([f"{section}.{key}={bad}"]))
     problem = next(p for p in cfg_err.value.problems if f"{section}.{key} must" in p)
     with pytest.raises(error) as ctor_err:
         construct(bad)
