@@ -20,15 +20,12 @@ from .grid import (  # noqa: F401
     GridError,
     ScalarField,
     VectorField,
-    ddy,
-    ddz,
     laplacian,
     make_grid,
 )
 from .transforms import (  # noqa: F401
     ColeHopfState,
     PerturbationState,
-    PhysicalState,
     cole_hopf_forward,
     cole_hopf_inverse,
     curl,

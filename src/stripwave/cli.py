@@ -68,9 +68,8 @@ from .energy import EnergyError, fit_exponential_decay
 from . import transforms
 from .evolve import IntegratorConfig, run
 from .grid import (ScalarField, field_from_function, field_to_csv, laplacian, make_grid,
-                   write_csv, y_values, zero_field)
+                   write_csv, y_values)
 from .transforms import (
-    PhysicalState,
     cole_hopf_forward,
     cole_hopf_inverse,
     make_initial_perturbation,
@@ -432,7 +431,7 @@ def _experiment_convergence(cfg: ExperimentConfig, outdir: Path, waves: list,
         c = field_from_function(
             g, lambda z, y: 1.5 * np.exp(0.2 * np.cos(np.pi * z / g.L_z)
                                          + 0.1 * np.sin(2 * np.pi * y / g.lam)))
-        q = cole_hopf_forward(PhysicalState(n=zero_field(g), c=c)).q
+        q = cole_hopf_forward(c)
         ia = g.n_z // 2
         back = cole_hopf_inverse(q, float(c.values[ia, 0]), float(g.z[ia]))
         errs.append(float(np.max(np.abs(back.values - c.values) / c.values)))

@@ -95,7 +95,7 @@ _NON_NEGATIVE = (lambda v: v >= 0, "must be non-negative")
 _RULES = {
     ("grid", "L_z"): _POSITIVE,
     ("grid", "n_z"): (lambda v: v >= 16, "must be >= 16"),
-    ("grid", "lambda"): _POSITIVE,
+    ("grid", "lambda"): (lambda v: 0 < v <= 2, "must lie in (0, 2]"),
     ("grid", "n_y"): (lambda v: v >= 4 and v % 2 == 0,
                       "must be even and >= 4 (periodic spectral axis)"),
     ("wave", "eps"): _NON_NEGATIVE,
@@ -124,7 +124,8 @@ _MEAN_ZERO = {("init", "mean_zero_y"): (bool, "must be true")}
 # output.directory.  init.mean_zero_y is derived where [init] is read: it
 # defaults to whether the experiment holds the mean-zero rule.
 EXPERIMENTS = {
-    "wave": (("grid", "wave"), False, {}, ()),
+    # its profile is z-only: no output depends on the strip's width or n_y
+    "wave": (("grid", "wave"), False, {}, ("grid.lambda", "grid.n_y")),
     "stability0": (SECTIONS, False, {},
                    ("wave.eps", "integrator.curl_projection", "integrator.fit_t_")),
     "linear_eps": (SECTIONS, False, {("wave", "eps"): _POSITIVE, **_MEAN_ZERO},
@@ -290,9 +291,7 @@ def validate_config(text: str, experiment: str, overrides=None) -> ExperimentCon
                                 f"{fit[bound]} for experiment 'planarity', "
                                 f"got {fit['fit_t_min']}")
     for lam in gv["lambda"]:
-        if lam > 2.0:
-            problems.append(f"{at('grid', 'lambda')} = {lam} exceeds the hard limit 2")
-        elif lam > 1.0:
+        if lam > 1.0:
             warnings_list.append(f"grid.lambda = {lam} > 1: the stability theory "
                                  "assumes a thin strip")
 

@@ -33,10 +33,11 @@ complex y-modes are one right-hand side column of one tridiagonal solve
 (zpttrs), called directly.  scipy.linalg, which holds both, is imported on
 first use (_lapack), which `run` makes just before it builds the system and
 its solvers, so importing stripwave loads no scipy and an eps = 0 run pays
-that import inside `run`.  One IMEX core advances all three
-systems with either scheme, first-order IMEX (imex1) or SBDF2 (Ascher,
-Ruuth & Wetton, SIAM J. Numer. Anal. 32, 1995); a system supplies only its
-explicit tendency, the implicit solve of each of its arrays, and its ledger
+that import inside `run`.  Each of the three systems is one object per
+time loop (_System) that steps itself with either scheme, first-order
+IMEX (imex1) or SBDF2 (Ascher, Ruuth & Wetton, SIAM J. Numer. Anal. 32,
+1995), and counts its work in one RunCounters; a system states only its
+explicit tendency, the diffusion of each of its arrays, and its ledger
 row.  phi and the (n, q) deviations are clamped to zero at z = +-L_z.  psi
 is clamped only at the inflow end z = +L_z when it carries no diffusion:
 its transport is upwinded toward the outflow at z = -L_z, where a Dirichlet
@@ -136,12 +137,14 @@ class RunCounters:
     """The work of one `run` loop when a record closed, one manifest
     `counters` entry (None values left out).
 
-    `steps`, `rows` and `solves` count the steps taken, the ledger rows
-    computed and the banded diffusion solves made (the curl projection's
-    included); `factorizations` counts the banded solvers the loop built,
-    each factored once (the curl projector included); for nq `rescales`
-    counts the rescalings of the fluctuation to unit scale (_NqSystem; None
-    for the other systems).  `build_s`,
+    The loop's system holds one record that its solvers and steps add to
+    (_System), and `run` closes a record on a copy of it.  `steps`, `rows`
+    and `solves` count the steps taken, the ledger rows computed and the
+    banded diffusion solves made (the curl projection's included);
+    `factorizations` counts the banded solvers the loop built, each
+    factored once (the curl projector included); for nq `rescales` counts
+    the rescalings of the fluctuation to unit scale (_NqSystem; None for
+    the other systems).  `build_s`,
     `tendency_s`, `solve_s` and `row_s` are the perf_counter seconds spent
     building the system and its solvers before the first step (the first
     run of a process imports scipy.linalg there), in explicit tendencies, in
@@ -263,10 +266,12 @@ class _ModeDiffusionSolver:
     mode-major right-hand side of shape (modes, n_int), which the solve
     overwrites in place.  A call writes the solution into `out`, which may
     be rhs itself, or else into a fresh array; it never returns a view of
-    its own buffer.  `calls` counts the solves.
+    its own buffer.  The solver adds its factorization and each of its
+    solves to `counters`, the RunCounters of the time loop that built it.
     """
 
-    def __init__(self, grid, coef: float, alpha: float = 1.0):
+    def __init__(self, grid, counters: RunCounters, coef: float, alpha: float = 1.0):
+        self.counters = counters
         self.n_int = grid.n_z - 2
         inv_dz2 = 1.0 / grid.dz**2
         d = np.repeat(alpha + coef * (2.0 * inv_dz2 + grid.wavenumbers_y**2), self.n_int)
@@ -274,11 +279,11 @@ class _ModeDiffusionSolver:
         e[:, -1] = 0.0  # no coupling to the next block
         self._packed = np.empty_like(e, dtype=complex)
         d, e, info = cholesky_banded(d, e.ravel()[:-1])
+        counters.factorizations += 1
         if info > 0:  # the first non-positive pivot, row info - 1 of the stack
             mode, row = divmod(info - 1, self.n_int)
             raise np.linalg.LinAlgError(f"not positive definite: y-mode {mode}, z row {row}")
         self.factor = (d, e.astype(complex))
-        self.calls = 0
 
     def __call__(self, rhs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """rhs (n_z, n_y // 2 + 1) y-modes; returns the solution with zero
@@ -286,7 +291,7 @@ class _ModeDiffusionSolver:
         packed = self._packed  # mode-major: one block per mode
         packed[...] = rhs[1:-1].T
         sol = cho_solve_banded(self.factor, packed.reshape(-1)).reshape(packed.shape)
-        self.calls += 1
+        self.counters.solves += 1
         if out is None:
             out = np.empty_like(rhs)
         out[0] = out[-1] = 0.0
@@ -302,62 +307,6 @@ def _inflow_pinned(alpha: float):
         out[-1, :] = 0.0
         return out
     return solve
-
-
-class _ImexCore:
-    """imex1 / SBDF2 steps of a system over its arrays and system.solves.
-
-    With D the implicit diffusion and f the explicit tendency,
-        imex1:  (1 - dt D) u' = u + dt f(u)
-        SBDF2:  (1.5 - dt D) u' = 2 u - u_old / 2 + dt (2 f(u) - f(u_old)),
-    SBDF2 taking one imex1 step to build its history.  When the system's
-    settle rescales the fluctuation of the new arrays by 2**shift, the
-    history gets fresh copies rescaled alike.  `solves` counts the banded
-    solves made so far; `counters.tendency_s` and `counters.solve_s` add up
-    the time spent in the tendencies and in the rest of the steps.
-    """
-
-    def __init__(self, system, dt: float, scheme: str):
-        self.system = system
-        self.dt = dt
-        self.sbdf2 = scheme == "sbdf2"
-        self.solves_1 = system.solves(dt, 1.0)
-        self.solves_15 = system.solves(dt, 1.5) if self.sbdf2 else ()
-        self._banded = {s for s in (*self.solves_1, *self.solves_15, system.projector)
-                        if isinstance(s, _ModeDiffusionSolver)}
-        self._prev = None  # (arrays, tendencies) of the previous step
-        self.counters = RunCounters()
-
-    @property
-    def solves(self) -> int:
-        return sum(s.calls for s in self._banded)
-
-    def step(self, u: tuple) -> tuple:
-        dt = self.dt
-        start = time.perf_counter()
-        tend = self.system.explicit_tendency(u)
-        split = time.perf_counter()
-        out = []
-        if self._prev is None:
-            for x, f, solve in zip(u, tend, self.solves_1):
-                rhs = np.multiply(dt, f, out=None if self.sbdf2 else f)
-                rhs += x
-                out.append(solve(rhs, out=rhs))
-        else:
-            u_old, tend_old = self._prev
-            for x, xo, f, fo, solve in zip(u, u_old, tend, tend_old, self.solves_15):
-                rhs = 2.0 * x - 0.5 * xo + dt * (2.0 * f - fo)
-                out.append(solve(rhs, out=rhs))
-        if self.sbdf2:
-            self._prev = (u, tend)
-        u, shift = self.system.settle(tuple(out))
-        if shift and self._prev is not None:  # the history at the new scale
-            self._prev = tuple(tuple(_ldexp_fluctuation(x.copy(), shift) for x in arrays)
-                               for arrays in self._prev)
-        end = time.perf_counter()
-        self.counters.tendency_s += split - start
-        self.counters.solve_s += end - split
-        return u
 
 
 def _upwind_right(v: np.ndarray, dz: float, out: np.ndarray) -> np.ndarray:
@@ -443,28 +392,73 @@ def _check_finite(system, u, t):
 
 
 class _System:
-    """The wave coefficients, scratch arrays and implicit solves that the
-    systems share.  solves(dt, alpha) gives array i the solve of
-    (alpha - dt c lap) x = rhs with c = diffusion[i]: one _ModeDiffusionSolver
-    per distinct c, shared by its arrays, and _inflow_pinned for c = 0."""
+    """One time loop's system, which steps itself: the wave coefficients,
+    the scratch arrays, the implicit solves, the SBDF2 history and the
+    `counters` (RunCounters) that its solvers and steps add their work to.
 
-    projector = None
-    rescales = None
+    With D the implicit diffusion and f the explicit tendency,
+        imex1:  (1 - dt D) u' = u + dt f(u)
+        SBDF2:  (1.5 - dt D) u' = 2 u - u_old / 2 + dt (2 f(u) - f(u_old)),
+    SBDF2 taking one imex1 step to build its history.  Array i's implicit
+    solve is that of (alpha - dt c lap) x = rhs with c = diffusion[i]: one
+    _ModeDiffusionSolver per distinct c and alpha, shared by its arrays, and
+    _inflow_pinned for c = 0.  A subclass sets `diffusion` and its own
+    buffers in _setup, which runs before the solvers are built, and
+    supplies the explicit tendency, the initial arrays and the ledger row.
+    When its settle rescales the fluctuation of the new arrays by
+    2**shift, the history gets fresh copies rescaled alike.
+    `counters.tendency_s` and `counters.solve_s` add up the time spent in
+    the tendencies and in the rest of the steps.
+    """
 
-    def __init__(self, profile: WaveProfile, diffusion: tuple):
+    def __init__(self, profile: WaveProfile, config: IntegratorConfig):
         self.g = profile.grid
         self.ik = 1j * self.g.ddy_wavenumbers
         self.eps = profile.params.eps
         self.s = profile.params.s
         self.N = profile.N[:, None]
         self.P = profile.P_z[:, None]
-        self.diffusion = diffusion
+        self.dt = config.dt
+        self.sbdf2 = config.scheme == "sbdf2"
+        self.counters = RunCounters()
         self._work = [_mode_array(self.g) for _ in range(3)]
+        self._setup(profile, config)
 
-    def solves(self, dt, alpha):
-        solvers = {c: _ModeDiffusionSolver(self.g, c * dt, alpha) if c
-                   else _inflow_pinned(alpha) for c in dict.fromkeys(self.diffusion)}
-        return tuple(solvers[c] for c in self.diffusion)
+        def solves(alpha):
+            solvers = {c: _ModeDiffusionSolver(self.g, self.counters, c * self.dt, alpha)
+                       if c else _inflow_pinned(alpha) for c in dict.fromkeys(self.diffusion)}
+            return tuple(solvers[c] for c in self.diffusion)
+
+        self.solves_1 = solves(1.0)
+        self.solves_15 = solves(1.5) if self.sbdf2 else ()
+        self._prev = None  # (arrays, tendencies) of the previous step
+
+    def step(self, u: tuple) -> tuple:
+        dt = self.dt
+        start = time.perf_counter()
+        tend = self.explicit_tendency(u)
+        split = time.perf_counter()
+        out = []
+        if self._prev is None:
+            for x, f, solve in zip(u, tend, self.solves_1):
+                rhs = np.multiply(dt, f, out=None if self.sbdf2 else f)
+                rhs += x
+                out.append(solve(rhs, out=rhs))
+        else:
+            u_old, tend_old = self._prev
+            for x, xo, f, fo, solve in zip(u, u_old, tend, tend_old, self.solves_15):
+                rhs = 2.0 * x - 0.5 * xo + dt * (2.0 * f - fo)
+                out.append(solve(rhs, out=rhs))
+        if self.sbdf2:
+            self._prev = (u, tend)
+        u, shift = self.settle(tuple(out))
+        if shift and self._prev is not None:  # the history at the new scale
+            self._prev = tuple(tuple(_ldexp_fluctuation(x.copy(), shift) for x in arrays)
+                               for arrays in self._prev)
+        end = time.perf_counter()
+        self.counters.tendency_s += split - start
+        self.counters.solve_s += end - split
+        return u
 
     def settle(self, u):
         return u, 0
@@ -485,9 +479,9 @@ class _PerturbationSystem(_System):
     names = ("phi_z", "phi_y", "psi")
     guard = ("M_inst", "energy exceeded {:g} x M0")
 
-    def __init__(self, profile: WaveProfile, transport: str):
-        super().__init__(profile, (1.0, 1.0, profile.params.eps))
-        self.transport = transport
+    def _setup(self, profile: WaveProfile, config: IntegratorConfig):
+        self.diffusion = (1.0, 1.0, self.eps)
+        self.transport = config.transport
         self.eps2P = 2.0 * self.eps * self.P
         self._products = None if self.eps > 0 else _Products(self.g, 3)
 
@@ -556,20 +550,20 @@ class _NqSystem(_System):
     scale.  No linear term mixes the columns, and _Products scales the one quadratic
     coupling, so every value in the normal range is bit for bit that of an
     unscaled run.  modes() and row() report true values; the y-mean column
-    is never scaled.  `rescales` counts the rescalings.
+    is never scaled.  `counters.rescales` counts the rescalings.
     """
 
     names = ("a", "b_z", "b_y")
     guard = ("Q", "transverse energy exceeded {:g} x Q0")
 
-    def __init__(self, profile: WaveProfile, curl_projection: bool):
-        super().__init__(profile, (1.0, profile.params.eps, profile.params.eps))
+    def _setup(self, profile: WaveProfile, config: IntegratorConfig):
+        self.diffusion = (1.0, self.eps, self.eps)
         self.dP = ddz_array(profile.P_z, self.g.dz)
         # factors (k^2 - d_zz) for the Helmholtz projection
-        self.projector = (_ModeDiffusionSolver(self.g, 1.0, alpha=0.0)
-                          if curl_projection else None)
+        self.projector = (_ModeDiffusionSolver(self.g, self.counters, 1.0, alpha=0.0)
+                          if config.curl_projection else None)
         self._warned = False
-        self.exponent = self.rescales = 0
+        self.exponent = self.counters.rescales = 0
         # the magnitudes of one array's fluctuation, in a view of the first
         self._magnitude = (self._work[0].view(float).reshape(-1)[:self.g.n_z * self.g.n_y]
                            .reshape(self.g.n_z, self.g.n_y))
@@ -654,7 +648,7 @@ class _NqSystem(_System):
         for x in u:
             _ldexp_fluctuation(x, shift)
         self.exponent -= shift
-        self.rescales += 1
+        self.counters.rescales += 1
         return shift
 
     def _project(self, u):
@@ -762,13 +756,9 @@ def run(system: str, init, profile: WaveProfile, config: IntegratorConfig,
     # scipy.linalg is imported before the system allocates its arrays:
     # imported on top of them, it left an eps = 0 run's peak RSS 0.1 MB higher
     _lapack()
-    if system == "nq":
-        model = _NqSystem(profile, config.curl_projection)
-    else:
-        model = _PerturbationSystem(profile, config.transport)
-    core = _ImexCore(model, config.dt, config.scheme)
-    core.counters.build_s = time.perf_counter() - start
-    core.counters.dt_over_transport_limit = cfl
+    model = (_NqSystem if system == "nq" else _PerturbationSystem)(profile, config)
+    model.counters.build_s = time.perf_counter() - start
+    model.counters.dt_over_transport_limit = cfl
     record = TrajectoryRecord(system=system, config=config)
     records = [(record, _steps_for(config))]  # (record, its last step)
     if head is not None:
@@ -779,8 +769,8 @@ def run(system: str, init, profile: WaveProfile, config: IntegratorConfig,
     def record_row(due):
         start = time.perf_counter()
         row = model.row(u, t)
-        core.counters.row_s += time.perf_counter() - start
-        core.counters.rows += 1
+        model.counters.row_s += time.perf_counter() - start
+        model.counters.rows += 1
         snapshot = None
         for rec in due:
             rec.ledger.append(row)
@@ -794,8 +784,7 @@ def run(system: str, init, profile: WaveProfile, config: IntegratorConfig,
         if reason is not None:
             rec.blowup_time, rec.blowup_reason = t, reason
         rec.final_modes = model.modes(u)
-        rec.counters = replace(core.counters, steps=i, solves=core.solves,
-                               factorizations=len(core._banded), rescales=model.rescales)
+        rec.counters = replace(model.counters, steps=i)
 
     u = model.arrays(init)
     # the loop and its records hold modes alone: initial data that the
@@ -811,7 +800,7 @@ def run(system: str, init, profile: WaveProfile, config: IntegratorConfig,
     try:
         for i in range(max(n for _, n in records) + 1):
             if i:
-                u = core.step(u)
+                u = model.step(u)
                 t = i * config.dt
                 _check_finite(model, u, t)
             due = [rec for rec, n in records

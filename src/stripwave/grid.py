@@ -97,7 +97,8 @@ class Grid:
 
 
 def make_grid(L_z: float, n_z: int, lam: float, n_y: int, s: float) -> Grid:
-    """Build the strip grid; rejects odd n_y and non-positive sizes."""
+    """Build the strip grid; rejects odd n_y, non-positive sizes and a strip
+    wider than 2 (the rules of config._RULES)."""
     return Grid(L_z=float(L_z), n_z=int(n_z), lam=float(lam), n_y=int(n_y), s=float(s))
 
 
@@ -142,10 +143,6 @@ def field_from_function(grid: Grid, fn) -> ScalarField:
     """Sample fn(z, y) on the tensor grid (z broadcast along rows)."""
     Z, Y = np.meshgrid(grid.z, grid.y, indexing="ij")
     return ScalarField(grid, fn(Z, Y))
-
-
-def zero_field(grid: Grid) -> ScalarField:
-    return ScalarField(grid, np.zeros((grid.n_z, grid.n_y)))
 
 
 # ---------------------------------------------------------------------------
@@ -255,14 +252,6 @@ def ddy_array(v: np.ndarray, grid: Grid) -> np.ndarray:
 
 def d2dy2_array(v: np.ndarray, grid: Grid) -> np.ndarray:
     return y_values(-grid.wavenumbers_y**2 * y_modes(v), grid)
-
-
-def ddz(f: ScalarField) -> ScalarField:
-    return ScalarField(f.grid, ddz_array(f.values, f.grid.dz))
-
-
-def ddy(f: ScalarField) -> ScalarField:
-    return ScalarField(f.grid, ddy_array(f.values, f.grid))
 
 
 def laplacian(f: ScalarField) -> ScalarField:

@@ -1,9 +1,10 @@
-"""The Cole-Hopf transform between physical and log-gradient variables, and
+"""The Cole-Hopf transform between the chemical and its log-gradient, and
 the perturbation variables with their initial data.
 
-Physical state (n, c) maps to (n, q) through q = -grad(c)/c = -grad(log c),
-which removes the 1/c singularity of the chemotactic flux and is invertible
-up to one anchor value of c as long as q is curl-free.  Perturbations of a
+The chemical c maps to q = -grad(c)/c = -grad(log c), which removes the 1/c
+singularity of the chemotactic flux and is invertible up to one anchor
+value of c as long as q is curl-free; the density n passes through as it
+is, and the (n, q) system steps the pair (ColeHopfState).  Perturbations of a
 wave profile are carried as a vector potential and a log-deviation:
 
     n = N + div(phi),      c = C exp(-psi),      q = P + grad(psi).
@@ -25,9 +26,7 @@ from .grid import (
     Grid,
     ScalarField,
     VectorField,
-    ddy,
     ddy_array,
-    ddz,
     ddz_array,
     y_modes,
     y_values,
@@ -36,14 +35,6 @@ from .grid import (
 
 class TransformError(ValueError):
     """Input state violates a transform precondition."""
-
-
-@dataclass(frozen=True)
-class PhysicalState:
-    """Cell density n >= 0 and chemical concentration c > 0."""
-
-    n: ScalarField
-    c: ScalarField
 
 
 @dataclass(frozen=True)
@@ -80,24 +71,24 @@ class PerturbationState:
         return tuple(y_modes(f.values) for f in (self.phi.z, self.phi.y, self.psi))
 
 
-def cole_hopf_forward(state: PhysicalState) -> ColeHopfState:
-    """q = -(c_z/c, c_y/c); rejects non-positive c with its location."""
-    c = state.c.values
-    if np.any(c <= 0.0):
-        i, j = np.unravel_index(np.argmin(c), c.shape)
-        g = state.c.grid
+def cole_hopf_forward(c: ScalarField) -> VectorField:
+    """q = -(c_z/c, c_y/c), the mirror of cole_hopf_inverse; rejects
+    non-positive c with its location."""
+    g, v = c.grid, c.values
+    if np.any(v <= 0.0):
+        i, j = np.unravel_index(np.argmin(v), v.shape)
         raise TransformError(
             f"c must be positive for the log-gradient transform; "
-            f"min c = {c[i, j]:.6g} at (z, y) = ({g.z[i]:.6g}, {g.y[j]:.6g})")
-    g = state.c.grid
-    qz = ScalarField(g, -ddz_array(c, g.dz) / c)
-    qy = ScalarField(g, -ddy_array(c, g) / c)
-    return ColeHopfState(n=state.n, q=VectorField(qz, qy))
+            f"min c = {v[i, j]:.6g} at (z, y) = ({g.z[i]:.6g}, {g.y[j]:.6g})")
+    qz = ScalarField(g, -ddz_array(v, g.dz) / v)
+    qy = ScalarField(g, -ddy_array(v, g) / v)
+    return VectorField(qz, qy)
 
 
 def curl(q: VectorField) -> ScalarField:
     """Scalar curl d_y q_z - d_z q_y; vanishes for gradients."""
-    return ScalarField(q.grid, ddy(q.z).values - ddz(q.y).values)
+    g = q.grid
+    return ScalarField(g, ddy_array(q.z.values, g) - ddz_array(q.y.values, g.dz))
 
 
 def _partial_integral_y(values: np.ndarray, grid: Grid) -> np.ndarray:

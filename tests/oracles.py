@@ -5,11 +5,26 @@ physical space of a run's y-modes (a record's `final_modes`).
 They use only grid's public derivative operators (ddz_array, ddy_array),
 the grid's quadrature weights and numpy, never the mode-space norm engine
 of stripwave.energy, so a test that compares the ledger with them compares
-two independent evaluations of one quantity.
+two independent evaluations of one quantity.  ddz, ddy and zero_field are
+the field forms of those operators and of an empty field.
 """
+
+import numpy as np
 
 from stripwave.grid import ScalarField, VectorField, ddy_array, ddz_array, y_values
 from stripwave.transforms import ColeHopfState, PerturbationState
+
+
+def zero_field(g) -> ScalarField:
+    return ScalarField(g, np.zeros((g.n_z, g.n_y)))
+
+
+def ddz(f: ScalarField) -> ScalarField:
+    return ScalarField(f.grid, ddz_array(f.values, f.grid.dz))
+
+
+def ddy(f: ScalarField) -> ScalarField:
+    return ScalarField(f.grid, ddy_array(f.values, f.grid))
 
 
 def integrate(f: ScalarField, weighted: bool = False) -> float:

@@ -11,20 +11,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import perturbation_state
-from stripwave.cli import _positive_window, main
+from oracles import ddy, perturbation_state
+from stripwave.cli import _positive_window, _usable_cores, main
 from stripwave.energy import fit_exponential_decay
 from stripwave.evolve import IntegratorConfig, run
+from stripwave.forked import at_once
 from stripwave.grid import (
     ScalarField,
     VectorField,
-    ddy,
     field_from_function,
     make_grid,
-    zero_field,
 )
 from stripwave.transforms import (
-    PhysicalState,
     cole_hopf_forward,
     cole_hopf_inverse,
     make_initial_perturbation,
@@ -138,7 +136,7 @@ def test_criterion_04_cole_hopf_round_trip():
         c = field_from_function(
             g, lambda z, y: 1.5 * np.exp(2e-3 * np.cos(np.pi * z / g.L_z)
                                          + 1e-3 * np.sin(2 * np.pi * y / g.lam)))
-        q = cole_hopf_forward(PhysicalState(n=zero_field(g), c=c)).q
+        q = cole_hopf_forward(c)
         ia = g.n_z // 2
         back = cole_hopf_inverse(q, float(c.values[ia, 0]), float(g.z[ia]))
         return float(np.max(np.abs(back.values - c.values) / c.values))
@@ -213,13 +211,13 @@ def test_criterion_07_superposition(linear_runs):
 
 def test_criterion_08_planarity():
     p_eps = 0.1
-    rates = {}
-    details = []
-    ok = True
-    # the wave depends on z alone: one KPP build serves both strip widths
+    # the wave depends on z alone: one KPP build serves both strip widths,
+    # and the strips run at once, as the planarity experiment runs them
     p = WaveParams(eps=p_eps, n_minus=1.0, c_plus=1.0)
     wave = solve_wave_kpp(p, make_grid(25.0 / p.s, 1024, 0.5, 16, p.s))
-    for lam in (0.5, 0.25):
+
+    def strip(lam):
+        """The fitted decay rate, r^2, fit window and blowup of one strip."""
         g = make_grid(25.0 / p.s, 1024, lam, 16, p.s)
         prof = replace(wave, grid=g)
         pert = make_initial_perturbation(g, 1e-4, seed=2, mean_zero_y=True, eps=p_eps)
@@ -233,9 +231,16 @@ def test_criterion_08_planarity():
         # doubles: at lambda = 0.25 the decay rate (~126/unit) drives Q below
         # the IEEE range before t = 10, so only the representable range exists
         window = _positive_window(t, q, 1.0, 10.0)
-        c, r2 = fit_exponential_decay(t, q, window)
+        return (*fit_exponential_decay(t, q, window), window, rec.blowup)
+
+    rates = {}
+    details = []
+    ok = True
+    strips = {f"lam={lam}": lam for lam in (0.5, 0.25)}
+    done = at_once(strip, strips, _usable_cores())
+    for lam, ((c, r2, window, blowup), _) in zip(strips.values(), done):
         rates[lam] = c
-        ok = ok and (r2 > 0.99) and (c > 0) and not rec.blowup
+        ok = ok and (r2 > 0.99) and (c > 0) and not blowup
         details.append(f"lam={lam}: c={c:.1f}, r2={r2:.6f}, window=[1,{window[1]:g}]")
     ok = ok and rates[0.25] > rates[0.5]
     _report(8, "transverse energy decays log-linearly; rate increases as the "

@@ -95,10 +95,11 @@ def test_override_problems_name_their_override(tmp_path, monkeypatch, capsys):
     assert "  --set grid.n_y=3: grid.n_y must be even" in err
     assert "  --set integrator.dt=-1: integrator.dt must be positive" in err
     assert "line" not in err
-    # a file's keys keep their lines; an override of one of them is named by it
+    # a file's keys keep their lines; an override of one of them is named by
+    # it (evolve, which reads grid.n_y; wave holds it)
     cfgfile = tmp_path / "two.ini"
-    cfgfile.write_text("[grid]\nn_z = 8\n")
-    assert main(["wave", "--config", str(cfgfile), "--set", "grid.n_y=3",
+    cfgfile.write_text("[grid]\nn_z = 8\n[init]\n[integrator]\n[output]\n")
+    assert main(["evolve", "--config", str(cfgfile), "--set", "grid.n_y=3",
                  "--set", "wave.eps=x"]) == 2
     err = capsys.readouterr().err
     assert "  line 2: grid.n_z must be >= 16, got 8" in err
@@ -113,7 +114,7 @@ def test_override_problems_name_their_override(tmp_path, monkeypatch, capsys):
     assert "  --set grid.nz=9: unknown key 'nz' in [grid]" in err
     assert "line" not in err
     # of two overrides of one key the last wins and names the problem
-    assert main(["wave", "--set", "grid.n_y=3", "--set", "grid.n_y=5"]) == 2
+    assert main(["evolve", "--set", "grid.n_y=3", "--set", "grid.n_y=5"]) == 2
     err = capsys.readouterr().err
     assert "  --set grid.n_y=5: grid.n_y must be even and >= 4 (periodic spectral " \
         "axis), got 5" in err
@@ -141,9 +142,9 @@ def test_wave_parameter_rules_checked_before_compute():
 
 
 def test_odd_n_y_rejected_with_rule():
-    text = WAVE_CFG.replace("n_y = 16", "n_y = 15")
+    text = STABILITY_CFG.format(out="x").replace("n_y = 16", "n_y = 15")
     with pytest.raises(ConfigError, match="even"):
-        validate_config(text, "wave")
+        validate_config(text, "stability0")
 
 
 def test_unknown_key_reported_with_line_number():
@@ -164,11 +165,11 @@ def test_bad_value_reports_line():
 
 
 def test_lambda_guards():
-    text = WAVE_CFG.replace("lambda = 0.5", "lambda = 3.0")
-    with pytest.raises(ConfigError, match="hard limit"):
-        validate_config(text, "wave")
-    text = WAVE_CFG.replace("lambda = 0.5", "lambda = 1.5")
-    cfg = validate_config(text, "wave")
+    text = STABILITY_CFG.format(out="x").replace("lambda = 0.5", "lambda = 3.0")
+    with pytest.raises(ConfigError, match=r"grid.lambda must lie in \(0, 2\], got 3.0"):
+        validate_config(text, "stability0")
+    text = STABILITY_CFG.format(out="x").replace("lambda = 0.5", "lambda = 1.5")
+    cfg = validate_config(text, "stability0")
     assert any("thin strip" in w for w in cfg.warnings)
 
 
@@ -464,9 +465,10 @@ def test_eps0_run_never_loads_the_ode_stack(tmp_path):
 @pytest.mark.parametrize("body, loaded", [
     ("import stripwave", []),
     ("import stripwave.cli", []),
-    ("from stripwave.evolve import _ModeDiffusionSolver\n"
+    ("from stripwave.evolve import RunCounters, _ModeDiffusionSolver\n"
      "from stripwave.grid import make_grid\n"
-     "_ModeDiffusionSolver(make_grid(10.0, 32, 0.5, 4, 1.0), 0.1)", ["scipy", "scipy.linalg"]),
+     "_ModeDiffusionSolver(make_grid(10.0, 32, 0.5, 4, 1.0), RunCounters(), 0.1)",
+     ["scipy", "scipy.linalg"]),
 ], ids=["stripwave", "stripwave.cli", "solver"])
 def test_scipy_loads_with_the_first_diffusion_solver(tmp_path, body, loaded):
     assert _fresh_process(tmp_path, body, ["scipy", "scipy.linalg"]) == loaded
@@ -475,11 +477,11 @@ def test_scipy_loads_with_the_first_diffusion_solver(tmp_path, body, loaded):
 @pytest.mark.parametrize("args, code, loaded", [
     (["wave"], 0, []),
     # the CFL check rejects dt before run builds a solver
-    (["evolve", "--set", "integrator.dt=5"], 2, []),
-    (["evolve", "--set", "integrator.t_end=0.2"], 0, ["scipy.linalg"]),
+    (["evolve", "--set", "grid.n_y=4", "--set", "integrator.dt=5"], 2, []),
+    (["evolve", "--set", "grid.n_y=4", "--set", "integrator.t_end=0.2"], 0, ["scipy.linalg"]),
 ], ids=["wave", "evolve-cfl-rejected", "evolve"])
 def test_cli_loads_scipy_linalg_only_to_step(tmp_path, args, code, loaded):
-    args = [*args, "--set", "grid.n_z=128", "--set", "grid.n_y=4"]
+    args = [*args, "--set", "grid.n_z=128"]
     body = f"import stripwave.cli\nassert stripwave.cli.main({args!r}) == {code}"
     assert _fresh_process(tmp_path, body, ["scipy.linalg"]) == loaded
     env = json.loads((tmp_path / "out" / "manifest.json").read_text())["environment"]
@@ -847,11 +849,10 @@ OTHER_VALUES = {
 
 
 @pytest.mark.parametrize("command, base, accepted, unseen", [
-    # the z-only profile never meets the strip's lambda and n_y, and at
-    # eps = 0 no KPP orbit reads wave.tol
-    ("wave", ["grid.n_z=64"], {"grid.L_z", "grid.n_z", "grid.lambda", "grid.n_y",
-                               "wave.eps", "wave.n_minus", "wave.c_plus", "wave.N0",
-                               "wave.tol"}, {"grid.lambda", "grid.n_y", "wave.tol"}),
+    # the z-only profile never meets the strip's lambda and n_y, which it
+    # holds, and at eps = 0 no KPP orbit reads wave.tol
+    ("wave", ["grid.n_z=64"], {"grid.L_z", "grid.n_z", "wave.eps", "wave.n_minus",
+                               "wave.c_plus", "wave.N0", "wave.tol"}, {"wave.tol"}),
     # its wave is at eps = 0, so wave.tol claims nothing (README), and its
     # time runs step log-gradients of c, which the scale c_plus of c leaves alone
     ("convergence", [], {"wave.n_minus", "wave.c_plus", "wave.N0", "wave.tol",
@@ -924,7 +925,7 @@ def test_no_accepted_mode_setting_is_ignored(tmp_path, monkeypatch, capsys, comm
 
 
 @pytest.mark.parametrize("command, overrides", [
-    ("wave", TINY),
+    ("wave", ["grid.n_z=128"]),
     ("evolve", TINY + ["grid.L_z=50", "wave.n_minus=0.25", "integrator.dt=0.05",
                        "integrator.t_end=1"]),
     ("linear", TINY + ["wave.eps=0.1", "integrator.t_end=1"]),
@@ -979,6 +980,7 @@ def _kpp_with_tol(tol):
     ("grid", "n_z", 8, lambda v: make_grid(10.0, v, 0.5, 4, 1.0), GridError),
     ("grid", "L_z", -1.0, lambda v: make_grid(v, 64, 0.5, 4, 1.0), GridError),
     ("grid", "lambda", 0.0, lambda v: make_grid(10.0, 64, v, 4, 1.0), GridError),
+    ("grid", "lambda", 3.0, lambda v: make_grid(10.0, 64, v, 4, 1.0), GridError),
     ("wave", "eps", -0.1, lambda v: WaveParams(eps=v, n_minus=1.0, c_plus=1.0),
      WaveError),
     ("wave", "n_minus", 0.0, lambda v: WaveParams(eps=0.0, n_minus=v, c_plus=1.0),
@@ -996,9 +998,10 @@ def _kpp_with_tol(tol):
      TransformError),
 ])
 def test_config_and_constructor_rules_agree(section, key, bad, construct, error):
-    # wave holds [init] at its defaults, so the init rules go through
-    # stability0, which reads it (and holds eps at 0)
-    text, experiment = ((WAVE_CFG, "wave") if section in ("grid", "wave")
+    # wave holds [init], grid.lambda and grid.n_y at their defaults, so the
+    # init and grid rules go through stability0, which reads them (and holds
+    # eps at 0)
+    text, experiment = ((WAVE_CFG, "wave") if section == "wave"
                         else (STABILITY_CFG.format(out="x"), "stability0"))
     with pytest.raises(ConfigError) as cfg_err:
         validate_config(text, experiment, apply_overrides([f"{section}.{key}={bad}"]))
@@ -1012,8 +1015,7 @@ def test_config_and_constructor_rules_agree(section, key, bad, construct, error)
 def test_cli_kpp_wave_experiment(tmp_path, monkeypatch, capsys):
     # the eps > 0 branch of the wave experiment, with a real KPP solve
     monkeypatch.setenv("STRIPWAVE_OUTPUT_ROOT", str(tmp_path))
-    assert main(["wave", "--set", "wave.eps=0.1", "--set", "grid.n_z=256",
-                 "--set", "grid.n_y=4"]) == 0
+    assert main(["wave", "--set", "wave.eps=0.1", "--set", "grid.n_z=256"]) == 0
     out = capsys.readouterr().out
     for check in ("ODE residual below 1e-4", "right tail rate within 2% of -s",
                   "left tail rate within 2% of the manifold exponent"):
@@ -1025,10 +1027,15 @@ def test_cli_kpp_wave_experiment(tmp_path, monkeypatch, capsys):
 
 def test_cli_prints_config_warnings_before_the_title(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("STRIPWAVE_OUTPUT_ROOT", str(tmp_path))
-    assert main(["wave", "--set", "grid.lambda=1.5", "--set", "grid.n_z=256"]) == 0
+    # evolve reads grid.lambda; wave holds it
+    args = ["evolve"]
+    for o in TINY + ["grid.lambda=1.5", "grid.L_z=50", "wave.n_minus=0.25",
+                     "integrator.dt=0.05", "integrator.t_end=1"]:
+        args += ["--set", o]
+    assert main(args) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("warning: grid.lambda = 1.5 > 1: ")
-    assert lines[1] == "wave experiment (eps = 0.0)"
+    assert lines[1] == "stability0 experiment"
 
 
 @pytest.mark.parametrize("text, experiment, problem", [

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import divergence, integrate, transverse_energy
+from oracles import ddy, ddz, divergence, integrate, transverse_energy, zero_field
 from stripwave.energy import (
     EnergyError,
     EnergyLedger,
@@ -12,13 +12,10 @@ from stripwave.energy import (
 from stripwave.grid import (
     ScalarField,
     VectorField,
-    ddy,
-    ddz,
     ddz_array,
     field_from_function,
     make_grid,
     y_modes,
-    zero_field,
 )
 from stripwave.transforms import ColeHopfState, PerturbationState, make_initial_perturbation
 from stripwave.waves import WaveParams

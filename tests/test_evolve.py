@@ -6,15 +6,15 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
-from oracles import cole_hopf_state, perturbation_state, transverse_energy
+from oracles import cole_hopf_state, perturbation_state, transverse_energy, zero_field
 from stripwave import evolve
 from stripwave.evolve import (
     IntegratorBlowup,
-    _ImexCore,
     _ModeDiffusionSolver,
     _NqSystem,
     _PerturbationSystem,
     IntegratorConfig,
+    RunCounters,
     run,
 )
 from stripwave.grid import (
@@ -24,7 +24,6 @@ from stripwave.grid import (
     ddz_array,
     make_grid,
     y_values,
-    zero_field,
 )
 from stripwave.transforms import (
     ColeHopfState,
@@ -510,7 +509,7 @@ def test_stacked_diffusion_solve_matches_dense_oracle(coef, alpha):
     rng = np.random.default_rng(11)
     n_k = g.n_y // 2 + 1
     rhs = rng.standard_normal((g.n_z, n_k)) + 1j * rng.standard_normal((g.n_z, n_k))
-    x = _ModeDiffusionSolver(g, coef, alpha)(rhs)
+    x = _ModeDiffusionSolver(g, RunCounters(), coef, alpha)(rhs)
     eye = np.eye(g.n_z)
     d_zz = (np.eye(g.n_z, k=1) - 2.0 * eye + np.eye(g.n_z, k=-1)) / g.dz**2
     for m, k in enumerate(g.wavenumbers_y):
@@ -531,7 +530,7 @@ def test_complex_solve_matches_the_real_two_column_solve(coef, alpha):
     rng = np.random.default_rng(12)
     n_k = g.n_y // 2 + 1
     rhs = rng.standard_normal((g.n_z, n_k)) + 1j * rng.standard_normal((g.n_z, n_k))
-    x = _ModeDiffusionSolver(g, coef, alpha)(rhs)
+    x = _ModeDiffusionSolver(g, RunCounters(), coef, alpha)(rhs)
     ab = np.empty((2, n_k, g.n_z - 2))
     ab[0] = -coef / g.dz**2
     ab[0, :, 0] = 0.0
@@ -551,7 +550,7 @@ def test_stacked_solve_blocks_are_independent(coef, alpha):
     g = make_grid(5.0, 48, 0.5, 8, 1.0)
     rng = np.random.default_rng(14)
     n_k = g.n_y // 2 + 1
-    solve = _ModeDiffusionSolver(g, coef, alpha)
+    solve = _ModeDiffusionSolver(g, RunCounters(), coef, alpha)
     for m in range(n_k):
         rhs = np.zeros((g.n_z, n_k), dtype=complex)
         rhs[:, m] = rng.standard_normal(g.n_z) + 1j * rng.standard_normal(g.n_z)
@@ -564,7 +563,7 @@ def test_failed_factorization_names_its_mode():
     # alpha = -1e3 makes the first pivot of y-mode 0 negative
     g = make_grid(5.0, 48, 0.5, 8, 1.0)
     with pytest.raises(np.linalg.LinAlgError, match="y-mode 0, z row 0$"):
-        _ModeDiffusionSolver(g, 0.05, alpha=-1e3)
+        _ModeDiffusionSolver(g, RunCounters(), 0.05, alpha=-1e3)
 
 
 def test_complex_solve_keeps_real_columns_real():
@@ -572,7 +571,7 @@ def test_complex_solve_keeps_real_columns_real():
     # of the (n, q) state has, comes back with imaginary parts exactly +-0
     g = make_grid(5.0, 48, 0.5, 8, 1.0)
     rhs = np.random.default_rng(13).standard_normal((g.n_z, g.n_y // 2 + 1)) + 0j
-    x = _ModeDiffusionSolver(g, 0.05)(rhs)
+    x = _ModeDiffusionSolver(g, RunCounters(), 0.05)(rhs)
     assert np.all(x.imag == 0.0) and np.all(x.real[1:-1] != 0.0)
 
 
@@ -589,10 +588,8 @@ def test_arrays_with_one_diffusion_share_one_solver(system, eps, sharing):
     p = WaveParams(eps=eps, n_minus=1.0 if eps else 0.25, c_plus=1.0)
     g = make_grid(25.0 / p.s, 128, 0.5, 8, p.s)
     prof = solve_wave_kpp(p, g) if eps else explicit_wave_eps0(p, g)
-    model = (_NqSystem(prof, curl_projection=False) if system == "nq"
-             else _PerturbationSystem(prof, "upwind"))
-    core = _ImexCore(model, 0.01, "imex1")
-    solves = core.solves_1
+    model = _model(system, prof)
+    solves = model.solves_1
     labels = sharing.split()
     for i in range(3):
         for j in range(i):
@@ -603,12 +600,13 @@ def test_arrays_with_one_diffusion_share_one_solver(system, eps, sharing):
     init = make_initial_perturbation(g, 1e-4, seed=0, mean_zero_y=eps > 0, eps=eps)
     u = model.arrays(init)
     for _ in range(3):
-        u = core.step(u)
-    banded = {id(s): s for s in solves if isinstance(s, _ModeDiffusionSolver)}
-    for s in banded.values():  # each array's solve once per step
-        assert s.calls == 3 * sum(t is s for t in solves)
+        u = model.step(u)
+    # each banded array's solve once per step, whether or not it is shared
+    banded = sum(label != "pin" for label in labels)
+    assert model.counters.solves == 3 * banded
+    assert model.counters.factorizations == len(set(labels) - {"pin"})
     record = run(system, init, prof, IntegratorConfig(dt=0.01, t_end=0.03))
-    assert record.counters.solves == core.solves == sum(s.calls for s in banded.values())
+    assert record.counters.solves == model.counters.solves
 
 
 def test_blowup_names_its_field(setup_eps0, nq_setup):
@@ -655,7 +653,9 @@ def small_strips():
     return strips
 
 
-def _assert_same_record(a, b, tmp_path):
+def _assert_same_record(a, b, tmp_path, rescales=True):
+    """a and b agree bit for bit; rescales=False leaves out the count of
+    rescalings, for a run compared with one that never rescales."""
     a.ledger.to_csv(tmp_path / "a.csv")
     b.ledger.to_csv(tmp_path / "b.csv")
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
@@ -666,8 +666,11 @@ def _assert_same_record(a, b, tmp_path):
                  [s for _, s in b.snapshots] + [b.final_modes])
     for sa, sb in states:
         assert all(np.array_equal(x, y, equal_nan=True) for x, y in zip(sa, sb))
-    assert (a.blowup, a.blowup_time, a.blowup_reason, a.curl_max, a.counters.steps) == (
-        b.blowup, b.blowup_time, b.blowup_reason, b.curl_max, b.counters.steps)
+    assert (a.blowup, a.blowup_time, a.blowup_reason, a.curl_max) == (
+        b.blowup, b.blowup_time, b.blowup_reason, b.curl_max)
+    # a record's counts are those of the loop when it closed, not later
+    counts = ["steps", "solves", "factorizations"] + (["rescales"] if rescales else [])
+    assert [getattr(a.counters, k) for k in counts] == [getattr(b.counters, k) for k in counts]
 
 
 def _head_and_separate(system, strip, t_head, **kwargs):
@@ -789,10 +792,9 @@ def _strip(system, n_z, n_y):
                                                         mean_zero_y=eps > 0, eps=eps)
 
 
-def _model(system, prof):
-    if system == "nq":
-        return _NqSystem(prof, curl_projection=False)
-    return _PerturbationSystem(prof, "upwind")
+def _model(system, prof, scheme="imex1"):
+    config = IntegratorConfig(dt=0.01, t_end=0.01, scheme=scheme)
+    return (_NqSystem if system == "nq" else _PerturbationSystem)(prof, config)
 
 
 @pytest.mark.parametrize("system", ["nq", "nonlinear0"])
@@ -808,7 +810,7 @@ def test_returned_arrays_outlive_the_next_call(system):
     for x, y in zip(first, kept):
         assert np.array_equal(x, y)
 
-    solve = _ModeDiffusionSolver(prof.grid, 0.01)
+    solve = _ModeDiffusionSolver(prof.grid, RunCounters(), 0.01)
     x1 = solve(u1[0])
     y1 = x1.copy()
     rhs = u1[0].copy()
@@ -817,11 +819,11 @@ def test_returned_arrays_outlive_the_next_call(system):
     assert np.array_equal(x1, y1)
 
     for scheme in ("imex1", "sbdf2"):
-        core = _ImexCore(model, 0.01, scheme)
-        v1 = core.step(u1)
+        model = _model(system, prof, scheme)
+        v1 = model.step(u1)
         w1 = [x.copy() for x in v1]
-        v2 = core.step(v1)  # SBDF2: the history (u1, its tendencies) is read here
-        core.step(v2)
+        v2 = model.step(v1)  # SBDF2: the history (u1, its tendencies) is read here
+        model.step(v2)
         for x, y in zip(v1, w1):
             assert np.array_equal(x, y)
         arrays = [*u1, *v1, *v2]
@@ -862,14 +864,13 @@ def test_warm_nq_steps_stay_allocation_light():
     tracemalloc.start()
     try:
         model = _model("nq", prof)
-        core = _ImexCore(model, 0.01, "imex1")
         u = model.arrays(pert(0))
         for _ in range(3):
-            u = core.step(u)
+            u = model.step(u)
         tracemalloc.reset_peak()
         held = tracemalloc.get_traced_memory()[0]
         for _ in range(20):
-            u = core.step(u)
+            u = model.step(u)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -912,14 +913,14 @@ def test_rescaled_nq_run_is_bitwise_the_unscaled_run(thin_nq_strip, tmp_path, mo
         plain = nq_run(cfg)
     assert rec.counters.rescales >= 2 and plain.counters.rescales == 0
     assert min(rec.ledger.column("Q")) > 1e-290
-    for a, b in ((rec, plain), (rec.head, alone)):
-        _assert_same_record(a, b, tmp_path)
+    _assert_same_record(rec, plain, tmp_path, rescales=False)
+    _assert_same_record(rec.head, alone, tmp_path)
     assert rec.head.counters.rescales == alone.counters.rescales >= 1
 
 
 def test_rescaling_moves_the_peak_into_unit_range_both_ways(thin_nq_strip):
     prof, pert = thin_nq_strip
-    model = _NqSystem(prof, curl_projection=False)
+    model = _model("nq", prof)
 
     def times(factor, u):
         """u with its fluctuation columns times factor."""
@@ -938,7 +939,7 @@ def test_rescaling_moves_the_peak_into_unit_range_both_ways(thin_nq_strip):
 
     # sinking below 2^-32: rescaled to a peak in [1/2, 1), the means untouched
     u, shift, peak = settled(times(2.0**-40, data))
-    assert model.exponent == -shift < -40 and 0.5 <= peak < 1.0 and model.rescales == 1
+    assert model.exponent == -shift < -40 and 0.5 <= peak < 1.0 and model.counters.rescales == 1
     assert all(np.array_equal(x[:, 0], y[:, 0]) for x, y in zip(u, data))
 
     # rising above 2^32 while exponent < 0: back towards true scale, never past it
@@ -946,8 +947,8 @@ def test_rescaling_moves_the_peak_into_unit_range_both_ways(thin_nq_strip):
     u, shift, peak = settled(times(2.0**36, u))
     assert shift == -36 and model.exponent == exponent + 36 < 0 and 0.5 <= peak < 1.0
     u, shift, peak = settled(times(2.0**100, u))
-    assert model.exponent == 0 and peak > 2.0**32 and model.rescales == 3
-    assert settled(times(2.0**40, u))[1] == 0 and model.rescales == 3
+    assert model.exponent == 0 and peak > 2.0**32 and model.counters.rescales == 3
+    assert settled(times(2.0**40, u))[1] == 0 and model.counters.rescales == 3
 
 
 def test_nq_curl_drift_warns_once_and_reaches_the_record():

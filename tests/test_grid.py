@@ -1,22 +1,19 @@
 import numpy as np
 import pytest
 
-from oracles import integrate, remove_mean_in_y
+from oracles import ddy, ddz, integrate, remove_mean_in_y, zero_field
 from stripwave.grid import (
     GridError,
     ScalarField,
     VectorField,
     d2dy2_array,
-    ddy,
     ddy_array,
-    ddz,
     field_from_function,
     laplacian,
     make_grid,
     y_fluctuation_values,
     y_modes,
     y_values,
-    zero_field,
 )
 from stripwave.transforms import _partial_integral_y
 

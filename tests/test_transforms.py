@@ -3,18 +3,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import divergence, integrate
+from oracles import ddy, ddz, divergence, integrate, zero_field
 from stripwave.grid import (
     ScalarField,
     VectorField,
-    ddy,
-    ddz,
     field_from_function,
     make_grid,
-    zero_field,
 )
 from stripwave.transforms import (
-    PhysicalState,
     TransformError,
     cole_hopf_forward,
     cole_hopf_inverse,
@@ -34,27 +30,22 @@ def wave_setup():
 
 def test_forward_constant_c_gives_zero_q():
     g = make_grid(10, 64, 0.5, 8, 1.0)
-    state = PhysicalState(
-        n=zero_field(g), c=field_from_function(g, lambda z, y: 2.0 * np.ones_like(z)))
-    ch = cole_hopf_forward(state)
-    assert ch.q.max_abs() < 1e-14
+    q = cole_hopf_forward(field_from_function(g, lambda z, y: 2.0 * np.ones_like(z)))
+    assert q.max_abs() < 1e-14
 
 
 def test_forward_rejects_nonpositive_c():
     g = make_grid(10, 64, 0.5, 8, 1.0)
     c = field_from_function(g, lambda z, y: z)  # crosses zero
     with pytest.raises(TransformError, match="positive"):
-        cole_hopf_forward(PhysicalState(n=zero_field(g), c=c))
+        cole_hopf_forward(c)
 
 
 def test_forward_on_wave_recovers_log_gradient(wave_setup):
     p, g, prof = wave_setup
-    state = PhysicalState(
-        n=ScalarField(g, np.repeat(prof.N[:, None], g.n_y, axis=1)),
-        c=ScalarField(g, np.repeat(prof.C[:, None], g.n_y, axis=1)))
-    ch = cole_hopf_forward(state)
-    assert np.max(np.abs(ch.q.z.values - prof.P_z[:, None])) < 10 * g.dz**2
-    assert ch.q.y.max_abs() < 1e-12
+    q = cole_hopf_forward(ScalarField(g, np.repeat(prof.C[:, None], g.n_y, axis=1)))
+    assert np.max(np.abs(q.z.values - prof.P_z[:, None])) < 10 * g.dz**2
+    assert q.y.max_abs() < 1e-12
 
 
 def test_forward_on_perturbed_wave(wave_setup):
@@ -62,11 +53,11 @@ def test_forward_on_perturbed_wave(wave_setup):
     psi = field_from_function(
         g, lambda z, y: 1e-2 * np.exp(-((z - 1) ** 2)) * np.cos(2 * np.pi * y / g.lam))
     c = ScalarField(g, prof.C[:, None] * np.exp(-psi.values))
-    ch = cole_hopf_forward(PhysicalState(n=zero_field(g), c=c))
+    q = cole_hopf_forward(c)
     expect_z = prof.P_z[:, None] + ddz(psi).values
     expect_y = ddy(psi).values
-    assert np.max(np.abs(ch.q.z.values - expect_z)) < 10 * g.dz**2
-    assert np.max(np.abs(ch.q.y.values - expect_y)) < 10 * g.dz**2
+    assert np.max(np.abs(q.z.values - expect_z)) < 10 * g.dz**2
+    assert np.max(np.abs(q.y.values - expect_y)) < 10 * g.dz**2
 
 
 def test_curl_of_discrete_gradient_is_negligible():
@@ -148,7 +139,7 @@ def test_roundtrip_forward_inverse_smooth(subtests=None):
     # self-consistency oracle: c -> q -> c with the anchor pinned
     g = make_grid(10.0, 2048, 0.5, 16, 1.0)
     c = _smooth_c(g, 2e-3)
-    q = cole_hopf_forward(PhysicalState(n=zero_field(g), c=c)).q
+    q = cole_hopf_forward(c)
     ia = g.n_z // 2
     back = cole_hopf_inverse(q, c_anchor=float(c.values[ia, 0]), anchor_z=float(g.z[ia]))
     rel = np.max(np.abs(back.values - c.values) / c.values)
@@ -161,7 +152,7 @@ def test_roundtrip_error_slope_two():
     for n_z in sizes:
         g = make_grid(10.0, n_z, 0.5, 16, 1.0)
         c = _smooth_c(g, 2e-1)  # larger amplitude so the error is resolvable
-        q = cole_hopf_forward(PhysicalState(n=zero_field(g), c=c)).q
+        q = cole_hopf_forward(c)
         ia = g.n_z // 2
         back = cole_hopf_inverse(q, float(c.values[ia, 0]), float(g.z[ia]))
         errs.append(np.max(np.abs(back.values - c.values) / c.values))
@@ -177,7 +168,7 @@ def test_roundtrip_q_side(wave_setup):
         g, lambda z, y: 0.3 * np.exp(-(z**2) / 4) * (1 + 0.5 * np.sin(2 * np.pi * y / g.lam)))
     q = VectorField(ddz(psi), ddy(psi))
     c = cole_hopf_inverse(q, 2.0, 0.0)
-    q2 = cole_hopf_forward(PhysicalState(n=zero_field(g), c=c)).q
+    q2 = cole_hopf_forward(c)
     err = max(np.max(np.abs(q2.z.values - q.z.values)),
               np.max(np.abs(q2.y.values - q.y.values)))
     assert err < 20 * g.dz**2
