@@ -106,8 +106,11 @@ class IntegratorConfig:
     dt must respect the explicit-transport restriction
     dt <= cfl_safety * dz / v_max with v_max = max(|s|, sqrt(max N)); run()
     validates this against the actual profile.  transport selects the psi
-    advection stencil ("upwind" default; "central" pairs with sbdf2 for
-    second order) and steers only nonlinear0 and linear_eps; curl_projection
+    advection stencil ("upwind" default, or "central") and steers only
+    nonlinear0 and linear_eps.  At eps = 0 psi has no diffusion to damp a
+    central difference, and nonlinear0 blows up under either scheme on the
+    stability0 config (the CLI refuses the pairing); linear_eps, whose psi
+    diffuses, runs with it under either scheme.  curl_projection
     steers only nq.  Every system runs in the moving frame, so no field
     selects a frame.  run ignores the keys that its system does not read,
     so one config may drive several systems; the CLI holds such keys at
@@ -326,6 +329,14 @@ def _ldexp_fluctuation(x: np.ndarray, exponent: int) -> np.ndarray:
     return x
 
 
+def _times_power_of_two(x: np.ndarray, exponent: int) -> None:
+    """x *= 2**exponent in place, bit for bit as np.ldexp(x, exponent)."""
+    if exponent >= -1074:
+        x *= 2.0**exponent
+    else:
+        np.ldexp(x, exponent, out=x)
+
+
 class _Products:
     """Sums of products of y-mode factors, formed on the y-nodes.
 
@@ -343,7 +354,10 @@ class _Products:
     then scales f_i f_j by 2**e, which gives the fluctuation columns of its
     result at the factors' scale, and the result's column 0 by 2**e again,
     which gives the true y-mean of f_i f_j.  A power of two is exact, so
-    every value in the normal range is that of the unscaled product.
+    every value in the normal range is that of the unscaled product.  For
+    e >= -1074, 2**e is itself a double, and multiplying by it rounds each
+    result once, as np.ldexp does, but without np.ldexp's slow path on
+    subnormal results; below that 2.0**e underflows, and np.ldexp stays.
 
     load keeps no reference to the factors and writes none of them.  term
     returns an array of the object's own, which holds until the next call:
@@ -371,14 +385,13 @@ class _Products:
             pair = self._pair if n else total
             np.multiply(v[i], v[j], out=pair)
             if exponent:
-                np.ldexp(pair, exponent, out=pair)
+                _times_power_of_two(pair, exponent)
             pair += np.multiply(m[i], v[j], out=part)
             pair += np.multiply(v[i], m[j], out=part)
             total += pair if n else 0.0  # starting from 0, which turns -0.0 into 0.0
         out = y_modes(total, out=self._modes)
         if exponent:
-            mean = out.real[:, 0]
-            np.ldexp(mean, exponent, out=mean)
+            _times_power_of_two(out.real[:, 0], exponent)
         out[:, 0] += sum(m[i][:, 0] * m[j][:, 0] for i, j in pairs)
         return out
 

@@ -14,23 +14,27 @@ on the second-order expansion of the unstable manifold of (W_minus, 0),
 W = W_minus - delta e^{mu z} + c2 delta^2 e^{2 mu z}.  The linearization
 has a fast stable eigenvalue near -s(1+2eps)/eps, so the ODE is stiff for
 small eps: an explicit scheme pays about 1/eps steps for stability alone.
-The orbit is therefore integrated with LSODA (Petzold 1983), which switches
-to BDF once stiffness appears, given the analytic 2x2 Jacobian.  Far tails
-are continued analytically: the same manifold expansion on the left, a pure
-e^{-s z} decay on the right.  The companion is P = -C'/C = -(W'/W + s),
-which satisfies
+The orbit is therefore integrated by the package's three-stage Radau IIA
+method (stripwave.radau: order 5, L-stable, after Hairer & Wanner's
+RADAU5) with the analytic 2x2 Jacobian: about 4,500 steps at tol = 1e-10
+for every eps from 1 down to 1e-6.  It carries W and W_minus - W as two
+variables, so that the launch, where W_minus - W is 1e-6 W_minus, keeps
+relative accuracy as the right tail does.  Far tails are continued
+analytically: the same manifold expansion on the left, a pure e^{-s z}
+decay on the right.  The companion is P = -C'/C = -(W'/W + s), which
+satisfies
 
     -s N' - N''          = (N P)'
     -s P' - eps P''      = -2 eps P P' + N'
 
 with N(-inf) = (1+eps) s^2, P(-inf) = -s and both tending to 0 on the right.
 
-Only the eps > 0 orbit needs scipy.integrate (LSODA), scipy.optimize
-(brentq, for the front center) and scipy.interpolate (CubicSpline, for C),
-so each is imported on the first KPP solve, not with this module: a process
-that builds only closed-form waves never loads them.  The orbit calls this
-module's `solve_ivp`, which imports scipy's at call time and hands back its
-LSODA counts as Python ints; the benchmark tracer wraps it by that name.
+A KPP build needs numpy alone: the front center is a Newton solve on the
+orbit's dense output, and C comes from a numpy port of scipy's not-a-knot
+cubic spline.  The orbit makes one call to this module's `solve_ivp`,
+which imports stripwave.radau on the first KPP solve (an eps = 0 run never
+loads it) and whose result carries its counts as Python ints; the
+benchmark tracer wraps it by that name.
 """
 
 from __future__ import annotations
@@ -144,15 +148,13 @@ def explicit_wave_eps0(params: WaveParams, grid: Grid) -> WaveProfile:
     )
 
 
-def solve_ivp(*args, **kwargs):
-    """`scipy.integrate.solve_ivp`, imported on the first call, with the
-    LSODA counts njev and nlu as Python ints: scipy reads them from the
-    Fortran work array as np.int32, which json.dumps rejects."""
-    from scipy.integrate import solve_ivp
+def solve_ivp(*args):
+    """The orbit's one call into its integrator, radau.solve, imported here
+    on the first KPP solve: a process that builds only closed-form waves
+    never loads it.  The benchmark tracer wraps this name."""
+    from .radau import solve
 
-    sol = solve_ivp(*args, **kwargs)
-    sol.njev, sol.nlu = int(sol.njev), int(sol.nlu)
-    return sol
+    return solve(*args)
 
 
 class _KppOrbit:
@@ -177,34 +179,23 @@ class _KppOrbit:
         # delta^2 e^{2 mu xi} term of W- - W; tends to 1/W- (closed form) as eps -> 0
         c2 = N0 / (4.0 * eps * mu**2 + 2.0 * s * (1.0 + 2.0 * eps) * mu - (1.0 + eps) * s**2)
 
-        def rhs(_, u):
-            w, v = u
-            return (v, (-s * (1.0 + 2.0 * eps) * v - (1.0 + eps) * s**2 * w + N0 * w**2) / eps)
+        b, k = s * (1.0 + 2.0 * eps), (1.0 + eps) * s**2   # k = N0 W-
 
-        def jac(_, u):
-            return ((0.0, 1.0),
-                    ((-(1.0 + eps) * s**2 + 2.0 * N0 * u[0]) / eps,
-                     -s * (1.0 + 2.0 * eps) / eps))
+        def accel(w, u, v):
+            # -k W + N0 W^2 = -N0 W (W- - W), exact where W nears W-
+            return (-b * v - N0 * w * u) / eps
 
-        floor = 1.0e-16 * wm
-
-        def hit_floor(_, u):
-            return u[0] - floor
-
-        hit_floor.terminal = True
-        hit_floor.direction = -1.0
+        def jac(w, _):
+            return (2.0 * N0 * w - k) / eps, -b / eps
 
         self.params = params
         self.mu = mu
         self.delta = delta
         self.c2 = c2
         self.wm = wm
-        # near-zero atol: the right tail decays through ~16 decades and must
-        # keep relative accuracy for monotone sampling down to the floor
+        floor = 1.0e-16 * wm
         w0, v0, _ = self._tail_left(0.0)
-        sol = solve_ivp(
-            rhs, (0.0, span), (w0, v0), method="LSODA", jac=jac,
-            rtol=tol, atol=wm * 1e-300, dense_output=True, events=hit_floor)
+        sol = solve_ivp(accel, jac, (w0, delta - c2 * delta**2, v0), span, tol, floor)
         if not sol.success:
             raise WaveSolveError(f"phase-plane integration failed: {sol.message}",
                                  {"eps": eps, "s": s, "tol": tol})
@@ -260,15 +251,19 @@ class _KppOrbit:
         return W, Wp, Wpp
 
     def front_center(self) -> float:
-        """xi at which W = W-/2 (unique by monotonicity)."""
-        from scipy.optimize import brentq
-
+        """xi at which W = W-/2 (unique by monotonicity): Newton's method on
+        the dense W, with the dense W' as its slope, from the step end
+        nearest the crossing."""
         target = 0.5 * self.wm
-
-        def g(xi):
-            return float(self.sol.sol(xi)[0]) - target
-
-        return brentq(g, 0.0, self.xi_end, xtol=1e-13, rtol=1e-15)
+        t, w = self.sol.t, self.sol.y[0]
+        xi = float(t[np.argmin(np.abs(w - target))])
+        for _ in range(50):
+            w, v = self.sol.sol(xi)
+            step = float((w - target) / v)
+            xi -= step
+            if abs(step) <= 1e-13 * max(1.0, abs(xi)):
+                break
+        return xi
 
     def defect(self, W, Wp, Wpp) -> np.ndarray:
         """eps W'' + s(1+2eps) W' + (1+eps)s^2 W - N0 W^2 of evaluated (W, W', W'')."""
@@ -286,11 +281,12 @@ def solve_wave_kpp(params: WaveParams, grid: Grid, tol: float = 1e-10) -> WavePr
     """Construct the eps > 0 profile by phase-plane integration.
 
     The orbit is launched on the second-order unstable manifold of (W-, 0)
-    at offset delta = 1e-6 W- (launch error O(delta^3)), integrated with LSODA
-    and the analytic Jacobian at relative tolerance tol (stiff-aware: the
-    cost stays bounded as eps -> 0, where an explicit scheme's grows like
-    1/eps), then translated so that N(0) = N(-L_z)/2 (front centering).  Returns N = N0 W, P = -(W'/W + s),
-    and C reconstructed from C'/C = -P with C(+inf) normalized to c_plus.
+    at offset delta = 1e-6 W- (launch error O(delta^3)), integrated by
+    Radau IIA with the analytic Jacobian at relative tolerance tol (stiff-
+    aware: the cost stays bounded as eps -> 0, where an explicit scheme's
+    grows like 1/eps), then translated so that N(0) = N(-L_z)/2 (front
+    centering).  Returns N = N0 W, P = -(W'/W + s), and C reconstructed
+    from C'/C = -P with C(+inf) normalized to c_plus.
     """
     if params.eps <= 0.0:
         raise WaveError(f"KPP solver requires eps > 0, got {params.eps}")
@@ -334,7 +330,7 @@ def solve_wave_kpp(params: WaveParams, grid: Grid, tol: float = 1e-10) -> WavePr
             "fitted_right_rate": fit_right,
             "fitted_left_rate": fit_left,
             "front_center_offset": xi_c,
-            "solver": "LSODA",
+            "solver": "Radau IIA",
             "nfev": int(orbit.sol.nfev),
             "njev": int(orbit.sol.njev),
             "nsteps": len(orbit.sol.t) - 1,
@@ -360,22 +356,57 @@ def _continue_p_tail(grid: Grid, P: np.ndarray, s: float) -> np.ndarray:
     return out
 
 
+def _not_a_knot_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The node slopes of the cubic spline through (x, y) with not-a-knot
+    ends (as scipy's CubicSpline builds it): one forward elimination and
+    back substitution of its tridiagonal system."""
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    n = len(x)
+    lower, diag, upper = np.zeros(n), np.zeros(n), np.zeros(n)
+    rhs = np.empty(n)
+    lower[1:-1], diag[1:-1], upper[1:-1] = dx[1:], 2.0 * (dx[:-1] + dx[1:]), dx[:-1]
+    rhs[1:-1] = 3.0 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    d = x[2] - x[0]
+    diag[0], upper[0] = dx[1], d
+    rhs[0] = ((dx[0] + 2.0 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
+    d = x[-1] - x[-3]
+    lower[-1], diag[-1] = d, dx[-2]
+    rhs[-1] = (dx[-1] ** 2 * slope[-2] + (2.0 * d + dx[-1]) * dx[-2] * slope[-1]) / d
+    lower, diag, upper, rhs = lower.tolist(), diag.tolist(), upper.tolist(), rhs.tolist()
+    for i in range(1, n):
+        m = lower[i] / diag[i - 1]
+        diag[i] -= m * upper[i - 1]
+        rhs[i] -= m * rhs[i - 1]
+    s = [0.0] * n
+    s[-1] = rhs[-1] / diag[-1]
+    for i in range(n - 2, -1, -1):
+        s[i] = (rhs[i] - upper[i] * s[i + 1]) / diag[i]
+    return np.array(s)
+
+
 def _c_from_p(grid: Grid, P: np.ndarray, c_plus: float, s: float) -> np.ndarray:
     """Integrate C'/C = -P from the right end, pinned to C(+inf) = c_plus.
 
-    Uses a 4x-refined composite trapezoid on |P| interpolated cubically, so
-    the reconstruction error is well below the grid's own O(dz^2).  Strict
-    monotonicity of C is automatic: each ratio C_{i+1}/C_i = exp(+int |P|).
+    Uses a 4x-refined composite trapezoid on |P| interpolated cubically (a
+    not-a-knot spline), so the reconstruction error is well below the grid's
+    own O(dz^2).  Strict monotonicity of C is automatic: each ratio
+    C_{i+1}/C_i = exp(+int |P|).
     """
-    from scipy.interpolate import CubicSpline
-
     absP = np.abs(P)
-    spline = CubicSpline(grid.z, absP)
+    dz = grid.dz
+    gaps = np.diff(grid.z)
+    slopes = _not_a_knot_slopes(grid.z, absP)
+    # on [z_i, z_i+1], with r = zeta - z_i: |P_i| + slope_i r + b r^2 + a r^3
+    y, m = absP[:-1], slopes[:-1]
+    secant = np.diff(absP) / gaps
+    t = (m + slopes[1:] - 2.0 * secant) / gaps
+    a, b = t / gaps, (secant - m) / gaps - t
     seg = np.zeros(grid.n_z - 1)
     for k in range(4):
-        a = grid.z[:-1] + k * grid.dz / 4.0
-        b = a + grid.dz / 4.0
-        seg += 0.5 * (spline(a) + spline(b)) * (grid.dz / 4.0)
+        ra, rb = k * dz / 4.0, (k + 1) * dz / 4.0
+        fa, fb = (y + r * (m + r * (b + r * a)) for r in (ra, rb))
+        seg += 0.5 * (fa + fb) * (dz / 4.0)
     # log C relative to the right endpoint
     logC = np.concatenate(([0.0], np.cumsum(seg[::-1])))[::-1]
     log_end = math.log(c_plus) - absP[-1] / s  # analytic tail past z = L_z

@@ -429,7 +429,7 @@ def test_usable_cores_fall_back_to_the_core_count(monkeypatch):
     assert stripwave.cli._usable_cores() == os.cpu_count()
 
 
-ODE_STACK = ["scipy.integrate", "scipy.optimize"]
+ODE_STACK = ["scipy.integrate", "scipy.optimize", "scipy.interpolate"]
 
 
 def _fresh_process(tmp_path, body: str, modules=ODE_STACK) -> list:
@@ -445,21 +445,31 @@ def _fresh_process(tmp_path, body: str, modules=ODE_STACK) -> list:
     return json.loads(done.stdout.splitlines()[-1])
 
 
-def test_eps0_run_never_loads_the_ode_stack(tmp_path):
-    # only the eps > 0 KPP orbit needs LSODA and brentq, so an eps = 0 run
-    # imports neither, and its manifest says so
-    args = ["evolve", "--set", "grid.n_z=128", "--set", "grid.n_y=4",
-            "--set", "integrator.t_end=0.2"]
-    body = f"import stripwave.cli\nassert stripwave.cli.main({args!r}) == 0"
+@pytest.mark.parametrize("args, loaded", [
+    (["evolve", "--set", "grid.n_y=4", "--set", "integrator.t_end=0.2"], ["scipy.linalg"]),
+    (["wave", "--set", "wave.eps=0.1"], []),
+    (["linear", "--set", "wave.eps=0.1", "--set", "grid.n_y=4", "--set", "integrator.t_end=0.2"],
+     ["scipy.linalg"]),
+    (["planarity", "--set", "wave.eps=0.1", "--set", "grid.n_y=4",
+      "--set", "integrator.t_end=1.2"], ["scipy.linalg"]),
+], ids=["evolve", "wave", "linear", "planarity"])
+def test_no_experiment_loads_the_ode_stack(tmp_path, args, loaded):
+    # the KPP orbit, its front center and C need numpy alone, so no run,
+    # at eps = 0 or not, imports scipy's ODE, root-finding or spline stack;
+    # a run that steps loads scipy.linalg, and its manifest says so
+    body = ("import stripwave.cli\n"
+            f"assert stripwave.cli.main({[*args, '--set', 'grid.n_z=128']!r}) in (0, 1)")
     assert _fresh_process(tmp_path, body) == []
     env = json.loads((tmp_path / "out" / "manifest.json").read_text())["environment"]
-    assert not set(ODE_STACK) & set(env["scipy_loaded"])
+    assert env["scipy_loaded"] == loaded
 
+
+def test_a_kpp_build_loads_no_scipy(tmp_path):
     body = ("from stripwave.grid import make_grid\n"
             "from stripwave.waves import WaveParams, solve_wave_kpp\n"
             "p = WaveParams(eps=0.1, n_minus=1.0, c_plus=1.0)\n"
             "solve_wave_kpp(p, make_grid(25.0 / p.s, 128, 0.5, 8, p.s))")
-    assert _fresh_process(tmp_path, body) == ODE_STACK
+    assert _fresh_process(tmp_path, body, ["scipy"]) == []
 
 
 @pytest.mark.parametrize("body, loaded", [
@@ -809,6 +819,12 @@ def test_blowup_reason_reaches_stdout_and_manifest(tmp_path, monkeypatch, capsys
     ("planarity", ["wave.eps=0.1,0.1"],
      "--set wave.eps=0.1,0.1: wave.eps must list one or more values, distinct at the 6 "
      "digits ({:g}) of the strip tags, got [0.1, 0.1]"),
+    # at eps = 0 psi has no diffusion, and central transport blows up
+    ("evolve", ["integrator.transport=central"],
+     "integrator.transport must be upwind for experiment 'stability0', got 'central'"),
+    ("evolve", ["integrator.scheme=sbdf2", "integrator.transport=central"],
+     "--set integrator.transport=central: integrator.transport must be upwind for "
+     "experiment 'stability0', got 'central'"),
 ])
 def test_bad_inputs_rejected_before_compute(tmp_path, monkeypatch, capsys, command,
                                             overrides, message):
@@ -858,6 +874,16 @@ OTHER_VALUES = {
     ("convergence", [], {"wave.n_minus", "wave.c_plus", "wave.N0", "wave.tol",
                          "init.amplitude", "init.seed", "init.mean_zero_y"},
      {"wave.c_plus", "wave.tol"}),
+    # its transport is held at upwind (psi has no diffusion at eps = 0);
+    # cfl_safety moves only the dt check, and at the default N0 = s^2/c_plus
+    # the scale c_plus of C leaves N and the (phi, psi) ledger alone
+    ("evolve", ["grid.n_z=128", "grid.n_y=4", "grid.L_z=50", "wave.n_minus=0.25",
+                "integrator.dt=0.05", "integrator.t_end=0.5"],
+     {"grid.L_z", "grid.n_z", "grid.lambda", "grid.n_y", "wave.n_minus", "wave.c_plus",
+      "wave.N0", "wave.tol", "init.amplitude", "init.seed", "init.mean_zero_y",
+      "integrator.dt", "integrator.t_end", "integrator.scheme", "integrator.record_every",
+      "integrator.cfl_safety", "output.snapshot_every"},
+     {"wave.c_plus", "wave.tol", "integrator.cfl_safety"}),
 ])
 def test_every_accepted_setting_reaches_the_outputs(tmp_path, monkeypatch, capsys,
                                                     command, base, accepted, unseen):
@@ -878,7 +904,7 @@ def test_every_accepted_setting_reaches_the_outputs(tmp_path, monkeypatch, capsy
                                        if p.suffix == ".csv" or p.name == "summary.json"}
 
     code, default = outputs("default", [])
-    assert code == 0 and len(default) == 2
+    assert code == 0 and "summary.json" in default and len(default) >= 2
     capsys.readouterr()
     for i, (setting, value) in enumerate(OTHER_VALUES.items()):
         code, files = outputs(f"flip{i}", [f"{setting}={value}"])
@@ -1021,7 +1047,7 @@ def test_cli_kpp_wave_experiment(tmp_path, monkeypatch, capsys):
                   "left tail rate within 2% of the manifold exponent"):
         assert f"  [PASS] {check}\n" in out
     meta = json.loads((tmp_path / "out" / "wave_metadata.json").read_text())
-    assert meta["solver"] == "LSODA"
+    assert meta["solver"] == "Radau IIA"
     assert all(type(meta[key]) is int for key in ("nfev", "njev", "nsteps"))
 
 
@@ -1064,7 +1090,7 @@ def test_positive_window_without_a_positive_sample_is_empty():
 
 
 def test_kpp_integration_failure_exit_code(tmp_path, monkeypatch, capsys):
-    # the LSODA orbit integration reports failure: exit 4 with its message
+    # the orbit integration reports failure: exit 4 with its message
     import stripwave.waves
 
     real_solve_ivp = stripwave.waves.solve_ivp

@@ -23,6 +23,8 @@ from stripwave.grid import (
     ddy_array,
     ddz_array,
     make_grid,
+    y_fluctuation_values,
+    y_modes,
     y_values,
 )
 from stripwave.transforms import (
@@ -949,6 +951,32 @@ def test_rescaling_moves_the_peak_into_unit_range_both_ways(thin_nq_strip):
     u, shift, peak = settled(times(2.0**100, u))
     assert model.exponent == 0 and peak > 2.0**32 and model.counters.rescales == 3
     assert settled(times(2.0**40, u))[1] == 0 and model.counters.rescales == 3
+
+
+@pytest.mark.parametrize("exponent", [0, -300, -700, -1074, -1100])
+def test_products_scale_bit_for_bit_as_ldexp(monkeypatch, exponent):
+    # fluctuation rows that fall from 1e6 to 1e-150 along z, as a rescaled
+    # (n, q) state's tails do: scaled by 2**exponent, their products turn
+    # subnormal in the tails, and at -1100 only the largest stay nonzero.
+    # Factors 0 and 1 have zero y-means, so that nothing in the normal range
+    # is added to their product; factor 2 brings the y-mean terms.
+    g = make_grid(10.0, 64, 0.5, 8, 1.0)
+    rng = np.random.default_rng(3)
+    decay = np.logspace(6, -150, g.n_z)[:, None]
+    factors = [y_modes(decay * rng.standard_normal((g.n_z, g.n_y))) for _ in range(3)]
+    factors[0][:, 0] = factors[1][:, 0] = 0.0
+    factors[2][:, 0] = rng.standard_normal(g.n_z)
+    products = evolve._Products(g, 3)
+    products.load(factors)
+    terms = ([(0, 1)], [(0, 1), (1, 2), (2, 2)])
+    got = [products.term(pairs, exponent).copy() for pairs in terms]
+    monkeypatch.setattr(evolve, "_times_power_of_two", lambda x, e: np.ldexp(x, e, out=x))
+    for pairs, x in zip(terms, got):
+        assert x.tobytes() == products.term(pairs, exponent).tobytes()
+    pair = np.ldexp(y_fluctuation_values(factors[0], g) * y_fluctuation_values(factors[1], g),
+                    exponent)
+    subnormal = (pair != 0) & (np.abs(pair) < np.finfo(float).tiny)
+    assert np.any(subnormal) == (exponent < 0)
 
 
 def test_nq_curl_drift_warns_once_and_reaches_the_record():

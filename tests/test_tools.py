@@ -170,6 +170,15 @@ def test_the_package_names_every_definition_it_holds():
     assert _unnamed_definitions(package) == []
 
 
+def test_no_module_names_the_ode_stack():
+    # the KPP wave needs numpy alone; the package's one scipy is the LAPACK
+    # of scipy.linalg, so that no run pays the import of these three
+    package = Path(__file__).resolve().parents[1] / "src" / "stripwave"
+    stack = ("scipy.integrate", "scipy.optimize", "scipy.interpolate")
+    assert [f"{path.name}: {name}" for path in sorted(package.glob("*.py"))
+            for name in stack if name in path.read_text()] == []
+
+
 def _unused_imports(source: str) -> list:
     """The names that a module's imports bind (`import a.b` binds a) and no
     ast.Name of the module reads; `from __future__ import ...` binds none."""

@@ -82,7 +82,7 @@ def test_kpp_solve_calls_the_traced_name(monkeypatch):
     assert tracer.kpp["calls"] == 1
     assert tracer.kpp["steps"] == profile.diagnostics["nsteps"]
     assert tracer.kpp["nfev"] > 0 and tracer.kpp["njev"] > 0
-    # read off the solve_ivp result as it is: LSODA's counts must be ints
+    # read off the solve_ivp result as it is: its counts must be ints
     assert type(tracer.kpp["njev"]) is int
     json.dumps(tracer.kpp)
 

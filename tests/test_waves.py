@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from stripwave import waves
+from stripwave import radau, waves
 from stripwave.grid import make_grid
 from stripwave.waves import (
     WaveError,
@@ -344,21 +344,154 @@ def test_fitted_rates_stored_in_diagnostics(kpp_01):
 
 
 def test_kpp_solver_counts_are_json_ready(kpp_01):
-    # the stiff solver reports some counts as numpy ints; the manifest
-    # writer needs plain Python values
+    # the manifest writer needs plain Python values
     _, prof = kpp_01
     d = prof.diagnostics
     json.dumps(d)
-    assert d["solver"] == "LSODA"
+    assert d["solver"] == "Radau IIA"
     for key in ("nfev", "njev", "nsteps"):
         assert type(d[key]) is int and d[key] > 0
 
 
-def test_solve_ivp_hands_back_lsoda_counts_as_ints():
-    # scipy's LSODA reads njev and nlu as np.int32; the module's solve_ivp
-    # casts both, so its result goes to json.dumps as it is
-    sol = waves.solve_ivp(lambda t, u: -50.0 * u, (0.0, 1.0), [1.0], method="LSODA",
-                          jac=lambda t, u: [[-50.0]])
-    assert sol.success and sol.njev > 0 and sol.nlu > 0
-    assert type(sol.njev) is int and type(sol.nlu) is int
-    json.dumps({"njev": sol.njev, "nlu": sol.nlu})
+def _lsoda_profile(p, g):
+    """The profile by an independent route, with scipy as the reference:
+    LSODA on the orbit in (W, W') at rtol 1e-10, launched on the same
+    manifold expansion and stopped at the same 1e-16 W- floor; brentq for
+    the front center; scipy's CubicSpline and the 4x-refined trapezoid for
+    C.  Returns (N, C, P_z, front center)."""
+    from scipy.integrate import solve_ivp
+    from scipy.interpolate import CubicSpline
+    from scipy.optimize import brentq
+
+    eps, s, N0, wm = p.eps, p.s, p.N0, p.w_minus
+    b, k = s * (1 + 2 * eps), (1 + eps) * s**2
+    mu, delta = left_tail_rate(s, eps), 1e-6 * wm
+    c2 = N0 / (4 * eps * mu**2 + 2 * b * mu - k)
+
+    def manifold(xi):
+        e = delta * np.exp(mu * xi)
+        return wm - e + c2 * e**2, mu * (2 * c2 * e**2 - e)
+
+    def floor(_, y):
+        return y[0] - 1e-16 * wm
+
+    floor.terminal, floor.direction = True, -1.0
+    sol = solve_ivp(lambda _, y: (y[1], (-b * y[1] - k * y[0] + N0 * y[0] ** 2) / eps),
+                    (0.0, 200.0 / s), manifold(0.0), method="LSODA",
+                    jac=lambda _, y: ((0, 1), ((2 * N0 * y[0] - k) / eps, -b / eps)),
+                    rtol=1e-10, atol=1e-300 * wm, dense_output=True, events=floor)
+    xi_end = sol.t[-1]
+    xi_c = brentq(lambda xi: sol.sol(xi)[0] - wm / 2, 0.0, xi_end, xtol=1e-13, rtol=1e-15)
+    xi = g.z + xi_c
+    W, Wp = sol.sol(np.clip(xi, 0.0, xi_end))
+    W, Wp = np.where(xi < 0.0, manifold(xi), (W, Wp))
+    tail = sol.y[0, -1] * np.exp(-s * (xi - xi_end))
+    W, Wp = np.where(xi > xi_end, (tail, -s * tail), (W, Wp))
+    P = waves._continue_p_tail(g, -(Wp / W + s), s)
+    spline, seg = CubicSpline(g.z, np.abs(P)), 0.0
+    for q in range(4):
+        lo = g.z[:-1] + q * g.dz / 4
+        seg = seg + 0.5 * (spline(lo) + spline(lo + g.dz / 4)) * (g.dz / 4)
+    log_c = np.concatenate(([0.0], np.cumsum(seg[::-1])))[::-1]
+    C = np.exp(math.log(p.c_plus) - abs(P[-1]) / s - log_c)
+    return N0 * W, C, P, xi_c
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.01, 1e-3, 1e-6])
+def test_kpp_profile_matches_an_lsoda_oracle(eps):
+    # LSODA took 41,507 steps at eps = 1e-5; the Radau orbit about 4,500 at
+    # every eps, and its residual (W'' from the dense W') stays under the
+    # benchmark's 2e-9 gate
+    p = WaveParams(eps=eps, n_minus=1.0, c_plus=1.0)
+    g = default_grid(p)
+    prof = solve_wave_kpp(p, g)
+    N, C, P, xi_c = _lsoda_profile(p, g)
+    for got, want in ((prof.N, N), (prof.C, C), (prof.P_z, P)):
+        assert np.max(np.abs(got - want)) <= 1e-8 * np.max(np.abs(want))
+    d = prof.diagnostics
+    assert abs(d["front_center_offset"] - xi_c) < 1e-7
+    assert d["ode_residual_max"] <= 2e-9
+    assert d["nsteps"] < 6000
+
+
+def test_radau_step_is_fifth_order_on_a_stiff_linear_system():
+    # eps y'' + y' + y = 0 at eps = 1e-4: roots near -1 and -1e4, so every
+    # step size below is far outside the explicit stability range; at t = 1
+    # the error against the closed form falls by 2^5 per halving
+    eps = 1e-4
+    fast, slow = np.sort(np.roots([eps, 1.0, 1.0]).real)
+    a = np.linalg.solve([[1.0, 1.0], [slow, fast]], [1.0, 0.0])   # y(0) = 1, y'(0) = 0
+    exact = a[0] * math.exp(slow) + a[1] * math.exp(fast)
+
+    def accel(w, _, v):
+        return (-v - w) / eps
+
+    errors = []
+    for n in (5, 10, 20):
+        w, v, faccon = 1.0, 0.0, 1.0
+        for _ in range(n):
+            z, _, _, faccon, _ = radau._step(accel, w, 0.0, v, accel(w, 0.0, v), -1.0 / eps,
+                                             -1.0 / eps, 1.0 / n, (0.0,) * 6, (1e-12, 1e-12),
+                                             faccon, False)
+            w, v = w + z[2], v + z[5]
+        errors.append(abs(w - exact))
+    ratios = [errors[0] / errors[1], errors[1] / errors[2]]
+    assert all(25 < r < 40 for r in ratios), (errors, ratios)
+
+
+def test_radau_step_gives_up_on_a_newton_iteration_that_fails():
+    # on a stiff linear problem the true Jacobian converges at once; with
+    # its stiff terms halved the simplified Newton iteration stalls (rate
+    # theta >= 0.99), and at 0.9 of them it contracts, but too slowly to
+    # meet the tolerance within the iterations left
+    eps = 1e-4
+
+    def accel(w, _, v):
+        return (-v - w) / eps
+
+    for scale, converges in ((1.0, True), (0.5, False), (0.9, False)):
+        z = radau._step(accel, 1.0, 0.0, 0.0, accel(1.0, 0.0, 0.0), -scale / eps,
+                        -scale / eps, 0.1, (0.0,) * 6, (1e-10, 1e-10), 1.0, False)[0]
+        assert (z is not None) == converges
+
+
+def test_radau_solve_reports_a_step_size_that_collapses():
+    # an acceleration that is nowhere finite: every step halves, down to
+    # the floor on h, and the solve ends unsuccessful at its start
+    sol = radau.solve(lambda w, u, v: math.nan, lambda w, v: (0.0, 0.0), (1.0, 0.0, 0.0),
+                      10.0, 1e-10, 0.0)
+    assert not sol.success and sol.message.startswith("step size ")
+    assert sol.message.endswith("too small at t = 0")
+    assert list(sol.t) == [0.0] and sol.y.shape == (2, 1)
+
+
+def test_radau_constants_come_from_the_butcher_matrix():
+    s6 = math.sqrt(6.0)
+    a = np.array([[88 - 7 * s6, (296 - 169 * s6) / 5, (-16 + 24 * s6) / 5],
+                  [(296 + 169 * s6) / 5, 88 + 7 * s6, (-16 - 24 * s6) / 5],
+                  [160 - 10 * s6, 160 + 10 * s6, 40]]) / 360
+    c = np.array(radau._NODES)
+    assert np.allclose(a.sum(axis=1), c, rtol=0, atol=1e-15)   # stage times
+    a_inv = np.linalg.inv(a)
+    lam, vec = np.linalg.eig(a_inv)
+    real, cplx = np.argmin(np.abs(lam.imag)), np.argmax(lam.imag)
+    t_real, t_cplx = vec[:, real].real / vec[2, real].real, vec[:, cplx] / vec[2, cplx]
+    ti = np.linalg.inv(np.column_stack([t_real, t_cplx, t_cplx.conj()]))
+    gamma = lam[real].real
+    b_hat = np.linalg.solve(np.vstack([np.ones(3), c, c**2]), [1 - 1 / gamma, 1 / 2, 1 / 3])
+    for got, want in ((radau._GAMMA, gamma), (radau._LAMBDA, lam[cplx]),
+                      (radau._T_REAL, t_real), (radau._T_CPLX, t_cplx),
+                      (radau._TI_REAL, ti[0].real), (radau._TI_CPLX, ti[1]),
+                      (radau._ERR, gamma * (b_hat - a[2]) @ a_inv),
+                      (radau._DENSE, np.linalg.inv(np.column_stack([c, c**2, c**3])))):
+        assert np.allclose(got, want, rtol=1e-14, atol=1e-14)
+
+
+def test_not_a_knot_slopes_match_scipy_cubic_spline():
+    # scipy's CubicSpline as the reference, on uneven nodes
+    from scipy.interpolate import CubicSpline
+
+    x = np.cumsum(np.random.default_rng(1).uniform(0.5, 1.5, 40))
+    y = np.sin(x) * np.exp(-0.1 * x)
+    want = CubicSpline(x, y)(x, 1)
+    assert np.allclose(waves._not_a_knot_slopes(x, y), want, rtol=0, atol=1e-14)
