@@ -27,8 +27,9 @@ factored of each time loop, for planarity its rescalings of the (n, q)
 fluctuation and whether it ran in a forked child, the seconds it spent in
 tendencies, solves and rows, and its dt over the transport limit (the CFL
 margin), and under `environment` the Python, numpy and scipy versions, the
-core count and the cores this process may use, the BLAS thread variables
-and the scipy subpackages the run loaded) next to its artifacts.  Exit codes:
+core count and the cores this process may use, the BLAS thread variables,
+the scipy subpackages the run loaded and the file name of the LAPACK
+extension its time loops loaded) next to its artifacts.  Exit codes:
 0 every check passed, 1 a check failed, 2 usage or configuration error (a
 dt above the transport limit and an output directory that cannot be made
 included), 3 runtime blowup, one past t_end on
@@ -66,7 +67,7 @@ from .config import (
 )
 from .energy import EnergyError, fit_exponential_decay
 from . import transforms
-from .evolve import IntegratorConfig, run
+from .evolve import IntegratorConfig, lapack_file, run
 from .grid import (ScalarField, field_from_function, field_to_csv, laplacian, make_grid,
                    write_csv, y_values)
 from .transforms import (
@@ -118,8 +119,9 @@ def _usable_cores() -> int:
 
 def _environment() -> dict:
     """Versions, cores (all, and those this process may use) and BLAS thread
-    settings of this process, and the scipy subpackages imported so far (an
-    eps = 0 run loads no ODE solver)."""
+    settings of this process, the scipy subpackages imported so far (a run
+    imports none) and the file name of the LAPACK extension its time loops
+    loaded (None before the first)."""
     import scipy
 
     return {
@@ -133,6 +135,7 @@ def _environment() -> dict:
             name for name, module in list(sys.modules.items())
             if name.startswith("scipy.") and name.count(".") == 1
             and not name.startswith("scipy._") and hasattr(module, "__path__")),
+        "lapack": lapack_file(),
     }
 
 

@@ -30,17 +30,18 @@ terms are explicit.  The per-mode diffusion matrices are symmetric
 tridiagonal in z; stacked along one diagonal they form a single
 tridiagonal system with one real LDL^T factor (LAPACK dpttrf).  A field's
 complex y-modes are one right-hand side column of one tridiagonal solve
-(zpttrs), called directly.  scipy.linalg, which holds both, is imported on
-first use (_lapack), which `run` makes just before it builds the system and
-its solvers, so importing stripwave loads no scipy and an eps = 0 run pays
-that import inside `run`.  Each of the three systems is one object per
-time loop (_System) that steps itself with either scheme, first-order
-IMEX (imex1) or SBDF2 (Ascher, Ruuth & Wetton, SIAM J. Numer. Anal. 32,
-1995), and counts its work in one RunCounters; a system states only its
-explicit tendency, the diffusion of each of its arrays, and its ledger
-row.  phi and the (n, q) deviations are clamped to zero at z = +-L_z.  psi
-is clamped only at the inflow end z = +L_z when it carries no diffusion:
-its transport is upwinded toward the outflow at z = -L_z, where a Dirichlet
+(zpttrs), called directly.  Both come from scipy's f2py LAPACK extension,
+loaded from its file when the first diffusion solver is built (_lapack)
+rather than imported through scipy.linalg, so importing stripwave loads no
+scipy and a run that steps loads that one module, not the 85 of
+scipy.linalg.  Each of the three systems is one object per time loop
+(_System) that steps itself with either scheme, first-order IMEX (imex1)
+or SBDF2 (Ascher, Ruuth & Wetton, SIAM J. Numer. Anal. 32, 1995), and
+counts its work in one RunCounters; a system states only its explicit
+tendency, the diffusion of each of its arrays, and its ledger row.  phi
+and the (n, q) deviations are clamped to zero at z = +-L_z.  psi is
+clamped only at the inflow end z = +L_z when it carries no diffusion: its
+transport is upwinded toward the outflow at z = -L_z, where a Dirichlet
 pin would inject spurious boundary kinks into the H^3 ledger.
 
 In system C the y-mean column and the fluctuation modes never mix through a
@@ -68,7 +69,10 @@ SBDF2 history keep arrays no later step writes.
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
 import time
 import warnings
 from dataclasses import asdict, dataclass, field, replace
@@ -150,8 +154,9 @@ class RunCounters:
     the other systems).  `build_s`,
     `tendency_s`, `solve_s` and `row_s` are the perf_counter seconds spent
     building the system and its solvers before the first step (the first
-    run of a process imports scipy.linalg there), in explicit tendencies, in
-    right-hand sides with their implicit solves, and in ledger rows.
+    run of a process loads the LAPACK extension there), in explicit
+    tendencies, in right-hand sides with their implicit solves, and in
+    ledger rows.
     `dt_over_transport_limit` is dt over the explicit-transport limit
     cfl_safety * dz / v_max (IntegratorConfig), the run's CFL margin.
     """
@@ -221,13 +226,34 @@ def _mode_array(grid) -> np.ndarray:
 
 
 @functools.cache
-def _lapack() -> tuple:
-    """scipy's LAPACK (dpttrf, zpttrs), imported on the first call: only a
-    diffusion solver needs scipy.linalg, so importing stripwave does not
-    load it."""
-    from scipy.linalg.lapack import dpttrf, zpttrs
+def _lapack():
+    """scipy's f2py LAPACK extension, the module scipy.linalg._flapack that
+    holds dpttrf and zpttrs, loaded from its file on the first call.
 
-    return dpttrf, zpttrs
+    Only a diffusion solver needs it, so importing stripwave loads no scipy.
+    The file is found in the linalg directory of the scipy package, for any
+    platform's extension suffix, and loaded without running
+    scipy/__init__.py or importing scipy.linalg: one module in 5-10 ms, not
+    85 in about 0.3 s and 25 MB.  Loaded under its own name, it is the
+    module that a later `import scipy.linalg` finds, so its routines are
+    scipy.linalg.lapack's.  A scipy without the file raises ImportError
+    naming the directory searched, before any step.
+    """
+    linalg = os.path.join(importlib.util.find_spec("scipy").submodule_search_locations[0],
+                          "linalg")
+    found = importlib.machinery.PathFinder.find_spec("_flapack", [linalg])
+    if found is None:
+        raise ImportError(f"scipy's LAPACK extension _flapack is not in {linalg}")
+    spec = importlib.util.spec_from_file_location("scipy.linalg._flapack", found.origin)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def lapack_file() -> str | None:
+    """The file name of the LAPACK extension this process has loaded
+    (_lapack), or None before its first diffusion solver."""
+    return os.path.basename(_lapack().__file__) if _lapack.cache_info().currsize else None
 
 
 def cholesky_banded(d: np.ndarray, e: np.ndarray):
@@ -238,7 +264,7 @@ def cholesky_banded(d: np.ndarray, e: np.ndarray):
     can count factorizations by wrapping it, as it counts solves on
     cho_solve_banded and KPP solves on waves.solve_ivp.
     """
-    return _lapack()[0](d, e)
+    return _lapack().dpttrf(d, e)
 
 
 def cho_solve_banded(factor: tuple, b: np.ndarray) -> np.ndarray:
@@ -248,7 +274,7 @@ def cho_solve_banded(factor: tuple, b: np.ndarray) -> np.ndarray:
     A module-level name so that the benchmark tracer counts solves by
     wrapping it (see cholesky_banded).
     """
-    return _lapack()[1](*factor, b, overwrite_b=1)[0]
+    return _lapack().zpttrs(*factor, b, overwrite_b=1)[0]
 
 
 class _ModeDiffusionSolver:
@@ -766,9 +792,6 @@ def run(system: str, init, profile: WaveProfile, config: IntegratorConfig,
         raise ValueError(f"head = {head} must lie in [0, t_end = {config.t_end}]")
     cfl = _validate_cfl(config, profile)
     start = time.perf_counter()
-    # scipy.linalg is imported before the system allocates its arrays:
-    # imported on top of them, it left an eps = 0 run's peak RSS 0.1 MB higher
-    _lapack()
     model = (_NqSystem if system == "nq" else _PerturbationSystem)(profile, config)
     model.counters.build_s = time.perf_counter() - start
     model.counters.dt_over_transport_limit = cfl

@@ -410,7 +410,7 @@ def test_manifest_records_the_environment(tmp_path, monkeypatch, args, code):
     assert main(args) == code
     env = json.loads((tmp_path / "out" / "manifest.json").read_text())["environment"]
     assert set(env) == {"python", "numpy", "scipy", "cpu_count", "usable_cores", "threads",
-                        "scipy_loaded"}
+                        "scipy_loaded", "lapack"}
     assert env["python"] == ".".join(map(str, sys.version_info[:3]))
     assert env["numpy"] == np.__version__ and env["cpu_count"] == os.cpu_count()
     assert env["usable_cores"] == len(os.sched_getaffinity(0))
@@ -421,6 +421,8 @@ def test_manifest_records_the_environment(tmp_path, monkeypatch, args, code):
     assert env["scipy_loaded"] == sorted(env["scipy_loaded"])
     assert all(m.count(".") == 1 and not m.startswith("scipy._")
                for m in env["scipy_loaded"])
+    # the extension's file name, once some time loop of this process loaded it
+    assert env["lapack"] is None or env["lapack"].startswith("_flapack.")
 
 
 def test_usable_cores_fall_back_to_the_core_count(monkeypatch):
@@ -445,23 +447,25 @@ def _fresh_process(tmp_path, body: str, modules=ODE_STACK) -> list:
     return json.loads(done.stdout.splitlines()[-1])
 
 
-@pytest.mark.parametrize("args, loaded", [
-    (["evolve", "--set", "grid.n_y=4", "--set", "integrator.t_end=0.2"], ["scipy.linalg"]),
-    (["wave", "--set", "wave.eps=0.1"], []),
+@pytest.mark.parametrize("args, steps", [
+    (["evolve", "--set", "grid.n_y=4", "--set", "integrator.t_end=0.2"], True),
+    (["wave", "--set", "wave.eps=0.1"], False),
     (["linear", "--set", "wave.eps=0.1", "--set", "grid.n_y=4", "--set", "integrator.t_end=0.2"],
-     ["scipy.linalg"]),
+     True),
     (["planarity", "--set", "wave.eps=0.1", "--set", "grid.n_y=4",
-      "--set", "integrator.t_end=1.2"], ["scipy.linalg"]),
+      "--set", "integrator.t_end=1.2"], True),
 ], ids=["evolve", "wave", "linear", "planarity"])
-def test_no_experiment_loads_the_ode_stack(tmp_path, args, loaded):
+def test_no_experiment_loads_the_ode_stack(tmp_path, args, steps):
     # the KPP orbit, its front center and C need numpy alone, so no run,
     # at eps = 0 or not, imports scipy's ODE, root-finding or spline stack;
-    # a run that steps loads scipy.linalg, and its manifest says so
+    # a run that steps loads the LAPACK extension and not scipy.linalg, and
+    # its manifest says so
     body = ("import stripwave.cli\n"
             f"assert stripwave.cli.main({[*args, '--set', 'grid.n_z=128']!r}) in (0, 1)")
-    assert _fresh_process(tmp_path, body) == []
+    assert _fresh_process(tmp_path, body, [*ODE_STACK, "scipy.linalg"]) == []
     env = json.loads((tmp_path / "out" / "manifest.json").read_text())["environment"]
-    assert env["scipy_loaded"] == loaded
+    assert env["scipy_loaded"] == []
+    assert (env["lapack"] or "").startswith("_flapack.") == steps
 
 
 def test_a_kpp_build_loads_no_scipy(tmp_path):
@@ -478,24 +482,42 @@ def test_a_kpp_build_loads_no_scipy(tmp_path):
     ("from stripwave.evolve import RunCounters, _ModeDiffusionSolver\n"
      "from stripwave.grid import make_grid\n"
      "_ModeDiffusionSolver(make_grid(10.0, 32, 0.5, 4, 1.0), RunCounters(), 0.1)",
-     ["scipy", "scipy.linalg"]),
+     ["scipy.linalg._flapack"]),
 ], ids=["stripwave", "stripwave.cli", "solver"])
 def test_scipy_loads_with_the_first_diffusion_solver(tmp_path, body, loaded):
-    assert _fresh_process(tmp_path, body, ["scipy", "scipy.linalg"]) == loaded
+    # the solver loads the extension alone: neither scipy/__init__.py runs
+    # nor scipy.linalg
+    assert _fresh_process(tmp_path, body,
+                          ["scipy", "scipy.linalg", "scipy.linalg._flapack"]) == loaded
+
+
+def test_the_lapack_routines_are_scipy_linalgs(tmp_path):
+    # a later import of scipy.linalg finds the very extension loaded, so
+    # the tests' scipy oracles call the routines the stepper calls
+    body = ("from stripwave.evolve import RunCounters, _ModeDiffusionSolver, _lapack\n"
+            "from stripwave.grid import make_grid\n"
+            "_ModeDiffusionSolver(make_grid(10.0, 32, 0.5, 4, 1.0), RunCounters(), 0.1)\n"
+            "assert 'scipy.linalg' not in sys.modules\n"
+            "import scipy.linalg.lapack\n"
+            "assert _lapack().dpttrf is scipy.linalg.lapack.dpttrf\n"
+            "assert _lapack().zpttrs is scipy.linalg.lapack.zpttrs")
+    assert _fresh_process(tmp_path, body, ["scipy.linalg"]) == ["scipy.linalg"]
 
 
 @pytest.mark.parametrize("args, code, loaded", [
     (["wave"], 0, []),
     # the CFL check rejects dt before run builds a solver
     (["evolve", "--set", "grid.n_y=4", "--set", "integrator.dt=5"], 2, []),
-    (["evolve", "--set", "grid.n_y=4", "--set", "integrator.t_end=0.2"], 0, ["scipy.linalg"]),
+    (["evolve", "--set", "grid.n_y=4", "--set", "integrator.t_end=0.2"], 0,
+     ["scipy.linalg._flapack"]),
 ], ids=["wave", "evolve-cfl-rejected", "evolve"])
 def test_cli_loads_scipy_linalg_only_to_step(tmp_path, args, code, loaded):
+    # of scipy.linalg, only its LAPACK extension, and only to step
     args = [*args, "--set", "grid.n_z=128"]
     body = f"import stripwave.cli\nassert stripwave.cli.main({args!r}) == {code}"
-    assert _fresh_process(tmp_path, body, ["scipy.linalg"]) == loaded
+    assert _fresh_process(tmp_path, body, ["scipy.linalg", "scipy.linalg._flapack"]) == loaded
     env = json.loads((tmp_path / "out" / "manifest.json").read_text())["environment"]
-    assert ("scipy.linalg" in env["scipy_loaded"]) == bool(loaded)
+    assert (env["lapack"] or "").startswith("_flapack.") == bool(loaded)
 
 
 def test_wave_solve_failure_exit_code(tmp_path, monkeypatch, capsys):
@@ -864,6 +886,14 @@ OTHER_VALUES = {
 }
 
 
+EVOLVE_BASE = ["grid.n_z=128", "grid.n_y=4", "grid.L_z=50", "wave.n_minus=0.25",
+               "integrator.dt=0.05", "integrator.t_end=0.5"]
+EVOLVE_ACCEPTED = {"grid.L_z", "grid.n_z", "grid.lambda", "grid.n_y", "wave.n_minus",
+                   "wave.c_plus", "wave.N0", "wave.tol", "init.amplitude", "init.seed",
+                   "init.mean_zero_y", "integrator.dt", "integrator.t_end", "integrator.scheme",
+                   "integrator.record_every", "integrator.cfl_safety", "output.snapshot_every"}
+
+
 @pytest.mark.parametrize("command, base, accepted, unseen", [
     # the z-only profile never meets the strip's lambda and n_y, which it
     # holds, and at eps = 0 no KPP orbit reads wave.tol
@@ -877,13 +907,11 @@ OTHER_VALUES = {
     # its transport is held at upwind (psi has no diffusion at eps = 0);
     # cfl_safety moves only the dt check, and at the default N0 = s^2/c_plus
     # the scale c_plus of C leaves N and the (phi, psi) ledger alone
-    ("evolve", ["grid.n_z=128", "grid.n_y=4", "grid.L_z=50", "wave.n_minus=0.25",
-                "integrator.dt=0.05", "integrator.t_end=0.5"],
-     {"grid.L_z", "grid.n_z", "grid.lambda", "grid.n_y", "wave.n_minus", "wave.c_plus",
-      "wave.N0", "wave.tol", "init.amplitude", "init.seed", "init.mean_zero_y",
-      "integrator.dt", "integrator.t_end", "integrator.scheme", "integrator.record_every",
-      "integrator.cfl_safety", "output.snapshot_every"},
-     {"wave.c_plus", "wave.tol", "integrator.cfl_safety"}),
+    ("evolve", EVOLVE_BASE, EVOLVE_ACCEPTED, {"wave.c_plus", "wave.tol", "integrator.cfl_safety"}),
+    # with N0 set, N = c_plus N0 / (c_plus N0 / s^2 + e^{s z}): c_plus
+    # translates the front, and every output with it
+    ("evolve", EVOLVE_BASE + ["wave.N0=1"], EVOLVE_ACCEPTED,
+     {"wave.tol", "integrator.cfl_safety"}),
 ])
 def test_every_accepted_setting_reaches_the_outputs(tmp_path, monkeypatch, capsys,
                                                     command, base, accepted, unseen):

@@ -1,6 +1,8 @@
+import re
 import tracemalloc
 import warnings
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -566,6 +568,18 @@ def test_failed_factorization_names_its_mode():
     g = make_grid(5.0, 48, 0.5, 8, 1.0)
     with pytest.raises(np.linalg.LinAlgError, match="y-mode 0, z row 0$"):
         _ModeDiffusionSolver(g, RunCounters(), 0.05, alpha=-1e3)
+
+
+def test_a_scipy_without_the_lapack_extension_fails_at_the_first_solver(tmp_path,
+                                                                       monkeypatch):
+    # no fallback: the error names the directory searched, before any step
+    monkeypatch.setattr(evolve.importlib.util, "find_spec",
+                        lambda name: SimpleNamespace(submodule_search_locations=[str(tmp_path)]))
+    evolve._lapack.cache_clear()
+    g = make_grid(5.0, 48, 0.5, 8, 1.0)
+    with pytest.raises(ImportError, match=re.escape(f"_flapack is not in {tmp_path / 'linalg'}")):
+        _ModeDiffusionSolver(g, RunCounters(), 0.05)
+    assert evolve.lapack_file() is None
 
 
 def test_complex_solve_keeps_real_columns_real():

@@ -172,7 +172,8 @@ def test_the_package_names_every_definition_it_holds():
 
 def test_no_module_names_the_ode_stack():
     # the KPP wave needs numpy alone; the package's one scipy is the LAPACK
-    # of scipy.linalg, so that no run pays the import of these three
+    # extension the stepper loads from its file, so that no run pays the
+    # import of these three
     package = Path(__file__).resolve().parents[1] / "src" / "stripwave"
     stack = ("scipy.integrate", "scipy.optimize", "scipy.interpolate")
     assert [f"{path.name}: {name}" for path in sorted(package.glob("*.py"))
@@ -189,6 +190,30 @@ def _unused_imports(source: str) -> list:
             or isinstance(node, ast.ImportFrom) and node.module != "__future__"
             for name in (a.asname or a.name.split(".")[0] for a in node.names)
             if name not in read]
+
+
+def _scipy_linalg_imports(source: str) -> list:
+    """What a module's import statements import from scipy.linalg or below,
+    as dotted names (`from a import b` imports a.b)."""
+    return [name for node in ast.walk(ast.parse(source))
+            for name in ([a.name for a in node.names] if isinstance(node, ast.Import)
+                         else [f"{node.module}.{a.name}" for a in node.names]
+                         if isinstance(node, ast.ImportFrom) and not node.level else [])
+            if f"{name}.".startswith("scipy.linalg.")]
+
+
+def test_no_module_imports_scipy_linalg():
+    # the stepper loads only LAPACK's extension file (evolve._lapack): an
+    # import of scipy.linalg would bring back its 85 modules and 25 MB
+    assert _scipy_linalg_imports("import scipy, scipy.linalg.lapack as la\n"
+                                 "from scipy.linalg import lu\nfrom scipy import linalg\n"
+                                 "from . import linalg\n\n\ndef f():\n"
+                                 "    from scipy.linalg._flapack import dpttrf\n") == [
+        "scipy.linalg.lapack", "scipy.linalg.lu", "scipy.linalg",
+        "scipy.linalg._flapack.dpttrf"]
+    package = Path(__file__).resolve().parents[1] / "src" / "stripwave"
+    assert [f"{path.name}: {name}" for path in sorted(package.glob("*.py"))
+            for name in _scipy_linalg_imports(path.read_text())] == []
 
 
 def test_no_module_imports_a_name_it_never_uses():
