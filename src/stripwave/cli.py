@@ -186,7 +186,7 @@ def _perturbation(cfg: ExperimentConfig, profile):
     """The configured initial perturbation on the grid of `profile`."""
     init = cfg.init
     return make_initial_perturbation(profile.grid, init["amplitude"], init["seed"],
-                                     init["mean_zero_y"], eps=profile.params.eps)
+                                     init["mean_zero_y"])
 
 
 def _integrator(cfg: ExperimentConfig, **changes) -> IntegratorConfig:

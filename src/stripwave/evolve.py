@@ -350,14 +350,14 @@ def _ldexp_fluctuation(x: np.ndarray, exponent: int) -> np.ndarray:
     """Multiplies the fluctuation columns (k >= 1) of the y-modes x by
     2**exponent in place, exactly unless a result leaves the normal range;
     returns x."""
-    parts = x.view(float)[:, 2:]
-    np.ldexp(parts, exponent, out=parts)
+    _times_power_of_two(x.view(float)[:, 2:], exponent)
     return x
 
 
 def _times_power_of_two(x: np.ndarray, exponent: int) -> None:
-    """x *= 2**exponent in place, bit for bit as np.ldexp(x, exponent)."""
-    if exponent >= -1074:
+    """x *= 2**exponent in place, bit for bit as np.ldexp(x, exponent): a
+    multiply while 2.0**exponent is a double, np.ldexp outside that range."""
+    if -1074 <= exponent <= 1023:
         x *= 2.0**exponent
     else:
         np.ldexp(x, exponent, out=x)
@@ -381,9 +381,10 @@ class _Products:
     result at the factors' scale, and the result's column 0 by 2**e again,
     which gives the true y-mean of f_i f_j.  A power of two is exact, so
     every value in the normal range is that of the unscaled product.  For
-    e >= -1074, 2**e is itself a double, and multiplying by it rounds each
-    result once, as np.ldexp does, but without np.ldexp's slow path on
-    subnormal results; below that 2.0**e underflows, and np.ldexp stays.
+    -1074 <= e <= 1023, 2**e is itself a double, and multiplying by it rounds
+    each result once, as np.ldexp does, but without np.ldexp's slow path on
+    subnormal results; outside that range 2.0**e underflows or overflows,
+    and np.ldexp stays.
 
     load keeps no reference to the factors and writes none of them.  term
     returns an array of the object's own, which holds until the next call:

@@ -54,13 +54,11 @@ class PerturbationState:
     """Moving-frame perturbation (phi, psi) of a wave, lam-periodic in y.
 
     phi is the vector potential of the density deviation (n - N = div phi);
-    psi is the log-deviation of the chemical (c = C e^{-psi}).  eps records
-    the chemical diffusion of the governing system.
+    psi is the log-deviation of the chemical (c = C e^{-psi}).
     """
 
     phi: VectorField
     psi: ScalarField
-    eps: float = 0.0
 
     @property
     def grid(self) -> Grid:
@@ -177,7 +175,9 @@ def make_initial_perturbation(
         ||phi||_{H^3_w}^2 + ||psi||_{H^3}^2 + ||grad psi||_{H^2_w}^2
 
     equals `amplitude` (which must be positive) exactly; with mean_zero_y
-    the per-z y-averages are projected out first.
+    the per-z y-averages are projected out first.  eps is accepted and
+    ignored: the state does not depend on the wave, and the keyword stays
+    only for callers that pass it (the benchmark's set-up probe).
     """
     from .energy import ledger_row
 
@@ -207,7 +207,7 @@ def make_initial_perturbation(
         raise TransformError("degenerate random draw produced an empty state")
     scale = np.sqrt(amplitude / measured)
     phi_z, phi_y, psi = (ScalarField(grid, v * scale) for v in values)
-    return PerturbationState(phi=VectorField(phi_z, phi_y), psi=psi, eps=eps)
+    return PerturbationState(phi=VectorField(phi_z, phi_y), psi=psi)
 
 
 def perturbation_y_means(modes) -> float:

@@ -24,7 +24,7 @@ def cross_solver_mismatch():
     def mismatch(n_z, dt):
         g = make_grid(25.0 / p.s, n_z, 2.0, 8, p.s)
         prof = solve_wave_kpp(p, g)
-        pert = make_initial_perturbation(g, 1e-8, seed=6, mean_zero_y=True, eps=p.eps)
+        pert = make_initial_perturbation(g, 1e-8, seed=6, mean_zero_y=True)
         cfg = IntegratorConfig(dt=dt, t_end=0.5, record_every=10**9, transport="central")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")

@@ -83,7 +83,7 @@ def linear_runs():
     p = WaveParams(eps=0.05, n_minus=1.0, c_plus=1.0)
     g = make_grid(25.0 / p.s, 1024, 0.5, 16, p.s)
     prof = solve_wave_kpp(p, g)
-    pert = make_initial_perturbation(g, 1e-4, seed=1, mean_zero_y=True, eps=0.05)
+    pert = make_initial_perturbation(g, 1e-4, seed=1, mean_zero_y=True)
     # one loop to 2T whose head record stops at T, as `linear` runs it
     rec2T = run("linear_eps", pert, prof,
                 IntegratorConfig(dt=0.02, t_end=6.0, record_every=5), head=3.0)
@@ -188,14 +188,14 @@ def test_criterion_06_linear_stability(linear_runs):
 def test_criterion_07_superposition(linear_runs):
     prof, _, _ = linear_runs
     g = prof.grid
-    a = make_initial_perturbation(g, 1e-4, seed=4, mean_zero_y=True, eps=0.05)
-    b = make_initial_perturbation(g, 1e-4, seed=5, mean_zero_y=True, eps=0.05)
+    a = make_initial_perturbation(g, 1e-4, seed=4, mean_zero_y=True)
+    b = make_initial_perturbation(g, 1e-4, seed=5, mean_zero_y=True)
     ca, cb = 0.7, -1.3
     comb = type(a)(
         phi=VectorField(
             ScalarField(g, ca * a.phi.z.values + cb * b.phi.z.values),
             ScalarField(g, ca * a.phi.y.values + cb * b.phi.y.values)),
-        psi=ScalarField(g, ca * a.psi.values + cb * b.psi.values), eps=0.05)
+        psi=ScalarField(g, ca * a.psi.values + cb * b.psi.values))
     one_step = IntegratorConfig(dt=0.02, t_end=0.02)
     sa, sb, sc = (perturbation_state(g, run("linear_eps", s, prof, one_step).final_modes)
                   for s in (a, b, comb))
@@ -220,7 +220,7 @@ def test_criterion_08_planarity():
         """The fitted decay rate, r^2, fit window and blowup of one strip."""
         g = make_grid(25.0 / p.s, 1024, lam, 16, p.s)
         prof = replace(wave, grid=g)
-        pert = make_initial_perturbation(g, 1e-4, seed=2, mean_zero_y=True, eps=p_eps)
+        pert = make_initial_perturbation(g, 1e-4, seed=2, mean_zero_y=True)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             rec = run("nq", pert, prof,

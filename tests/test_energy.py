@@ -249,7 +249,7 @@ def _oracle_row(state, eps):
 @pytest.mark.parametrize("eps", [0.0, 0.05])
 def test_ledger_row_matches_physical_space_oracle(mean_zero_y, eps):
     g = make_grid(12.0, 256, 0.5, 16, 1.3)
-    state = make_initial_perturbation(g, 1e-2, seed=7, mean_zero_y=mean_zero_y, eps=eps)
+    state = make_initial_perturbation(g, 1e-2, seed=7, mean_zero_y=mean_zero_y)
     row, ref = ledger_row(g, state.y_modes(), 0.0, eps), _oracle_row(state, eps)
     for name in LedgerRow.__dataclass_fields__:
         got, want = getattr(row, name), getattr(ref, name)

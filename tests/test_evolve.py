@@ -61,9 +61,9 @@ def setup_linear():
     return p, g, solve_wave_kpp(p, g)
 
 
-def zero_state(g, eps=0.0):
+def zero_state(g):
     return PerturbationState(
-        phi=VectorField(zero_field(g), zero_field(g)), psi=zero_field(g), eps=eps)
+        phi=VectorField(zero_field(g), zero_field(g)), psi=zero_field(g))
 
 
 def one_step(system, state, prof, dt):
@@ -104,7 +104,7 @@ def test_zero_state_is_fixed_point(setup_eps0):
 
 def test_zero_state_fixed_point_linear(setup_linear):
     _, g, prof = setup_linear
-    st = perturbation_state(g, one_step("linear_eps", zero_state(g, eps=0.05), prof, 0.02))
+    st = perturbation_state(g, one_step("linear_eps", zero_state(g), prof, 0.02))
     assert st.phi.max_abs() == 0.0
     assert st.psi.max_abs() == 0.0
 
@@ -140,7 +140,7 @@ def test_run_rejects_initial_data_on_another_strip(request, no_factorization, sy
     # of the profile's width 0.5: rejected before anything is factored
     p, g, prof = request.getfixturevalue(setup)
     other = make_grid(g.L_z, g.n_z, 0.25, g.n_y, g.s)
-    init = make_initial_perturbation(other, 1e-4, seed=0, eps=p.eps)
+    init = make_initial_perturbation(other, 1e-4, seed=0)
     with pytest.raises(ValueError, match="^the initial data lie on Grid.*lam=0.25.*"
                                          "the profile on Grid.*lam=0.5"):
         run(system, init, prof, IntegratorConfig(dt=0.01, t_end=0.01))
@@ -190,7 +190,7 @@ def test_temporal_self_convergence_second_order(setup_eps0_wide):
     p = WaveParams(eps=0.1, n_minus=1.0, c_plus=1.0)
     g = make_grid(25.0 / p.s, 256, 2.0, 8, p.s)
     prof = solve_wave_kpp(p, g)
-    pert = make_initial_perturbation(g, 1e-4, seed=0, mean_zero_y=True, eps=p.eps)
+    pert = make_initial_perturbation(g, 1e-4, seed=0, mean_zero_y=True)
     sols = []
     for dt in (0.004, 0.002, 0.001):
         cfg = IntegratorConfig(dt=dt, t_end=0.4, scheme="sbdf2", record_every=10**9)
@@ -249,7 +249,7 @@ def test_dissipation_integral_insensitive_to_record_stride(setup_eps0):
 
 def test_linear_preserves_y_mean_zero(setup_linear):
     _, g, prof = setup_linear
-    pert = make_initial_perturbation(g, 1e-4, seed=2, mean_zero_y=True, eps=0.05)
+    pert = make_initial_perturbation(g, 1e-4, seed=2, mean_zero_y=True)
     cfg = IntegratorConfig(dt=0.02, t_end=1.0, record_every=10)
     rec = run("linear_eps", pert, prof, cfg)
     assert perturbation_y_means(rec.final_modes) < 1e-12
@@ -257,21 +257,21 @@ def test_linear_preserves_y_mean_zero(setup_linear):
 
 def test_linear_warns_on_biased_data(setup_linear):
     _, g, prof = setup_linear
-    pert = make_initial_perturbation(g, 1e-4, seed=2, mean_zero_y=False, eps=0.05)
+    pert = make_initial_perturbation(g, 1e-4, seed=2, mean_zero_y=False)
     with pytest.warns(UserWarning, match="mean"):
         one_step("linear_eps", pert, prof, 0.02)
 
 
 def test_linear_superposition(setup_linear):
     _, g, prof = setup_linear
-    a = make_initial_perturbation(g, 1e-4, seed=4, mean_zero_y=True, eps=0.05)
-    b = make_initial_perturbation(g, 1e-4, seed=5, mean_zero_y=True, eps=0.05)
+    a = make_initial_perturbation(g, 1e-4, seed=4, mean_zero_y=True)
+    b = make_initial_perturbation(g, 1e-4, seed=5, mean_zero_y=True)
     ca, cb = 0.7, -1.3
     comb = PerturbationState(
         phi=VectorField(
             ScalarField(g, ca * a.phi.z.values + cb * b.phi.z.values),
             ScalarField(g, ca * a.phi.y.values + cb * b.phi.y.values)),
-        psi=ScalarField(g, ca * a.psi.values + cb * b.psi.values), eps=0.05)
+        psi=ScalarField(g, ca * a.psi.values + cb * b.psi.values))
     sa, sb, sc = (perturbation_state(g, one_step("linear_eps", s, prof, 0.02))
                   for s in (a, b, comb))
     err = max(
@@ -286,7 +286,7 @@ def test_linear_decay_of_weighted_gradient(setup_linear):
     # mean-zero data: transverse modes die fast, the weighted gradient
     # measure collapses far below the 1e-2 threshold by t = 10
     _, g, prof = setup_linear
-    pert = make_initial_perturbation(g, 1e-4, seed=1, mean_zero_y=True, eps=0.05)
+    pert = make_initial_perturbation(g, 1e-4, seed=1, mean_zero_y=True)
     cfg = IntegratorConfig(dt=0.02, t_end=10.0, record_every=50)
     rec = run("linear_eps", pert, prof, cfg)
     gp = rec.ledger.column("grad_phi_H3w")
@@ -332,7 +332,7 @@ def test_nq_run_rejects_a_state_it_cannot_deviate(nq_setup):
 
 def test_nq_mass_conservation(nq_setup):
     p, g, prof = nq_setup
-    pert = make_initial_perturbation(g, 1e-6, seed=8, mean_zero_y=True, eps=p.eps)
+    pert = make_initial_perturbation(g, 1e-6, seed=8, mean_zero_y=True)
     cfg = IntegratorConfig(dt=0.01, t_end=1.0, record_every=10)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -348,7 +348,7 @@ def test_nq_ledger_q_matches_the_physical_transverse_energy(nq_setup, t_end):
     # Q is below 1e-9, so approx's default abs of 1e-12 would hide a relative
     # error of 1e-3: abs = 0
     p, g, prof = nq_setup
-    pert = make_initial_perturbation(g, 1e-4, seed=2, mean_zero_y=True, eps=p.eps)
+    pert = make_initial_perturbation(g, 1e-4, seed=2, mean_zero_y=True)
     rec = run("nq", pert, prof, IntegratorConfig(dt=0.01, t_end=t_end, record_every=10))
     q = rec.ledger.column("Q")[-1]
     assert q == pytest.approx(transverse_energy(cole_hopf_state(prof, rec.final_modes)),
@@ -463,7 +463,7 @@ def test_unknown_system_rejected(setup_eps0):
 
 def test_curl_projection_keeps_gradient_structure(nq_setup):
     p, g, prof = nq_setup
-    pert = make_initial_perturbation(g, 1e-6, seed=9, mean_zero_y=True, eps=p.eps)
+    pert = make_initial_perturbation(g, 1e-6, seed=9, mean_zero_y=True)
     cfg = IntegratorConfig(dt=0.01, t_end=0.2, record_every=5, curl_projection=True)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -613,7 +613,7 @@ def test_arrays_with_one_diffusion_share_one_solver(system, eps, sharing):
     assert [isinstance(s, _ModeDiffusionSolver) for s in solves] == [
         label != "pin" for label in labels]
 
-    init = make_initial_perturbation(g, 1e-4, seed=0, mean_zero_y=eps > 0, eps=eps)
+    init = make_initial_perturbation(g, 1e-4, seed=0, mean_zero_y=eps > 0)
     u = model.arrays(init)
     for _ in range(3):
         u = model.step(u)
@@ -664,7 +664,7 @@ def small_strips():
                       ("linear_eps", WaveParams(eps=0.05, n_minus=1.0, c_plus=1.0))):
         g = make_grid(25.0 / p.s, 128, 0.5, 8, p.s)
         prof = explicit_wave_eps0(p, g) if p.eps == 0 else solve_wave_kpp(p, g)
-        pert = make_initial_perturbation(g, 1e-4, seed=0, mean_zero_y=p.eps > 0, eps=p.eps)
+        pert = make_initial_perturbation(g, 1e-4, seed=0, mean_zero_y=p.eps > 0)
         strips[system] = prof, pert
     return strips
 
@@ -776,7 +776,7 @@ def test_nq_head_record_keeps_its_own_curl_drift(tmp_path):
     p = WaveParams(eps=0.1, n_minus=1.0, c_plus=1.0)
     g = make_grid(25.0 / p.s, 128, 0.5, 8, p.s)
     prof = solve_wave_kpp(p, g)
-    pert = make_initial_perturbation(g, 1e-4, seed=0, mean_zero_y=True, eps=p.eps)
+    pert = make_initial_perturbation(g, 1e-4, seed=0, mean_zero_y=True)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         rec, alone, full = _head_and_separate("nq", (prof, pert), 0.03, dt=0.01,
@@ -805,7 +805,7 @@ def _strip(system, n_z, n_y):
     g = make_grid(25.0 / p.s, n_z, 0.5, n_y, p.s)
     prof = solve_wave_kpp(p, g) if eps else explicit_wave_eps0(p, g)
     return prof, lambda seed: make_initial_perturbation(g, 1e-3, seed=seed,
-                                                        mean_zero_y=eps > 0, eps=eps)
+                                                        mean_zero_y=eps > 0)
 
 
 def _model(system, prof, scheme="imex1"):
@@ -904,7 +904,7 @@ def thin_nq_strip():
     p = WaveParams(eps=0.1, n_minus=1.0, c_plus=1.0)
     g = make_grid(25.0 / p.s, 128, 0.25, 8, p.s)
     return solve_wave_kpp(p, g), make_initial_perturbation(g, 1e-4, seed=0,
-                                                           mean_zero_y=True, eps=p.eps)
+                                                           mean_zero_y=True)
 
 
 @pytest.mark.parametrize("options", [
@@ -991,6 +991,24 @@ def test_products_scale_bit_for_bit_as_ldexp(monkeypatch, exponent):
                     exponent)
     subnormal = (pair != 0) & (np.abs(pair) < np.finfo(float).tiny)
     assert np.any(subnormal) == (exponent < 0)
+
+
+@pytest.mark.parametrize("exponent", [33, -33, -1074, -1100, 1030])
+def test_fluctuation_scales_bit_for_bit_as_ldexp(exponent):
+    # y-modes whose rows fall from 1e300 to subnormal 1e-320 along z: the
+    # scaled fluctuation columns overflow, turn subnormal or underflow at
+    # the ends, and column 0 (the y-means) is never touched
+    g = make_grid(10.0, 64, 0.5, 8, 1.0)
+    decay = np.logspace(300, -320, g.n_z)[:, None]
+    x = y_modes(decay * np.random.default_rng(4).standard_normal((g.n_z, g.n_y)))
+    assert np.any(np.abs(x.view(float)[:, 2:]) < np.finfo(float).tiny)
+    want = x.copy()
+    parts = want.view(float)[:, 2:]
+    with np.errstate(over="ignore"):
+        np.ldexp(parts, exponent, out=parts)
+        got = evolve._ldexp_fluctuation(x.copy(), exponent)
+    assert got.tobytes() == want.tobytes()
+    assert np.array_equal(got[:, 0], x[:, 0])
 
 
 def test_nq_curl_drift_warns_once_and_reaches_the_record():

@@ -59,7 +59,7 @@ def test_stepper_calls_the_traced_names(monkeypatch, system, eps):
     params = WaveParams(eps=eps, n_minus=1.0, c_plus=1.0)
     grid = make_grid(25.0 / params.s, 128, 0.5, 8, params.s)
     profile = solve_wave_kpp(params, grid) if eps > 0 else explicit_wave_eps0(params, grid)
-    init = make_initial_perturbation(grid, 1e-4, seed=0, mean_zero_y=eps > 0, eps=eps)
+    init = make_initial_perturbation(grid, 1e-4, seed=0, mean_zero_y=eps > 0)
     run(system, init, profile, IntegratorConfig(dt=0.01, t_end=0.03))
 
     counts = sum(tracer.counts.values(), Counter())
@@ -198,7 +198,7 @@ def test_traced_counts_match_the_program(monkeypatch, system, eps, scheme, proje
     params = WaveParams(eps=eps, n_minus=1.0, c_plus=1.0)
     grid = make_grid(25.0 / params.s, 128, 0.5, 8, params.s)
     profile = solve_wave_kpp(params, grid) if eps > 0 else explicit_wave_eps0(params, grid)
-    init_state = make_initial_perturbation(grid, 1e-4, seed=0, mean_zero_y=eps > 0, eps=eps)
+    init_state = make_initial_perturbation(grid, 1e-4, seed=0, mean_zero_y=eps > 0)
     rec = run(system, init_state, profile,
               IntegratorConfig(dt=0.01, t_end=0.05, scheme=scheme,
                                curl_projection=projection))
