@@ -9,20 +9,24 @@ KPP/Fisher-type equation for W:
 with W(-inf) = W_minus = (1+eps) s^2 / N0 and W(+inf) = 0, W' < 0.
 
 For eps = 0 everything is closed-form.  For eps > 0 the heteroclinic orbit
-is integrated in the (W, W') phase plane, launched at delta = 1e-6 W_minus
-on the second-order expansion of the unstable manifold of (W_minus, 0),
-W = W_minus - delta e^{mu z} + c2 delta^2 e^{2 mu z}.  The linearization
-has a fast stable eigenvalue near -s(1+2eps)/eps, so the ODE is stiff for
-small eps: an explicit scheme pays about 1/eps steps for stability alone.
-The orbit is therefore integrated by the package's three-stage Radau IIA
-method (stripwave.radau: order 5, L-stable, after Hairer & Wanner's
-RADAU5) with the analytic 2x2 Jacobian: about 4,500 steps at tol = 1e-10
-for every eps from 1 down to 1e-6.  It carries W and W_minus - W as two
-variables, so that the launch, where W_minus - W is 1e-6 W_minus, keeps
-relative accuracy as the right tail does.  Far tails are continued
-analytically: the same manifold expansion on the left, a pure e^{-s z}
-decay on the right.  The companion is P = -C'/C = -(W'/W + s), which
-satisfies
+is integrated in logit coordinates: W = W_minus sigma(l), with sigma the
+logistic function, so l = log(W / (W_minus - W)), and p = l', for which
+
+    eps l'' = -eps (1 - 2 sigma(l)) l'^2 - s(1 + 2 eps) l' - (1 + eps) s^2.
+
+l is asymptotically linear at both ends (p tends to -mu on the left, -s on
+the right), so one dense solution keeps relative accuracy in W and in
+W_minus - W from end to end.  It is launched on the second-order expansion
+of the unstable manifold of (W_minus, 0), W = W_minus - e + c2 e^2 with
+e = delta e^{mu z}, L_z to the left of the point where e = delta = 1e-6
+W_minus, so that it covers the whole grid.  The linearization has a fast
+stable eigenvalue near -s(1+2eps)/eps, so the ODE is stiff for small eps:
+an explicit scheme pays about 1/eps steps for stability alone.  The orbit
+is therefore integrated by the package's three-stage Radau IIA method
+(stripwave.radau: order 5, L-stable, after Hairer & Wanner's RADAU5) with
+the analytic 2x2 Jacobian: at tol = 1e-10 about 440 steps at eps = 1, 330
+at 0.1 and 28 at 1e-6.  The companion is P = -C'/C = -(W'/W + s) =
+-(p (1 - sigma) + s), which satisfies
 
     -s N' - N''          = (N P)'
     -s P' - eps P''      = -2 eps P P' + N'
@@ -158,108 +162,89 @@ def solve_ivp(*args):
 
 
 class _KppOrbit:
-    """Heteroclinic orbit of the W phase plane with analytic tail continuation.
+    """Heteroclinic orbit of the W phase plane in logit coordinates.
 
-    Coordinates: xi measured from the manifold launch point.  Regions:
-      xi < 2h    : W = W- - delta e^{mu xi} + c2 delta^2 e^{2 mu xi}
-                   (second-order unstable manifold, also the launch point)
-      2h..xi_end : dense ODE solution
-      xi > xi_end: W = W_end e^{-s (xi - xi_end)}  (slow stable direction)
-    h is the step of the finite-difference W'' in `_dense`; from 2h on its
-    stencil lies inside the integration span.
+    W = W- sigma(l) with sigma the logistic function, so l = log(W / (W- - W)),
+    and p = l'.  Both are of unit scale from end to end: p tends to -mu on
+    the left and to -s on the right, so one dense solution keeps relative
+    accuracy in W and in W- - W alike.  xi is measured from the point of the
+    manifold where W- - W = 1e-6 W-; the orbit is launched L_z further left,
+    and its dense output covers xi0 = -L_z .. xi_end: a grid of half-width
+    L_z about the front center, with the W'' stencil, lies inside it.
     """
 
     LAUNCH_OFFSET = 1.0e-6   # delta / W-
 
-    def __init__(self, params: WaveParams, tol: float, span: float):
-        eps, s, N0 = params.eps, params.s, params.N0
-        wm = params.w_minus
-        mu = left_tail_rate(s, eps)
-        delta = self.LAUNCH_OFFSET * wm
-        # delta^2 e^{2 mu xi} term of W- - W; tends to 1/W- (closed form) as eps -> 0
-        c2 = N0 / (4.0 * eps * mu**2 + 2.0 * s * (1.0 + 2.0 * eps) * mu - (1.0 + eps) * s**2)
-
-        b, k = s * (1.0 + 2.0 * eps), (1.0 + eps) * s**2   # k = N0 W-
-
-        def accel(w, u, v):
-            # -k W + N0 W^2 = -N0 W (W- - W), exact where W nears W-
-            return (-b * v - N0 * w * u) / eps
-
-        def jac(w, _):
-            return (2.0 * N0 * w - k) / eps, -b / eps
-
+    def __init__(self, params: WaveParams, tol: float, L_z: float):
+        eps, s = params.eps, params.s
         self.params = params
-        self.mu = mu
-        self.delta = delta
-        self.c2 = c2
-        self.wm = wm
-        floor = 1.0e-16 * wm
-        w0, v0, _ = self._tail_left(0.0)
-        sol = solve_ivp(accel, jac, (w0, delta - c2 * delta**2, v0), span, tol, floor)
+        self.wm = params.w_minus
+        self.mu = left_tail_rate(s, eps)
+        self.xi0 = -L_z
+        # generous: the front center lies about ln(1/offset)/mu right of
+        # xi = 0, and the grid reaches L_z beyond it
+        self.xi_end = (math.log(1.0 / self.LAUNCH_OFFSET) / self.mu
+                       + 2.5 * L_z + 40.0 / s)
+        b, k = s * (1.0 + 2.0 * eps), (1.0 + eps) * s**2
+
+        # 1 - 2 sigma(l) = -tanh(l/2) and 2 sigma (1 - sigma) = 1 - tanh(l/2)^2
+        def accel(l, p):
+            return math.tanh(0.5 * l) * p * p - (b * p + k) / eps
+
+        def jac(l, p):
+            th = math.tanh(0.5 * l)
+            return 0.5 * (1.0 - th * th) * p * p, 2.0 * th * p - b / eps
+
+        sol = solve_ivp(accel, jac, self._tail_left(self.xi0), self.xi_end - self.xi0, tol)
         if not sol.success:
             raise WaveSolveError(f"phase-plane integration failed: {sol.message}",
                                  {"eps": eps, "s": s, "tol": tol})
-        wvals = sol.y[0]
-        if np.any(wvals < -floor) or np.any(wvals > wm * (1.0 + 1e-6)):
-            raise WaveSolveError(
-                "orbit left [0, W-]; integrator failure",
-                {"w_min": float(wvals.min()), "w_max": float(wvals.max()), "w_minus": wm})
-
         self.sol = sol
-        self.xi_end = float(sol.t[-1])
-        self.w_end = float(sol.sol(self.xi_end)[0])
-        self.h = min(1e-2, self.xi_end / 50.0)
-
-    # -- branch evaluators (W, W', W'') -------------------------------------
+        self.h = min(1e-2, (self.xi_end - self.xi0) / 50.0)
 
     def _tail_left(self, xi):
-        mu = self.mu
-        e = self.delta * np.exp(mu * xi)
-        e2 = self.c2 * e**2
-        return self.wm - e + e2, mu * (2.0 * e2 - e), mu**2 * (4.0 * e2 - e)
+        """(l, l') at xi on the second-order unstable manifold of (W-, 0),
+        W- - W = e - c2 e^2 with e = delta e^{mu xi}: the launch.  l is
+        formed from log e, which a long strip cannot underflow."""
+        eps, s, mu, wm = self.params.eps, self.params.s, self.mu, self.wm
+        # e^2 coefficient of W- - W; tends to 1/W- (closed form) as eps -> 0
+        c2 = self.params.N0 / (4.0 * eps * mu**2 + 2.0 * s * (1.0 + 2.0 * eps) * mu
+                               - (1.0 + eps) * s**2)
+        log_e = math.log(self.LAUNCH_OFFSET * wm) + mu * xi
+        e = math.exp(log_e)
+        ce = c2 * e
+        w = wm - e * (1.0 - ce)
+        return (math.log(w) - log_e - math.log1p(-ce),
+                -mu * wm * (1.0 - 2.0 * ce) / (w * (1.0 - ce)))
 
-    def _dense(self, xi):
-        w, v = self.sol.sol(xi)
-        # second derivative from a 4th-order difference of the dense W'.  The
-        # stencil is clipped to [0, xi_end], which spoils W'' within 2h of
-        # either end (at xi = 0 it comes out halved): evaluate calls this only
-        # from 2h on, and near xi_end W'' is ~1e-16 W-, below any gate
-        h = self.h
-        pts = [np.clip(xi + k * h, 0.0, self.xi_end) for k in (-2, -1, 1, 2)]
-        vm2, vm1, vp1, vp2 = (self.sol.sol(p)[1] for p in pts)
-        wpp = (vm2 - 8.0 * vm1 + 8.0 * vp1 - vp2) / (12.0 * h)
-        return w, v, wpp
-
-    def _tail_right(self, xi):
-        s = self.params.s
-        e = self.w_end * np.exp(-s * (xi - self.xi_end))
-        return e, -s * e, s**2 * e
+    def _logistic(self, xi):
+        """sigma(l), 1 - sigma(l) and p on the dense orbit, each to full
+        relative accuracy (W = W- sigma, W- - W = W- (1 - sigma))."""
+        l, p = self.sol.sol(xi - self.xi0)
+        e = np.exp(-np.abs(l))
+        return np.where(l >= 0.0, 1.0, e) / (1.0 + e), np.where(l >= 0.0, e, 1.0) / (1.0 + e), p
 
     def evaluate(self, xi: np.ndarray):
-        """Piecewise (W, W', W''): manifold, dense orbit, right tail."""
+        """(W, W', W''), with W' = W- sigma (1 - sigma) p.  W'' is a 4th-order
+        difference of the dense W' with step h, never the ODE's own
+        acceleration, so that the defect of (W, W', W'') checks the orbit
+        independently; the stencil must lie inside [xi0, xi_end]."""
         xi = np.asarray(xi, dtype=float)
-        W = np.empty_like(xi)
-        Wp = np.empty_like(xi)
-        Wpp = np.empty_like(xi)
-        m_left = xi < 2.0 * self.h
-        m_right = xi > self.xi_end
-        m_dense = ~(m_left | m_right)
-        for mask, branch in ((m_left, self._tail_left), (m_dense, self._dense),
-                             (m_right, self._tail_right)):
-            if np.any(mask):
-                W[mask], Wp[mask], Wpp[mask] = branch(xi[mask])
-        return W, Wp, Wpp
+        h = self.h
+        sig, rest, p = self._logistic(xi)
+        vm2, vm1, vp1, vp2 = (np.prod(self._logistic(xi + k * h), axis=0)
+                              for k in (-2, -1, 1, 2))
+        return (self.wm * sig, self.wm * sig * rest * p,
+                self.wm * (vm2 - 8.0 * vm1 + 8.0 * vp1 - vp2) / (12.0 * h))
 
     def front_center(self) -> float:
-        """xi at which W = W-/2 (unique by monotonicity): Newton's method on
-        the dense W, with the dense W' as its slope, from the step end
-        nearest the crossing."""
-        target = 0.5 * self.wm
-        t, w = self.sol.t, self.sol.y[0]
-        xi = float(t[np.argmin(np.abs(w - target))])
+        """xi at which W = W-/2, that is l = 0 (unique by monotonicity):
+        Newton's method on the dense l, with the dense l' as its slope, from
+        the step end nearest the crossing."""
+        xi = self.xi0 + float(self.sol.t[np.argmin(np.abs(self.sol.y[0]))])
         for _ in range(50):
-            w, v = self.sol.sol(xi)
-            step = float((w - target) / v)
+            l, p = self.sol.sol(xi - self.xi0)
+            step = float(l / p)
             xi -= step
             if abs(step) <= 1e-13 * max(1.0, abs(xi)):
                 break
@@ -280,23 +265,21 @@ def _fit_log_slope(z: np.ndarray, vals: np.ndarray) -> float:
 def solve_wave_kpp(params: WaveParams, grid: Grid, tol: float = 1e-10) -> WaveProfile:
     """Construct the eps > 0 profile by phase-plane integration.
 
-    The orbit is launched on the second-order unstable manifold of (W-, 0)
-    at offset delta = 1e-6 W- (launch error O(delta^3)), integrated by
-    Radau IIA with the analytic Jacobian at relative tolerance tol (stiff-
-    aware: the cost stays bounded as eps -> 0, where an explicit scheme's
-    grows like 1/eps), then translated so that N(0) = N(-L_z)/2 (front
-    centering).  Returns N = N0 W, P = -(W'/W + s), and C reconstructed
-    from C'/C = -P with C(+inf) normalized to c_plus.
+    The orbit is launched on the second-order unstable manifold of (W-, 0),
+    L_z left of the point where W- - W = 1e-6 W-, integrated in logit
+    coordinates by Radau IIA with the analytic Jacobian at tolerance tol
+    (stiff-aware: the cost stays bounded as eps -> 0, where an explicit
+    scheme's grows like 1/eps), then translated so that N(0) = N(-L_z)/2
+    (front centering; diagnostics' front_center_offset is that center,
+    measured from the 1e-6 point).  Returns N = N0 W, P = -(W'/W + s), and
+    C reconstructed from C'/C = -P with C(+inf) normalized to c_plus.
     """
     if params.eps <= 0.0:
         raise WaveError(f"KPP solver requires eps > 0, got {params.eps}")
     check_rules("wave", {"tol": tol}, error=WaveError)
 
     s = params.s
-    # generous span: manifold escape ~ ln(1/offset)/mu plus the grid width
-    span = (math.log(1.0 / _KppOrbit.LAUNCH_OFFSET) / left_tail_rate(s, params.eps)
-            + 2.5 * grid.L_z + 40.0 / s)
-    orbit = _KppOrbit(params, tol, span)
+    orbit = _KppOrbit(params, tol, grid.L_z)
     xi_c = orbit.front_center()
 
     xi = grid.z + xi_c
@@ -306,8 +289,7 @@ def solve_wave_kpp(params: WaveParams, grid: Grid, tol: float = 1e-10) -> WavePr
                              {"eps": params.eps, "n_z": grid.n_z})
 
     N = params.N0 * W
-    P = -(Wp / W + s)
-    P = _continue_p_tail(grid, P, s)
+    P = -(Wp / W + s)   # -(p (1 - sigma) + s)
 
     # C from the log-derivative: C(z) = C(L_z) exp(-int_z^{L_z} |P|), with the
     # endpoint carrying the analytic e^{-s z} tail beyond the truncation;
@@ -337,24 +319,6 @@ def solve_wave_kpp(params: WaveParams, grid: Grid, tol: float = 1e-10) -> WavePr
             "nsteps": len(orbit.sol.t) - 1,
         },
     )
-
-
-def _continue_p_tail(grid: Grid, P: np.ndarray, s: float) -> np.ndarray:
-    """Replace the far-right samples of P by their exponential continuation.
-
-    P decays like e^{-s z}; once |P| falls within ~1e4x of the integrator's
-    relative noise, the ratio W'/W no longer resolves it, so the tail is
-    continued analytically from the last trustworthy node.  Keeps P strictly
-    negative and monotone through the truncation boundary.
-    """
-    level = np.max(np.abs(P)) * 1e-4
-    trusted = np.nonzero(np.abs(P) >= level)[0]
-    m = int(trusted[-1])
-    if m >= grid.n_z - 1:
-        return P
-    out = P.copy()
-    out[m + 1:] = P[m] * np.exp(-s * (grid.z[m + 1:] - grid.z[m]))
-    return out
 
 
 def _c_from_p(grid: Grid, P: np.ndarray, slope: np.ndarray, c_plus: float,
