@@ -7,14 +7,15 @@ line, or its override), and a parsed configuration serializes back to
 canonical text that re-parses to an identical configuration (diff-friendly
 for experiment sweeps).
 
-Every input rule is stated once, in _RULES; check_rules applies it to a
-config before any compute and to each library constructor's arguments.  Each
-experiment holds at their defaults the settings its run never reads
-(EXPERIMENTS, _held).
+Every input rule is stated once, in _RULES, and every number must be
+finite; check_rules applies both to a config before any compute and to
+each library constructor's arguments.  Each experiment holds at their
+defaults the settings its run never reads (EXPERIMENTS, _held).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 # allowed values of the integrator's named choices
@@ -45,6 +46,11 @@ def _parse_float_list(s: str) -> tuple:
     return tuple(float(p) for p in s.split(",") if p.strip())
 
 
+# the stepper runs in the moving frame alone and never projects q onto
+# gradients; these [integrator] keys stay because the benchmark's pinned
+# workloads set them, and _held holds them at their defaults everywhere
+_UNREAD = {"frame": (str, "moving"), "curl_projection": (_parse_bool, False)}
+
 # schema: section -> key -> (converter, default)
 _SCHEMA = {
     "grid": {
@@ -72,10 +78,7 @@ _SCHEMA = {
         "record_every": (int, 5),
         "cfl_safety": (float, 0.9),
         "transport": (str, "upwind"),
-        # the stepper runs in the moving frame alone; the key stays because
-        # the benchmark's pinned workloads set it, and _held holds it there
-        "frame": (str, "moving"),
-        "curl_projection": (_parse_bool, False),
+        **_UNREAD,
         "fit_t_min": (float, 1.0),
         "fit_t_max": (float, 10.0),
     },
@@ -119,10 +122,11 @@ _MEAN_ZERO = {("init", "mean_zero_y"): (bool, "must be true")}
 # 'section.key' prefixes of the settings its run never reads).  Such a rule
 # replaces, and so must imply, that of _RULES for its key, and its
 # requirement is stated "for experiment '<name>'".  _held holds at its
-# default each key that a prefix names, integrator.frame (which no run
+# default each key that a prefix names, the _UNREAD keys (which no run
 # reads) and every key of a section the experiment does not require, but
-# output.directory.  init.mean_zero_y is derived where [init] is read: it
-# defaults to whether the experiment holds the mean-zero rule.
+# output.directory.
+# init.mean_zero_y is derived where [init] is read: it defaults to whether
+# the experiment holds the mean-zero rule.
 EXPERIMENTS = {
     # its profile is z-only: no output depends on the strip's width or n_y
     "wave": (("grid", "wave"), False, {}, ("grid.lambda", "grid.n_y")),
@@ -130,11 +134,11 @@ EXPERIMENTS = {
     # default config under both schemes (imex1 at t = 3.7, sbdf2 at 10.2)
     "stability0": (SECTIONS, False, {("integrator", "transport"): (
                        lambda v: v == "upwind", "must be upwind")},
-                   ("wave.eps", "integrator.curl_projection", "integrator.fit_t_")),
+                   ("wave.eps", "integrator.fit_t_")),
     "linear_eps": (SECTIONS, False, {("wave", "eps"): _POSITIVE, **_MEAN_ZERO},
-                   ("integrator.curl_projection", "integrator.fit_t_")),
-    # planarity alone reads curl_projection (its (n, q) system) and the fit
-    # window; it has no transport stencil and writes no snapshots
+                   ("integrator.fit_t_",)),
+    # planarity alone reads the fit window; its (n, q) system has no
+    # transport stencil, and it writes no snapshots
     "planarity": (SECTIONS, True, {("wave", "eps"): _POSITIVE, **_MEAN_ZERO},
                   ("integrator.transport", "output.snapshot_every")),
     # its grids and time runs are fixed; it reads the [wave] at eps = 0 and
@@ -148,7 +152,8 @@ def _held(experiment: str) -> dict:
     `experiment` never reads (EXPERIMENTS).  check_rules passes them each
     element of a sweep list, which (v,) compares with a one-value default."""
     required, _, _, prefixes = EXPERIMENTS[experiment]
-    prefixes += ("integrator.frame", *(f"{name}." for name in SECTIONS if name not in required))
+    prefixes += (*(f"integrator.{key}" for key in _UNREAD),
+                 *(f"{name}." for name in SECTIONS if name not in required))
     return {(name, key): (lambda v, d=default: v == d or (v,) == d,
                           f"must be {'unset' if default is None else _format_value(default)}")
             for name, schema in _SCHEMA.items() for key, (_, default) in schema.items()
@@ -211,18 +216,19 @@ def parse_raw(text: str):
 
 def check_rules(section: str, values: dict, label=str, error=None,
                 rules=_RULES) -> list:
-    """Every rule of rules that values (key -> value) break; a tuple (a sweep
-    list) is checked per element, None (a derived value) is skipped.  label(key)
-    names each offender; error, when given, is raised with the problems."""
+    """Every rule of rules that values (key -> value) break, and every float
+    that is not finite, for any key; a tuple (a sweep list) is checked per
+    element, None (a derived value) is skipped.  label(key) names each
+    offender; error, when given, is raised with the problems."""
     problems = []
     for key, value in values.items():
-        if (section, key) in rules:
-            ok, requirement = rules[section, key]
-            problems.extend(
-                f"{label(key)} {requirement}, "
-                f"got {repr(v) if isinstance(v, str) else v}"
-                for v in (value if isinstance(value, tuple) else (value,))
-                if v is not None and not ok(v))
+        ok, requirement = rules.get((section, key), (None, None))
+        for v in (value if isinstance(value, tuple) else (value,)):
+            if isinstance(v, float) and not math.isfinite(v):
+                problems.append(f"{label(key)} must be finite, got {v}")
+            elif v is not None and ok and not ok(v):
+                problems.append(f"{label(key)} {requirement}, "
+                                f"got {repr(v) if isinstance(v, str) else v}")
     if error and problems:
         raise error("; ".join(problems))
     return problems

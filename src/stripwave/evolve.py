@@ -114,13 +114,13 @@ class IntegratorConfig:
     nonlinear0 and linear_eps.  At eps = 0 psi has no diffusion to damp a
     central difference, and nonlinear0 blows up under either scheme on the
     stability0 config (the CLI refuses the pairing); linear_eps, whose psi
-    diffuses, runs with it under either scheme.  curl_projection
-    steers only nq.  Every system runs in the moving frame, so no field
-    selects a frame.  run ignores the keys that its system does not read,
-    so one config may drive several systems; the CLI holds such keys at
-    their defaults, and the whole [integrator] for the experiments that
-    step no configured run (wave, convergence; config.EXPERIMENTS).
-    snapshot_every = 0 disables field snapshots.
+    diffuses, runs with it under either scheme.  Every system runs in the
+    moving frame, and nq steps its deviation b = q - P as it is, so no
+    field selects a frame or re-gauges q.  run ignores the keys that its
+    system does not read, so one config may drive several systems; the CLI
+    holds such keys at their defaults, and the whole [integrator] for the
+    experiments that step no configured run (wave, convergence;
+    config.EXPERIMENTS).  snapshot_every = 0 disables field snapshots.
     """
 
     dt: float
@@ -129,7 +129,6 @@ class IntegratorConfig:
     cfl_safety: float = 0.9
     record_every: int = 1
     transport: str = "upwind"
-    curl_projection: bool = False
     snapshot_every: int = 0
 
     def __post_init__(self):
@@ -147,16 +146,14 @@ class RunCounters:
     The loop's system holds one record that its solvers and steps add to
     (_System), and `run` closes a record on a copy of it.  `steps`, `rows`
     and `solves` count the steps taken, the ledger rows computed and the
-    banded diffusion solves made (the curl projection's included);
-    `factorizations` counts the banded solvers the loop built, each
-    factored once (the curl projector included); for nq `rescales` counts
+    banded diffusion solves made; `factorizations` counts the banded
+    solvers the loop built, each factored once; for nq `rescales` counts
     the rescalings of the fluctuation to unit scale (_NqSystem; None for
-    the other systems).  `build_s`,
-    `tendency_s`, `solve_s` and `row_s` are the perf_counter seconds spent
-    building the system and its solvers before the first step (the first
-    run of a process loads the LAPACK extension there), in explicit
-    tendencies, in right-hand sides with their implicit solves, and in
-    ledger rows.
+    the other systems).  `build_s`, `tendency_s`, `solve_s` and `row_s` are
+    the perf_counter seconds spent building the system and its solvers
+    before the first step (the first run of a process loads the LAPACK
+    extension there), in explicit tendencies, in right-hand sides with
+    their implicit solves, and in ledger rows.
     `dt_over_transport_limit` is dt over the explicit-transport limit
     cfl_safety * dz / v_max (IntegratorConfig), the run's CFL margin.
     """
@@ -299,7 +296,7 @@ class _ModeDiffusionSolver:
     solves to `counters`, the RunCounters of the time loop that built it.
     """
 
-    def __init__(self, grid, counters: RunCounters, coef: float, alpha: float = 1.0):
+    def __init__(self, grid, counters: RunCounters, coef: float, alpha: float):
         self.counters = counters
         self.n_int = grid.n_z - 2
         inv_dz2 = 1.0 / grid.dz**2
@@ -591,6 +588,11 @@ class _NqSystem(_System):
     coupling, so every value in the normal range is bit for bit that of an
     unscaled run.  modes() and row() report true values; the y-mean column
     is never scaled.  `counters.rescales` counts the rescalings.
+
+    b is stepped as it is, never re-gauged; from a PerturbationState it
+    starts as the discrete gradient (d_z psi, ik psi).  row() reports the
+    largest |curl b| on the y-nodes, the drift from a gradient, and warns
+    once when it passes 1e-4.
     """
 
     names = ("a", "b_z", "b_y")
@@ -599,9 +601,6 @@ class _NqSystem(_System):
     def _setup(self, profile: WaveProfile, config: IntegratorConfig):
         self.diffusion = (1.0, self.eps, self.eps)
         self.dP = ddz_array(profile.P_z, self.g.dz)
-        # factors (k^2 - d_zz) for the Helmholtz projection
-        self.projector = (_ModeDiffusionSolver(self.g, self.counters, 1.0, alpha=0.0)
-                          if config.curl_projection else None)
         self._warned = False
         self.exponent = self.counters.rescales = 0
         # the magnitudes of one array's fluctuation, in a view of the first
@@ -671,40 +670,20 @@ class _NqSystem(_System):
         return ta, tbz, tby
 
     def settle(self, u):
-        """The projected arrays (with curl_projection) and the power of two
-        by which they were rescaled, in place (0 when kept)."""
-        if self.projector is not None:
-            u = self._project(u)
-        return u, self._rescale(u)
-
-    def _rescale(self, u) -> int:
+        """The arrays u and the power of two by which their fluctuation was
+        rescaled, in place (0 when kept)."""
         peak = max(float(np.abs(x.view(float)[:, 2:], out=self._magnitude).max())
                    for x in u)
         sinking = 0.0 < peak < _RESCALE_FLOOR
         rising = self.exponent < 0 and math.isfinite(peak) and peak * _RESCALE_FLOOR > 1.0
         if not (sinking or rising):
-            return 0
+            return u, 0
         shift = max(-math.frexp(peak)[1], self.exponent)  # the peak into [1/2, 1)
         for x in u:
             _ldexp_fluctuation(x, shift)
         self.exponent -= shift
         self.counters.rescales += 1
-        return shift
-
-    def _project(self, u):
-        """Helmholtz projection of the fluctuating b onto gradients.
-
-        Solves (d_zz - k^2) chi = div b per mode k != 0 with Dirichlet ends
-        and replaces the fluctuation of b by grad chi; the y-mean transverse
-        component has no periodic potential and is dropped entirely.
-        """
-        a, bz, by = u
-        div = ddz_array(bz, self.g.dz) + self.ik * by
-        div[:, 0] = 0.0
-        chi = self.projector(-div)
-        bz_new = ddz_array(chi, self.g.dz)
-        bz_new[:, 0] = bz[:, 0]
-        return a, bz_new, self.ik * chi
+        return u, shift
 
     def row(self, u, t) -> LedgerRow:
         g = self.g
@@ -719,8 +698,8 @@ class _NqSystem(_System):
         values = y_values(curl_modes, g)
         curl = float(np.max(np.abs(values, out=values)))
         if curl > 1e-4 and not self._warned:
-            warnings.warn(f"curl drift reached {curl:.3g}; enable curl_projection "
-                          "to re-gauge", stacklevel=3)
+            warnings.warn(f"curl drift reached {curl:.3g}: q is no longer a "
+                          "gradient to this accuracy", stacklevel=3)
             self._warned = True
         return LedgerRow(t=t, H3w_phi=0.0, H3_psi=0.0, H2w_grad_psi=0.0,
                          M_inst=0.0, grad_phi_H3w=0.0, psi4_w=0.0,

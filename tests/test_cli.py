@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import signal
 import subprocess
@@ -20,7 +21,7 @@ from stripwave.config import (
     serialize_config,
     validate_config,
 )
-from stripwave.evolve import IntegratorBlowup
+from stripwave.evolve import IntegratorBlowup, IntegratorConfig
 from stripwave.grid import GridError, make_grid
 from stripwave.transforms import TransformError, make_initial_perturbation
 from stripwave.waves import WaveError, WaveParams, WaveSolveError, solve_wave_kpp
@@ -481,7 +482,7 @@ def test_a_kpp_build_loads_no_scipy(tmp_path):
     ("import stripwave.cli", []),
     ("from stripwave.evolve import RunCounters, _ModeDiffusionSolver\n"
      "from stripwave.grid import make_grid\n"
-     "_ModeDiffusionSolver(make_grid(10.0, 32, 0.5, 4, 1.0), RunCounters(), 0.1)",
+     "_ModeDiffusionSolver(make_grid(10.0, 32, 0.5, 4, 1.0), RunCounters(), 0.1, 1.0)",
      ["scipy.linalg._flapack"]),
 ], ids=["stripwave", "stripwave.cli", "solver"])
 def test_scipy_loads_with_the_first_diffusion_solver(tmp_path, body, loaded):
@@ -496,7 +497,7 @@ def test_the_lapack_routines_are_scipy_linalgs(tmp_path):
     # the tests' scipy oracles call the routines the stepper calls
     body = ("from stripwave.evolve import RunCounters, _ModeDiffusionSolver, _lapack\n"
             "from stripwave.grid import make_grid\n"
-            "_ModeDiffusionSolver(make_grid(10.0, 32, 0.5, 4, 1.0), RunCounters(), 0.1)\n"
+            "_ModeDiffusionSolver(make_grid(10.0, 32, 0.5, 4, 1.0), RunCounters(), 0.1, 1.0)\n"
             "assert 'scipy.linalg' not in sys.modules\n"
             "import scipy.linalg.lapack\n"
             "assert _lapack().dpttrf is scipy.linalg.lapack.dpttrf\n"
@@ -835,6 +836,27 @@ def test_blowup_reason_reaches_stdout_and_manifest(tmp_path, monkeypatch, capsys
     ("evolve", ["integrator.scheme=sbdf2", "integrator.transport=central"],
      "--set integrator.transport=central: integrator.transport must be upwind for "
      "experiment 'stability0', got 'central'"),
+    # no run re-gauges q onto gradients; the key stays for configs that pin it
+    ("planarity", ["wave.eps=0.1", "integrator.curl_projection=true"],
+     "--set integrator.curl_projection=true: integrator.curl_projection must be false "
+     "for experiment 'planarity', got True"),
+    # every number must be finite, for keys with a rule of their own or none
+    ("wave", ["wave.eps=inf"], "--set wave.eps=inf: wave.eps must be finite, got inf"),
+    ("wave", ["wave.eps=nan"], "--set wave.eps=nan: wave.eps must be finite, got nan"),
+    ("wave", ["wave.n_minus=inf"],
+     "--set wave.n_minus=inf: wave.n_minus must be finite, got inf"),
+    ("wave", ["grid.L_z=inf"], "--set grid.L_z=inf: grid.L_z must be finite, got inf"),
+    ("evolve", ["integrator.t_end=inf"],
+     "--set integrator.t_end=inf: integrator.t_end must be finite, got inf"),
+    ("evolve", ["init.amplitude=inf"],
+     "--set init.amplitude=inf: init.amplitude must be finite, got inf"),
+    ("evolve", ["wave.N0=inf"], "--set wave.N0=inf: wave.N0 must be finite, got inf"),
+    ("evolve", ["wave.c_plus=inf"],
+     "--set wave.c_plus=inf: wave.c_plus must be finite, got inf"),
+    ("planarity", ["wave.eps=0.1", "integrator.fit_t_max=inf"],
+     "--set integrator.fit_t_max=inf: integrator.fit_t_max must be finite, got inf"),
+    ("planarity", ["wave.eps=0.1,inf"],
+     "--set wave.eps=0.1,inf: wave.eps must be finite, got inf"),
 ])
 def test_bad_inputs_rejected_before_compute(tmp_path, monkeypatch, capsys, command,
                                             overrides, message):
@@ -900,6 +922,18 @@ EVOLVE_ACCEPTED = {"grid.L_z", "grid.n_z", "grid.lambda", "grid.n_y", "wave.n_mi
     # translates the front, and every output with it
     ("evolve", EVOLVE_BASE + ["wave.N0=1"], EVOLVE_ACCEPTED,
      {"wave.tol", "integrator.cfl_safety"}),
+    # its (n, q) system holds transport, frame and curl_projection, and it
+    # writes no snapshots; init.mean_zero_y must keep its default, true,
+    # cfl_safety moves only the dt check, and at the default N0 = s^2/c_plus
+    # the log-gradient q never meets the scale c_plus of c
+    ("planarity", ["grid.n_z=128", "grid.n_y=4", "grid.L_z=50", "wave.n_minus=0.25",
+                   "wave.eps=0.2", "integrator.dt=0.1", "integrator.t_end=6"],
+     {"grid.L_z", "grid.n_z", "grid.lambda", "grid.n_y", "wave.eps", "wave.n_minus",
+      "wave.c_plus", "wave.N0", "wave.tol", "init.amplitude", "init.seed",
+      "init.mean_zero_y", "integrator.dt", "integrator.t_end", "integrator.scheme",
+      "integrator.record_every", "integrator.cfl_safety", "integrator.fit_t_min",
+      "integrator.fit_t_max"},
+     {"wave.c_plus", "init.mean_zero_y", "integrator.cfl_safety"}),
 ])
 def test_every_accepted_setting_reaches_the_outputs(tmp_path, monkeypatch, capsys,
                                                     command, base, accepted, unseen):
@@ -1038,6 +1072,22 @@ def _kpp_with_tol(tol):
     ("init", "seed", -1,
      lambda v: make_initial_perturbation(make_grid(10.0, 64, 0.5, 4, 1.0), 1e-4, v),
      TransformError),
+    # every number must be finite, whether or not its key has a rule of its own
+    ("grid", "L_z", math.inf, lambda v: make_grid(v, 64, 0.5, 4, 1.0), GridError),
+    ("wave", "eps", math.inf, lambda v: WaveParams(eps=v, n_minus=1.0, c_plus=1.0),
+     WaveError),
+    ("wave", "n_minus", math.inf, lambda v: WaveParams(eps=0.0, n_minus=v, c_plus=1.0),
+     WaveError),
+    ("wave", "c_plus", math.inf, lambda v: WaveParams(eps=0.0, n_minus=1.0, c_plus=v),
+     WaveError),
+    ("wave", "N0", math.nan,
+     lambda v: WaveParams(eps=0.0, n_minus=1.0, c_plus=1.0, N0=v), WaveError),
+    ("wave", "tol", math.nan, _kpp_with_tol, WaveError),
+    ("init", "amplitude", math.inf,
+     lambda v: make_initial_perturbation(make_grid(10.0, 64, 0.5, 4, 1.0), v, 0),
+     TransformError),
+    ("integrator", "t_end", math.inf, lambda v: IntegratorConfig(dt=0.05, t_end=v),
+     ConfigError),
 ])
 def test_config_and_constructor_rules_agree(section, key, bad, construct, error):
     # wave holds [init], grid.lambda and grid.n_y at their defaults, so the

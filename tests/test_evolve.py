@@ -22,8 +22,6 @@ from stripwave.evolve import (
 from stripwave.grid import (
     ScalarField,
     VectorField,
-    ddy_array,
-    ddz_array,
     make_grid,
     y_fluctuation_values,
     y_modes,
@@ -461,31 +459,15 @@ def test_unknown_system_rejected(setup_eps0):
         run("heat", zero_state(g), prof, IntegratorConfig(dt=0.05, t_end=0.1))
 
 
-def test_curl_projection_keeps_gradient_structure(nq_setup):
+def test_nq_run_keeps_gradient_structure(nq_setup):
+    # b starts as the discrete gradient (d_z psi, ik psi) and is never
+    # re-gauged: rounding alone moves its curl (about 2e-12 here, with
+    # max |b| about 7e-9)
     p, g, prof = nq_setup
     pert = make_initial_perturbation(g, 1e-6, seed=9, mean_zero_y=True)
-    cfg = IntegratorConfig(dt=0.01, t_end=0.2, record_every=5, curl_projection=True)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        rec = run("nq", pert, prof, cfg)
-    assert rec.curl_max < 1e-4
-    assert np.max(np.abs(rec.final_modes[2][:, 0])) == 0.0  # the y-mean of b_y
-
-
-def test_curl_projection_maps_gradient_to_itself(nq_setup):
-    # one step of dt = 1e-6 barely moves q, so the projection applied after
-    # it must hand a smooth pure gradient back almost unchanged
-    p, g, prof = nq_setup
-    z, y = g.z[:, None], g.y[None, :]
-    f = np.exp(-z**2 / 4) * np.sin(2 * np.pi * y / g.lam)
-    bz, by = ddz_array(f, g.dz), ddy_array(f, g)
-    st = ColeHopfState(
-        n=ScalarField(g, np.repeat(prof.N[:, None], g.n_y, axis=1)),
-        q=VectorField(ScalarField(g, prof.P_z[:, None] + bz), ScalarField(g, by)))
-    cfg = IntegratorConfig(dt=1e-6, t_end=1e-6, curl_projection=True)
-    bz_new, by_new = deviation_values(run("nq", st, prof, cfg), g)[1:]
-    err = max(np.max(np.abs(bz_new - bz)), np.max(np.abs(by_new - by)))
-    assert err < 1e-3 * max(np.max(np.abs(bz)), np.max(np.abs(by)))
+    cfg = IntegratorConfig(dt=0.01, t_end=0.2, record_every=5)
+    rec = run("nq", pert, prof, cfg)
+    assert rec.curl_max < 1e-9
 
 
 def test_snapshots_recorded(setup_eps0):
@@ -507,8 +489,8 @@ def test_snapshots_recorded(setup_eps0):
 @pytest.mark.parametrize("coef, alpha", [(0.05, 1.0), (0.02, 1.5), (1.0, 0.0)])
 def test_stacked_diffusion_solve_matches_dense_oracle(coef, alpha):
     # every y-mode block, k = 0 and Nyquist included, against a dense solve
-    # of alpha I - coef (D_zz - k^2) with Dirichlet end rows; (1, 0) is the
-    # operator of the curl projection
+    # of alpha I - coef (D_zz - k^2) with Dirichlet end rows, alpha = 0
+    # included
     g = make_grid(5.0, 48, 0.5, 8, 1.0)
     rng = np.random.default_rng(11)
     n_k = g.n_y // 2 + 1
@@ -578,7 +560,7 @@ def test_a_scipy_without_the_lapack_extension_fails_at_the_first_solver(tmp_path
     evolve._lapack.cache_clear()
     g = make_grid(5.0, 48, 0.5, 8, 1.0)
     with pytest.raises(ImportError, match=re.escape(f"_flapack is not in {tmp_path / 'linalg'}")):
-        _ModeDiffusionSolver(g, RunCounters(), 0.05)
+        _ModeDiffusionSolver(g, RunCounters(), 0.05, 1.0)
     assert evolve.lapack_file() is None
 
 
@@ -587,7 +569,7 @@ def test_complex_solve_keeps_real_columns_real():
     # of the (n, q) state has, comes back with imaginary parts exactly +-0
     g = make_grid(5.0, 48, 0.5, 8, 1.0)
     rhs = np.random.default_rng(13).standard_normal((g.n_z, g.n_y // 2 + 1)) + 0j
-    x = _ModeDiffusionSolver(g, RunCounters(), 0.05)(rhs)
+    x = _ModeDiffusionSolver(g, RunCounters(), 0.05, 1.0)(rhs)
     assert np.all(x.imag == 0.0) and np.all(x.real[1:-1] != 0.0)
 
 
@@ -826,7 +808,7 @@ def test_returned_arrays_outlive_the_next_call(system):
     for x, y in zip(first, kept):
         assert np.array_equal(x, y)
 
-    solve = _ModeDiffusionSolver(prof.grid, RunCounters(), 0.01)
+    solve = _ModeDiffusionSolver(prof.grid, RunCounters(), 0.01, 1.0)
     x1 = solve(u1[0])
     y1 = x1.copy()
     rhs = u1[0].copy()
@@ -910,7 +892,6 @@ def thin_nq_strip():
 @pytest.mark.parametrize("options", [
     {"scheme": "imex1"},
     {"scheme": "sbdf2", "transport": "central"},
-    {"scheme": "imex1", "curl_projection": True},
 ])
 def test_rescaled_nq_run_is_bitwise_the_unscaled_run(thin_nq_strip, tmp_path, monkeypatch,
                                                      options):

@@ -1,4 +1,5 @@
 import ast
+import importlib.util
 import json
 import math
 import os
@@ -226,3 +227,29 @@ def test_no_module_imports_a_name_it_never_uses():
     unused = {f"{path.relative_to(root)}: {name}" for path in modules
               if path.name != "__init__.py" for name in _unused_imports(path.read_text())}
     assert sorted(unused) == []
+
+
+# benchmarks/workloads/<name>.ini -> the experiment it runs
+WORKLOAD_EXPERIMENTS = {"stability0": "stability0", "planarity": "planarity",
+                        "linear_small_eps": "linear_eps"}
+
+
+def test_pinned_workloads_parse_and_echo_as_pinned(monkeypatch):
+    # the benchmark compares each manifest's config echo with its pinned
+    # file: every workload, keys kept only for the pins (integrator.frame,
+    # integrator.curl_projection) among them, must validate for its
+    # experiment and echo back as pinned; no compute
+    from stripwave.config import serialize_config, validate_config
+
+    bench = Path(__file__).resolve().parents[1] / "benchmarks"
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("_stripwave_bench_pinned",
+                                                  bench / "pinned.py")
+    pinned = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(pinned)
+    workloads = sorted(p.stem for p in pinned.WORKLOAD_DIR.glob("*.ini"))
+    assert workloads == sorted(WORKLOAD_EXPERIMENTS)
+    for workload in workloads:
+        text = (pinned.WORKLOAD_DIR / f"{workload}.ini").read_text()
+        cfg = validate_config(text, WORKLOAD_EXPERIMENTS[workload])
+        assert pinned.config_mismatches(pinned.load(workload), serialize_config(cfg)) == []

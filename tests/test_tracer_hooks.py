@@ -168,14 +168,13 @@ def test_tracer_sees_only_the_strip_run_in_process(tmp_path, monkeypatch):
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.parametrize("system, eps, scheme, projection, solvers", [
-    ("nonlinear0", 0.0, "imex1", False, 1),
-    ("linear_eps", 0.05, "imex1", False, 2),
-    ("nq", 0.1, "imex1", False, 2),
-    ("nq", 0.1, "sbdf2", True, 5),
+@pytest.mark.parametrize("system, eps, scheme, solvers", [
+    ("nonlinear0", 0.0, "imex1", 1),
+    ("linear_eps", 0.05, "imex1", 2),
+    ("nq", 0.1, "imex1", 2),
+    ("nq", 0.1, "sbdf2", 4),
 ])
-def test_traced_counts_match_the_program(monkeypatch, system, eps, scheme, projection,
-                                         solvers):
+def test_traced_counts_match_the_program(monkeypatch, system, eps, scheme, solvers):
     # each LAPACK call goes through its forwarder once: the traced solves are
     # the record's solves, the traced factorizations one per solver built
     import stripwave.evolve as evolve
@@ -200,8 +199,7 @@ def test_traced_counts_match_the_program(monkeypatch, system, eps, scheme, proje
     profile = solve_wave_kpp(params, grid) if eps > 0 else explicit_wave_eps0(params, grid)
     init_state = make_initial_perturbation(grid, 1e-4, seed=0, mean_zero_y=eps > 0)
     rec = run(system, init_state, profile,
-              IntegratorConfig(dt=0.01, t_end=0.05, scheme=scheme,
-                               curl_projection=projection))
+              IntegratorConfig(dt=0.01, t_end=0.05, scheme=scheme))
 
     counts = sum(tracer.counts.values(), Counter())
     assert len({id(s) for s in built}) == solvers
