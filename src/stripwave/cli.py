@@ -67,7 +67,7 @@ from .config import (
 )
 from .energy import EnergyError, fit_exponential_decay
 from . import transforms
-from .evolve import IntegratorConfig, lapack_file, run
+from .evolve import IntegratorConfig, arithmetic, lapack_file, run
 from .grid import (ScalarField, field_from_function, field_to_csv, laplacian, make_grid,
                    write_csv, y_values)
 from .transforms import (
@@ -136,6 +136,7 @@ def _environment() -> dict:
             if name.startswith("scipy.") and name.count(".") == 1
             and not name.startswith("scipy._") and hasattr(module, "__path__")),
         "lapack": lapack_file(),
+        "arithmetic": arithmetic(),
     }
 
 

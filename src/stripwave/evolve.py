@@ -52,6 +52,14 @@ at unit roundoff of the O(1) background.  The same split lets the stepper
 hold the fluctuation at unit scale, rescaled by exact powers of two as it
 decays, so that its arithmetic never turns subnormal (_NqSystem).
 
+run steps its time loop, its ledger rows included, with subnormal numbers
+flushed to zero (_subnormals_flushed, the package's second wrapper of
+foreign code after _lapack): the perturbations' z-tails decay through the
+subnormal range, where every pass over them would take a microcode assist,
+and read 0 instead.  This changes no ledger value; a value that took a
+flushed tail as input moves by less than about 1e-305.  The wave build and
+the writers of artifacts run in IEEE arithmetic.
+
 An imex1 step allocates only the arrays it returns.  Each system, each
 diffusion solver and each _Products own their scratch arrays, allocated
 once from the grid when they are made and reused by every step:
@@ -68,11 +76,14 @@ SBDF2 history keep arrays no later step writes.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import functools
 import importlib.machinery
 import importlib.util
 import math
 import os
+import sys
 import time
 import warnings
 from dataclasses import asdict, dataclass, field, replace
@@ -253,6 +264,65 @@ def lapack_file() -> str | None:
     return os.path.basename(_lapack().__file__) if _lapack.cache_info().currsize else None
 
 
+# MXCSR's flush-to-zero (bit 15) and denormals-are-zero (bit 6) bits; in
+# glibc's 32-byte x86-64 fenv_t, MXCSR is the last 4 bytes.
+_FTZ_DAZ = 0x8040
+_FENV_BYTES = 32
+# libm's (fegetenv, fesetenv) once a time loop found that they flush
+# subnormals, False once one found that they do not; None before the first
+_fenv = None
+
+
+def arithmetic() -> str | None:
+    """The arithmetic this process's time loops ran in: "flushed" (subnormal
+    inputs and results read 0, _subnormals_flushed) or "ieee"; None before
+    the first loop."""
+    return None if _fenv is None else "flushed" if _fenv else "ieee"
+
+
+@contextlib.contextmanager
+def _subnormals_flushed():
+    """Runs its block with MXCSR's FTZ and DAZ bits set, and on every exit
+    restores the caller's floating-point environment as fesetenv sets it:
+    the control modes, the exception flags and all of MXCSR.  The block
+    runs in IEEE arithmetic on any platform but glibc on x86-64 Linux, and
+    wherever a subnormal product does not read 0 with the bits set.
+
+    Subnormal values (below 2.2e-308) cost a microcode assist in every
+    numpy pass, BLAS product and LAPACK sweep that touches them on x86, and
+    the perturbations' z-tails diffuse down through that range.  Flushed,
+    those tails read 0; no value above about 1e-290 changes (README).
+    """
+    global _fenv
+    if _fenv is None:
+        try:
+            _fenv = sys.platform == "linux" and os.uname().machine == "x86_64" and (
+                os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc")
+        except (ValueError, OSError):  # a libc that does not know the name
+            _fenv = False
+        if _fenv:
+            libm = ctypes.CDLL("libm.so.6")
+            _fenv = libm.fegetenv, libm.fesetenv
+            for f in _fenv:
+                f.argtypes, f.restype = [ctypes.c_void_p], ctypes.c_int
+    saved = np.zeros(_FENV_BYTES // 4, np.uint32)  # MXCSR is the last word
+    if _fenv and _fenv[0](saved.ctypes.data):
+        _fenv = False
+    if not _fenv:
+        yield
+        return
+    set_env = _fenv[1]
+    flushed = saved.copy()
+    flushed[-1] |= _FTZ_DAZ
+    set_env(flushed.ctypes.data)
+    if np.float64(2.0**-1060) * 1.0:  # the bits did not take: IEEE from here on
+        _fenv = False
+    try:
+        yield
+    finally:
+        set_env(saved.ctypes.data)
+
+
 def cholesky_banded(d: np.ndarray, e: np.ndarray):
     """LAPACK dpttrf: the LDL^T factor (d, e, info) of the symmetric
     tridiagonal matrix with diagonal d and off-diagonal e.
@@ -381,7 +451,10 @@ class _Products:
     -1074 <= e <= 1023, 2**e is itself a double, and multiplying by it rounds
     each result once, as np.ldexp does, but without np.ldexp's slow path on
     subnormal results; outside that range 2.0**e underflows or overflows,
-    and np.ldexp stays.
+    and np.ldexp stays.  In the time loop, where subnormal results read 0
+    (_subnormals_flushed), the unit scale keeps the factors and their
+    products normal: only a product that 2**e takes below 2**-1022 reads 0,
+    and it lies that far below the unit-scale terms it is added to.
 
     load keeps no reference to the factors and writes none of them.  term
     returns an array of the object's own, which holds until the next call:
@@ -578,16 +651,19 @@ class _NqSystem(_System):
 
     The fluctuation decays through hundreds of e-foldings, and arithmetic
     on subnormal numbers is many times slower than on normal ones (6-38x in
-    the DFT products), so the arrays hold it at unit scale: their columns
-    k >= 1 are the true fluctuation times 2**-exponent.  When their peak
-    falls below _RESCALE_FLOOR (or, with exponent < 0, rises above its
-    reciprocal), settle multiplies them by the power of two 2**shift that
-    brings it into [1/2, 1) and subtracts shift from the exponent, which
-    never rises above 0: a rising peak is scaled back at most to true
-    scale.  No linear term mixes the columns, and _Products scales the one quadratic
-    coupling, so every value in the normal range is bit for bit that of an
-    unscaled run.  modes() and row() report true values; the y-mean column
-    is never scaled.  `counters.rescales` counts the rescalings.
+    the DFT products); in the time loop, which flushes subnormal values to
+    zero (_subnormals_flushed), a fluctuation held at true scale would read
+    0 once below 2.2e-308.  So the arrays hold it at unit scale, which is
+    what keeps it at all: their columns k >= 1 are the true fluctuation
+    times 2**-exponent.  When their peak falls below _RESCALE_FLOOR (or,
+    with exponent < 0, rises above its reciprocal), settle multiplies them
+    by the power of two 2**shift that brings it into [1/2, 1) and subtracts
+    shift from the exponent, which never rises above 0: a rising peak is
+    scaled back at most to true scale.  No linear term mixes the columns,
+    and _Products scales the one quadratic coupling, so every value in the
+    normal range is bit for bit that of an unscaled run.  modes() and row()
+    report true values, which read 0 below 2.2e-308 in the loop; the y-mean
+    column is never scaled.  `counters.rescales` counts the rescalings.
 
     b is stepped as it is, never re-gauged; from a PerturbationState it
     starts as the discrete gradient (d_z psi, ik psi).  row() reports the
@@ -813,25 +889,26 @@ def run(system: str, init, profile: WaveProfile, config: IntegratorConfig,
                           "assumes mean-zero data", stacklevel=2)
     t = 0.0
     _check_finite(model, u, t)
-    try:
-        for i in range(max(n for _, n in records) + 1):
-            if i:
-                u = model.step(u)
-                t = i * config.dt
-                _check_finite(model, u, t)
-            due = [rec for rec, n in records
-                   if i <= n and (i % config.record_every == 0 or i == n)]
-            if due:
-                level = record_row(due)
-                if i == 0:
-                    level0 = level
-                elif level0 > 0 and level > BLOWUP_FACTOR * level0:
-                    raise IntegratorBlowup(guard_text.format(BLOWUP_FACTOR), t)
+    with _subnormals_flushed():
+        try:
+            for i in range(max(n for _, n in records) + 1):
+                if i:
+                    u = model.step(u)
+                    t = i * config.dt
+                    _check_finite(model, u, t)
+                due = [rec for rec, n in records
+                       if i <= n and (i % config.record_every == 0 or i == n)]
+                if due:
+                    level = record_row(due)
+                    if i == 0:
+                        level0 = level
+                    elif level0 > 0 and level > BLOWUP_FACTOR * level0:
+                        raise IntegratorBlowup(guard_text.format(BLOWUP_FACTOR), t)
+                for rec, n in records:
+                    if i == n:
+                        close(rec)
+        except IntegratorBlowup as exc:
             for rec, n in records:
-                if i == n:
-                    close(rec)
-    except IntegratorBlowup as exc:
-        for rec, n in records:
-            if i <= n:  # still open
-                close(rec, exc.reason)
+                if i <= n:  # still open
+                    close(rec, exc.reason)
     return record

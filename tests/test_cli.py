@@ -411,7 +411,7 @@ def test_manifest_records_the_environment(tmp_path, monkeypatch, args, code):
     assert main(args) == code
     env = json.loads((tmp_path / "out" / "manifest.json").read_text())["environment"]
     assert set(env) == {"python", "numpy", "scipy", "cpu_count", "usable_cores", "threads",
-                        "scipy_loaded", "lapack"}
+                        "scipy_loaded", "lapack", "arithmetic"}
     assert env["python"] == ".".join(map(str, sys.version_info[:3]))
     assert env["numpy"] == np.__version__ and env["cpu_count"] == os.cpu_count()
     assert env["usable_cores"] == len(os.sched_getaffinity(0))
@@ -424,6 +424,8 @@ def test_manifest_records_the_environment(tmp_path, monkeypatch, args, code):
                for m in env["scipy_loaded"])
     # the extension's file name, once some time loop of this process loaded it
     assert env["lapack"] is None or env["lapack"].startswith("_flapack.")
+    # and the arithmetic they ran in, once some time loop of this process ran
+    assert env["arithmetic"] in (None, "flushed", "ieee")
 
 
 def test_usable_cores_fall_back_to_the_core_count(monkeypatch):
@@ -467,6 +469,10 @@ def test_no_experiment_loads_the_ode_stack(tmp_path, args, steps):
     env = json.loads((tmp_path / "out" / "manifest.json").read_text())["environment"]
     assert env["scipy_loaded"] == []
     assert (env["lapack"] or "").startswith("_flapack.") == steps
+    with stripwave.evolve._subnormals_flushed():  # whether the flush works here
+        pass
+    flushes = stripwave.evolve.arithmetic() == "flushed"
+    assert env["arithmetic"] == (("flushed" if flushes else "ieee") if steps else None)
 
 
 def test_a_kpp_build_loads_no_scipy(tmp_path):

@@ -1,3 +1,5 @@
+import contextlib
+import ctypes
 import re
 import tracemalloc
 import warnings
@@ -1010,3 +1012,102 @@ def test_nq_curl_drift_warns_once_and_reaches_the_record():
     curls = [row["curl"] for row in rec.ledger.rows]
     assert len(curls) == 5 and min(curls) > 1e-4
     assert rec.curl_max == max(curls)
+
+
+# ---------------------------------------------------------------------------
+# The time loop runs with subnormals flushed to zero (FTZ and DAZ)
+# ---------------------------------------------------------------------------
+
+def _subnormal_product():
+    return np.float64(2.0**-1060) * 1.0
+
+
+def _fenv_bytes(fenv):
+    """This thread's floating-point environment as fesetenv restores it:
+    the bytes of fegetenv's fenv_t but for the x87 condition codes, which
+    fesetenv leaves as the last x87 instruction set them (glibc, x86-64)."""
+    buffer = ctypes.create_string_buffer(evolve._FENV_BYTES)
+    assert fenv[0](buffer) == 0
+    env = bytearray(buffer.raw)
+    env[5] &= ~0x47  # C0, C1, C2 and C3: status word bits 8-10 and 14
+    return bytes(env)
+
+
+def test_time_loop_flushes_subnormals_and_restores_the_environment(setup_eps0, monkeypatch):
+    with evolve._subnormals_flushed():  # finds whether the flush works here
+        pass
+    fenv = evolve._fenv
+    if not fenv:
+        pytest.skip("the flush is a no-op on this platform")
+    _, g, prof = setup_eps0
+    pert = make_initial_perturbation(g, 1e-4, seed=0)
+    seen = []
+
+    def spy(method):
+        def spied(self, *args):
+            seen.append(_subnormal_product())
+            return method(self, *args)
+        return spied
+
+    monkeypatch.setattr(_PerturbationSystem, "row", spy(_PerturbationSystem.row))
+    monkeypatch.setattr(_PerturbationSystem, "explicit_tendency",
+                        spy(_PerturbationSystem.explicit_tendency))
+    before = _fenv_bytes(fenv)
+    assert _subnormal_product() > 0.0
+    rec = run("nonlinear0", pert, prof, IntegratorConfig(dt=0.05, t_end=0.1))
+    # three rows and two tendencies, each of them flushed; the caller's
+    # environment is back, sticky flags included, and so are subnormals
+    assert not rec.blowup and seen == [0.0] * 5
+    assert _fenv_bytes(fenv) == before and _subnormal_product() > 0.0
+    assert evolve.arithmetic() == "flushed"
+
+    monkeypatch.setattr(evolve, "BLOWUP_FACTOR", 1e-12)  # the guard trips at once
+    rec = run("nonlinear0", pert, prof, IntegratorConfig(dt=0.05, t_end=1.0))
+    assert rec.blowup
+    assert _fenv_bytes(fenv) == before and _subnormal_product() > 0.0
+
+    def failing(self, u):
+        raise KeyError("inside a step")
+
+    monkeypatch.setattr(_PerturbationSystem, "explicit_tendency", failing)
+    with pytest.raises(KeyError, match="inside a step"):
+        run("nonlinear0", pert, prof, IntegratorConfig(dt=0.05, t_end=0.1))
+    assert _fenv_bytes(fenv) == before and _subnormal_product() > 0.0
+
+
+@pytest.mark.parametrize("system, scheme", [("nonlinear0", "imex1"), ("linear_eps", "sbdf2")])
+def test_flushed_run_changes_no_result(monkeypatch, tmp_path, system, scheme):
+    # the z-tails of these runs reach the subnormal range within 10-20
+    # steps.  Flushed, they read 0, and a value that took a flushed tail as
+    # input moves by less than 2**-1022 times a few; so every entry that
+    # agrees to within 2**-1000 agrees bit for bit above 2**-947, and the
+    # ledger rows, sums over the whole state, are the same bits
+    if system == "nonlinear0":
+        p, L_z, n_y, steps = WaveParams(eps=0.0, n_minus=0.25, c_plus=1.0), 50.0, 4, 10
+    else:
+        p = WaveParams(eps=0.01, n_minus=1.0, c_plus=1.0)
+        L_z, n_y, steps = 25.0 / p.s, 8, 20
+    g = make_grid(L_z, 512, 0.5, n_y, p.s)
+    prof = explicit_wave_eps0(p, g) if p.eps == 0 else solve_wave_kpp(p, g)
+    pert = make_initial_perturbation(g, 1e-4, seed=0, mean_zero_y=p.eps > 0)
+    cfg = IntegratorConfig(dt=0.05, t_end=0.05 * steps, scheme=scheme)
+    flushed = run(system, pert, prof, cfg)
+    with monkeypatch.context() as m:
+        m.setattr(evolve, "_subnormals_flushed", contextlib.nullcontext)
+        ieee = run(system, pert, prof, cfg)
+
+    def subnormals(modes):
+        x = np.abs(np.concatenate([a.view(float).ravel() for a in modes]))
+        return np.count_nonzero((x > 0.0) & (x < np.finfo(float).tiny))
+
+    assert subnormals(ieee.final_modes) > 0
+    assert subnormals(flushed.final_modes) == (0 if evolve.arithmetic() == "flushed" else
+                                               subnormals(ieee.final_modes))
+    flushed.ledger.to_csv(tmp_path / "flushed.csv")
+    ieee.ledger.to_csv(tmp_path / "ieee.csv")
+    assert (tmp_path / "flushed.csv").read_bytes() == (tmp_path / "ieee.csv").read_bytes()
+    for a, b in zip(flushed.final_modes, ieee.final_modes):
+        a, b = a.view(float), b.view(float)
+        normal = np.abs(b) >= 2.0**-947
+        assert np.array_equal(a[normal], b[normal])
+        assert np.all(np.abs(a - b) < 2.0**-1000)

@@ -54,13 +54,31 @@ def test_compare_outputs_names_what_differs(tmp_path):
 
     ulp = _compare(old, _tree(tmp_path / "ulp", q=repr(math.nextafter(1.0, 2.0))))
     assert ulp.returncode == 1
-    assert "run/ledger.csv: differs" in ulp.stdout and "Q: max relative" in ulp.stdout
-    assert "M_inst" not in ulp.stdout
+    assert ulp.stdout.splitlines() == [
+        "run/ledger.csv: differs",
+        "  Q: 1 of 2 rows differ, the first at line 2: 1.0 -> 1.0000000000000002; "
+        "max relative difference 2.22e-16"]
 
     missing = _tree(tmp_path / "missing")
     (missing / "run" / "ledger.csv").unlink()
     done = _compare(old, missing)
     assert done.returncode == 1 and "run/ledger.csv: only in" in done.stdout
+
+
+def test_compare_outputs_counts_the_csv_rows_that_differ(tmp_path):
+    # Q's tail turns from subnormal to 0 on lines 3 and 4, and mass differs
+    # on line 3 in its text alone, which is no difference
+    for name, q, mass in (("old", ["2.5e-300", "2.6e-309", "1.5e-322"], "1.0"),
+                          ("new", ["2.5e-300", "0", "0"], "1")):
+        (tmp_path / name).mkdir()
+        rows = "".join(f"{t},{v},{mass if t == 1 else 1.0}\n" for t, v in enumerate(q))
+        (tmp_path / name / "q_decay.csv").write_text("t,Q,mass\n" + rows)
+    done = _compare(tmp_path / "old", tmp_path / "new")
+    assert done.returncode == 1
+    assert done.stdout.splitlines() == [
+        "q_decay.csv: differs",
+        "  Q: 2 of 3 rows differ, the first at line 3: 2.6e-309 -> 0; "
+        "max relative difference 1"]
 
 
 def test_compare_outputs_names_the_json_values_that_differ(tmp_path):

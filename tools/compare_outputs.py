@@ -6,8 +6,9 @@ when nothing differs.
 JSON files are compared after dropping every key that ends in `_s` (the
 timings); every other file is compared as bytes.  For a JSON file that
 differs, the path of each differing value is printed with both values (the
-first MAX_KEYS of them); for a CSV, the largest relative difference of each
-differing column.
+first MAX_KEYS of them); for a CSV, each differing column with the number of
+its rows that differ, the first of them with both values, and its largest
+relative difference.
 """
 
 import csv
@@ -38,16 +39,20 @@ def _relative(a: str, b: str) -> float:
 
 
 def csv_columns(old: Path, new: Path) -> list[str]:
-    """One line per differing column of two CSV files: its name and its
-    largest relative difference."""
+    """One line per differing column of two CSV files: its name, how many
+    of its rows differ, the first of them (its line in the file, with both
+    values) and its largest relative difference."""
     rows_old, rows_new = (list(csv.reader(p.open(newline=""))) for p in (old, new))
     if len(rows_old) != len(rows_new) or rows_old[:1] != rows_new[:1]:
         return [f"header or row count: {len(rows_old)} against {len(rows_new)} rows"]
-    worst = {}
-    for row_old, row_new in zip(rows_old[1:], rows_new[1:]):
+    differing = {}  # column name -> (line in the file, old, new) of each row that differs
+    for line, (row_old, row_new) in enumerate(zip(rows_old[1:], rows_new[1:]), start=2):
         for name, a, b in zip(rows_old[0], row_old, row_new):
-            worst[name] = max(worst.get(name, 0.0), _relative(a, b))
-    return [f"{name}: max relative difference {d:.3g}" for name, d in worst.items() if d]
+            if _relative(a, b):
+                differing.setdefault(name, []).append((line, a, b))
+    return [f"{name}: {len(rows)} of {len(rows_old) - 1} rows differ, the first at line "
+            f"{rows[0][0]}: {rows[0][1]} -> {rows[0][2]}; max relative difference "
+            f"{max(_relative(a, b) for _, a, b in rows):.3g}" for name, rows in differing.items()]
 
 
 def _leaf(value) -> str:
