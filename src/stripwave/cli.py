@@ -23,13 +23,13 @@ Every run writes a manifest (config echo, version, wall clock, exit code,
 the report or the error text it stopped on, under `waves` each wave profile
 it built, with the build's seconds and for a KPP orbit the solver's counts,
 under `counters` the steps, ledger rows, banded solves and banded solvers
-factored of each time loop, for planarity its rescalings of the (n, q)
-fluctuation and whether it ran in a forked child, the seconds it spent in
-tendencies, solves and rows, and its dt over the transport limit (the CFL
-margin), and under `environment` the Python, numpy and scipy versions, the
-core count and the cores this process may use, the BLAS thread variables,
-the scipy subpackages the run loaded and the file name of the LAPACK
-extension its time loops loaded) next to its artifacts.  Exit codes:
+factored of each time loop, for planarity whether it ran in a forked
+child, the seconds it spent in tendencies, solves and rows, and its dt
+over the transport limit (the CFL margin), and under `environment` the
+Python, numpy and scipy versions, the core count and the cores this
+process may use, the BLAS thread variables, the scipy subpackages the run
+loaded and the file name of the LAPACK extension its time loops loaded)
+next to its artifacts.  Exit codes:
 0 every check passed, 1 a check failed, 2 usage or configuration error (a
 dt above the transport limit and an output directory that cannot be made
 included), 3 runtime blowup, one past t_end on
@@ -257,9 +257,8 @@ def _blowup(rec, where: str = "", **report) -> None:
 def _counted(counters: list, rec, **labels):
     """Note the counters (evolve.RunCounters) of one `run` call for the
     manifest, with its labels."""
-    counts = {key: v for key, v in asdict(rec.counters).items() if v is not None}
     counters.append({"system": rec.system, "dt": rec.config.dt, "t_end": rec.config.t_end,
-                     **counts, **labels})
+                     **asdict(rec.counters), **labels})
     return rec
 
 
@@ -337,9 +336,16 @@ def _experiment_linear_eps(cfg: ExperimentConfig, outdir: Path, waves: list,
 
 
 def _positive_window(times, values, lo, hi):
-    """Clip the requested fit window to samples where the series is still
-    representable as a positive double (the decay spans hundreds of
-    e-foldings; below ~1e-290 the data is subnormal noise or exact zero)."""
+    """Clip the requested fit window to samples above 1e-290.
+
+    The decay spans hundreds of e-foldings, and the time loop flushes
+    subnormal values to zero (evolve._subnormals_flushed).  Q is a sum of
+    squares of the (n, q) fluctuation, and below about 1e-290 those
+    squares' z-tails have been flushed: on the lambda = 0.25 planarity
+    strip Q reads 1.0805e-302 at t = 6.65, 2% below the 1.1021e-302 of
+    IEEE arithmetic, and 0 from t = 6.7, while the window's last sample
+    above the clip, t = 6.35, is exact to 1 ulp.  So the clip is what keeps
+    the fit exact."""
     times = np.asarray(times)
     values = np.asarray(values)
     ok = values > 1e-290

@@ -48,17 +48,17 @@ In system C the y-mean column and the fluctuation modes never mix through a
 linear term, and _Products multiplies the two parts separately.  Rounding
 noise then stays proportional to each part's own magnitude, which lets the
 transverse energy decay through hundreds of e-foldings instead of flooring
-at unit roundoff of the O(1) background.  The same split lets the stepper
-hold the fluctuation at unit scale, rescaled by exact powers of two as it
-decays, so that its arithmetic never turns subnormal (_NqSystem).
+at unit roundoff of the O(1) background.
 
 run steps its time loop, its ledger rows included, with subnormal numbers
 flushed to zero (_subnormals_flushed, the package's second wrapper of
 foreign code after _lapack): the perturbations' z-tails decay through the
 subnormal range, where every pass over them would take a microcode assist,
-and read 0 instead.  This changes no ledger value; a value that took a
-flushed tail as input moves by less than about 1e-305.  The wave build and
-the writers of artifacts run in IEEE arithmetic.
+and read 0 instead.  A value that took a flushed tail as input moves by
+less than about 1e-305, so a ledger value above about 1e-290 moves by an
+ulp at most; the (n, q) fluctuation, stepped at true scale, reads 0 once
+it decays below 2.2e-308 itself.  The wave build and the writers of
+artifacts run in IEEE arithmetic.
 
 An imex1 step allocates only the arrays it returns.  Each system, each
 diffusion solver and each _Products own their scratch arrays, allocated
@@ -152,19 +152,17 @@ class IntegratorConfig:
 @dataclass
 class RunCounters:
     """The work of one `run` loop when a record closed, one manifest
-    `counters` entry (None values left out).
+    `counters` entry.
 
     The loop's system holds one record that its solvers and steps add to
     (_System), and `run` closes a record on a copy of it.  `steps`, `rows`
     and `solves` count the steps taken, the ledger rows computed and the
     banded diffusion solves made; `factorizations` counts the banded
-    solvers the loop built, each factored once; for nq `rescales` counts
-    the rescalings of the fluctuation to unit scale (_NqSystem; None for
-    the other systems).  `build_s`, `tendency_s`, `solve_s` and `row_s` are
-    the perf_counter seconds spent building the system and its solvers
-    before the first step (the first run of a process loads the LAPACK
-    extension there), in explicit tendencies, in right-hand sides with
-    their implicit solves, and in ledger rows.
+    solvers the loop built, each factored once.  `build_s`, `tendency_s`,
+    `solve_s` and `row_s` are the perf_counter seconds spent building the
+    system and its solvers before the first step (the first run of a
+    process loads the LAPACK extension there), in explicit tendencies, in
+    right-hand sides with their implicit solves, and in ledger rows.
     `dt_over_transport_limit` is dt over the explicit-transport limit
     cfl_safety * dz / v_max (IntegratorConfig), the run's CFL margin.
     """
@@ -173,7 +171,6 @@ class RunCounters:
     rows: int = 0
     solves: int = 0
     factorizations: int = 0
-    rescales: int | None = None
     build_s: float = 0.0
     tendency_s: float = 0.0
     solve_s: float = 0.0
@@ -185,7 +182,7 @@ class RunCounters:
 class TrajectoryRecord:
     """Energy ledger and snapshots of one run; its rows give `times` and `curl_max`.
 
-    `final_modes` is the state at the last step as the true y-modes of the
+    `final_modes` is the state at the last step as the y-modes of the
     system's arrays (grid.y_modes: z-major, k = 0 column = the y-mean):
     (phi_z, phi_y, psi) for nonlinear0 and linear_eps, and for nq the
     deviation (a, b_z, b_y) = (n - N, q - P) from the wave.  `snapshots`
@@ -221,11 +218,6 @@ class TrajectoryRecord:
     @property
     def curl_max(self) -> float:
         return max([0.0] + [row["curl"] for row in self.ledger.rows])
-
-
-# The (n, q) fluctuation is rescaled when its peak falls below this power
-# of two (_NqSystem); between rescalings it spans 32 binary orders.
-_RESCALE_FLOOR = 2.0**-32
 
 
 def _mode_array(grid) -> np.ndarray:
@@ -291,7 +283,8 @@ def _subnormals_flushed():
     Subnormal values (below 2.2e-308) cost a microcode assist in every
     numpy pass, BLAS product and LAPACK sweep that touches them on x86, and
     the perturbations' z-tails diffuse down through that range.  Flushed,
-    those tails read 0; no value above about 1e-290 changes (README).
+    those tails read 0; a value above about 1e-290 moves by an ulp at most
+    (README).
     """
     global _fenv
     if _fenv is None:
@@ -413,23 +406,6 @@ def _upwind_right(v: np.ndarray, dz: float, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _ldexp_fluctuation(x: np.ndarray, exponent: int) -> np.ndarray:
-    """Multiplies the fluctuation columns (k >= 1) of the y-modes x by
-    2**exponent in place, exactly unless a result leaves the normal range;
-    returns x."""
-    _times_power_of_two(x.view(float)[:, 2:], exponent)
-    return x
-
-
-def _times_power_of_two(x: np.ndarray, exponent: int) -> None:
-    """x *= 2**exponent in place, bit for bit as np.ldexp(x, exponent): a
-    multiply while 2.0**exponent is a double, np.ldexp outside that range."""
-    if -1074 <= exponent <= 1023:
-        x *= 2.0**exponent
-    else:
-        np.ldexp(x, exponent, out=x)
-
-
 class _Products:
     """Sums of products of y-mode factors, formed on the y-nodes.
 
@@ -440,21 +416,9 @@ class _Products:
     fluctuation f, transformed to the y-nodes alone
     (grid.y_fluctuation_values).  f_i f_j + m_i f_j + f_i m_j is formed there
     and transformed back, while m_i m_j goes straight into column 0, so
-    rounding stays relative to each part.
-
-    With exponent = e the factors' fluctuation columns hold their true
-    values times 2**-e (the (n, q) system's unit scale, see _NqSystem): term
-    then scales f_i f_j by 2**e, which gives the fluctuation columns of its
-    result at the factors' scale, and the result's column 0 by 2**e again,
-    which gives the true y-mean of f_i f_j.  A power of two is exact, so
-    every value in the normal range is that of the unscaled product.  For
-    -1074 <= e <= 1023, 2**e is itself a double, and multiplying by it rounds
-    each result once, as np.ldexp does, but without np.ldexp's slow path on
-    subnormal results; outside that range 2.0**e underflows or overflows,
-    and np.ldexp stays.  In the time loop, where subnormal results read 0
-    (_subnormals_flushed), the unit scale keeps the factors and their
-    products normal: only a product that 2**e takes below 2**-1022 reads 0,
-    and it lies that far below the unit-scale terms it is added to.
+    rounding stays relative to each part: a fluctuation that has decayed
+    through hundreds of e-foldings is not lost against the O(1) means, and
+    the wave, whose fluctuation is zero, is an exact fixed point.
 
     load keeps no reference to the factors and writes none of them.  term
     returns an array of the object's own, which holds until the next call:
@@ -476,19 +440,15 @@ class _Products:
             np.copyto(mean, f[:, :1].real)
             y_fluctuation_values(f, self.grid, out=values)
 
-    def term(self, pairs, exponent: int = 0) -> np.ndarray:
+    def term(self, pairs) -> np.ndarray:
         m, v, part, total = self._means, self._values, self._part, self._sum
         for n, (i, j) in enumerate(pairs):  # the pairs summed left to right
             pair = self._pair if n else total
             np.multiply(v[i], v[j], out=pair)
-            if exponent:
-                _times_power_of_two(pair, exponent)
             pair += np.multiply(m[i], v[j], out=part)
             pair += np.multiply(v[i], m[j], out=part)
             total += pair if n else 0.0  # starting from 0, which turns -0.0 into 0.0
         out = y_modes(total, out=self._modes)
-        if exponent:
-            _times_power_of_two(out.real[:, 0], exponent)
         out[:, 0] += sum(m[i][:, 0] * m[j][:, 0] for i, j in pairs)
         return out
 
@@ -515,8 +475,6 @@ class _System:
     _inflow_pinned for c = 0.  A subclass sets `diffusion` and its own
     buffers in _setup, which runs before the solvers are built, and
     supplies the explicit tendency, the initial arrays and the ledger row.
-    When its settle rescales the fluctuation of the new arrays by
-    2**shift, the history gets fresh copies rescaled alike.
     `counters.tendency_s` and `counters.solve_s` add up the time spent in
     the tendencies and in the rest of the steps.
     """
@@ -561,21 +519,10 @@ class _System:
                 out.append(solve(rhs, out=rhs))
         if self.sbdf2:
             self._prev = (u, tend)
-        u, shift = self.settle(tuple(out))
-        if shift and self._prev is not None:  # the history at the new scale
-            self._prev = tuple(tuple(_ldexp_fluctuation(x.copy(), shift) for x in arrays)
-                               for arrays in self._prev)
         end = time.perf_counter()
         self.counters.tendency_s += split - start
         self.counters.solve_s += end - split
-        return u
-
-    def settle(self, u):
-        return u, 0
-
-    def modes(self, u) -> tuple:
-        """The true y-modes of the arrays u."""
-        return u
+        return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -649,21 +596,11 @@ class _NqSystem(_System):
     an exact discrete fixed point of the moving frame, the only one the
     system steps in, and rounding stays relative to each part.
 
-    The fluctuation decays through hundreds of e-foldings, and arithmetic
-    on subnormal numbers is many times slower than on normal ones (6-38x in
-    the DFT products); in the time loop, which flushes subnormal values to
-    zero (_subnormals_flushed), a fluctuation held at true scale would read
-    0 once below 2.2e-308.  So the arrays hold it at unit scale, which is
-    what keeps it at all: their columns k >= 1 are the true fluctuation
-    times 2**-exponent.  When their peak falls below _RESCALE_FLOOR (or,
-    with exponent < 0, rises above its reciprocal), settle multiplies them
-    by the power of two 2**shift that brings it into [1/2, 1) and subtracts
-    shift from the exponent, which never rises above 0: a rising peak is
-    scaled back at most to true scale.  No linear term mixes the columns,
-    and _Products scales the one quadratic coupling, so every value in the
-    normal range is bit for bit that of an unscaled run.  modes() and row()
-    report true values, which read 0 below 2.2e-308 in the loop; the y-mean
-    column is never scaled.  `counters.rescales` counts the rescalings.
+    The fluctuation is stepped at true scale.  It decays through hundreds
+    of e-foldings, and in the time loop, which flushes subnormal values to
+    zero (_subnormals_flushed), its z-tails and then its peak read 0 once
+    below 2.2e-308; row() reports Q to within rounding down to about
+    1e-290, formed from squares of values that are still normal.
 
     b is stepped as it is, never re-gauged; from a PerturbationState it
     starts as the discrete gradient (d_z psi, ik psi).  row() reports the
@@ -678,10 +615,6 @@ class _NqSystem(_System):
         self.diffusion = (1.0, self.eps, self.eps)
         self.dP = ddz_array(profile.P_z, self.g.dz)
         self._warned = False
-        self.exponent = self.counters.rescales = 0
-        # the magnitudes of one array's fluctuation, in a view of the first
-        self._magnitude = (self._work[0].view(float).reshape(-1)[:self.g.n_z * self.g.n_y]
-                           .reshape(self.g.n_z, self.g.n_y))
         # (a, b_z, b_y) and, of b_z and then of b_y, (dz, dy)
         self._products = _Products(self.g, 5)
 
@@ -697,13 +630,6 @@ class _NqSystem(_System):
                     self.ik * psi)
         raise TypeError(f"cannot build (n, q) deviation from {type(state)!r}")
 
-    def modes(self, u) -> tuple:
-        """The true y-modes of the arrays u: u itself at exponent 0, else
-        copies with the fluctuation columns times 2**exponent."""
-        if not self.exponent:
-            return u
-        return tuple(_ldexp_fluctuation(x.copy(), self.exponent) for x in u)
-
     def explicit_tendency(self, u):
         """The explicit tendencies as fresh arrays; every intermediate is
         formed in the system's own buffers, each sum left to right."""
@@ -717,10 +643,9 @@ class _NqSystem(_System):
         # div G, the fluxes G = N b + P a + a b formed in d1 and d2
         gz = np.multiply(self.N, bz, out=d1)
         gz += np.multiply(self.P, a, out=w)
-        e = self.exponent
-        gz += products.term([(0, 1)], e)
+        gz += products.term([(0, 1)])
         gy = np.multiply(self.N, by, out=d2)
-        gy += products.term([(0, 2)], e)
+        gy += products.term([(0, 2)])
         ta = ddz_array(gz, dz)
         ta += np.multiply(ik, gy, out=w)
         dz_a = ddz_array(a, dz, out=d1)
@@ -731,7 +656,7 @@ class _NqSystem(_System):
         products.load((dz_bz, np.multiply(ik, bz, out=w)), start=3)
         tbz = self.P * dz_bz
         tbz += np.multiply(bz, self.dP[:, None], out=w)
-        tbz += products.term([(1, 3), (2, 4)], e)
+        tbz += products.term([(1, 3), (2, 4)])
         tbz *= c
         tbz += dz_a
         tbz += np.multiply(s, dz_bz, out=w)
@@ -739,38 +664,20 @@ class _NqSystem(_System):
         dz_by = ddz_array(by, dz, out=d2)
         products.load((dz_by, np.multiply(ik, by, out=d1)), start=3)
         tby = self.P * dz_by
-        tby += products.term([(1, 3), (2, 4)], e)
+        tby += products.term([(1, 3), (2, 4)])
         tby *= c
         tby += np.multiply(ik, a, out=w)
         tby += np.multiply(s, dz_by, out=w)
         return ta, tbz, tby
 
-    def settle(self, u):
-        """The arrays u and the power of two by which their fluctuation was
-        rescaled, in place (0 when kept)."""
-        peak = max(float(np.abs(x.view(float)[:, 2:], out=self._magnitude).max())
-                   for x in u)
-        sinking = 0.0 < peak < _RESCALE_FLOOR
-        rising = self.exponent < 0 and math.isfinite(peak) and peak * _RESCALE_FLOOR > 1.0
-        if not (sinking or rising):
-            return u, 0
-        shift = max(-math.frexp(peak)[1], self.exponent)  # the peak into [1/2, 1)
-        for x in u:
-            _ldexp_fluctuation(x, shift)
-        self.exponent -= shift
-        self.counters.rescales += 1
-        return u, shift
-
     def row(self, u, t) -> LedgerRow:
         g = self.g
         a, bz, by = u
-        q_trans = math.ldexp(transverse_norm_sq(g, a, bz, by), 2 * self.exponent)
+        q_trans = transverse_norm_sq(g, a, bz, by)
         mass = float(g.trapz_weights @ a[:, 0].real) * g.lam + 0.0
 
         curl_modes = np.multiply(self.ik, bz, out=self._work[0])
         curl_modes -= ddz_array(by, g.dz, out=self._work[1])
-        if self.exponent:
-            _ldexp_fluctuation(curl_modes, self.exponent)
         values = y_values(curl_modes, g)
         curl = float(np.max(np.abs(values, out=values)))
         if curl > 1e-4 and not self._warned:
@@ -816,7 +723,7 @@ def run(system: str, init, profile: WaveProfile, config: IntegratorConfig,
     Records at steps {0, record_every, 2*record_every, ...} and always at
     the final step; every snapshot_every-th recorded row also snapshots the
     state, and a record closes on the state of its last step, both as the
-    true y-modes of the system's arrays (TrajectoryRecord).  For
+    y-modes of the system's arrays (TrajectoryRecord).  For
     linear_eps, initial y-means above 1e-12 (read off the modes' k = 0
     columns) raise a warning.  The loop ends at its first blowup,
     non-finite values or a recorded M_inst (for nq the transverse energy Q)
@@ -868,14 +775,14 @@ def run(system: str, init, profile: WaveProfile, config: IntegratorConfig,
             rec.ledger.append(row)
             # snapshot every snapshot_every-th recorded row
             if config.snapshot_every and (len(rec.ledger.rows) - 1) % config.snapshot_every == 0:
-                snapshot = snapshot or (t, model.modes(u))
+                snapshot = snapshot or (t, u)
                 rec.snapshots.append(snapshot)
         return getattr(row, guard)
 
     def close(rec, reason=None):
         if reason is not None:
             rec.blowup_time, rec.blowup_reason = t, reason
-        rec.final_modes = model.modes(u)
+        rec.final_modes = u
         rec.counters = replace(model.counters, steps=i)
 
     u = model.arrays(init)

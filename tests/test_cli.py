@@ -688,10 +688,11 @@ def test_manifest_counts_steps_and_rows_per_run_call(tmp_path, monkeypatch):
         assert (c["system"], c["steps"], c["rows"]) == ("nq", 100, len(q_rows) - 1)
         assert c["solves"] == 3 * c["steps"]  # a, b_z and b_y are all diffused
         assert c["tendency_s"] > 0 and c["solve_s"] > 0 and c["row_s"] > 0
-    # Q falls by about e^-60 (lambda = 0.5) and e^-170 (0.25) over t = 2: the
-    # fluctuation is rescaled at least once per pair, more often on the
-    # thinner strip
-    assert 1 <= counters[0]["rescales"] < counters[1]["rescales"]
+    # Q falls by about e^-60 (lambda = 0.5) and e^-170 (0.25) over t = 2:
+    # the thinner strip's last Q lies below the wider one's
+    last_q = [float((tmp_path / "pl" / f"q_decay_{c['pair']}.csv").read_text()
+                    .splitlines()[-1].split(",")[1]) for c in counters]
+    assert 0.0 < last_q[1] < last_q[0]
     # each strip's curl drift, as its summary reports it
     results = json.loads((tmp_path / "pl" / "summary.json").read_text())["results"]
     assert [c["curl_max"] for c in counters] == [r["curl_max"] for r in results]

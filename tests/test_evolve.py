@@ -25,8 +25,6 @@ from stripwave.grid import (
     ScalarField,
     VectorField,
     make_grid,
-    y_fluctuation_values,
-    y_modes,
     y_values,
 )
 from stripwave.transforms import (
@@ -343,10 +341,10 @@ def test_nq_mass_conservation(nq_setup):
 
 @pytest.mark.parametrize("t_end", [0.01, 0.2])
 def test_nq_ledger_q_matches_the_physical_transverse_energy(nq_setup, t_end):
-    # the ledger's Q, summed over the stepper's y-modes at its unit scale,
-    # against Q of the final state's y-node values with the y-mean removed;
-    # Q is below 1e-9, so approx's default abs of 1e-12 would hide a relative
-    # error of 1e-3: abs = 0
+    # the ledger's Q, summed over the stepper's y-modes, against Q of the
+    # final state's y-node values with the y-mean removed; Q is below 1e-9,
+    # so approx's default abs of 1e-12 would hide a relative error of 1e-3:
+    # abs = 0
     p, g, prof = nq_setup
     pert = make_initial_perturbation(g, 1e-4, seed=2, mean_zero_y=True)
     rec = run("nq", pert, prof, IntegratorConfig(dt=0.01, t_end=t_end, record_every=10))
@@ -642,8 +640,17 @@ def test_blowup_names_its_field(setup_eps0, nq_setup):
 # ---------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
-def small_strips():
-    strips = {}
+def thin_nq_strip():
+    # lambda = 0.25: Q decays at a rate of about 100, by about 1e-87 over t = 2
+    p = WaveParams(eps=0.1, n_minus=1.0, c_plus=1.0)
+    g = make_grid(25.0 / p.s, 128, 0.25, 8, p.s)
+    return solve_wave_kpp(p, g), make_initial_perturbation(g, 1e-4, seed=0,
+                                                           mean_zero_y=True)
+
+
+@pytest.fixture(scope="module")
+def small_strips(thin_nq_strip):
+    strips = {"nq": thin_nq_strip}
     for system, p in (("nonlinear0", WaveParams(eps=0.0, n_minus=0.25, c_plus=1.0)),
                       ("linear_eps", WaveParams(eps=0.05, n_minus=1.0, c_plus=1.0))):
         g = make_grid(25.0 / p.s, 128, 0.5, 8, p.s)
@@ -653,9 +660,8 @@ def small_strips():
     return strips
 
 
-def _assert_same_record(a, b, tmp_path, rescales=True):
-    """a and b agree bit for bit; rescales=False leaves out the count of
-    rescalings, for a run compared with one that never rescales."""
+def _assert_same_record(a, b, tmp_path):
+    """a and b agree bit for bit."""
     a.ledger.to_csv(tmp_path / "a.csv")
     b.ledger.to_csv(tmp_path / "b.csv")
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
@@ -669,7 +675,7 @@ def _assert_same_record(a, b, tmp_path, rescales=True):
     assert (a.blowup, a.blowup_time, a.blowup_reason, a.curl_max) == (
         b.blowup, b.blowup_time, b.blowup_reason, b.curl_max)
     # a record's counts are those of the loop when it closed, not later
-    counts = ["steps", "solves", "factorizations"] + (["rescales"] if rescales else [])
+    counts = ["steps", "solves", "factorizations"]
     assert [getattr(a.counters, k) for k in counts] == [getattr(b.counters, k) for k in counts]
 
 
@@ -678,6 +684,7 @@ def _head_and_separate(system, strip, t_head, **kwargs):
     cfg = IntegratorConfig(t_end=2 * t_head, **kwargs)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("ignore", UserWarning)  # the nq curl drift note
         rec = run(system, pert, prof, cfg, head=t_head)
         alone = run(system, pert, prof, IntegratorConfig(t_end=t_head, **kwargs))
         full = run(system, pert, prof, cfg)
@@ -688,7 +695,7 @@ def _head_and_separate(system, strip, t_head, **kwargs):
 # so that the head rounds up to 6 steps) and zero
 @pytest.mark.parametrize("t_head", [0.08, 0.1, 0.055, 0.0])
 @pytest.mark.parametrize("scheme, transport", [("imex1", "upwind"), ("sbdf2", "central")])
-@pytest.mark.parametrize("system", ["nonlinear0", "linear_eps"])
+@pytest.mark.parametrize("system", ["nonlinear0", "linear_eps", "nq"])
 def test_head_record_is_bitwise_a_separate_run(small_strips, tmp_path, system, scheme,
                                                transport, t_head):
     rec, alone, full = _head_and_separate(
@@ -878,120 +885,24 @@ def test_warm_nq_steps_stay_allocation_light():
 
 
 # ---------------------------------------------------------------------------
-# Unit scale: the (n, q) fluctuation is rescaled by exact powers of two
+# The (n, q) fluctuation, stepped at true scale
 # ---------------------------------------------------------------------------
 
-@pytest.fixture(scope="module")
-def thin_nq_strip():
-    # lambda = 0.25: Q falls by about 1e-90 over t = 2, so the fluctuation
-    # (peak about 2^-20 at t = 0) sinks below 2^-32 again and again
-    p = WaveParams(eps=0.1, n_minus=1.0, c_plus=1.0)
-    g = make_grid(25.0 / p.s, 128, 0.25, 8, p.s)
-    return solve_wave_kpp(p, g), make_initial_perturbation(g, 1e-4, seed=0,
-                                                           mean_zero_y=True)
-
-
-@pytest.mark.parametrize("options", [
-    {"scheme": "imex1"},
-    {"scheme": "sbdf2", "transport": "central"},
-])
-def test_rescaled_nq_run_is_bitwise_the_unscaled_run(thin_nq_strip, tmp_path, monkeypatch,
-                                                     options):
+def test_nq_q_decays_at_one_rate_through_hundreds_of_e_foldings(thin_nq_strip):
+    # the fluctuation is stepped at true scale: Q falls from about 1e-10
+    # towards 1e-290 at one rate, and the flushed z-tails of its squares
+    # do not show above the planarity fit's clip
     prof, pert = thin_nq_strip
-    cfg = IntegratorConfig(dt=0.01, t_end=2.0, record_every=5, snapshot_every=4, **options)
-
-    def nq_run(config, **kwargs):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # the curl drift note
-            return run("nq", pert, prof, config, **kwargs)
-
-    rec = nq_run(cfg, head=1.23)
-    alone = nq_run(replace(cfg, t_end=1.23))
-    with monkeypatch.context() as m:
-        m.setattr(evolve, "_RESCALE_FLOOR", 0.0)
-        plain = nq_run(cfg)
-    assert rec.counters.rescales >= 2 and plain.counters.rescales == 0
-    assert min(rec.ledger.column("Q")) > 1e-290
-    _assert_same_record(rec, plain, tmp_path, rescales=False)
-    _assert_same_record(rec.head, alone, tmp_path)
-    assert rec.head.counters.rescales == alone.counters.rescales >= 1
-
-
-def test_rescaling_moves_the_peak_into_unit_range_both_ways(thin_nq_strip):
-    prof, pert = thin_nq_strip
-    model = _model("nq", prof)
-
-    def times(factor, u):
-        """u with its fluctuation columns times factor."""
-        return tuple(np.concatenate([x[:, :1], x[:, 1:] * factor], axis=1) for x in u)
-
-    def settled(u):
-        true = [x.copy() for x in model.modes(u)]
-        u, shift = model.settle(u)
-        # settle changes the scale, never the values that modes() reports
-        assert all(np.array_equal(x, y) for x, y in zip(model.modes(u), true))
-        return u, shift, max(np.max(np.abs(x[:, 1:])) for x in u)
-
-    data = model.arrays(pert)
-    u, shift, peak = settled(data)
-    assert shift == 0 and model.exponent == 0  # 2^-32 < peak at t = 0
-
-    # sinking below 2^-32: rescaled to a peak in [1/2, 1), the means untouched
-    u, shift, peak = settled(times(2.0**-40, data))
-    assert model.exponent == -shift < -40 and 0.5 <= peak < 1.0 and model.counters.rescales == 1
-    assert all(np.array_equal(x[:, 0], y[:, 0]) for x, y in zip(u, data))
-
-    # rising above 2^32 while exponent < 0: back towards true scale, never past it
-    exponent = model.exponent
-    u, shift, peak = settled(times(2.0**36, u))
-    assert shift == -36 and model.exponent == exponent + 36 < 0 and 0.5 <= peak < 1.0
-    u, shift, peak = settled(times(2.0**100, u))
-    assert model.exponent == 0 and peak > 2.0**32 and model.counters.rescales == 3
-    assert settled(times(2.0**40, u))[1] == 0 and model.counters.rescales == 3
-
-
-@pytest.mark.parametrize("exponent", [0, -300, -700, -1074, -1100])
-def test_products_scale_bit_for_bit_as_ldexp(monkeypatch, exponent):
-    # fluctuation rows that fall from 1e6 to 1e-150 along z, as a rescaled
-    # (n, q) state's tails do: scaled by 2**exponent, their products turn
-    # subnormal in the tails, and at -1100 only the largest stay nonzero.
-    # Factors 0 and 1 have zero y-means, so that nothing in the normal range
-    # is added to their product; factor 2 brings the y-mean terms.
-    g = make_grid(10.0, 64, 0.5, 8, 1.0)
-    rng = np.random.default_rng(3)
-    decay = np.logspace(6, -150, g.n_z)[:, None]
-    factors = [y_modes(decay * rng.standard_normal((g.n_z, g.n_y))) for _ in range(3)]
-    factors[0][:, 0] = factors[1][:, 0] = 0.0
-    factors[2][:, 0] = rng.standard_normal(g.n_z)
-    products = evolve._Products(g, 3)
-    products.load(factors)
-    terms = ([(0, 1)], [(0, 1), (1, 2), (2, 2)])
-    got = [products.term(pairs, exponent).copy() for pairs in terms]
-    monkeypatch.setattr(evolve, "_times_power_of_two", lambda x, e: np.ldexp(x, e, out=x))
-    for pairs, x in zip(terms, got):
-        assert x.tobytes() == products.term(pairs, exponent).tobytes()
-    pair = np.ldexp(y_fluctuation_values(factors[0], g) * y_fluctuation_values(factors[1], g),
-                    exponent)
-    subnormal = (pair != 0) & (np.abs(pair) < np.finfo(float).tiny)
-    assert np.any(subnormal) == (exponent < 0)
-
-
-@pytest.mark.parametrize("exponent", [33, -33, -1074, -1100, 1030])
-def test_fluctuation_scales_bit_for_bit_as_ldexp(exponent):
-    # y-modes whose rows fall from 1e300 to subnormal 1e-320 along z: the
-    # scaled fluctuation columns overflow, turn subnormal or underflow at
-    # the ends, and column 0 (the y-means) is never touched
-    g = make_grid(10.0, 64, 0.5, 8, 1.0)
-    decay = np.logspace(300, -320, g.n_z)[:, None]
-    x = y_modes(decay * np.random.default_rng(4).standard_normal((g.n_z, g.n_y)))
-    assert np.any(np.abs(x.view(float)[:, 2:]) < np.finfo(float).tiny)
-    want = x.copy()
-    parts = want.view(float)[:, 2:]
-    with np.errstate(over="ignore"):
-        np.ldexp(parts, exponent, out=parts)
-        got = evolve._ldexp_fluctuation(x.copy(), exponent)
-    assert got.tobytes() == want.tobytes()
-    assert np.array_equal(got[:, 0], x[:, 0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the curl drift note
+        rec = run("nq", pert, prof, IntegratorConfig(dt=0.01, t_end=7.5, record_every=5))
+    t, q = np.asarray(rec.times), rec.ledger.column("Q")
+    kept = q > 1e-290
+    n = np.count_nonzero(kept)
+    assert kept[:n].all() and t[n - 1] >= 6.3
+    late = (t[:n] > 2.0)[1:]
+    rates = (-np.diff(np.log(q[:n])) / np.diff(t[:n]))[late]
+    assert rates.max() < 1.01 * rates.min()
 
 
 def test_nq_curl_drift_warns_once_and_reaches_the_record():
@@ -1075,34 +986,72 @@ def test_time_loop_flushes_subnormals_and_restores_the_environment(setup_eps0, m
     assert _fenv_bytes(fenv) == before and _subnormal_product() > 0.0
 
 
-@pytest.mark.parametrize("system, scheme", [("nonlinear0", "imex1"), ("linear_eps", "sbdf2")])
-def test_flushed_run_changes_no_result(monkeypatch, tmp_path, system, scheme):
-    # the z-tails of these runs reach the subnormal range within 10-20
-    # steps.  Flushed, they read 0, and a value that took a flushed tail as
-    # input moves by less than 2**-1022 times a few; so every entry that
-    # agrees to within 2**-1000 agrees bit for bit above 2**-947, and the
-    # ledger rows, sums over the whole state, are the same bits
-    if system == "nonlinear0":
-        p, L_z, n_y, steps = WaveParams(eps=0.0, n_minus=0.25, c_plus=1.0), 50.0, 4, 10
+def _subnormals(modes):
+    x = np.abs(np.concatenate([a.view(float).ravel() for a in modes]))
+    return np.count_nonzero((x > 0.0) & (x < np.finfo(float).tiny))
+
+
+def _unknown_name(name):
+    raise ValueError(f"unrecognized configuration name {name!r}")
+
+
+# each way the flush falls back to IEEE arithmetic, found afresh: another
+# machine, a libc that does not know the name, a failing fegetenv, and
+# FTZ and DAZ bits that do not take
+@pytest.mark.parametrize("fallback", [
+    ("os", "uname", lambda: SimpleNamespace(machine="aarch64")),
+    ("os", "confstr", _unknown_name),
+    ("evolve", "_fenv", (lambda env: -1, None)),
+    ("evolve", "_FTZ_DAZ", 0),
+], ids=["not_x86_64", "confstr_raises", "fegetenv_fails", "bits_do_not_take"])
+def test_ieee_fallback_gives_the_flushed_ledger(setup_eps0, tmp_path, monkeypatch, fallback):
+    _, g, prof = setup_eps0
+    pert = make_initial_perturbation(g, 1e-4, seed=0)
+    cfg = IntegratorConfig(dt=0.05, t_end=0.5)
+    run("nonlinear0", pert, prof, cfg).ledger.to_csv(tmp_path / "flushed.csv")
+    monkeypatch.setattr(evolve, "_fenv", None)
+    where, name, value = fallback
+    monkeypatch.setattr(evolve.os if where == "os" else evolve, name, value)
+    ieee = run("nonlinear0", pert, prof, cfg)
+    assert evolve.arithmetic() == "ieee" and _subnormals(ieee.final_modes) > 0
+    ieee.ledger.to_csv(tmp_path / "ieee.csv")
+    assert (tmp_path / "flushed.csv").read_bytes() == (tmp_path / "ieee.csv").read_bytes()
+
+
+@pytest.mark.parametrize("system, scheme", [("nonlinear0", "imex1"), ("linear_eps", "sbdf2"),
+                                            ("nq", "imex1"), ("nq", "sbdf2")])
+def test_flushed_run_changes_no_result(request, monkeypatch, tmp_path, system, scheme):
+    # the z-tails of the (phi, psi) runs reach the subnormal range within
+    # 10-20 steps.  Flushed, they read 0, and a value that took a flushed
+    # tail as input moves by less than 2**-1022 times a few; so every entry
+    # that agrees to within 2**-1000 agrees bit for bit above 2**-947, and
+    # the ledger rows, sums over the whole state, are the same bits.  The
+    # nq fluctuation, stepped at true scale, stays normal to t = 2 (Q falls
+    # to about 1e-99 with imex1 and 1e-138 with sbdf2, the smallest nonzero
+    # entry to about 1e-179 and 1e-194), so there the flush changes no bit
+    if system == "nq":
+        prof, pert = request.getfixturevalue("thin_nq_strip")
+        cfg = IntegratorConfig(dt=0.01, t_end=2.0, scheme=scheme, record_every=5)
     else:
-        p = WaveParams(eps=0.01, n_minus=1.0, c_plus=1.0)
-        L_z, n_y, steps = 25.0 / p.s, 8, 20
-    g = make_grid(L_z, 512, 0.5, n_y, p.s)
-    prof = explicit_wave_eps0(p, g) if p.eps == 0 else solve_wave_kpp(p, g)
-    pert = make_initial_perturbation(g, 1e-4, seed=0, mean_zero_y=p.eps > 0)
-    cfg = IntegratorConfig(dt=0.05, t_end=0.05 * steps, scheme=scheme)
-    flushed = run(system, pert, prof, cfg)
-    with monkeypatch.context() as m:
-        m.setattr(evolve, "_subnormals_flushed", contextlib.nullcontext)
-        ieee = run(system, pert, prof, cfg)
+        if system == "nonlinear0":
+            p, L_z, n_y, steps = WaveParams(eps=0.0, n_minus=0.25, c_plus=1.0), 50.0, 4, 10
+        else:
+            p = WaveParams(eps=0.01, n_minus=1.0, c_plus=1.0)
+            L_z, n_y, steps = 25.0 / p.s, 8, 20
+        g = make_grid(L_z, 512, 0.5, n_y, p.s)
+        prof = explicit_wave_eps0(p, g) if p.eps == 0 else solve_wave_kpp(p, g)
+        pert = make_initial_perturbation(g, 1e-4, seed=0, mean_zero_y=p.eps > 0)
+        cfg = IntegratorConfig(dt=0.05, t_end=0.05 * steps, scheme=scheme)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the nq curl drift note
+        flushed = run(system, pert, prof, cfg)
+        with monkeypatch.context() as m:
+            m.setattr(evolve, "_subnormals_flushed", contextlib.nullcontext)
+            ieee = run(system, pert, prof, cfg)
 
-    def subnormals(modes):
-        x = np.abs(np.concatenate([a.view(float).ravel() for a in modes]))
-        return np.count_nonzero((x > 0.0) & (x < np.finfo(float).tiny))
-
-    assert subnormals(ieee.final_modes) > 0
-    assert subnormals(flushed.final_modes) == (0 if evolve.arithmetic() == "flushed" else
-                                               subnormals(ieee.final_modes))
+    assert (_subnormals(ieee.final_modes) > 0) == (system != "nq")
+    assert _subnormals(flushed.final_modes) == (0 if evolve.arithmetic() == "flushed" else
+                                                _subnormals(ieee.final_modes))
     flushed.ledger.to_csv(tmp_path / "flushed.csv")
     ieee.ledger.to_csv(tmp_path / "ieee.csv")
     assert (tmp_path / "flushed.csv").read_bytes() == (tmp_path / "ieee.csv").read_bytes()
