@@ -20,7 +20,6 @@ from .grid import (  # noqa: F401
     GridError,
     ScalarField,
     VectorField,
-    laplacian,
     make_grid,
 )
 from .transforms import (  # noqa: F401

@@ -67,9 +67,9 @@ from .config import (
 )
 from .energy import EnergyError, fit_exponential_decay
 from . import transforms
-from .evolve import IntegratorConfig, arithmetic, lapack_file, run
-from .grid import (ScalarField, field_from_function, field_to_csv, laplacian, make_grid,
-                   write_csv, y_values)
+from .evolve import (IntegratorConfig, RunCounters, _ModeDiffusionSolver, arithmetic,
+                     lapack_file, run, scipy_module)
+from .grid import ScalarField, field_from_function, field_to_csv, make_grid, write_csv, y_values
 from .transforms import (
     cole_hopf_forward,
     cole_hopf_inverse,
@@ -121,13 +121,12 @@ def _environment() -> dict:
     """Versions, cores (all, and those this process may use) and BLAS thread
     settings of this process, the scipy subpackages imported so far (a run
     imports none) and the file name of the LAPACK extension its time loops
-    loaded (None before the first)."""
-    import scipy
-
+    loaded (None before the first).  scipy's version is read from its
+    version file, so the manifest loads no scipy either."""
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
+        "scipy": scipy_module("version").version,
         "cpu_count": os.cpu_count(),
         "usable_cores": _usable_cores(),
         "threads": {name: os.environ.get(name) for name in _THREAD_VARIABLES},
@@ -422,17 +421,18 @@ def _experiment_convergence(cfg: ExperimentConfig, outdir: Path, waves: list,
         return float(np.polyfit(np.log([1.0 / (n - 1) for n in sizes]),
                                 np.log(errors), 1)[0])
 
-    # second-derivative operator refinement
+    # the time loops' implicit diffusion solve, x - 0.1 (x'' - k^2 x) = b,
+    # on x = e^{-z^2} in y-mode 1, refined
     sizes = (129, 257, 513)
     errs = []
     for n_z in sizes:
         g = make_grid(8.0, n_z, 0.5, 16, 1.0)
-        f = field_from_function(g, lambda z, y: np.exp(-(z**2)) * np.cos(2 * np.pi * y / g.lam))
-        k = 2 * np.pi / g.lam
-        exact = field_from_function(
-            g, lambda z, y: ((4 * z**2 - 2) - k**2) * np.exp(-(z**2)) * np.cos(k * y))
-        errs.append(float(np.max(np.abs(laplacian(f).values - exact.values))))
-    rows.append(("laplacian_slope", slope_of(sizes, errs), 1.8, 2.2))
+        x, k = np.exp(-g.z**2), g.wavenumbers_y[1]
+        rhs = np.zeros((n_z, g.n_y // 2 + 1), dtype=complex)
+        rhs[:, 1] = x - 0.1 * ((4 * g.z**2 - 2) * x - k**2 * x)
+        solve = _ModeDiffusionSolver(g, RunCounters(), 0.1, 1.0)
+        errs.append(float(np.max(np.abs(solve(rhs)[:, 1] - x))))
+    rows.append(("diffusion_solve_slope", slope_of(sizes, errs), 1.8, 2.2))
 
     # forward/inverse log-gradient round trip
     errs = []

@@ -225,29 +225,36 @@ def _mode_array(grid) -> np.ndarray:
     return np.empty((grid.n_z, grid.n_y // 2 + 1), dtype=complex)
 
 
-@functools.cache
-def _lapack():
-    """scipy's f2py LAPACK extension, the module scipy.linalg._flapack that
-    holds dpttrf and zpttrs, loaded from its file on the first call.
-
-    Only a diffusion solver needs it, so importing stripwave loads no scipy.
-    The file is found in the linalg directory of the scipy package, for any
-    platform's extension suffix, and loaded without running
-    scipy/__init__.py or importing scipy.linalg: one module in 5-10 ms, not
-    85 in about 0.3 s and 25 MB.  Loaded under its own name, it is the
-    module that a later `import scipy.linalg` finds, so its routines are
-    scipy.linalg.lapack's.  A scipy without the file raises ImportError
-    naming the directory searched, before any step.
-    """
-    linalg = os.path.join(importlib.util.find_spec("scipy").submodule_search_locations[0],
-                          "linalg")
-    found = importlib.machinery.PathFinder.find_spec("_flapack", [linalg])
+def scipy_module(name: str, *package: str):
+    """The module scipy.<package...>.<name>, run from its file in the scipy
+    package's directory, for any platform's extension suffix, without
+    running scipy/__init__.py or any package on the way.  A scipy without
+    the file raises ImportError naming the directory searched."""
+    where = os.path.join(importlib.util.find_spec("scipy").submodule_search_locations[0],
+                         *package)
+    found = importlib.machinery.PathFinder.find_spec(name, [where])
     if found is None:
-        raise ImportError(f"scipy's LAPACK extension _flapack is not in {linalg}")
-    spec = importlib.util.spec_from_file_location("scipy.linalg._flapack", found.origin)
+        raise ImportError(f"scipy's {name} is not in {where}")
+    spec = importlib.util.spec_from_file_location(".".join(("scipy", *package, name)),
+                                                  found.origin)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@functools.cache
+def _lapack():
+    """scipy's f2py LAPACK extension, the module scipy.linalg._flapack that
+    holds dpttrf and zpttrs, loaded from its file on the first call
+    (scipy_module).
+
+    Only a diffusion solver needs it, so importing stripwave loads no scipy,
+    and a run loads one module in 5-10 ms, not the 85 of scipy.linalg in
+    about 0.3 s and 25 MB.  Loaded under its own name, it is the module
+    that a later `import scipy.linalg` finds, so its routines are
+    scipy.linalg.lapack's.  A scipy without the file fails before any step.
+    """
+    return scipy_module("_flapack", "linalg")
 
 
 def lapack_file() -> str | None:

@@ -4,7 +4,10 @@ The z-axis is a uniform finite-difference axis including both endpoints;
 the y-axis is periodic and differentiated spectrally (exact for resolved
 Fourier modes).  The one-sided exponential weight w(z) = 1 + e^{s z} and
 the trapezoid weights in z are sampled once at construction; the energy
-ledger's quadrature (energy) contracts with them.
+ledger's quadrature (energy) contracts with them.  No Laplacian is formed
+here: the time loops' diffusion acts on y-modes, as the 3-point stencil
+with Dirichlet pins of evolve._ModeDiffusionSolver, and d2dz2_array serves
+the wave's identity checks.
 
 Grids and fields are immutable value snapshots with read-only arrays, so
 instances can be shared freely across threads.  Every operator allocates a
@@ -248,16 +251,6 @@ def ddy_array(v: np.ndarray, grid: Grid) -> np.ndarray:
     zeroing is the exact collocation derivative of that mode.
     """
     return y_values(1j * grid.ddy_wavenumbers * y_modes(v), grid)
-
-
-def d2dy2_array(v: np.ndarray, grid: Grid) -> np.ndarray:
-    return y_values(-grid.wavenumbers_y**2 * y_modes(v), grid)
-
-
-def laplacian(f: ScalarField) -> ScalarField:
-    """3-point second difference in z plus spectral d2/dy2."""
-    return ScalarField(
-        f.grid, d2dz2_array(f.values, f.grid.dz) + d2dy2_array(f.values, f.grid))
 
 
 def write_csv(path, header, rows) -> None:

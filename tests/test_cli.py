@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 import stripwave.cli
 import stripwave.config
@@ -24,7 +25,7 @@ from stripwave.config import (
 from stripwave.evolve import IntegratorBlowup, IntegratorConfig
 from stripwave.grid import GridError, make_grid
 from stripwave.transforms import TransformError, make_initial_perturbation
-from stripwave.waves import WaveError, WaveParams, WaveSolveError, solve_wave_kpp
+from stripwave.waves import WaveError, WaveParams, WaveSolveError, solve_wave_kpp, wave_speed
 
 WAVE_CFG = """
 [grid]
@@ -284,6 +285,26 @@ def test_cli_wave_defaults_without_config(tmp_path, monkeypatch):
     assert (tmp_path / "out" / "wave_profile.csv").exists()
 
 
+@pytest.mark.parametrize("overrides, failed", [
+    *(([f"wave.eps={eps:g}"], []) for eps in (1e-6, 0.01, 0.1, 1, 3, 10)),
+    (["wave.eps=20"], ["right tail rate within 2% of -s"]),
+    (["wave.eps=20", f"grid.L_z={50.0 / wave_speed(1.0, 20.0)!r}"], []),
+    (["wave.eps=0.1", "grid.n_z=16"], []),
+], ids=["1e-6", "0.01", "0.1", "1", "3", "10", "20", "20-long-strip", "0.1-n_z-16"])
+def test_wave_checks_at_every_eps(tmp_path, monkeypatch, capsys, overrides, failed):
+    # the tail rates are read at the strip's ends: they pass up to eps = 10
+    # on the default strip and on the coarsest grid; at eps = 20 the right
+    # end of the 25/s strip is short of the tail, and only that check fails,
+    # until the strip is lengthened
+    monkeypatch.setenv("STRIPWAVE_OUTPUT_ROOT", str(tmp_path))
+    code = main(["wave", *(arg for o in overrides for arg in ("--set", o))])
+    checks = [line.strip() for line in capsys.readouterr().out.splitlines()
+              if line.startswith("  [")]
+    assert len(checks) == 3
+    assert [c.removeprefix("[FAIL] ") for c in checks if c.startswith("[FAIL]")] == failed
+    assert code == (1 if failed else 0)
+
+
 def test_cli_planarity_requires_positive_eps(tmp_path):
     cfgfile = tmp_path / "p.ini"
     cfgfile.write_text(STABILITY_CFG.format(out=tmp_path / "pl"))
@@ -317,6 +338,10 @@ def test_cli_convergence_experiment(tmp_path, monkeypatch):
     table = (tmp_path / "conv" / "convergence.csv").read_text().splitlines()
     assert table[0] == "check,value,target_lo,target_hi,pass"
     assert all(line.endswith("True") for line in table[1:])
+    # the first row refines the time loops' own diffusion solve
+    assert [line.split(",")[0] for line in table[1:]] == [
+        "diffusion_solve_slope", "cole_hopf_roundtrip_slope",
+        "dt_refinement_ratio_imex1", "dt_refinement_ratio_sbdf2"]
     # its time runs start from the configured perturbation
     assert main(["convergence", "--set", "output.directory=conv2",
                  "--set", "init.amplitude=1e-3"]) == 0
@@ -414,6 +439,8 @@ def test_manifest_records_the_environment(tmp_path, monkeypatch, args, code):
                         "scipy_loaded", "lapack", "arithmetic"}
     assert env["python"] == ".".join(map(str, sys.version_info[:3]))
     assert env["numpy"] == np.__version__ and env["cpu_count"] == os.cpu_count()
+    # read from scipy's version file, which scipy/__init__.py reads too
+    assert env["scipy"] == scipy.__version__
     assert env["usable_cores"] == len(os.sched_getaffinity(0))
     assert env["threads"] == {"OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
                               "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": None}
@@ -462,10 +489,11 @@ def test_no_experiment_loads_the_ode_stack(tmp_path, args, steps):
     # the KPP orbit, its front center and C need numpy alone, so no run,
     # at eps = 0 or not, imports scipy's ODE, root-finding or spline stack;
     # a run that steps loads the LAPACK extension and not scipy.linalg, and
-    # its manifest says so
+    # its manifest says so; the manifest reads scipy's version without
+    # importing scipy
     body = ("import stripwave.cli\n"
             f"assert stripwave.cli.main({[*args, '--set', 'grid.n_z=128']!r}) in (0, 1)")
-    assert _fresh_process(tmp_path, body, [*ODE_STACK, "scipy.linalg"]) == []
+    assert _fresh_process(tmp_path, body, ["scipy", *ODE_STACK, "scipy.linalg"]) == []
     env = json.loads((tmp_path / "out" / "manifest.json").read_text())["environment"]
     assert env["scipy_loaded"] == []
     assert (env["lapack"] or "").startswith("_flapack.") == steps

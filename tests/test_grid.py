@@ -6,10 +6,8 @@ from stripwave.grid import (
     GridError,
     ScalarField,
     VectorField,
-    d2dy2_array,
     ddy_array,
     field_from_function,
-    laplacian,
     make_grid,
     y_fluctuation_values,
     y_modes,
@@ -63,23 +61,6 @@ def test_ddz_exact_for_quadratic_including_boundaries():
     f = field_from_function(g, lambda z, y: 3.0 * z**2 - 2.0 * z + 1.0)
     expected = field_from_function(g, lambda z, y: 6.0 * z - 2.0)
     assert np.max(np.abs(ddz(f).values - expected.values)) < 1e-9
-
-
-def _laplacian_error(n_z):
-    g = make_grid(8.0, n_z, 0.5, 16, 1.0)
-    f = field_from_function(g, lambda z, y: np.exp(-(z**2)) * np.cos(2 * np.pi * y / g.lam))
-    k = 2 * np.pi / g.lam
-    exact = field_from_function(
-        g, lambda z, y: ((4 * z**2 - 2) - k**2) * np.exp(-(z**2)) * np.cos(k * y))
-    return np.max(np.abs(laplacian(f).values - exact.values))
-
-
-def test_laplacian_refinement_slope_two():
-    # Richardson-style oracle: halving dz should divide the error by ~4.
-    ns = [129, 257, 513]
-    errs = [_laplacian_error(n) for n in ns]
-    slopes = np.diff(np.log(errs)) / np.diff(np.log([2.0 * 8.0 / (n - 1) for n in ns]))
-    assert np.all(np.abs(slopes - 2.0) < 0.2)
 
 
 def _ddz_error(n_z):
@@ -236,8 +217,8 @@ def test_y_transforms_match_numpy_fft(n_y):
 @pytest.mark.parametrize("lam", [0.25, 2.0])
 @pytest.mark.parametrize("n_y", [4, 8, 16, 64, 128])
 def test_y_calculus_matches_numpy_fft(n_y, lam):
-    # d/dy, d2/dy2 and the y-antiderivative go through the DFT-matrix
-    # transforms; numpy.fft, in the formulas they replaced, is the oracle:
+    # d/dy and the y-antiderivative go through the DFT-matrix transforms;
+    # numpy.fft, in the formulas they replaced, is the oracle:
     # rows spanning e^-5 .. e^5, each compared to 1e-14 of its own norm
     g = make_grid(10, 33, lam, n_y, 1.0)
     rng = np.random.default_rng(n_y)
@@ -250,7 +231,6 @@ def test_y_calculus_matches_numpy_fft(n_y, lam):
     antiderivative = (((factors * g.rfft_multiplicity) @ (phases - 1.0) / n_y).real
                       + vh[:, :1].real / n_y * g.y)
     cases = ((ddy_array(v, g), np.fft.irfft(vh * 1j * g.ddy_wavenumbers, n=n_y, axis=1)),
-             (d2dy2_array(v, g), np.fft.irfft(vh * -k**2, n=n_y, axis=1)),
              (_partial_integral_y(v, g), antiderivative))
     for got, want in cases:
         assert np.all(np.abs(got - want) <= 1e-14 * np.linalg.norm(want, axis=1, keepdims=True))

@@ -138,6 +138,20 @@ def test_kpp_residual_and_tail_rates(eps):
     assert abs(d["fitted_left_rate"] - mu) / mu < 0.02
 
 
+def test_a_kpp_build_calls_no_polyfit(monkeypatch):
+    # the tail rates are log-slopes between two end nodes, not fits: the
+    # build never faults in the LAPACK pages of a first least-squares call
+    def refused(*args, **kwargs):
+        raise AssertionError("numpy.polyfit called")
+
+    monkeypatch.setattr(np, "polyfit", refused)
+    p = WaveParams(eps=0.1, n_minus=1.0, c_plus=1.0)
+    prof = solve_wave_kpp(p, default_grid(p))
+    d = prof.diagnostics
+    assert abs(d["fitted_right_rate"] + p.s) / p.s < 1e-9
+    assert abs(d["fitted_left_rate"] - prof.left_rate) / prof.left_rate < 1e-9
+
+
 @pytest.mark.parametrize("eps", [0.01, 0.1])
 def test_kpp_monotone_and_bounded(eps):
     p = WaveParams(eps=eps, n_minus=1.0, c_plus=1.0)
