@@ -23,11 +23,10 @@ from .grid import (  # noqa: F401
     make_grid,
 )
 from .transforms import (  # noqa: F401
-    ColeHopfState,
-    PerturbationState,
     cole_hopf_forward,
     cole_hopf_inverse,
     curl,
+    log_gradient_deviation,
     make_initial_perturbation,
 )
 from .waves import (  # noqa: F401

@@ -73,6 +73,7 @@ from .grid import ScalarField, field_from_function, field_to_csv, make_grid, wri
 from .transforms import (
     cole_hopf_forward,
     cole_hopf_inverse,
+    log_gradient_deviation,
     make_initial_perturbation,
 )
 from .waves import (
@@ -359,7 +360,8 @@ def _strip(cfg: ExperimentConfig, wave, lam: float):
     sends back only the ledger, counters and blowup."""
     g = wave.grid
     profile = replace(wave, grid=make_grid(g.L_z, g.n_z, lam, g.n_y, g.s))
-    rec = run("nq", _perturbation(cfg, profile), profile, _integrator(cfg))
+    rec = run("nq", log_gradient_deviation(_perturbation(cfg, profile), profile.grid),
+              profile, _integrator(cfg))
     return replace(rec, final_modes=None)
 
 

@@ -25,6 +25,11 @@ INTEGRATOR_CHOICES = {
 }
 
 
+# the fewest ledger rows in its window that a decay fit takes
+# (energy.fit_exponential_decay)
+FIT_SAMPLES = 10
+
+
 class ConfigError(ValueError):
     """Carries the full list of problems, each led by its origin."""
 
@@ -234,6 +239,30 @@ def check_rules(section: str, values: dict, label=str, error=None,
     return problems
 
 
+def steps_for(dt: float, t_end: float) -> int:
+    """The steps of a run to t_end: t_end / dt, rounded up when t_end lies
+    off the dt grid by more than 1e-9 relative, and at least one when
+    t_end > 0."""
+    if t_end == 0.0:
+        return 0
+    n = round(t_end / dt)
+    if abs(n * dt - t_end) > 1e-9 * max(1.0, t_end):
+        n = math.ceil(t_end / dt)
+    return max(int(n), 1)
+
+
+def _rows_in(window, dt: float, t_end: float, record_every: int, enough: int) -> int:
+    """The ledger rows of a run to t_end whose times i * dt lie in the
+    closed window, counted up to `enough`: rows are taken at every
+    record_every-th step and at the last."""
+    lo, hi = window
+    last = steps_for(dt, t_end)
+    # a recorded step before lo, and at most two of the slice's steps fall before lo
+    first = max(0, int(lo / dt) - 1) // record_every * record_every
+    steps = (*range(first, last, record_every)[:enough + 2], last)
+    return min(sum(lo <= i * dt <= hi for i in steps), enough)
+
+
 def validate_config(text: str, experiment: str, overrides=None) -> ExperimentConfig:
     """Strict validation; raises ConfigError listing every problem found.
 
@@ -299,6 +328,15 @@ def validate_config(text: str, experiment: str, overrides=None) -> ExperimentCon
                 problems.append(f"{at('integrator', 'fit_t_min')} must be below {bound} = "
                                 f"{fit[bound]} for experiment 'planarity', "
                                 f"got {fit['fit_t_min']}")
+        window = (fit["fit_t_min"], fit["fit_t_max"])
+        if not problems:  # the rows follow from settings that are all valid
+            rows = _rows_in(window, fit["dt"], fit["t_end"], fit["record_every"], FIT_SAMPLES)
+            if rows < FIT_SAMPLES:
+                problems.append(f"{at('integrator', 'fit_t_min')} to fit_t_max: the fit "
+                                f"window [{window[0]}, {window[1]}] holds {rows} ledger rows "
+                                f"at dt = {fit['dt']}, record_every = {fit['record_every']} "
+                                f"and t_end = {fit['t_end']}; the decay fit of experiment "
+                                f"'planarity' needs {FIT_SAMPLES}")
     for lam in gv["lambda"]:
         if lam > 1.0:
             warnings_list.append(f"grid.lambda = {lam} > 1: the stability theory "

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import FIT_SAMPLES
 from .grid import Grid, ddz_array, write_csv
 
 LEDGER_COLUMNS = (
@@ -102,7 +103,7 @@ class LedgerRow:
 def ledger_row(g: Grid, modes, t: float, eps: float) -> LedgerRow:
     """Evaluate every ledger quantity at time t of the perturbation on grid
     g whose y-modes (phi_z, phi_y, psi) are `modes`, as the stepper holds
-    them (PerturbationState.y_modes gives them for a state).
+    them and make_initial_perturbation returns them.
 
     Q is the transverse energy of the assembled log-gradient variables,
     ||n_y||^2 + ||q_y||^2 = ||(div phi)_y||^2 + ||(grad psi)_y||^2, since the
@@ -190,15 +191,15 @@ def fit_exponential_decay(times, values, window) -> tuple[float, float]:
     """Least-squares log-linear fit of values ~ A e^{-c t} on a time window.
 
     Returns (c, r_squared) with c = -slope (positive for decaying data).
-    Requires at least 10 strictly positive samples inside the window; a
-    constant series fits with rate 0 and r_squared reported as 0.
+    Requires at least FIT_SAMPLES (10) strictly positive samples inside the
+    window; a constant series fits with rate 0 and r_squared reported as 0.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
     t0, t1 = window
     mask = (times >= t0) & (times <= t1)
-    if np.count_nonzero(mask) < 10:
-        raise EnergyError(f"need >= 10 samples in window [{t0}, {t1}], "
+    if np.count_nonzero(mask) < FIT_SAMPLES:
+        raise EnergyError(f"need >= {FIT_SAMPLES} samples in window [{t0}, {t1}], "
                           f"got {np.count_nonzero(mask)}")
     tw, vw = times[mask], values[mask]
     if np.any(vw <= 0.0):

@@ -20,10 +20,10 @@ mode at a time.  The stepper therefore holds each field as its rfft y-modes
 (grid.y_modes), z-major with shape (n_z, n_y/2 + 1): d/dy is a
 multiplication by i k, z differences act on the columns, and a field's
 k = 0 column is its per-z y-mean.  Within a step only the quadratic terms
-visit the y-nodes (_Products).  The records of a run hold its final state
-and its snapshots in this format too (TrajectoryRecord), so no state in
-physical space is formed here: that is left to the writers of artifacts
-that need node values.
+visit the y-nodes (_Products).  run takes its initial state in this
+format, and the records of a run hold its final state and its snapshots in
+it too (TrajectoryRecord), so no state in physical space is formed here:
+that is left to the writers of artifacts that need node values.
 
 Splitting: every Laplacian is implicit; transport, coupling, and nonlinear
 terms are explicit.  The per-mode diffusion matrices are symmetric
@@ -90,10 +90,10 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .config import ConfigError, check_rules
+from .config import ConfigError, check_rules, steps_for
 from .energy import EnergyLedger, LedgerRow, ledger_row, transverse_norm_sq
 from .grid import ddz_array, y_fluctuation_values, y_modes, y_values
-from .transforms import ColeHopfState, PerturbationState, perturbation_y_means
+from .transforms import perturbation_y_means
 from .waves import WaveProfile
 
 
@@ -549,9 +549,6 @@ class _PerturbationSystem(_System):
         self.eps2P = 2.0 * self.eps * self.P
         self._products = None if self.eps > 0 else _Products(self.g, 3)
 
-    def arrays(self, state: PerturbationState) -> tuple:
-        return state.y_modes()
-
     def explicit_tendency(self, u):
         """The explicit tendencies as fresh arrays; every intermediate is
         formed in the system's own buffers, each sum left to right."""
@@ -609,10 +606,11 @@ class _NqSystem(_System):
     below 2.2e-308; row() reports Q to within rounding down to about
     1e-290, formed from squares of values that are still normal.
 
-    b is stepped as it is, never re-gauged; from a PerturbationState it
-    starts as the discrete gradient (d_z psi, ik psi).  row() reports the
-    largest |curl b| on the y-nodes, the drift from a gradient, and warns
-    once when it passes 1e-4.
+    b is stepped as it is, never re-gauged; from a perturbation (phi, psi)
+    it starts as the discrete gradient (d_z psi, ik psi)
+    (transforms.log_gradient_deviation).  row() reports the largest
+    |curl b| on the y-nodes, the drift from a gradient, and warns once when
+    it passes 1e-4.
     """
 
     names = ("a", "b_z", "b_y")
@@ -624,18 +622,6 @@ class _NqSystem(_System):
         self._warned = False
         # (a, b_z, b_y) and, of b_z and then of b_y, (dz, dy)
         self._products = _Products(self.g, 5)
-
-    def arrays(self, state) -> tuple:
-        """The deviation's y-modes from a ColeHopfState or PerturbationState."""
-        if isinstance(state, ColeHopfState):
-            return (y_modes(state.n.values - self.N), y_modes(state.q.z.values - self.P),
-                    y_modes(state.q.y.values))
-        if isinstance(state, PerturbationState):
-            phi_z, phi_y, psi = state.y_modes()
-            dz = self.g.dz
-            return (ddz_array(phi_z, dz) + self.ik * phi_y, ddz_array(psi, dz),
-                    self.ik * psi)
-        raise TypeError(f"cannot build (n, q) deviation from {type(state)!r}")
 
     def explicit_tendency(self, u):
         """The explicit tendencies as fresh arrays; every intermediate is
@@ -703,15 +689,6 @@ class _NqSystem(_System):
 SYSTEMS = ("nonlinear0", "linear_eps", "nq")
 
 
-def _steps_for(config: IntegratorConfig) -> int:
-    if config.t_end == 0.0:
-        return 0
-    n = round(config.t_end / config.dt)
-    if abs(n * config.dt - config.t_end) > 1e-9 * max(1.0, config.t_end):
-        n = math.ceil(config.t_end / config.dt)
-    return max(int(n), 1)
-
-
 def _validate_cfl(config: IntegratorConfig, profile: WaveProfile) -> float:
     """Rejects a dt above the transport limit; returns dt over that limit."""
     v_max = max(abs(profile.params.s), math.sqrt(float(np.max(profile.N))), 1e-12)
@@ -723,9 +700,17 @@ def _validate_cfl(config: IntegratorConfig, profile: WaveProfile) -> float:
     return config.dt / limit
 
 
-def run(system: str, init, profile: WaveProfile, config: IntegratorConfig,
+def run(system: str, modes, profile: WaveProfile, config: IntegratorConfig,
         head: float | None = None) -> TrajectoryRecord:
-    """Advance one system to t_end, recording the energy ledger.
+    """Advance one system from the state `modes` to t_end, recording the
+    energy ledger.
+
+    `modes` is the initial state in the format of the records: the y-modes
+    of the system's arrays (TrajectoryRecord.final_modes), three arrays of
+    shape (n_z, n_y // 2 + 1) on the profile's grid.  run copies them, so
+    the caller's arrays are never written.  A record's final_modes continue
+    its run: under imex1 a run from them ends bitwise where one run of both
+    runs' steps ends (SBDF2 rebuilds its history with one imex1 step).
 
     Records at steps {0, record_every, 2*record_every, ...} and always at
     the final step; every snapshot_every-th recorded row also snapshots the
@@ -738,8 +723,10 @@ def run(system: str, init, profile: WaveProfile, config: IntegratorConfig,
     IntegratorBlowup, which closes every record still open with its time
     and reason, so `run` returns the partial record.  Non-finite initial
     data raise IntegratorBlowup, and a profile whose eps does not suit the
-    system (nonlinear0 needs eps = 0, linear_eps and nq eps > 0) or whose
-    grid is not that of the initial data a ValueError, before any step.
+    system (nonlinear0 needs eps = 0, linear_eps and nq eps > 0) or initial
+    data that are not three arrays of the grid's mode shape a ValueError,
+    before anything is factored.  Modes carry no grid: the same coefficients on a strip
+    of another L_z or lambda are valid data with another M0.
     One step is a run with t_end = dt.
 
     With head = T (0 <= T <= t_end) the same loop also fills `record.head`:
@@ -756,8 +743,10 @@ def run(system: str, init, profile: WaveProfile, config: IntegratorConfig,
     if (eps == 0.0) != (system == "nonlinear0"):
         need = "eps = 0" if system == "nonlinear0" else "eps > 0"
         raise ValueError(f"{system} requires a profile with {need}, got eps = {eps:g}")
-    if init.grid != profile.grid:
-        raise ValueError(f"the initial data lie on {init.grid}, the profile on {profile.grid}")
+    shape = (profile.grid.n_z, profile.grid.n_y // 2 + 1)
+    if len(modes) != 3 or any(np.shape(x) != shape for x in modes):
+        raise ValueError(f"{system} takes 3 arrays of y-modes of shape {shape}, "
+                         f"got {[np.shape(x) for x in modes]}")
     if head is not None and not 0.0 <= head <= config.t_end:
         raise ValueError(f"head = {head} must lie in [0, t_end = {config.t_end}]")
     cfl = _validate_cfl(config, profile)
@@ -766,10 +755,10 @@ def run(system: str, init, profile: WaveProfile, config: IntegratorConfig,
     model.counters.build_s = time.perf_counter() - start
     model.counters.dt_over_transport_limit = cfl
     record = TrajectoryRecord(system=system, config=config)
-    records = [(record, _steps_for(config))]  # (record, its last step)
+    records = [(record, steps_for(config.dt, config.t_end))]  # (record, its last step)
     if head is not None:
         record.head = TrajectoryRecord(system=system, config=replace(config, t_end=head))
-        records.append((record.head, _steps_for(record.head.config)))
+        records.append((record.head, steps_for(config.dt, head)))
     guard, guard_text = model.guard
 
     def record_row(due):
@@ -792,10 +781,12 @@ def run(system: str, init, profile: WaveProfile, config: IntegratorConfig,
         rec.final_modes = u
         rec.counters = replace(model.counters, steps=i)
 
-    u = model.arrays(init)
-    # the loop and its records hold modes alone: initial data that the
-    # caller keeps no reference to are freed here, not at the end of the run
-    del init
+    # the loop and its records hold their own copy, one block for the three
+    # arrays (measured: it spares the time loop's per-step arrays fresh page
+    # faults); initial data that the caller keeps no reference to are freed
+    # here, not at the end of the run
+    u = tuple(np.array(modes, dtype=complex))
+    del modes
     if system == "linear_eps":
         drift = perturbation_y_means(u)
         if drift > 1e-12:

@@ -4,20 +4,21 @@ the perturbation variables with their initial data.
 The chemical c maps to q = -grad(c)/c = -grad(log c), which removes the 1/c
 singularity of the chemotactic flux and is invertible up to one anchor
 value of c as long as q is curl-free; the density n passes through as it
-is, and the (n, q) system steps the pair (ColeHopfState).  Perturbations of a
-wave profile are carried as a vector potential and a log-deviation:
+is.  Perturbations of a wave profile are carried as a vector potential and
+a log-deviation:
 
     n = N + div(phi),      c = C exp(-psi),      q = P + grad(psi).
 
 The steppers (evolve) and the energy ledger (energy) work on the y-modes
-of (phi, psi) (PerturbationState.y_modes), and a run's records keep those
-modes; no program path assembles (n, c) from them.  perturbation_y_means
-reads the y-means straight from the modes' k = 0 columns.
+(grid.y_modes) of (phi_z, phi_y, psi), which make_initial_perturbation
+returns and a run's records keep; log_gradient_deviation takes them to the
+y-modes of the (n, q) deviation (n - N, q - P) = (div phi, grad psi) that
+the (n, q) system steps.  No program path assembles (n, c) from them.
+perturbation_y_means reads the y-means straight from the modes' k = 0
+columns.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,38 +36,6 @@ from .grid import (
 
 class TransformError(ValueError):
     """Input state violates a transform precondition."""
-
-
-@dataclass(frozen=True)
-class ColeHopfState:
-    """Density n and log-gradient field q = -grad(log c)."""
-
-    n: ScalarField
-    q: VectorField
-
-    @property
-    def grid(self) -> Grid:
-        return self.n.grid
-
-
-@dataclass(frozen=True)
-class PerturbationState:
-    """Moving-frame perturbation (phi, psi) of a wave, lam-periodic in y.
-
-    phi is the vector potential of the density deviation (n - N = div phi);
-    psi is the log-deviation of the chemical (c = C e^{-psi}).
-    """
-
-    phi: VectorField
-    psi: ScalarField
-
-    @property
-    def grid(self) -> Grid:
-        return self.psi.grid
-
-    def y_modes(self) -> tuple:
-        """The y-modes (grid.y_modes) of phi_z, phi_y and psi."""
-        return tuple(y_modes(f.values) for f in (self.phi.z, self.phi.y, self.psi))
 
 
 def cole_hopf_forward(c: ScalarField) -> VectorField:
@@ -164,8 +133,9 @@ def make_initial_perturbation(
     seed: int,
     mean_zero_y: bool = False,
     eps: float = 0.0,
-) -> PerturbationState:
-    """Deterministic smooth initial data with a prescribed energy budget.
+) -> tuple:
+    """Deterministic smooth initial data with a prescribed energy budget:
+    the y-modes (grid.y_modes) of (phi_z, phi_y, psi).
 
     Fields are sums of compactly supported z-bumps times low y-Fourier modes
     with seeded coefficients.  The phi components use bump derivatives in z
@@ -206,8 +176,17 @@ def make_initial_perturbation(
     if measured <= 0.0:
         raise TransformError("degenerate random draw produced an empty state")
     scale = np.sqrt(amplitude / measured)
-    phi_z, phi_y, psi = (ScalarField(grid, v * scale) for v in values)
-    return PerturbationState(phi=VectorField(phi_z, phi_y), psi=psi)
+    return tuple(y_modes(v * scale) for v in values)
+
+
+def log_gradient_deviation(modes, grid: Grid) -> tuple:
+    """The y-modes of the (n, q) deviation (a, b_z, b_y) = (div phi, grad psi)
+    of the perturbation whose y-modes (phi_z, phi_y, psi) are `modes`:
+    (D_z phi_z + ik phi_y, D_z psi, ik psi), with D_z the z difference of
+    grid.ddz_array and ik the y-derivative of grid.ddy_wavenumbers."""
+    phi_z, phi_y, psi = modes
+    ik = 1j * grid.ddy_wavenumbers
+    return ddz_array(phi_z, grid.dz) + ik * phi_y, ddz_array(psi, grid.dz), ik * psi
 
 
 def perturbation_y_means(modes) -> float:

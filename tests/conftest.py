@@ -5,10 +5,10 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import divergence, gradient, perturbation_state
+from oracles import divergence, gradient, node_fields
 from stripwave.evolve import IntegratorConfig, run
-from stripwave.grid import make_grid, y_values
-from stripwave.transforms import make_initial_perturbation
+from stripwave.grid import VectorField, make_grid, y_values
+from stripwave.transforms import log_gradient_deviation, make_initial_perturbation
 from stripwave.waves import WaveParams, solve_wave_kpp
 
 
@@ -29,10 +29,10 @@ def cross_solver_mismatch():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             r1 = run("linear_eps", pert, prof, cfg)
-            r2 = run("nq", pert, prof, cfg)
-        f = perturbation_state(g, r1.final_modes)
-        a1 = divergence(f.phi).values
-        gp = gradient(f.psi)
+            r2 = run("nq", log_gradient_deviation(pert, g), prof, cfg)
+        phi_z, phi_y, psi = node_fields(g, r1.final_modes)
+        a1 = divergence(VectorField(phi_z, phi_y)).values
+        gp = gradient(psi)
         a2, bz2, by2 = (y_values(x, g) for x in r2.final_modes)
         err = max(np.max(np.abs(a1 - a2)),
                   np.max(np.abs(gp.z.values - bz2)),

@@ -1,5 +1,5 @@
 """Physical-space oracles: quadrature, divergence, gradient, mean removal and
-the transverse energy, on the y-node values of fields, and the states in
+the transverse energy, on the y-node values of fields, and the fields in
 physical space of a run's y-modes (a record's `final_modes`).
 
 They use only grid's public derivative operators (ddz_array, ddy_array),
@@ -12,7 +12,6 @@ the field forms of those operators and of an empty field.
 import numpy as np
 
 from stripwave.grid import ScalarField, VectorField, ddy_array, ddz_array, y_values
-from stripwave.transforms import ColeHopfState, PerturbationState
 
 
 def zero_field(g) -> ScalarField:
@@ -52,31 +51,29 @@ def remove_mean_in_y(f: ScalarField) -> ScalarField:
     return ScalarField(f.grid, f.values - f.values.mean(axis=1, keepdims=True))
 
 
-def transverse_energy(state) -> float:
-    """Q = ||n_y||^2 + ||q_y||^2 of a ColeHopfState.
+def transverse_energy(fields) -> float:
+    """Q = ||n_y||^2 + ||q_y||^2 of the fields (n, q_z, q_y).
 
     Each field's per-z y-mean is removed first: it carries no y-derivative,
     and without it the value stays accurate relative to the fluctuation even
     on top of an O(1) background.
     """
     total = 0.0
-    for f in (state.n, state.q.z, state.q.y):
+    for f in fields:
         fy = ddy_array(remove_mean_in_y(f).values, f.grid)
         total += integrate(ScalarField(f.grid, fy * fy))
     return total
 
 
-def perturbation_state(grid, modes) -> PerturbationState:
-    """(phi, psi) on the y-nodes of the (phi_z, phi_y, psi) y-modes."""
-    phi_z, phi_y, psi = (ScalarField(grid, y_values(x, grid)) for x in modes)
-    return PerturbationState(phi=VectorField(phi_z, phi_y), psi=psi)
+def node_fields(grid, modes) -> tuple:
+    """The fields on the y-nodes of a run's y-modes, in their order."""
+    return tuple(ScalarField(grid, y_values(x, grid)) for x in modes)
 
 
-def cole_hopf_state(profile, modes) -> ColeHopfState:
-    """(n, q) = (N + a, P + b) on the y-nodes of the nq deviation's
-    (a, b_z, b_y) y-modes from the wave `profile`."""
+def cole_hopf_fields(profile, modes) -> tuple:
+    """(n, q_z, q_y) = (N + a, P + b_z, b_y) on the y-nodes of the nq
+    deviation's (a, b_z, b_y) y-modes from the wave `profile`."""
     g = profile.grid
     a, bz, by = (y_values(x, g) for x in modes)
-    return ColeHopfState(n=ScalarField(g, profile.N[:, None] + a),
-                         q=VectorField(ScalarField(g, profile.P_z[:, None] + bz),
-                                       ScalarField(g, by)))
+    return (ScalarField(g, profile.N[:, None] + a), ScalarField(g, profile.P_z[:, None] + bz),
+            ScalarField(g, by))

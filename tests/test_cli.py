@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -369,7 +370,7 @@ def test_convergence_reads_and_echoes_wave_and_init_only(tmp_path, monkeypatch):
     # the experiments that read every section still echo every one
     for experiment, eps in (("stability0", "0"), ("linear_eps", "0.1"), ("planarity", "0.1")):
         text = (STABILITY_CFG.format(out="x").replace("eps = 0", f"eps = {eps}")
-                .replace("t_end = 1.0", "t_end = 2.0"))
+                .replace("t_end = 1.0", "t_end = 3.0"))
         echo = serialize_config(validate_config(text, experiment))
         assert [line for line in echo.splitlines() if line.startswith("[")] == [
             "[grid]", "[wave]", "[init]", "[integrator]", "[output]"]
@@ -483,7 +484,7 @@ def _fresh_process(tmp_path, body: str, modules=ODE_STACK) -> list:
     (["linear", "--set", "wave.eps=0.1", "--set", "grid.n_y=4", "--set", "integrator.t_end=0.2"],
      True),
     (["planarity", "--set", "wave.eps=0.1", "--set", "grid.n_y=4",
-      "--set", "integrator.t_end=1.2"], True),
+      "--set", "integrator.t_end=1.2", "--set", "integrator.record_every=1"], True),
 ], ids=["evolve", "wave", "linear", "planarity"])
 def test_no_experiment_loads_the_ode_stack(tmp_path, args, steps):
     # the KPP orbit, its front center and C need numpy alone, so no run,
@@ -892,6 +893,11 @@ def test_blowup_reason_reaches_stdout_and_manifest(tmp_path, monkeypatch, capsys
      "--set integrator.fit_t_max=inf: integrator.fit_t_max must be finite, got inf"),
     ("planarity", ["wave.eps=0.1,inf"],
      "--set wave.eps=0.1,inf: wave.eps must be finite, got inf"),
+    # the decay fit takes 10 rows, and rows every 0.1 from 1 to 1.5 are 6
+    ("planarity", ["wave.eps=0.1", "integrator.t_end=1.5"],
+     "integrator.fit_t_min to fit_t_max: the fit window [1.0, 10.0] holds 6 ledger rows "
+     "at dt = 0.02, record_every = 5 and t_end = 1.5; the decay fit of experiment "
+     "'planarity' needs 10"),
 ])
 def test_bad_inputs_rejected_before_compute(tmp_path, monkeypatch, capsys, command,
                                             overrides, message):
@@ -903,6 +909,20 @@ def test_bad_inputs_rejected_before_compute(tmp_path, monkeypatch, capsys, comma
     assert main(args) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "run").exists()  # exited before the output directory
+
+
+def test_fit_window_rows_are_those_the_run_records():
+    # planarity's window check counts rows without stepping: against every
+    # row a run records (steps 0, record_every, 2 record_every, ... and the
+    # last, at times i * dt), capped at the fit's 10
+    cases = itertools.product((0.02, 0.1, 0.3), (0.3, 1.5, 2.0, 2.05, 6.0), (1, 3, 5),
+                              (0.0, 0.9, 1.0, 1.2), (1.5, 2.0, 10.0))
+    for dt, t_end, every, lo, hi in cases:
+        last = stripwave.config.steps_for(dt, t_end)
+        rows = [i * dt for i in range(last + 1) if i % every == 0 or i == last]
+        expected = min(sum(lo <= t <= hi for t in rows), 10)
+        assert stripwave.config._rows_in((lo, hi), dt, t_end, every, 10) == expected, (
+            dt, t_end, every, lo, hi)
 
 
 def test_an_output_directory_that_cannot_be_made_exits_2(tmp_path, monkeypatch, capsys):
@@ -962,7 +982,8 @@ EVOLVE_ACCEPTED = {"grid.L_z", "grid.n_z", "grid.lambda", "grid.n_y", "wave.n_mi
     # cfl_safety moves only the dt check, and at the default N0 = s^2/c_plus
     # the log-gradient q never meets the scale c_plus of c
     ("planarity", ["grid.n_z=128", "grid.n_y=4", "grid.L_z=50", "wave.n_minus=0.25",
-                   "wave.eps=0.2", "integrator.dt=0.1", "integrator.t_end=6"],
+                   "wave.eps=0.2", "integrator.dt=0.1", "integrator.t_end=6",
+                   "integrator.record_every=1"],
      {"grid.L_z", "grid.n_z", "grid.lambda", "grid.n_y", "wave.eps", "wave.n_minus",
       "wave.c_plus", "wave.N0", "wave.tol", "init.amplitude", "init.seed",
       "init.mean_zero_y", "integrator.dt", "integrator.t_end", "integrator.scheme",
@@ -1012,7 +1033,8 @@ MODE_FLIPS = ["integrator.scheme=sbdf2", "integrator.transport=central",
     ("evolve", TINY + ["grid.L_z=50", "wave.n_minus=0.25", "integrator.dt=0.05",
                        "integrator.t_end=0.5"]),
     ("linear", TINY + ["wave.eps=0.1", "integrator.t_end=0.5"]),
-    ("planarity", TINY + ["wave.eps=0.1", "integrator.t_end=0.5", "integrator.fit_t_min=0.1"]),
+    ("planarity", TINY + ["wave.eps=0.1", "integrator.t_end=0.5", "integrator.fit_t_min=0.1",
+                          "integrator.record_every=1"]),
 ])
 def test_no_accepted_mode_setting_is_ignored(tmp_path, monkeypatch, capsys, command,
                                              overrides):
@@ -1041,9 +1063,10 @@ def test_no_accepted_mode_setting_is_ignored(tmp_path, monkeypatch, capsys, comm
                        "integrator.t_end=1"]),
     ("linear", TINY + ["wave.eps=0.1", "integrator.t_end=1"]),
     ("planarity", TINY + ["wave.eps=0.1", "grid.lambda=0.5,0.25", "integrator.t_end=2"]),
-    # a fit window [1, 1.5] of 6 rows: no fit, a threshold failure
-    ("planarity", TINY + ["wave.eps=0.1", "integrator.t_end=2",
-                          "integrator.fit_t_max=1.5"]),
+    # on a strip of width 0.15, Q falls below the fit's 1e-290 clip after
+    # t = 4.2: the window [4, 5] keeps 3 rows, no fit, a threshold failure
+    ("planarity", TINY + ["wave.eps=0.1", "grid.lambda=0.15", "integrator.t_end=5",
+                          "integrator.fit_t_min=4"]),
     ("convergence", []),
 ])
 def test_verdict_reaches_stdout_summary_and_exit_code(tmp_path, monkeypatch, capsys,
@@ -1062,9 +1085,9 @@ def test_verdict_reaches_stdout_summary_and_exit_code(tmp_path, monkeypatch, cap
     assert sorted(verdicts) == sorted(f"  [{'PASS' if ok else 'FAIL'}] {name}"
                                       for name, ok in checks.items())
     assert code == (0 if all(checks.values()) else 1)
-    if "integrator.fit_t_max=1.5" in overrides:
+    if "grid.lambda=0.15" in overrides:
         assert code == 1
-        assert "  [FAIL] eps=0.1, lambda=0.5: fit available" in out
+        assert "  [FAIL] eps=0.1, lambda=0.15: fit available" in out
 
 
 def test_crash_exit_code(tmp_path, monkeypatch, capsys):
@@ -1371,7 +1394,8 @@ def test_a_child_exits_when_its_parent_dies(tmp_path):
     pids = tmp_path / "forked.txt"
     args = ["planarity"]
     for o in (*TINY, "wave.eps=0.1", "grid.lambda=0.5,0.25", "integrator.t_end=1000",
-              "integrator.record_every=1000"):
+              "integrator.record_every=1000", "integrator.fit_t_min=20",
+              "integrator.fit_t_max=200"):
         args += ["--set", o]
     src = str(Path(stripwave.cli.__file__).resolve().parents[1])
     script = (f"import os, sys\nsys.path.insert(0, {src!r})\n"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import ddy, ddz, divergence, integrate, transverse_energy, zero_field
+from oracles import ddy, ddz, divergence, integrate, node_fields, transverse_energy, zero_field
 from stripwave.energy import (
     EnergyError,
     EnergyLedger,
@@ -17,7 +17,7 @@ from stripwave.grid import (
     make_grid,
     y_modes,
 )
-from stripwave.transforms import ColeHopfState, PerturbationState, make_initial_perturbation
+from stripwave.transforms import make_initial_perturbation
 from stripwave.waves import WaveParams
 
 
@@ -50,24 +50,22 @@ def test_h3_norm_of_sine_matches_quadrature():
 
 
 def _scaled(pert, a):
-    g = pert.grid
-    phi_z, phi_y, psi = (ScalarField(g, a * f.values) for f in (pert.phi.z, pert.phi.y, pert.psi))
-    return PerturbationState(phi=VectorField(phi_z, phi_y), psi=psi)
+    return tuple(a * x for x in pert)
 
 
 def test_norm_quadratic_homogeneity():
     g = small_grid()
     pert = make_initial_perturbation(g, 1e-2, seed=5)
     a = 3.7
-    assert ledger_row(g, _scaled(pert, a).y_modes(), 0.0, 0.0).M_inst == pytest.approx(
-        a**2 * ledger_row(g, pert.y_modes(), 0.0, 0.0).M_inst, rel=1e-12)
+    assert ledger_row(g, _scaled(pert, a), 0.0, 0.0).M_inst == pytest.approx(
+        a**2 * ledger_row(g, pert, 0.0, 0.0).M_inst, rel=1e-12)
 
 
 def test_ledger_row_zero_state():
     p = WaveParams(eps=0.0, n_minus=1.0, c_plus=1.0)
     g = make_grid(25.0, 256, 0.5, 16, p.s)
-    state = PerturbationState(phi=VectorField(zero_field(g), zero_field(g)), psi=zero_field(g))
-    row = ledger_row(g, state.y_modes(), 0.0, eps=0.0)
+    zero = y_modes(zero_field(g).values)
+    row = ledger_row(g, (zero, zero, zero), 0.0, eps=0.0)
     assert row.M_inst == 0.0
     assert row.mass == 0.0
     assert row.Q == 0.0
@@ -76,8 +74,8 @@ def test_ledger_row_zero_state():
 def test_ledger_row_scaling():
     g = small_grid()
     pert = make_initial_perturbation(g, 1e-4, seed=1)
-    r1 = ledger_row(g, pert.y_modes(), 0.0, eps=0.0)
-    r2 = ledger_row(g, _scaled(pert, 2.0).y_modes(), 0.0, eps=0.0)
+    r1 = ledger_row(g, pert, 0.0, eps=0.0)
+    r2 = ledger_row(g, _scaled(pert, 2.0), 0.0, eps=0.0)
     assert r2.M_inst == pytest.approx(4.0 * r1.M_inst, rel=1e-12)
     assert r2.Q == pytest.approx(4.0 * r1.Q, rel=1e-12)
 
@@ -112,29 +110,28 @@ def test_ledger_rejects_nonincreasing_time():
 def test_transverse_energy_planar_state():
     g = small_grid()
     f = field_from_function(g, lambda z, y: np.exp(-(z**2)))
-    st = ColeHopfState(n=f, q=VectorField(f, zero_field(g)))
-    assert transverse_energy(st) < 1e-28
+    assert transverse_energy((f, f, zero_field(g))) < 1e-28
 
 
 def test_transverse_energy_analytic():
     g = small_grid()
     bump = np.exp(-(g.z**2))
     f = field_from_function(g, lambda z, y: np.exp(-(z**2)) * np.sin(2 * np.pi * y / g.lam))
-    st = ColeHopfState(n=f, q=VectorField(zero_field(g), zero_field(g)))
     k = 2 * np.pi / g.lam
     # trapezoid of the z-profile is the honest quadrature reference
     wz = np.full(g.n_z, g.dz)
     wz[0] = wz[-1] = g.dz / 2
     expected = k**2 * float(wz @ bump**2) * g.lam / 2
-    assert transverse_energy(st) == pytest.approx(expected, rel=1e-10)
+    assert transverse_energy((f, zero_field(g), zero_field(g))) == pytest.approx(expected,
+                                                                                rel=1e-10)
 
 
 def test_transverse_energy_shift_invariant():
     g = small_grid()
     v = np.exp(-(g.z**2))[:, None] * np.sin(2 * np.pi * g.y / g.lam)[None, :]
-    st1 = ColeHopfState(n=ScalarField(g, v), q=VectorField(zero_field(g), zero_field(g)))
-    st2 = ColeHopfState(n=ScalarField(g, np.roll(v, 3, axis=1)),
-                        q=VectorField(zero_field(g), zero_field(g)))
+    zero = zero_field(g)
+    st1 = (ScalarField(g, v), zero, zero)
+    st2 = (ScalarField(g, np.roll(v, 3, axis=1)), zero, zero)
     assert transverse_energy(st1) == pytest.approx(transverse_energy(st2), rel=1e-12)
 
 
@@ -230,8 +227,9 @@ def _oracle_grad_h(f, k, weighted=False):
     return _oracle_h(ddz(f), k, weighted) + _oracle_h(ddy(f), k, weighted)
 
 
-def _oracle_row(state, eps):
-    phi, psi = state.phi, state.psi
+def _oracle_row(fields, eps):
+    phi_z, phi_y, psi = fields
+    phi = VectorField(phi_z, phi_y)
     h3w_phi = _oracle_h(phi.z, 3, True) + _oracle_h(phi.y, 3, True)
     h3_psi = _oracle_h(psi, 3)
     h2w_grad_psi = _oracle_grad_h(psi, 2, True)
@@ -249,12 +247,14 @@ def _oracle_row(state, eps):
 @pytest.mark.parametrize("eps", [0.0, 0.05])
 def test_ledger_row_matches_physical_space_oracle(mean_zero_y, eps):
     g = make_grid(12.0, 256, 0.5, 16, 1.3)
-    state = make_initial_perturbation(g, 1e-2, seed=7, mean_zero_y=mean_zero_y)
-    row, ref = ledger_row(g, state.y_modes(), 0.0, eps), _oracle_row(state, eps)
+    modes = make_initial_perturbation(g, 1e-2, seed=7, mean_zero_y=mean_zero_y)
+    fields = node_fields(g, modes)
+    row, ref = ledger_row(g, modes, 0.0, eps), _oracle_row(fields, eps)
     for name in LedgerRow.__dataclass_fields__:
         got, want = getattr(row, name), getattr(ref, name)
         if name == "mass":  # rounding-level: judge against the integrand's scale
-            scale = integrate(ScalarField(g, np.abs(divergence(state.phi).values)))
+            phi = VectorField(*fields[:2])
+            scale = integrate(ScalarField(g, np.abs(divergence(phi).values)))
             assert abs(got - want) <= 1e-13 * scale
         else:
             assert got == pytest.approx(want, rel=1e-13, abs=0.0), name

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
-from oracles import cole_hopf_state, perturbation_state, transverse_energy, zero_field
+from oracles import cole_hopf_fields, transverse_energy
 from stripwave import evolve
 from stripwave.evolve import (
     IntegratorBlowup,
@@ -21,15 +21,9 @@ from stripwave.evolve import (
     RunCounters,
     run,
 )
-from stripwave.grid import (
-    ScalarField,
-    VectorField,
-    make_grid,
-    y_values,
-)
+from stripwave.grid import make_grid, y_modes, y_values
 from stripwave.transforms import (
-    ColeHopfState,
-    PerturbationState,
+    log_gradient_deviation,
     make_initial_perturbation,
     perturbation_y_means,
 )
@@ -60,8 +54,15 @@ def setup_linear():
 
 
 def zero_state(g):
-    return PerturbationState(
-        phi=VectorField(zero_field(g), zero_field(g)), psi=zero_field(g))
+    """Three arrays of zero y-modes: the zero perturbation, or the wave's own
+    (n, q) deviation."""
+    return tuple(np.zeros((g.n_z, g.n_y // 2 + 1), dtype=complex) for _ in range(3))
+
+
+def nq_perturbation(g, amplitude, seed):
+    """The (a, b_z, b_y) y-modes of the mean-zero initial perturbation."""
+    pert = make_initial_perturbation(g, amplitude, seed=seed, mean_zero_y=True)
+    return log_gradient_deviation(pert, g)
 
 
 def one_step(system, state, prof, dt):
@@ -95,16 +96,12 @@ def test_cfl_rejected(setup_eps0):
 
 def test_zero_state_is_fixed_point(setup_eps0):
     _, g, prof = setup_eps0
-    st = perturbation_state(g, one_step("nonlinear0", zero_state(g), prof, 0.05))
-    assert st.phi.max_abs() == 0.0
-    assert st.psi.max_abs() == 0.0
+    assert not any(np.any(x) for x in one_step("nonlinear0", zero_state(g), prof, 0.05))
 
 
 def test_zero_state_fixed_point_linear(setup_linear):
     _, g, prof = setup_linear
-    st = perturbation_state(g, one_step("linear_eps", zero_state(g), prof, 0.02))
-    assert st.phi.max_abs() == 0.0
-    assert st.psi.max_abs() == 0.0
+    assert not any(np.any(x) for x in one_step("linear_eps", zero_state(g), prof, 0.02))
 
 
 @pytest.fixture
@@ -130,36 +127,38 @@ def test_run_rejects_profile_eps_mismatch(request, no_factorization, system, set
         run(system, zero_state(g), prof, IntegratorConfig(dt=0.01, t_end=0.01))
 
 
+@pytest.mark.parametrize("shapes", [
+    lambda g: [(g.n_z // 2, g.n_y // 2 + 1)] * 3,
+    lambda g: [(g.n_z, g.n_y // 4 + 1)] * 3,
+    lambda g: [(g.n_z, g.n_y // 2 + 1)] * 2,
+], ids=["another_n_z", "another_n_y", "two_arrays"])
 @pytest.mark.parametrize("system, setup", [
     ("nonlinear0", "setup_eps0"), ("linear_eps", "setup_linear"), ("nq", "setup_linear"),
 ])
-def test_run_rejects_initial_data_on_another_strip(request, no_factorization, system, setup):
-    # data drawn on a strip of width 0.25 would be read with the wavenumbers
-    # of the profile's width 0.5: rejected before anything is factored
+def test_run_rejects_initial_data_of_another_shape(request, no_factorization, system, setup,
+                                                   shapes):
+    # modes carry no grid, so run checks their count and shape against the
+    # profile's grid, before anything is factored
     p, g, prof = request.getfixturevalue(setup)
-    other = make_grid(g.L_z, g.n_z, 0.25, g.n_y, g.s)
-    init = make_initial_perturbation(other, 1e-4, seed=0)
-    with pytest.raises(ValueError, match="^the initial data lie on Grid.*lam=0.25.*"
-                                         "the profile on Grid.*lam=0.5"):
-        run(system, init, prof, IntegratorConfig(dt=0.01, t_end=0.01))
+    modes = [np.zeros(shape, dtype=complex) for shape in shapes(g)]
+    with pytest.raises(ValueError, match=re.escape(
+            f"{system} takes 3 arrays of y-modes of shape {(g.n_z, g.n_y // 2 + 1)}, "
+            f"got {shapes(g)}")):
+        run(system, modes, prof, IntegratorConfig(dt=0.01, t_end=0.01))
 
 
-def _flat(state):
-    return np.concatenate([state.phi.z.values.ravel(),
-                           state.phi.y.values.ravel(),
-                           state.psi.values.ravel()])
+def _flat(modes, g):
+    return np.concatenate([y_values(x, g).ravel() for x in modes])
 
 
 def _scaled(pert, a):
-    g = pert.grid
-    phi_z, phi_y, psi = (ScalarField(g, a * f.values) for f in (pert.phi.z, pert.phi.y, pert.psi))
-    return PerturbationState(phi=VectorField(phi_z, phi_y), psi=psi)
+    return tuple(a * x for x in pert)
 
 
 def _final(system, pert, prof, dt, scheme, transport, t_end):
     cfg = IntegratorConfig(dt=dt, t_end=t_end, scheme=scheme,
                            record_every=10**9, transport=transport)
-    return perturbation_state(prof.grid, run(system, pert, prof, cfg).final_modes)
+    return _flat(run(system, pert, prof, cfg).final_modes, prof.grid)
 
 
 def test_temporal_self_convergence_first_order(setup_eps0_wide):
@@ -167,7 +166,7 @@ def test_temporal_self_convergence_first_order(setup_eps0_wide):
     # trajectory differ by a factor ~2
     _, g, prof = setup_eps0_wide
     pert = make_initial_perturbation(g, 1e-4, seed=0)
-    sols = [_flat(_final("nonlinear0", pert, prof, dt, "imex1", "upwind", 0.4))
+    sols = [_final("nonlinear0", pert, prof, dt, "imex1", "upwind", 0.4)
             for dt in (0.02, 0.01, 0.005)]
     e1 = np.linalg.norm(sols[0] - sols[1])
     e2 = np.linalg.norm(sols[1] - sols[2])
@@ -177,7 +176,7 @@ def test_temporal_self_convergence_first_order(setup_eps0_wide):
 def test_temporal_self_convergence_second_order(setup_eps0_wide):
     _, g, prof = setup_eps0_wide
     pert = make_initial_perturbation(g, 1e-4, seed=0)
-    sols = [_flat(_final("nonlinear0", pert, prof, dt, "sbdf2", "central", 0.4))
+    sols = [_final("nonlinear0", pert, prof, dt, "sbdf2", "central", 0.4)
             for dt in (0.02, 0.01, 0.005)]
     e1 = np.linalg.norm(sols[0] - sols[1])
     e2 = np.linalg.norm(sols[1] - sols[2])
@@ -188,7 +187,7 @@ def test_temporal_self_convergence_second_order(setup_eps0_wide):
     p = WaveParams(eps=0.1, n_minus=1.0, c_plus=1.0)
     g = make_grid(25.0 / p.s, 256, 2.0, 8, p.s)
     prof = solve_wave_kpp(p, g)
-    pert = make_initial_perturbation(g, 1e-4, seed=0, mean_zero_y=True)
+    pert = nq_perturbation(g, 1e-4, 0)
     sols = []
     for dt in (0.004, 0.002, 0.001):
         cfg = IntegratorConfig(dt=dt, t_end=0.4, scheme="sbdf2", record_every=10**9)
@@ -207,10 +206,10 @@ def test_amplitude_linearity_slope_two(setup_eps0):
     defects = []
     amps = [1e-2, 1e-3, 1e-4]
     for a in amps:
-        fa = _flat(_final("nonlinear0", _scaled(base, np.sqrt(a)), prof,
-                          0.05, "imex1", "upwind", 1.0))
-        fh = _flat(_final("nonlinear0", _scaled(base, np.sqrt(a) / 2), prof,
-                          0.05, "imex1", "upwind", 1.0))
+        fa = _final("nonlinear0", _scaled(base, np.sqrt(a)), prof, 0.05, "imex1", "upwind",
+                    1.0)
+        fh = _final("nonlinear0", _scaled(base, np.sqrt(a) / 2), prof, 0.05, "imex1",
+                    "upwind", 1.0)
         defects.append(np.linalg.norm(fa - 2.0 * fh))
     slope = np.polyfit(np.log(np.sqrt(amps)), np.log(defects), 1)[0]
     assert abs(slope - 2.0) < 0.15
@@ -234,9 +233,7 @@ def test_dissipation_integral_insensitive_to_record_stride(setup_eps0):
     _, g, prof = setup_eps0
     bump = np.exp(-((g.z[:, None] / 3.0) ** 2)) * np.ones((1, g.n_y))
     amp = 1e-3
-    pert = PerturbationState(
-        phi=VectorField(ScalarField(g, amp * bump), zero_field(g)),
-        psi=ScalarField(g, amp * bump))
+    pert = (y_modes(amp * bump), zero_state(g)[1], y_modes(amp * bump))
     d_vals = []
     for stride in (4, 2):
         cfg = IntegratorConfig(dt=0.05, t_end=4.0, record_every=stride)
@@ -265,18 +262,11 @@ def test_linear_superposition(setup_linear):
     a = make_initial_perturbation(g, 1e-4, seed=4, mean_zero_y=True)
     b = make_initial_perturbation(g, 1e-4, seed=5, mean_zero_y=True)
     ca, cb = 0.7, -1.3
-    comb = PerturbationState(
-        phi=VectorField(
-            ScalarField(g, ca * a.phi.z.values + cb * b.phi.z.values),
-            ScalarField(g, ca * a.phi.y.values + cb * b.phi.y.values)),
-        psi=ScalarField(g, ca * a.psi.values + cb * b.psi.values))
-    sa, sb, sc = (perturbation_state(g, one_step("linear_eps", s, prof, 0.02))
+    comb = tuple(ca * x + cb * y for x, y in zip(a, b))
+    sa, sb, sc = ([y_values(x, g) for x in one_step("linear_eps", s, prof, 0.02)]
                   for s in (a, b, comb))
-    err = max(
-        np.max(np.abs(sc.phi.z.values - ca * sa.phi.z.values - cb * sb.phi.z.values)),
-        np.max(np.abs(sc.phi.y.values - ca * sa.phi.y.values - cb * sb.phi.y.values)),
-        np.max(np.abs(sc.psi.values - ca * sa.psi.values - cb * sb.psi.values)))
-    scale = max(sc.phi.max_abs(), sc.psi.max_abs())
+    err = max(np.max(np.abs(z - ca * x - cb * y)) for x, y, z in zip(sa, sb, sc))
+    scale = max(np.max(np.abs(z)) for z in sc)
     assert err < 1e-13 * max(scale, 1e-30)
 
 
@@ -299,13 +289,14 @@ def nq_setup():
 
 
 def wave_state(g, prof, shift=0):
-    """The wave as a state on g, its samples moved `shift` nodes to the left
-    and padded with their last value."""
-    def planar(v):
-        v = np.concatenate([v[shift:], np.full(shift, v[-1])])
-        return ScalarField(g, np.repeat(v[:, None], g.n_y, axis=1))
+    """The nq deviation (a, b_z, b_y) from `prof` of the wave on g, its
+    samples moved `shift` nodes to the left and padded with their last
+    value: the y-modes of its y-node values."""
+    def deviation(v):
+        moved = np.concatenate([v[shift:], np.full(shift, v[-1])])
+        return y_modes(np.repeat(moved[:, None], g.n_y, axis=1) - v[:, None])
 
-    return ColeHopfState(n=planar(prof.N), q=VectorField(planar(prof.P_z), zero_field(g)))
+    return deviation(prof.N), deviation(prof.P_z), y_modes(np.zeros((g.n_z, g.n_y)))
 
 
 def test_wave_is_stationary_in_moving_frame(nq_setup):
@@ -321,16 +312,19 @@ def test_wave_is_stationary_in_moving_frame(nq_setup):
     assert drift < 1e-12
 
 
-def test_nq_run_rejects_a_state_it_cannot_deviate(nq_setup):
+def test_nq_run_rejects_a_state_it_cannot_deviate(nq_setup, no_factorization):
+    # the (n, q) deviation on the y-nodes is no set of y-modes
     p, g, prof = nq_setup
-    with pytest.raises(TypeError, match=r"cannot build \(n, q\) deviation from "
-                                        r"<class 'stripwave.grid.ScalarField'>"):
-        run("nq", zero_field(g), prof, IntegratorConfig(dt=0.01, t_end=0.01))
+    nodes = [np.zeros((g.n_z, g.n_y))] * 3
+    with pytest.raises(ValueError, match=re.escape(
+            f"nq takes 3 arrays of y-modes of shape {(g.n_z, g.n_y // 2 + 1)}, "
+            f"got {[(g.n_z, g.n_y)] * 3}")):
+        run("nq", nodes, prof, IntegratorConfig(dt=0.01, t_end=0.01))
 
 
 def test_nq_mass_conservation(nq_setup):
     p, g, prof = nq_setup
-    pert = make_initial_perturbation(g, 1e-6, seed=8, mean_zero_y=True)
+    pert = nq_perturbation(g, 1e-6, 8)
     cfg = IntegratorConfig(dt=0.01, t_end=1.0, record_every=10)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -346,10 +340,10 @@ def test_nq_ledger_q_matches_the_physical_transverse_energy(nq_setup, t_end):
     # so approx's default abs of 1e-12 would hide a relative error of 1e-3:
     # abs = 0
     p, g, prof = nq_setup
-    pert = make_initial_perturbation(g, 1e-4, seed=2, mean_zero_y=True)
+    pert = nq_perturbation(g, 1e-4, 2)
     rec = run("nq", pert, prof, IntegratorConfig(dt=0.01, t_end=t_end, record_every=10))
     q = rec.ledger.column("Q")[-1]
-    assert q == pytest.approx(transverse_energy(cole_hopf_state(prof, rec.final_modes)),
+    assert q == pytest.approx(transverse_energy(cole_hopf_fields(prof, rec.final_modes)),
                               rel=1e-9, abs=0.0)
 
 
@@ -359,8 +353,7 @@ def _translation_drift(g, prof):
     started, relative to that start."""
     init = wave_state(g, prof, shift=round(0.5 / g.dz))
     rec = run("nq", init, prof, IntegratorConfig(dt=0.005, t_end=0.5, record_every=100))
-    a = rec.final_modes[0][:, 0].real  # the y-mean column
-    start = init.n.values[:, 0] - prof.N
+    a, start = (x[:, 0].real for x in (rec.final_modes[0], init[0]))  # the y-mean columns
     return np.max(np.abs(a - start)) / np.max(np.abs(start))
 
 
@@ -435,9 +428,9 @@ def test_blowup_record_keeps_its_reason(setup_eps0, monkeypatch):
     # is still finite when phi_z and phi_y are not).  The overflow reaches
     # the diffusion solve as inf/NaN and must end as this named blowup, not
     # as an error of the banded solver
-    psi = pert.psi.values.copy()
+    psi = y_values(pert[2], g)
     psi[g.n_z // 2, 3] = 1e100
-    spiked = PerturbationState(phi=pert.phi, psi=ScalarField(g, psi))
+    spiked = (*pert[:2], y_modes(psi))
     monkeypatch.setattr(evolve, "BLOWUP_FACTOR", 1e300)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
@@ -464,7 +457,7 @@ def test_nq_run_keeps_gradient_structure(nq_setup):
     # re-gauged: rounding alone moves its curl (about 2e-12 here, with
     # max |b| about 7e-9)
     p, g, prof = nq_setup
-    pert = make_initial_perturbation(g, 1e-6, seed=9, mean_zero_y=True)
+    pert = nq_perturbation(g, 1e-6, 9)
     cfg = IntegratorConfig(dt=0.01, t_end=0.2, record_every=5)
     rec = run("nq", pert, prof, cfg)
     assert rec.curl_max < 1e-9
@@ -596,7 +589,9 @@ def test_arrays_with_one_diffusion_share_one_solver(system, eps, sharing):
         label != "pin" for label in labels]
 
     init = make_initial_perturbation(g, 1e-4, seed=0, mean_zero_y=eps > 0)
-    u = model.arrays(init)
+    if system == "nq":
+        init = log_gradient_deviation(init, g)
+    u = init
     for _ in range(3):
         u = model.step(u)
     # each banded array's solve once per step, whether or not it is shared
@@ -611,28 +606,22 @@ def test_blowup_names_its_field(setup_eps0, nq_setup):
     _, g, prof = setup_eps0
     pert = make_initial_perturbation(g, 1e-4, seed=0)
 
-    def with_psi_at(value):
-        psi = pert.psi.values.copy()
-        psi[g.n_z // 2, 3] = value
-        return PerturbationState(phi=pert.phi, psi=ScalarField(g, psi))
+    def at(x, value, where=(g.n_z // 2, 3)):
+        x = x.copy()
+        x[where] = value
+        return x
 
     with pytest.raises(IntegratorBlowup, match="non-finite values in psi at t = 0"):
-        one_step("nonlinear0", with_psi_at(np.nan), prof, 0.05)
+        one_step("nonlinear0", (*pert[:2], at(pert[2], np.nan)), prof, 0.05)
     # two fields at once: both named, in the system's order
-    phi_z = pert.phi.z.values.copy()
-    phi_z[0, 0] = np.inf
-    both = PerturbationState(phi=VectorField(ScalarField(g, phi_z), pert.phi.y),
-                             psi=with_psi_at(np.nan).psi)
+    both = (at(pert[0], np.inf, (0, 0)), pert[1], at(pert[2], np.nan))
     with pytest.raises(IntegratorBlowup, match="non-finite values in phi_z, psi at t = 0$"):
         one_step("nonlinear0", both, prof, 0.05)
 
     p, gq, profq = nq_setup
-    by = np.zeros((gq.n_z, gq.n_y))
-    by[gq.n_z // 2, 5] = np.inf
-    st = wave_state(gq, profq)
-    st = ColeHopfState(n=st.n, q=VectorField(st.q.z, ScalarField(gq, by)))
+    a, bz, by = wave_state(gq, profq)
     with pytest.raises(IntegratorBlowup, match="non-finite values in b_y at t = 0"):
-        one_step("nq", st, profq, 0.01)
+        one_step("nq", (a, bz, at(by, np.inf, (gq.n_z // 2, 5))), profq, 0.01)
 
 
 # ---------------------------------------------------------------------------
@@ -644,8 +633,7 @@ def thin_nq_strip():
     # lambda = 0.25: Q decays at a rate of about 100, by about 1e-87 over t = 2
     p = WaveParams(eps=0.1, n_minus=1.0, c_plus=1.0)
     g = make_grid(25.0 / p.s, 128, 0.25, 8, p.s)
-    return solve_wave_kpp(p, g), make_initial_perturbation(g, 1e-4, seed=0,
-                                                           mean_zero_y=True)
+    return solve_wave_kpp(p, g), nq_perturbation(g, 1e-4, 0)
 
 
 @pytest.fixture(scope="module")
@@ -753,9 +741,9 @@ def test_head_record_matches_separate_runs_through_non_finite_values(small_strip
                                                                     tmp_path, monkeypatch):
     prof, pert = small_strips["nonlinear0"]
     g = prof.grid
-    psi = pert.psi.values.copy()
+    psi = y_values(pert[2], g)
     psi[g.n_z // 2, 3] = 1e100
-    spiked = PerturbationState(phi=pert.phi, psi=ScalarField(g, psi))
+    spiked = (*pert[:2], y_modes(psi))
     monkeypatch.setattr(evolve, "BLOWUP_FACTOR", 1e300)
     rec, alone, full = _head_and_separate("nonlinear0", (prof, spiked), 1.0, dt=0.05)
     assert rec.head.blowup and rec.blowup_time == rec.head.blowup_time < 1.0
@@ -767,7 +755,7 @@ def test_nq_head_record_keeps_its_own_curl_drift(tmp_path):
     p = WaveParams(eps=0.1, n_minus=1.0, c_plus=1.0)
     g = make_grid(25.0 / p.s, 128, 0.5, 8, p.s)
     prof = solve_wave_kpp(p, g)
-    pert = make_initial_perturbation(g, 1e-4, seed=0, mean_zero_y=True)
+    pert = nq_perturbation(g, 1e-4, 0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         rec, alone, full = _head_and_separate("nq", (prof, pert), 0.03, dt=0.01,
@@ -777,6 +765,38 @@ def test_nq_head_record_keeps_its_own_curl_drift(tmp_path):
     assert alone.curl_max > full.curl_max > 0.0
     _assert_same_record(rec.head, alone, tmp_path)
     _assert_same_record(rec, full, tmp_path)
+
+
+@pytest.mark.parametrize("system", ["nonlinear0", "linear_eps", "nq"])
+def test_a_record_continues(small_strips, system):
+    # run takes the modes its records return: under imex1, a run from a
+    # record's final modes ends bitwise where one run of both runs' steps ends
+    prof, pert = small_strips[system]
+    cfg = IntegratorConfig(dt=0.01, t_end=0.05, record_every=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the nq curl drift note
+        half = run(system, pert, prof, cfg).final_modes
+        rest = run(system, half, prof, cfg).final_modes
+        whole = run(system, pert, prof, replace(cfg, t_end=0.1)).final_modes
+    assert all(np.array_equal(x, y) for x, y in zip(rest, whole))
+
+
+@pytest.mark.parametrize("system", ["nonlinear0", "linear_eps", "nq"])
+def test_run_copies_its_input(small_strips, system):
+    # read-only arrays run, and the records hold copies, never the caller's
+    prof, pert = small_strips[system]
+    frozen = tuple(x.copy() for x in pert)
+    for x in frozen:
+        x.flags.writeable = False
+    cfg = IntegratorConfig(dt=0.01, t_end=0.02)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the nq curl drift note
+        stepped = run(system, frozen, prof, cfg).final_modes
+        assert all(np.array_equal(x, y) for x, y in
+                   zip(stepped, run(system, pert, prof, cfg).final_modes))
+        start = run(system, frozen, prof, replace(cfg, t_end=0.0)).final_modes
+    assert all(np.array_equal(x, y) for x, y in zip(start, frozen))
+    assert not any(np.shares_memory(x, y) for x in start for y in frozen)
 
 
 def test_head_outside_the_horizon_rejected(small_strips):
@@ -795,8 +815,12 @@ def _strip(system, n_z, n_y):
     p = WaveParams(eps=eps, n_minus=1.0 if eps else 0.25, c_plus=1.0)
     g = make_grid(25.0 / p.s, n_z, 0.5, n_y, p.s)
     prof = solve_wave_kpp(p, g) if eps else explicit_wave_eps0(p, g)
-    return prof, lambda seed: make_initial_perturbation(g, 1e-3, seed=seed,
-                                                        mean_zero_y=eps > 0)
+
+    def initial(seed):
+        pert = make_initial_perturbation(g, 1e-3, seed=seed, mean_zero_y=eps > 0)
+        return log_gradient_deviation(pert, g) if system == "nq" else pert
+
+    return prof, initial
 
 
 def _model(system, prof, scheme="imex1"):
@@ -808,7 +832,7 @@ def _model(system, prof, scheme="imex1"):
 def test_returned_arrays_outlive_the_next_call(system):
     prof, pert = _strip(system, 128, 8)
     model = _model(system, prof)
-    u1, u2 = model.arrays(pert(1)), model.arrays(pert(2))
+    u1, u2 = pert(1), pert(2)
     kept_u1 = [x.copy() for x in u1]
 
     first = model.explicit_tendency(u1)
@@ -871,7 +895,7 @@ def test_warm_nq_steps_stay_allocation_light():
     tracemalloc.start()
     try:
         model = _model("nq", prof)
-        u = model.arrays(pert(0))
+        u = pert(0)
         for _ in range(3):
             u = model.step(u)
         tracemalloc.reset_peak()
@@ -911,10 +935,7 @@ def test_nq_curl_drift_warns_once_and_reaches_the_record():
     g = make_grid(25.0 / p.s, 128, 0.5, 8, p.s)
     prof = solve_wave_kpp(p, g)
     by = 1e-2 * np.exp(-g.z[:, None]**2 / 4) * np.cos(2 * np.pi * g.y[None, :] / g.lam)
-    st = ColeHopfState(
-        n=ScalarField(g, np.repeat(prof.N[:, None], g.n_y, axis=1)),
-        q=VectorField(ScalarField(g, np.repeat(prof.P_z[:, None], g.n_y, axis=1)),
-                      ScalarField(g, by)))
+    st = (*zero_state(g)[:2], y_modes(by))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         rec = run("nq", st, prof, IntegratorConfig(dt=0.01, t_end=0.04))

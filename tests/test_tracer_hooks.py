@@ -15,7 +15,7 @@ import pytest
 import stripwave.cli  # noqa: F401  (imports every module the tracer patches)
 from stripwave.evolve import IntegratorConfig, run
 from stripwave.grid import make_grid
-from stripwave.transforms import make_initial_perturbation
+from stripwave.transforms import log_gradient_deviation, make_initial_perturbation
 from stripwave.waves import WaveParams, explicit_wave_eps0, solve_wave_kpp
 
 TRACED = Path(__file__).resolve().parents[1] / "benchmarks" / "traced.py"
@@ -60,6 +60,8 @@ def test_stepper_calls_the_traced_names(monkeypatch, system, eps):
     grid = make_grid(25.0 / params.s, 128, 0.5, 8, params.s)
     profile = solve_wave_kpp(params, grid) if eps > 0 else explicit_wave_eps0(params, grid)
     init = make_initial_perturbation(grid, 1e-4, seed=0, mean_zero_y=eps > 0)
+    if system == "nq":
+        init = log_gradient_deviation(init, grid)
     run(system, init, profile, IntegratorConfig(dt=0.01, t_end=0.03))
 
     counts = sum(tracer.counts.values(), Counter())
@@ -198,6 +200,8 @@ def test_traced_counts_match_the_program(monkeypatch, system, eps, scheme, solve
     grid = make_grid(25.0 / params.s, 128, 0.5, 8, params.s)
     profile = solve_wave_kpp(params, grid) if eps > 0 else explicit_wave_eps0(params, grid)
     init_state = make_initial_perturbation(grid, 1e-4, seed=0, mean_zero_y=eps > 0)
+    if system == "nq":
+        init_state = log_gradient_deviation(init_state, grid)
     rec = run(system, init_state, profile,
               IntegratorConfig(dt=0.01, t_end=0.05, scheme=scheme))
 

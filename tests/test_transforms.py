@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import ddy, ddz, divergence, integrate, zero_field
+from oracles import ddy, ddz, divergence, integrate, node_fields, zero_field
 from stripwave.grid import (
     ScalarField,
     VectorField,
@@ -15,6 +15,7 @@ from stripwave.transforms import (
     cole_hopf_forward,
     cole_hopf_inverse,
     curl,
+    log_gradient_deviation,
     make_initial_perturbation,
     perturbation_y_means,
 )
@@ -177,9 +178,20 @@ def test_roundtrip_q_side(wave_setup):
 def test_initial_perturbation_carries_no_mass(wave_setup):
     # phi vanishes at both ends, so int (n - N) = int div phi is 0
     _, g, _ = wave_setup
-    pert = make_initial_perturbation(g, 1e-4, seed=3)
-    mass = integrate(divergence(pert.phi))
+    phi_z, phi_y, _ = node_fields(g, make_initial_perturbation(g, 1e-4, seed=3))
+    mass = integrate(divergence(VectorField(phi_z, phi_y)))
     assert abs(mass) < 1e-12
+
+
+def test_log_gradient_deviation_is_div_phi_and_grad_psi():
+    # the (n, q) deviation's y-modes against div phi and grad psi on the y-nodes
+    g = make_grid(25.0, 512, 0.5, 16, 1.0)
+    modes = make_initial_perturbation(g, 1e-4, seed=5)
+    phi_z, phi_y, psi = node_fields(g, modes)
+    expected = (divergence(VectorField(phi_z, phi_y)), ddz(psi), ddy(psi))
+    for got, want in zip(node_fields(g, log_gradient_deviation(modes, g)), expected):
+        scale = want.max_abs()
+        assert scale > 0.0 and np.max(np.abs(got.values - want.values)) <= 1e-13 * scale
 
 
 def test_initial_perturbation_measured_amplitude():
@@ -188,7 +200,7 @@ def test_initial_perturbation_measured_amplitude():
     g = make_grid(25.0, 512, 0.5, 16, 1.0)
     for seed in (0, 1, 7):
         pert = make_initial_perturbation(g, 1e-4, seed=seed)
-        assert ledger_row(g, pert.y_modes(), 0.0, 0.0).M_inst == pytest.approx(1e-4, rel=1e-10)
+        assert ledger_row(g, pert, 0.0, 0.0).M_inst == pytest.approx(1e-4, rel=1e-10)
 
 
 def test_initial_perturbation_rejects_a_degenerate_draw(monkeypatch):
@@ -207,7 +219,7 @@ def test_initial_perturbation_rejects_a_degenerate_draw(monkeypatch):
 def test_initial_perturbation_mean_zero_projection():
     g = make_grid(25.0, 512, 0.5, 16, 1.0)
     pert = make_initial_perturbation(g, 1e-4, seed=2, mean_zero_y=True)
-    assert perturbation_y_means(pert.y_modes()) < 1e-14
+    assert perturbation_y_means(pert) < 1e-14
 
 
 @pytest.mark.parametrize("n_z, n_y", [(512, 16), (257, 6)])
@@ -217,18 +229,16 @@ def test_perturbation_y_means_match_the_node_means(n_z, n_y, seed):
     # data that keep their y-means
     g = make_grid(25.0, n_z, 0.5, n_y, 1.0)
     pert = make_initial_perturbation(g, 1e-4, seed=seed, mean_zero_y=False)
-    means = max(float(np.max(np.abs(f.values.mean(axis=1))))
-                for f in (pert.phi.z, pert.phi.y, pert.psi))
+    means = max(float(np.max(np.abs(f.values.mean(axis=1)))) for f in node_fields(g, pert))
     assert means > 0.0
-    assert perturbation_y_means(pert.y_modes()) == pytest.approx(means, rel=1e-14, abs=0.0)
+    assert perturbation_y_means(pert) == pytest.approx(means, rel=1e-14, abs=0.0)
 
 
 def test_initial_perturbation_deterministic():
     g = make_grid(25.0, 512, 0.5, 16, 1.0)
     a = make_initial_perturbation(g, 1e-4, seed=11)
     b = make_initial_perturbation(g, 1e-4, seed=11)
-    assert np.array_equal(a.phi.z.values, b.phi.z.values)
-    assert np.array_equal(a.psi.values, b.psi.values)
+    assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 def test_initial_perturbation_compact_support():
@@ -236,5 +246,4 @@ def test_initial_perturbation_compact_support():
     pert = make_initial_perturbation(g, 1e-4, seed=4)
     # bumps live in |z - center| < 4 with centers in [-2, 2]
     far = np.abs(g.z) > 8.0
-    assert np.max(np.abs(pert.phi.z.values[far])) == 0.0
-    assert np.max(np.abs(pert.psi.values[far])) == 0.0
+    assert all(np.max(np.abs(x[far])) == 0.0 for x in pert)
